@@ -3,7 +3,9 @@
 Subcommands: gen, attack, decode, simulate, capacity, exponent.  Every
 command reads its settings from a JSON file (--config), writes artifacts
 into --out, and prints a one-line summary.  Exit codes: 0 on success, 2
-for configuration problems, 3 when a search or allocation budget is hit.
+for configuration problems and every other package error (an infeasible
+construction, a stale outcome, ...), 3 when a search or allocation budget
+is hit.  These failures print one line on stderr, not a traceback.
 
 All emitted floats carry 9 significant digits and tables use a fixed
 column order, so repeated runs with the same seed produce byte-identical
@@ -402,6 +404,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except FptraceError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -235,6 +235,14 @@ class Codebook:
         w.setflags(write=False)
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "timeshare", w)
+        for name, size in (("rp_perm", self.params.num_users), ("rm_perm", n)):
+            perm = getattr(self, name)
+            if perm is None:
+                continue
+            perm = np.asarray(perm, dtype=np.int64)
+            if perm.shape != (size,) or not np.array_equal(np.sort(perm), np.arange(size)):
+                raise ConfigError(f"{name} is not a permutation of {size} indices")
+            object.__setattr__(self, name, perm)
 
     # -- derived geometry ---------------------------------------------------
 
@@ -331,7 +339,7 @@ def apply_rp(
         if rng is None:
             raise ConfigError("apply_rp needs a generator or an explicit permutation")
         perm = rng.permutation(m)
-    perm = _checked_perm(perm, m)
+    perm = replace(cb, rp_perm=perm, _cache={}).rp_perm  # validated by Codebook
     old = cb.rp_perm if cb.rp_perm is not None else np.arange(m)
     return replace(cb, rp_perm=old[perm], _cache={})
 
@@ -351,16 +359,9 @@ def apply_rm(
         if rng is None:
             raise ConfigError("apply_rm needs a generator or an explicit permutation")
         perm = rng.permutation(n)
-    perm = _checked_perm(perm, n)
+    perm = replace(cb, rm_perm=perm, _cache={}).rm_perm  # validated by Codebook
     old = cb.rm_perm if cb.rm_perm is not None else np.arange(n)
     return replace(cb, rm_perm=perm[old], _cache={})
-
-
-def _checked_perm(perm: np.ndarray, size: int) -> np.ndarray:
-    perm = np.asarray(perm, dtype=np.int64)
-    if perm.shape != (size,) or not np.array_equal(np.sort(perm), np.arange(size)):
-        raise ConfigError("not a permutation of the expected size")
-    return perm
 
 
 # ---------------------------------------------------------------------------

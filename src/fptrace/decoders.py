@@ -1,13 +1,16 @@
 """Universal decoders scored by empirical information.
 
-Two decoders share one scoring currency, conditional empirical mutual
-information against the side data (host sequence and effective time-sharing
-sequence):
+The decoders and the audits of their outcomes score with one quantity,
+conditional empirical information oI(x_A; y x_B | s, w) against the side
+data (host sequence and effective time-sharing sequence), computed by one
+private scorer built once per (codebook, pirated copy):
 
 * threshold: accuse every user whose pairwise score beats rate + delta;
+  rows are regenerated from the key one at a time, so memory stays O(n);
 * joint: search coalitions and maximize the penalized multivariate score
   oI(x_A; y | s, w) - |A| (rate + delta), preferring larger coalitions on
-  ties and lexicographically smaller ones within a size.
+  ties and lexicographically smaller ones within a size.  It and the
+  audits read the codebook's cached row matrix: one generation per row.
 
 Neither decoder needs the attack channel; the penalty term is what makes
 the scores comparable across coalition sizes.  The guilt indices and the
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +33,9 @@ from .errors import (
     InapplicableCheckError,
     StaleOutcomeError,
 )
-from .types_core import InfoQuery, JointType, count_table, entropy, multi_info
+from .types_core import _count_entropy
+# not used here; perfbench's traced run wraps these names on this module
+from .types_core import count_table, entropy, multi_info  # noqa: F401
 
 __all__ = [
     "DecodeConfig",
@@ -43,6 +48,9 @@ __all__ = [
     "guilt_indices",
     "verify_significance",
 ]
+
+# default cap on candidate coalitions, shared by the search and the audit
+_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,7 @@ class DecodeConfig:
     k_max: int = 3
     search: str = "exhaustive"
     rate: float | None = None
-    budget: int = 2_000_000
+    budget: int = _BUDGET
     tie_tol: float = 1e-12
 
     def __post_init__(self) -> None:
@@ -94,36 +102,48 @@ class DecodeOutcome:
 
 
 # ---------------------------------------------------------------------------
-# scoring plumbing
+# the one scorer
 
 
-def _side_arrays(cb: Codebook, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    y = np.asarray(y, dtype=np.int64)
-    if y.shape != (cb.params.n,):
-        raise ConfigError("pirated sequence length must match the blocklength")
-    if y.min() < 0:
-        raise ConfigError("pirated sequence has negative symbols")
-    y_size = max(int(y.max()) + 1, cb.params.x_size)
-    return y, cb.host, cb.effective_w(), y_size
+class _Scorer:
+    """Empirical information of codebook rows against one pirated copy y,
+    conditioned on the side data (host s, effective time-share w).
 
+    y is relabelled to the symbols that occur in it: an injective relabelling
+    leaves every score unchanged and sizes the count tables by the data, not
+    by the largest symbol.  Rows are passed in by the caller.
+    """
 
-def _coalition_type(
-    cb: Codebook, members: tuple[int, ...], y: np.ndarray
-) -> JointType:
-    """Joint type over (x_m1..x_mk, y, s, w_eff); axes in that order."""
-    p = cb.params
-    y, s, w, y_size = _side_arrays(cb, y)
-    arrays = [cb.row(m) for m in members] + [y, s, w]
-    sizes = (p.x_size,) * len(members) + (y_size, p.s_size, p.w_size)
-    return JointType(sizes, count_table(arrays, sizes), p.n)
+    def __init__(self, cb: Codebook, y: np.ndarray) -> None:
+        p = cb.params
+        y = np.asarray(y, dtype=np.int64)
+        if y.shape != (p.n,):
+            raise ConfigError("pirated sequence length must match the blocklength")
+        if y.min() < 0:
+            raise ConfigError("pirated sequence has negative symbols")
+        y = np.unique(y, return_inverse=True)[1]
+        side = cb.host * p.w_size + cb.effective_w()
+        self.n, self.x_size = p.n, p.x_size
+        self.cells = y * (p.s_size * p.w_size) + side  # combined (y, s, w) code
+        comp = cb.cell_compositions()
+        self.h_side = _count_entropy(comp.sum(axis=2), p.n)
+        # constant composition: every row has the same H(x | s, w)
+        self.h_x = _count_entropy(comp, p.n) - self.h_side
+        self.h_y = self._h(self.cells)
 
+    def _h(self, code: np.ndarray) -> float:
+        """H(code | s, w) of a code that refines the (s, w) cell."""
+        return _count_entropy(np.bincount(code), self.n) - self.h_side
 
-def _row_entropy_given_side(cb: Codebook) -> float:
-    """H(x | s, w) of every row, exact from the shared cell compositions."""
-    p = cb.params
-    comp = cb.cell_compositions()  # (S, W, X) counts
-    jt = JointType((p.s_size, p.w_size, p.x_size), comp, p.n)
-    return entropy(jt, InfoQuery((2,), cond=(0, 1)))
+    def info(self, rows_a, rows_b=()) -> float:
+        """oI(x_A; y x_B | s, w) = |A| H(x|s,w) + H(x_B y|s,w) - H(x_A x_B y|s,w)."""
+        code = self.cells
+        for x in rows_b:
+            code = code * self.x_size + x
+        h_b = self._h(code) if len(rows_b) else self.h_y
+        for x in rows_a:
+            code = code * self.x_size + x
+        return max(len(rows_a) * self.h_x + h_b - self._h(code), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +156,15 @@ def threshold_decode(cb: Codebook, y: np.ndarray, cfg: DecodeConfig) -> DecodeOu
     False accusations are controlled by the penalty alone: an innocent row
     is independent of y given the side data, so its score concentrates near
     zero and beats rate + delta only with exponentially small probability.
+    Rows are regenerated one at a time, so memory stays O(n) for any M.
     """
     rate = cfg.rate_for(cb)
     bar = rate + cfg.delta
-    scores: dict[int, float] = {}
-    accused = []
-    for m in range(cb.params.num_users):
-        jt = _coalition_type(cb, (m,), y)
-        # I(x; y | s, w): axes x=0, y=1, side=(2, 3)
-        score = multi_info(jt, [(0,), (1,)], cond=(2, 3))
-        scores[m] = score
-        if score > bar:
-            accused.append(m)
+    scorer = _Scorer(cb, y)
+    scores = {m: scorer.info((cb.row(m),)) for m in range(cb.params.num_users)}
+    accused = tuple(m for m, score in scores.items() if score > bar)
     return DecodeOutcome(
-        accused=tuple(accused),
+        accused=accused,
         best_k=len(accused),
         score=float(max(scores.values())) if scores else 0.0,
         scores=scores,
@@ -168,22 +183,15 @@ def threshold_decode(cb: Codebook, y: np.ndarray, cfg: DecodeConfig) -> DecodeOu
 def mpmi_score(
     cb: Codebook, coalition: tuple[int, ...], y: np.ndarray, cfg: DecodeConfig
 ) -> float:
-    """Penalized joint score of a candidate coalition.
-
-    oI(x_A; y | s, w) - |A| (rate + delta), computed through the equivocation
-    form |A| H(x|s,w) - H(x_A | y, s, w), which is exact because every row
-    carries the same conditional composition.  The empty coalition scores 0.
-    """
+    """Penalized joint score oI(x_A; y | s, w) - |A| (rate + delta) of a
+    candidate coalition.  The empty coalition scores 0."""
     coalition = tuple(sorted(set(coalition)))
     if not coalition:
         return 0.0
-    k = len(coalition)
-    jt = _coalition_type(cb, coalition, y)
-    h_row = _row_entropy_given_side(cb)
-    cond_axes = tuple(range(k, k + 3))  # y, s, w
-    h_post = entropy(jt, InfoQuery(tuple(range(k)), cond=cond_axes))
-    info = k * h_row - h_post
-    return info - k * (cfg.rate_for(cb) + cfg.delta)
+    if coalition[0] < 0 or coalition[-1] >= cb.params.num_users:
+        raise ConfigError(f"coalition {coalition} has a user index out of range")
+    info = _Scorer(cb, y).info(cb.rows()[list(coalition)])
+    return info - len(coalition) * (cfg.rate_for(cb) + cfg.delta)
 
 
 def _candidate_count(m: int, k_max: int) -> int:
@@ -201,18 +209,24 @@ def mpmi_decode(cb: Codebook, y: np.ndarray, cfg: DecodeConfig) -> DecodeOutcome
     """
     m = cb.params.num_users
     k_hi = min(cfg.k_max, m)
+    total = _candidate_count(m, k_hi)
+    if cfg.search == "exhaustive" and total > cfg.budget:
+        raise BudgetExceededError(
+            f"{total} candidate coalitions exceed the budget {cfg.budget}"
+        )
+    scorer, rows = _Scorer(cb, y), cb.rows()
+    penalty = cfg.rate_for(cb) + cfg.delta
+
+    def penalized(cand: tuple[int, ...]) -> float:
+        return scorer.info(rows[list(cand)]) - len(cand) * penalty
+
     if cfg.search == "exhaustive":
-        total = _candidate_count(m, k_hi)
-        if total > cfg.budget:
-            raise BudgetExceededError(
-                f"{total} candidate coalitions exceed the budget {cfg.budget}"
-            )
         best = ((), 0, 0.0)  # coalition, k, score
         evaluated = 1
         size_best: dict[int, tuple[tuple[int, ...], float]] = {0: ((), 0.0)}
         for k in range(1, k_hi + 1):
             for cand in itertools.combinations(range(m), k):
-                score = mpmi_score(cb, cand, y, cfg)
+                score = penalized(cand)
                 evaluated += 1
                 if k not in size_best or score > size_best[k][1] + cfg.tie_tol:
                     size_best[k] = (cand, score)
@@ -247,7 +261,7 @@ def mpmi_decode(cb: Codebook, y: np.ndarray, cfg: DecodeConfig) -> DecodeOutcome
             if u in current:
                 continue
             cand = tuple(sorted(current + (u,)))
-            score = mpmi_score(cb, cand, y, cfg)
+            score = penalized(cand)
             evaluated += 1
             if best_add is None or score > best_add[1] + cfg.tie_tol:
                 best_add = (cand, score)
@@ -280,35 +294,11 @@ class GuiltReport:
     per_user: dict
 
 
-def _group_score(
-    cb: Codebook,
-    group_a: tuple[int, ...],
-    group_b: tuple[int, ...],
-    y: np.ndarray,
-) -> float:
-    """oI(x_A ; y x_B | s, w): each A-member is its own part, y and the B
-    rows merge into one part."""
-    members = tuple(group_a) + tuple(group_b)
-    jt = _coalition_type(cb, members, y)
-    a = len(group_a)
-    b = len(group_b)
-    parts = [(i,) for i in range(a)]
-    parts.append(tuple(range(a, a + b)) + (a + b,))  # x_B axes then y axis
-    return multi_info(jt, parts, cond=(a + b + 1, a + b + 2))
-
-
-def _recheck_outcome(cb: Codebook, y: np.ndarray, outcome: DecodeOutcome) -> DecodeConfig:
-    cfg = DecodeConfig(
-        delta=outcome.delta, k_max=max(outcome.best_k, 1), rate=outcome.rate
-    )
+def _recheck_outcome(cb: Codebook, y: np.ndarray, outcome: DecodeOutcome) -> None:
+    """Re-run the decoder's scoring on (cb, y); a mismatch raises."""
+    cfg = DecodeConfig(delta=outcome.delta, rate=outcome.rate)
     if outcome.mode == "threshold":
-        bar = outcome.rate + outcome.delta
-        jt_scores = []
-        for m in range(cb.params.num_users):
-            jt = _coalition_type(cb, (m,), y)
-            jt_scores.append(multi_info(jt, [(0,), (1,)], cond=(2, 3)))
-        accused = tuple(m for m, s in enumerate(jt_scores) if s > bar)
-        if accused != outcome.accused:
+        if threshold_decode(cb, y, cfg).accused != outcome.accused:
             raise StaleOutcomeError("threshold outcome does not match its inputs")
     else:
         got = mpmi_score(cb, outcome.accused, y, cfg)
@@ -316,7 +306,6 @@ def _recheck_outcome(cb: Codebook, y: np.ndarray, outcome: DecodeOutcome) -> Dec
             raise StaleOutcomeError(
                 f"recorded score {outcome.score!r} != recomputed {got!r}"
             )
-    return cfg
 
 
 def guilt_indices(cb: Codebook, y: np.ndarray, outcome: DecodeOutcome) -> GuiltReport:
@@ -328,24 +317,16 @@ def guilt_indices(cb: Codebook, y: np.ndarray, outcome: DecodeOutcome) -> GuiltR
     say the decoder's evidence exceeds what the code rate hands out for
     free; the outcome is first recomputed and a mismatch raises.
     """
-    cfg = _recheck_outcome(cb, y, outcome)
-    acc = outcome.accused
+    _recheck_outcome(cb, y, outcome)
+    acc = list(outcome.accused)
     rate = outcome.rate
-    if acc:
-        jt = _coalition_type(cb, acc, y)
-        k = len(acc)
-        parts = [(i,) for i in range(k)] + [(k,)]
-        coalition_index = multi_info(jt, parts, cond=(k + 1, k + 2)) - k * rate
-    else:
-        coalition_index = 0.0
+    scorer, rows = _Scorer(cb, y), cb.rows()
     per_user = {}
     for m in range(cb.params.num_users):
-        if m in acc:
-            rest = tuple(u for u in acc if u != m)
-            idx = _group_score(cb, (m,), rest, y) - rate
-        else:
-            idx = _group_score(cb, (m,), acc, y) - rate
+        rest = [u for u in acc if u != m]
+        idx = scorer.info(rows[[m]], rows[rest]) - rate
         per_user[m] = {"accused": m in acc, "index": idx}
+    coalition_index = scorer.info(rows[acc]) - len(acc) * rate
     return GuiltReport(coalition_index=coalition_index, per_user=per_user)
 
 
@@ -386,22 +367,22 @@ def verify_significance(
         )
     acc = outcome.accused
     bar = outcome.rate + outcome.delta
+    scorer, rows = _Scorer(cb, y), cb.rows()
     inside = []
     for a in range(1, len(acc) + 1):
         for sub in itertools.combinations(acc, a):
-            rest = tuple(u for u in acc if u not in sub)
-            lhs = _group_score(cb, sub, rest, y)
+            rest = [u for u in acc if u not in sub]
+            lhs = scorer.info(rows[list(sub)], rows[rest])
             bound = a * bar
             inside.append((sub, lhs, bound, lhs > bound - tol))
     outside = []
     others = [u for u in range(cb.params.num_users) if u not in acc]
-    room = k_cap - len(acc)
-    budget = _candidate_count(len(others), min(room, len(others)))
-    if budget > 2_000_000:
+    room = min(k_cap - len(acc), len(others))
+    if _candidate_count(len(others), room) > _BUDGET:
         raise BudgetExceededError("too many outside subsets to certify")
-    for a in range(1, min(room, len(others)) + 1):
+    for a in range(1, room + 1):
         for sub in itertools.combinations(others, a):
-            lhs = _group_score(cb, sub, acc, y)
+            lhs = scorer.info(rows[list(sub)], rows[list(acc)])
             bound = a * bar
             outside.append((sub, lhs, bound, lhs <= bound + tol))
     ok = all(r[3] for r in inside) and all(r[3] for r in outside)

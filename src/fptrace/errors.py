@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, BudgetExceededError -> 3.
-Everything else is an ordinary bug and propagates as exit 1.
+The CLI maps these onto exit codes: BudgetExceededError -> 3, ConfigError
+and every other FptraceError -> 2, each with a one-line message.  Anything
+else is an ordinary bug and propagates as exit 1.
 """
 
 

@@ -228,22 +228,25 @@ def count_table(arrays: PySequence[np.ndarray], sizes: tuple[int, ...]) -> np.nd
 # entropy-family functionals on count tables
 
 
-def _count_entropy(jt: JointType, axes: tuple[int, ...]) -> float:
-    """H of the marginal over ``axes`` in bits, exact 0log0 handling."""
+def _count_entropy(counts: np.ndarray, n: int) -> float:
+    """H in bits of a raw count array summing to n, exact 0log0 handling."""
+    c = np.ravel(counts)
+    return math.log2(n) - float(xlogy(c, c).sum()) / (n * _LN2)
+
+
+def _marginal_entropy(jt: JointType, axes: tuple[int, ...]) -> float:
+    """H of the marginal over ``axes`` in bits."""
     if not axes:
         return 0.0
     drop = tuple(i for i in range(len(jt.axes)) if i not in axes)
-    marg = jt.counts.sum(axis=drop) if drop else jt.counts
-    c = marg.ravel()
-    n = jt.n
-    return math.log2(n) - float(xlogy(c, c).sum()) / (n * _LN2)
+    return _count_entropy(jt.counts.sum(axis=drop) if drop else jt.counts, jt.n)
 
 
 def entropy(jt: JointType, q: InfoQuery) -> float:
     """Empirical conditional entropy H(targets | cond) in bits."""
     q.validate(jt, need_partners=False)
-    a, c = q.targets, q.cond
-    h = _count_entropy(jt, tuple(sorted(a + c))) - _count_entropy(jt, tuple(sorted(c)))
+    h = _marginal_entropy(jt, tuple(sorted(q.targets + q.cond)))
+    h -= _marginal_entropy(jt, tuple(sorted(q.cond)))
     return max(h, 0.0)
 
 
@@ -255,10 +258,10 @@ def mutual_info(jt: JointType, q: InfoQuery) -> float:
     """
     q.validate(jt, need_partners=True)
     a, b, c = q.targets, q.partners, q.cond
-    hac = _count_entropy(jt, tuple(sorted(a + c)))
-    hbc = _count_entropy(jt, tuple(sorted(b + c)))
-    habc = _count_entropy(jt, tuple(sorted(a + b + c)))
-    hc = _count_entropy(jt, tuple(sorted(c)))
+    hac = _marginal_entropy(jt, tuple(sorted(a + c)))
+    hbc = _marginal_entropy(jt, tuple(sorted(b + c)))
+    habc = _marginal_entropy(jt, tuple(sorted(a + b + c)))
+    hc = _marginal_entropy(jt, tuple(sorted(c)))
     return max(hac + hbc - habc - hc, 0.0)
 
 
@@ -279,12 +282,12 @@ def multi_info(
     flat = [a for p in parts for a in p] + list(cond)
     _check_axes(tuple(flat), len(jt.axes))
     cond = tuple(sorted(cond))
-    hc = _count_entropy(jt, cond)
+    hc = _marginal_entropy(jt, cond)
     total = 0.0
     for p in parts:
-        total += _count_entropy(jt, tuple(sorted(p + cond))) - hc
+        total += _marginal_entropy(jt, tuple(sorted(p + cond))) - hc
     all_axes = tuple(sorted(tuple(flat)))
-    total -= _count_entropy(jt, all_axes) - hc
+    total -= _marginal_entropy(jt, all_axes) - hc
     return max(total, 0.0)
 
 
@@ -381,7 +384,7 @@ def log_type_class_size(
     if not cond:
         c = jt.counts.ravel()
         exact = (gammaln(n + 1) - gammaln(c + 1).sum()) / _LN2
-        h = _count_entropy(jt, tuple(range(len(jt.axes))))
+        h = _count_entropy(c, n)
     else:
         free = tuple(i for i in range(len(jt.axes)) if i not in cond)
         if not free:

@@ -167,3 +167,23 @@ def test_exit_code_3_on_budget(workdir):
 
 def test_gen_requires_config(workdir):
     assert run("gen", "--out", workdir) == 2
+
+
+def test_exit_code_2_on_infeasible_codebook(workdir, capsys):
+    cfg = write_json(workdir / "gen.json", {"params": {
+        "n": 16, "num_users": 4, "d1": [[0.0, 1.0]], "distortion_cap": 0.1}})
+    assert run("gen", "--config", cfg, "--out", workdir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("InfeasibleError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [[0] * 16, [2, 0, 1]])
+def test_exit_code_2_on_keyfile_with_bad_permutation(workdir, bad):
+    gen_cfg = write_json(workdir / "gen.json", {"params": {"n": 16, "num_users": 4}})
+    assert run("gen", "--config", gen_cfg, "--seed", 3, "--out", workdir) == 0
+    key_path = workdir / "codebook_key.json"
+    key = json.loads(key_path.read_text())
+    key["rm_perm"] = bad
+    key_path.write_text(json.dumps(key))
+    att_cfg = write_json(workdir / "att.json", {"coalition": [0, 1]})
+    assert run("attack", "--config", att_cfg, "--out", workdir) == 2

@@ -1,6 +1,7 @@
 """Codebook construction: exact compositions, keyed determinism, randomizers."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -365,6 +366,26 @@ def test_codebook_reader_rejects_wrong_keyfile(tmp_path):
     write_codebook(b, tmp_path / "b.jsonl", tmp_path / "b.json", tmp_path / "b.key")
     with pytest.raises(ConfigError):
         read_codebook(tmp_path / "a.jsonl", tmp_path / "a.json", tmp_path / "b.key")
+
+
+@pytest.mark.parametrize("name, bad", [("rm_perm", [0] * 12), ("rm_perm", [2, 0, 1])])
+def test_codebook_reader_rejects_bad_permutations(tmp_path, name, bad):
+    paths = tmp_path / "c.jsonl", tmp_path / "c.json", tmp_path / "c.key"
+    write_codebook(fresh_codebook(seed=51), *paths)
+    key = json.loads(paths[2].read_text())
+    key[name] = bad
+    paths[2].write_text(json.dumps(key))
+    with pytest.raises(ConfigError):
+        read_codebook(*paths)
+
+
+def test_randomizers_reject_non_permutations():
+    cb = fresh_codebook(seed=52)
+    for bad in ([0, 0, 1, 2, 3], [0, 1, 2], [-1, 0, 1, 2, 3], [0, 1, 2, 3, 9]):
+        with pytest.raises(ConfigError):
+            apply_rp(cb, perm=bad)
+    with pytest.raises(ConfigError):
+        apply_rm(cb, perm=[0] * cb.params.n)
 
 
 def test_draw_host_matches_law():

@@ -8,10 +8,12 @@ instances is the main correctness evidence.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fptrace import codec
 from fptrace import rng as rngmod
 from fptrace.codec import CodeParams, build_codebook, draw_host, draw_timeshare
 from fptrace.collusion import interleave
@@ -271,3 +273,69 @@ def test_outcome_invariants():
             delta=0.1,
             rate=0.2,
         )
+
+
+# ---------------------------------------------------------------------------
+# one scoring route
+
+
+def test_large_pirate_symbol_is_relabelled_not_tabulated():
+    cb = make_codebook(37, n=24, m=5)
+    small = cb.row(1).copy()
+    small[3] = cb.params.x_size  # one symbol outside the mark alphabet
+    large = small.copy()
+    large[3] = 10**6
+    cfg = DecodeConfig(delta=0.05, k_max=2)
+    want = threshold_decode(cb, small, cfg)
+    tracemalloc.start()
+    try:
+        got = threshold_decode(cb, large, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 8 * 2**20
+    assert mpmi_decode(cb, large, cfg) == mpmi_decode(cb, small, cfg)
+    with pytest.raises(ConfigError):
+        threshold_decode(cb, -small, cfg)
+
+
+def test_each_row_is_generated_once_per_book(monkeypatch):
+    m = 6
+    cb = make_codebook(41, n=160, m=m)
+    twin = make_codebook(41, n=160, m=m)  # same book, nothing generated yet
+    y = interleave(np.stack([twin.row(0), twin.row(4)]), rngmod.derive(41, "a"), 2).y
+    real = codec.sample_type_class
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "sample_type_class", counted)
+    cfg = DecodeConfig(delta=0.15, k_max=3)
+    out = mpmi_decode(cb, y, cfg)
+    guilt_indices(cb, y, out)
+    assert out.accused == (0, 4)
+    verify_significance(cb, y, out)
+    assert len(calls) == m
+    calls.clear()
+    threshold_decode(cb, y, cfg)
+    assert len(calls) == m
+
+
+def test_decoder_and_audit_scores_are_one_quantity():
+    cb = make_codebook(43, n=48, m=6)
+    y = interleave(np.stack([cb.row(2), cb.row(5)]), rngmod.derive(43, "a"), 2).y
+    cfg = DecodeConfig(delta=0.07, k_max=3)
+    pen = cb.params.rate + cfg.delta
+    single = threshold_decode(cb, y, cfg)
+    for m in range(6):
+        assert abs(single.scores[m] - (mpmi_score(cb, (m,), y, cfg) + pen)) <= 1e-12
+    out = mpmi_decode(cb, y, cfg)
+    acc = out.accused
+    assert acc
+    want = mpmi_score(cb, acc, y, cfg) + len(acc) * cfg.delta
+    assert abs(guilt_indices(cb, y, out).coalition_index - want) <= 1e-12
+    with pytest.raises(ConfigError):
+        mpmi_score(cb, (0, 6), y, cfg)
