@@ -295,13 +295,7 @@ def _cmd_capacity(args) -> int:
 def _law_from(cfg: dict, problem: GameProblem) -> InputLaw:
     if "input_law" in cfg:
         return InputLaw.from_dict(cfg["input_law"])
-    return InputLaw(
-        p_w=np.full(problem.num_timeshare, 1.0 / problem.num_timeshare),
-        p_x_given_sw=np.full(
-            (problem.s_size, problem.num_timeshare, problem.x_size),
-            1.0 / problem.x_size,
-        ),
-    )
+    return problem.uniform_law()
 
 
 def _cmd_exponent(args) -> int:

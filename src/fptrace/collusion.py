@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError
+from .errors import ConfigError
 from .types_core import JointType, count_table
 
 __all__ = [
@@ -41,9 +40,8 @@ __all__ = [
     "is_permutation_invariant",
     "is_first_order_fair",
     "feasibility_report",
+    "input_orbits",
 ]
-
-MAX_PERM_FANOUT = 8  # cap on K for anything that enumerates K! permutations
 
 CHANNEL_CLASSES = ("explicit", "boneh_shaw", "interleaving", "distortion")
 
@@ -162,12 +160,46 @@ class ChannelSpec:
         )
 
 
+def input_orbits(k: int, x_size: int):
+    """Orbits of X^K under coordinate permutations.
+
+    Returns (orbit-id array of shape (x_size,)*k, representative tuples,
+    orbit sizes).  Representatives are sorted tuples, listed in
+    lexicographic order, so the layout is deterministic.
+    """
+    ids = np.empty((x_size,) * k, dtype=np.intp)
+    reps: list[tuple[int, ...]] = []
+    seen: dict[tuple[int, ...], int] = {}
+    for tup in itertools.product(range(x_size), repeat=k):
+        key = tuple(sorted(tup))
+        if key not in seen:
+            seen[key] = len(reps)
+            reps.append(key)
+        ids[tup] = seen[key]
+    sizes = np.bincount(ids.ravel(), minlength=len(reps)).astype(float)
+    return ids, reps, sizes
+
+
+def _exchangeable(a: np.ndarray, k: int, tol: float = 0.0) -> bool:
+    """True iff ``a`` is unchanged, up to ``tol``, by the swap (0 1) and the
+    cycle (0 1 ... k-1) of its first k axes; trailing axes stay in place.
+
+    Those two permutations generate every colluder relabeling, so with
+    tol = 0 this is exact invariance under all K! of them at the cost of
+    two comparisons.  With tol > 0 a permutation that is a word of length
+    L in the two generators can move the table by up to L * tol.
+    """
+    if k < 2:
+        return True
+    rest = tuple(range(k, a.ndim))
+    swap = (1, 0) + tuple(range(2, k)) + rest
+    cycle = tuple(range(1, k)) + (0,) + rest
+    return all(np.max(np.abs(np.transpose(a, p) - a)) <= tol for p in (swap, cycle))
+
+
 def _require_symmetric_estimator(est: np.ndarray, k: int) -> None:
-    if k > MAX_PERM_FANOUT:
-        raise BudgetExceededError(f"estimator symmetry check caps at K={MAX_PERM_FANOUT}")
-    for perm in itertools.permutations(range(k)):
-        if not np.array_equal(np.transpose(est, perm), est):
-            raise ConfigError("estimator must be invariant to colluder order")
+    if not _exchangeable(est, k):
+        raise ConfigError("estimator must be invariant to colluder order")
 
 
 def _interleaving_table(k: int, q: int) -> np.ndarray:
@@ -296,20 +328,20 @@ def check_distortion_attack(
 def permutation_average(ch: ChannelSpec) -> ChannelSpec:
     """Average the channel over all colluder relabelings.
 
-    The result is permutation-invariant, and averaging an already invariant
-    channel returns it unchanged.
+    Each cell gets the mean row of its orbit under the relabelings: every
+    permutation maps a cell to a member of its orbit, and each member is
+    hit K!/|orbit| times, so the orbit mean equals the mean over all K!
+    relabelings.  The result is permutation-invariant, and averaging an
+    already invariant channel returns it unchanged (up to rounding).
     """
-    if ch.k > MAX_PERM_FANOUT:
-        raise BudgetExceededError(f"permutation average caps at K={MAX_PERM_FANOUT}")
-    acc = np.zeros_like(ch.table)
-    perms = list(itertools.permutations(range(ch.k)))
-    for perm in perms:
-        acc += np.transpose(ch.table, perm + (ch.k,))
+    ids, _, sizes = input_orbits(ch.k, ch.x_size)
+    sums = np.zeros((len(sizes), ch.y_size))
+    np.add.at(sums, ids.ravel(), ch.table.reshape(-1, ch.y_size))
     return ChannelSpec(
         k=ch.k,
         x_size=ch.x_size,
         y_size=ch.y_size,
-        table=acc / len(perms),
+        table=(sums / sizes[:, None])[ids],
         class_tag=ch.class_tag,
         estimator=ch.estimator,
         d2=ch.d2,
@@ -318,13 +350,13 @@ def permutation_average(ch: ChannelSpec) -> ChannelSpec:
 
 
 def is_permutation_invariant(ch: ChannelSpec, tol: float = 1e-12) -> bool:
-    """True iff the table is unchanged by every colluder relabeling."""
-    if ch.k > MAX_PERM_FANOUT:
-        raise BudgetExceededError(f"invariance check caps at K={MAX_PERM_FANOUT}")
-    for perm in itertools.permutations(range(ch.k)):
-        if np.max(np.abs(np.transpose(ch.table, perm + (ch.k,)) - ch.table)) > tol:
-            return False
-    return True
+    """True iff the table is unchanged by every colluder relabeling.
+
+    Only the two generating relabelings are compared, each to within
+    ``tol``; a longer relabeling then moves the table by at most a small
+    multiple of ``tol`` (its word length in the generators), not by ``tol``.
+    """
+    return _exchangeable(ch.table, ch.k, tol)
 
 
 def wrap_exchangeable(
@@ -358,28 +390,24 @@ def is_first_order_fair(x_rows: np.ndarray, y: np.ndarray, y_size: int | None = 
 
     Cells of the colluder tuple that are permutations of one another must
     induce identical conditional laws for y; cells with no occurrences are
-    unconstrained.  Comparison is exact (integer cross-multiplication).
+    unconstrained.  Equal laws are transitive, so each live cell is compared
+    with the first live cell of its orbit only.  Comparison is exact
+    (integer cross-multiplication).
     """
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.int64))
     y = np.asarray(y, dtype=np.int64)
     k, n = x_rows.shape
-    if k > MAX_PERM_FANOUT:
-        raise BudgetExceededError(f"fairness check caps at K={MAX_PERM_FANOUT}")
     x_size = int(x_rows.max()) + 1
     if y_size is None:
         y_size = int(y.max()) + 1
     counts = count_table([*x_rows, y], (x_size,) * k + (y_size,))
+    counts = counts.reshape(-1, y_size).astype(object)
     totals = counts.sum(axis=-1)
-    groups: dict[tuple, list[tuple]] = {}
-    for cell in itertools.product(range(x_size), repeat=k):
-        groups.setdefault(tuple(sorted(cell)), []).append(cell)
-    for members in groups.values():
-        live = [c for c in members if totals[c] > 0]
-        for a, b in itertools.combinations(live, 2):
-            # p(y|a) == p(y|b) exactly: counts[a]*totals[b] == counts[b]*totals[a]
-            if np.any(
-                counts[a].astype(object) * int(totals[b])
-                != counts[b].astype(object) * int(totals[a])
-            ):
-                return False
+    ids = input_orbits(k, x_size)[0].ravel()
+    first: dict[int, int] = {}
+    for b in np.flatnonzero(totals):
+        a = first.setdefault(ids[b], b)
+        # p(y|a) == p(y|b) exactly: counts[a]*totals[b] == counts[b]*totals[a]
+        if np.any(counts[a] * totals[b] != counts[b] * totals[a]):
+            return False
     return True

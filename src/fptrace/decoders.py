@@ -15,7 +15,8 @@ private scorer built once per (codebook, pirated copy):
 Neither decoder needs the attack channel; the penalty term is what makes
 the scores comparable across coalition sizes.  The guilt indices and the
 significance checks re-read a decode outcome and certify which inequalities
-the returned coalition actually satisfies.
+the returned coalition actually satisfies; the guilt audit of a threshold
+outcome streams the rows like the threshold decoder.
 """
 
 from __future__ import annotations
@@ -294,18 +295,14 @@ class GuiltReport:
     per_user: dict
 
 
-def _recheck_outcome(cb: Codebook, y: np.ndarray, outcome: DecodeOutcome) -> None:
-    """Re-run the decoder's scoring on (cb, y); a mismatch raises."""
+def _recheck_joint(cb: Codebook, y: np.ndarray, outcome: DecodeOutcome) -> None:
+    """Re-score a joint outcome's coalition on (cb, y); a mismatch raises."""
     cfg = DecodeConfig(delta=outcome.delta, rate=outcome.rate)
-    if outcome.mode == "threshold":
-        if threshold_decode(cb, y, cfg).accused != outcome.accused:
-            raise StaleOutcomeError("threshold outcome does not match its inputs")
-    else:
-        got = mpmi_score(cb, outcome.accused, y, cfg)
-        if abs(got - outcome.score) > 1e-9:
-            raise StaleOutcomeError(
-                f"recorded score {outcome.score!r} != recomputed {got!r}"
-            )
+    got = mpmi_score(cb, outcome.accused, y, cfg)
+    if abs(got - outcome.score) > 1e-9:
+        raise StaleOutcomeError(
+            f"recorded score {outcome.score!r} != recomputed {got!r}"
+        )
 
 
 def guilt_indices(cb: Codebook, y: np.ndarray, outcome: DecodeOutcome) -> GuiltReport:
@@ -316,17 +313,32 @@ def guilt_indices(cb: Codebook, y: np.ndarray, outcome: DecodeOutcome) -> GuiltR
     innocent-looking user: I(x_m; y x_acc | s, w) - rate.  Positive indices
     say the decoder's evidence exceeds what the code rate hands out for
     free; the outcome is first recomputed and a mismatch raises.
+
+    A threshold outcome is rechecked in the same pass that scores the
+    users, regenerating each row once, so memory stays O(n) for any M as
+    in ``threshold_decode``; a joint outcome reads the cached row matrix.
     """
-    _recheck_outcome(cb, y, outcome)
-    acc = list(outcome.accused)
-    rate = outcome.rate
-    scorer, rows = _Scorer(cb, y), cb.rows()
-    per_user = {}
+    threshold = outcome.mode == "threshold"
+    if threshold:
+        row_of = cb.row
+    else:
+        _recheck_joint(cb, y, outcome)
+        row_of = cb.rows().__getitem__
+    acc = outcome.accused
+    acc_rows = {u: row_of(u) for u in acc}
+    rate, bar = outcome.rate, outcome.rate + outcome.delta
+    scorer = _Scorer(cb, y)
+    per_user, flagged = {}, []
     for m in range(cb.params.num_users):
-        rest = [u for u in acc if u != m]
-        idx = scorer.info(rows[[m]], rows[rest]) - rate
-        per_user[m] = {"accused": m in acc, "index": idx}
-    coalition_index = scorer.info(rows[acc]) - len(acc) * rate
+        row = acc_rows[m] if m in acc_rows else row_of(m)
+        rest = [acc_rows[u] for u in acc if u != m]
+        idx = scorer.info((row,), rest) - rate
+        per_user[m] = {"accused": m in acc_rows, "index": idx}
+        if threshold and scorer.info((row,)) > bar:
+            flagged.append(m)
+    if threshold and tuple(flagged) != acc:
+        raise StaleOutcomeError("threshold outcome does not match its inputs")
+    coalition_index = scorer.info([acc_rows[u] for u in acc]) - len(acc) * rate
     return GuiltReport(coalition_index=coalition_index, per_user=per_user)
 
 
@@ -356,7 +368,7 @@ def verify_significance(
     """
     if not outcome.exact or not outcome.mode.startswith("mpmi"):
         raise InapplicableCheckError("significance needs an exhaustive joint decode")
-    _recheck_outcome(cb, y, outcome)
+    _recheck_joint(cb, y, outcome)
     # the per-size score trail records how far the search actually looked
     sizes_seen = [len(c) for c in outcome.scores] or [0]
     k_cap = max(max(sizes_seen), outcome.best_k)

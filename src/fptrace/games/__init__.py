@@ -1,5 +1,6 @@
 """Max-min information games and exponent programs at small alphabets."""
 
+from ..collusion import input_orbits
 from .capacity import inner_min_channel, solve_capacity, solve_capacity_simple
 from .exponents import (
     exponent_sweep,
@@ -18,7 +19,6 @@ from .problems import (
     InputLaw,
     Marking,
     channel_family_from_dict,
-    input_orbits,
 )
 
 __all__ = [

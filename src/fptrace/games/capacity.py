@@ -136,15 +136,19 @@ def _theta_dim(problem):
     return problem.num_timeshare + problem.s_size * problem.num_timeshare * problem.x_size
 
 
-def _law_from_theta(problem, theta):
+def _softmax(t):
+    """Softmax over the last axis."""
+    e = np.exp(t - t.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _law_from_theta(problem, theta, p_tilde=None):
     l, s, x = problem.num_timeshare, problem.s_size, problem.x_size
-    tw = theta[:l]
-    tx = theta[l:].reshape(s, l, x)
-    ew = np.exp(tw - tw.max())
-    pw = ew / ew.sum()
-    ex = np.exp(tx - tx.max(axis=-1, keepdims=True))
-    px = ex / ex.sum(axis=-1, keepdims=True)
-    return InputLaw(p_w=pw, p_x_given_sw=px)
+    return InputLaw(
+        p_w=_softmax(theta[:l]),
+        p_x_given_sw=_softmax(theta[l:].reshape(s, l, x)),
+        p_s_tilde_given_w=p_tilde,
+    )
 
 
 def _theta_from_law(problem, law):
@@ -163,39 +167,46 @@ def _penalized_value(problem, law, inner_tol):
     return v
 
 
-def _ascend(problem, theta0, inner_tol, max_steps=200):
-    theta = theta0.copy()
-    value = _penalized_value(problem, _law_from_theta(problem, theta), inner_tol)
+def _fd_ascent(f, theta, *, steps, fd, step0, min_step, grad_tol, gain_tol, sign=+1):
+    """Finite-difference ascent of f (sign=+1) or descent (sign=-1).
+
+    Each step takes the forward-difference gradient (one probe of f at
+    theta + fd e_i per coordinate), then tries theta + sign s g/|g| for
+    s = step0, step0/4, ... while s > min_step, and moves to the first
+    point where sign f beats sign f(theta) by more than gain_tol.  It stops
+    after ``steps`` moves, when |g| < grad_tol, or when no trial point
+    gains.  A non-finite start is returned at once, a non-finite probe
+    counts as a zero gradient component, and a non-finite trial point is
+    never taken.  Returns (theta, f(theta), number of f evaluations).
+    """
+    theta = np.array(theta, dtype=float)
+    cur = f(theta)
     evals = 1
-    for _ in range(max_steps):
+    if not math.isfinite(cur):
+        return theta, cur, evals
+    for _ in range(steps):
         grad = np.empty_like(theta)
         for i in range(len(theta)):
             bumped = theta.copy()
-            bumped[i] += _FD_STEP
-            grad[i] = (
-                _penalized_value(problem, _law_from_theta(problem, bumped), inner_tol)
-                - value
-            ) / _FD_STEP
-            evals += 1
+            bumped[i] += fd
+            probe = f(bumped)
+            grad[i] = (probe - cur) / fd if math.isfinite(probe) else 0.0
+        evals += len(theta)
         norm = float(np.linalg.norm(grad))
-        if norm < 1e-9:
+        if norm < grad_tol:
             break
-        step = 1.0
-        improved = False
-        while step > 1e-7:
-            cand = theta + step * grad / norm
-            cand_value = _penalized_value(
-                problem, _law_from_theta(problem, cand), inner_tol
-            )
+        step = step0
+        while step > min_step:
+            cand = theta + sign * step * grad / norm
+            cv = f(cand)
             evals += 1
-            if cand_value > value + 1e-12:
-                theta, value = cand, cand_value
-                improved = True
+            if math.isfinite(cv) and sign * cv > sign * cur + gain_tol:
+                theta, cur = cand, cv
                 break
             step /= 4.0
-        if not improved:
+        else:
             break
-    return theta, value, evals
+    return theta, cur, evals
 
 
 def _grid_laws(problem, resolution):
@@ -277,12 +288,18 @@ def solve_capacity(
         )
         starts.append(_theta_from_law(problem, _embed_lower(problem, lower)))
 
+    def penalized(theta):
+        return _penalized_value(problem, _law_from_theta(problem, theta), inner_tol)
+
     best_theta = None
     best_value = -math.inf
     local_values = []
     total_evals = 0
     for theta0 in starts:
-        theta, value, evals = _ascend(problem, theta0, inner_tol)
+        theta, value, evals = _fd_ascent(
+            penalized, theta0, steps=200, fd=_FD_STEP, step0=1.0, min_step=1e-7,
+            grad_tol=1e-9, gain_tol=1e-12,
+        )
         total_evals += evals
         local_values.append(value)
         if value > best_value + 1e-12:
@@ -311,7 +328,10 @@ def solve_capacity(
         # lift perturbation
         diagnostics["lower_l_value"] = lower.value
     if problem.d1_cap is not None:
-        diagnostics["embedding_cost"] = law.embedding_cost(problem)
+        # the cap is a soft penalty in the ascent, so say whether it held
+        cost = law.embedding_cost(problem)
+        diagnostics["embedding_cost"] = cost
+        diagnostics["embedding_ok"] = cost <= problem.d1_cap + 1e-9
     return GameSolution(
         value=value, input_law=law, worst_channel=spec, diagnostics=diagnostics
     )

@@ -21,25 +21,17 @@ Solved with SLSQP multistart rather than alternating projections; the
 grid-oracle agreement tests are the accuracy contract.
 """
 
-import itertools
 import math
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .. import rng as rngmod
+from ..collusion import input_orbits
 from ..errors import ConfigError
 from ..types_core import multi_info_pmf
-from .capacity import _frank_wolfe
-from .problems import (
-    Distortion,
-    FairMarking,
-    GameProblem,
-    Hull,
-    InputLaw,
-    Marking,
-    input_orbits,
-)
+from .capacity import _fd_ascent, _frank_wolfe, _law_from_theta, _softmax, _theta_dim
+from .problems import Distortion, FairMarking, Hull, Marking
 
 __all__ = [
     "pseudo_sphere_packing",
@@ -50,6 +42,8 @@ __all__ = [
 
 _TINY = 1e-300
 _FEAS_TOL = 1e-7
+# finite-difference ascent settings of the operating-point search
+_ASCENT = dict(fd=1e-3, step0=0.5, min_step=1e-5, grad_tol=1e-7, gain_tol=1e-10)
 
 
 def _resolve_target(problem, subset, user):
@@ -628,58 +622,23 @@ def solve_exponent_program(
     last round moved the value by less than 1e-4 bits, and no optimality is
     claimed beyond that.
     """
-    k = problem.coalition_size
-    full = tuple(range(k))
-    l = problem.num_timeshare
-    s, x = problem.s_size, problem.x_size
-
-    def law_from(theta, p_tilde):
-        tw = theta[:l]
-        tx = theta[l:].reshape(s, l, x)
-        ew = np.exp(tw - tw.max())
-        ex = np.exp(tx - tx.max(axis=-1, keepdims=True))
-        return InputLaw(
-            p_w=ew / ew.sum(),
-            p_x_given_sw=ex / ex.sum(axis=-1, keepdims=True),
-            p_s_tilde_given_w=p_tilde,
-        )
+    full = tuple(range(problem.coalition_size))
+    l, s = problem.num_timeshare, problem.s_size
 
     def value(theta, p_tilde):
         return pseudo_sphere_packing(
-            rate, law_from(theta, p_tilde), problem, subset=full,
+            rate, _law_from_theta(problem, theta, p_tilde), problem, subset=full,
             restarts=psp_restarts, seed=seed,
         )
 
-    def ascend(theta, p_tilde, sign=+1.0, steps=ascent_steps):
-        cur = value(theta, p_tilde)
-        if not math.isfinite(cur):
-            return theta, cur
-        for _ in range(steps):
-            grad = np.empty_like(theta)
-            for i in range(len(theta)):
-                b = theta.copy()
-                b[i] += 1e-3
-                nxt = value(b, p_tilde)
-                grad[i] = (nxt - cur) / 1e-3 if math.isfinite(nxt) else 0.0
-            norm = float(np.linalg.norm(grad))
-            if norm < 1e-7:
-                break
-            step = 0.5
-            moved = False
-            while step > 1e-5:
-                cand = theta + sign * step * grad / norm
-                cv = value(cand, p_tilde)
-                if math.isfinite(cv) and sign * (cv - cur) > 1e-10:
-                    theta, cur = cand, cv
-                    moved = True
-                    break
-                step /= 4.0
-            if not moved:
-                break
-        return theta, cur
+    def ascend(theta, p_tilde):
+        theta, val, _ = _fd_ascent(
+            lambda t: value(t, p_tilde), theta, steps=ascent_steps, **_ASCENT
+        )
+        return theta, val
 
     gen = rngmod.derive(seed, "epsp")
-    dim = l + s * l * x
+    dim = _theta_dim(problem)
     best = (None, -math.inf)
     for r in range(restarts):
         theta = np.zeros(dim) if r == 0 else gen.normal(0.0, 1.5, dim)
@@ -702,46 +661,11 @@ def solve_exponent_program(
         converged = False
         for _ in range(rounds):
             # descend over the host tilt at fixed encoder
-            tilt_dim = l * s
-            tt = np.zeros(tilt_dim)
-            law0 = law_from(theta, None)
-
-            def tilt_value(tv):
-                et = np.exp(tv.reshape(l, s) - tv.reshape(l, s).max(axis=1, keepdims=True))
-                pt = et / et.sum(axis=1, keepdims=True)
-                return pseudo_sphere_packing(
-                    rate,
-                    InputLaw(law0.p_w, law0.p_x_given_sw, p_s_tilde_given_w=pt),
-                    problem,
-                    subset=full,
-                    restarts=psp_restarts,
-                    seed=seed,
-                )
-
-            cur = tilt_value(tt)
-            for _ in range(20):
-                grad = np.empty_like(tt)
-                for i in range(tilt_dim):
-                    b = tt.copy()
-                    b[i] += 1e-3
-                    grad[i] = (tilt_value(b) - cur) / 1e-3
-                norm = float(np.linalg.norm(grad))
-                if norm < 1e-7:
-                    break
-                step = 0.5
-                moved = False
-                while step > 1e-5:
-                    cand = tt - step * grad / norm
-                    cv = tilt_value(cand)
-                    if cv < cur - 1e-10:
-                        tt, cur = cand, cv
-                        moved = True
-                        break
-                    step /= 4.0
-                if not moved:
-                    break
-            et = np.exp(tt.reshape(l, s) - tt.reshape(l, s).max(axis=1, keepdims=True))
-            p_tilde = et / et.sum(axis=1, keepdims=True)
+            tilt, _, _ = _fd_ascent(
+                lambda tv: value(theta, _softmax(tv.reshape(l, s))),
+                np.zeros(l * s), steps=20, sign=-1, **_ASCENT,
+            )
+            p_tilde = _softmax(tilt.reshape(l, s))
             theta, val = ascend(theta, p_tilde)
             history.append(val)
             if len(history) > 1 and abs(history[-1] - history[-2]) < 1e-4:
@@ -749,7 +673,7 @@ def solve_exponent_program(
                 break
     return {
         "value": val,
-        "input_law": law_from(theta, p_tilde),
+        "input_law": _law_from_theta(problem, theta, p_tilde),
         "history": history,
         "converged": converged,
     }

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..collusion import _exchangeable
 from ..errors import ConfigError
 from ..types_core import entropy_pmf
 
@@ -57,16 +58,6 @@ class FairInequalityReport:
         }
 
 
-def _require_exchangeable(p: np.ndarray, k: int) -> None:
-    if k >= 2:
-        swap = list(range(p.ndim))
-        swap[0], swap[1] = swap[1], swap[0]
-        cyc = list(range(1, k)) + [0] + list(range(k, p.ndim))
-        for perm in (swap, cyc):
-            if np.max(np.abs(p - np.transpose(p, perm))) > 1e-10:
-                raise ConfigError("joint is not invariant under user permutations")
-
-
 def check_fair_inequalities(joint, subset_a, subset_b) -> FairInequalityReport:
     """Evaluate the block comparisons on an explicit (X_1..X_K, Z) pmf.
 
@@ -83,7 +74,8 @@ def check_fair_inequalities(joint, subset_a, subset_b) -> FairInequalityReport:
     b = tuple(sorted(set(int(i) for i in subset_b)))
     if not a or not set(a) <= set(b) or b[-1] >= k or a[0] < 0:
         raise ConfigError("need nonempty user subsets with A inside B")
-    _require_exchangeable(p, k)
+    if not _exchangeable(p, k, 1e-10):
+        raise ConfigError("joint is not invariant under user permutations")
 
     z = (k,)
 

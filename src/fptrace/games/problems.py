@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from ..collusion import ChannelSpec
+from ..collusion import (
+    ChannelSpec,
+    _exchangeable,
+    _require_symmetric_estimator,
+    input_orbits,
+)
 from ..errors import ConfigError, InfeasibleError
 from ..types_core import MAX_TABLE_CELLS
 
@@ -30,7 +35,6 @@ __all__ = [
     "Marking",
     "Hull",
     "Distortion",
-    "input_orbits",
     "law_tensors",
     "payoff_value_grad",
     "channel_family_from_dict",
@@ -38,26 +42,6 @@ __all__ = [
 
 _TINY = 1e-300
 _AXES = "cdefgh"  # per-user einsum letters; coalition sizes stay small
-
-
-def input_orbits(k: int, x_size: int):
-    """Orbits of X^K under coordinate permutations.
-
-    Returns (orbit-id array of shape (x_size,)*k, representative tuples,
-    orbit sizes).  Representatives are sorted tuples, listed in
-    lexicographic order, so the layout is deterministic.
-    """
-    ids = np.empty((x_size,) * k, dtype=np.intp)
-    reps: list[tuple[int, ...]] = []
-    seen: dict[tuple[int, ...], int] = {}
-    for tup in itertools.product(range(x_size), repeat=k):
-        key = tuple(sorted(tup))
-        if key not in seen:
-            seen[key] = len(reps)
-            reps.append(key)
-        ids[tup] = seen[key]
-    sizes = np.bincount(ids.ravel(), minlength=len(reps)).astype(float)
-    return ids, reps, sizes
 
 
 def _constant_orbit_symbol(rep: tuple[int, ...]) -> int | None:
@@ -124,14 +108,6 @@ def _marking_linmin(grad, fair):
     return out
 
 
-def _is_fair_table(table, tol=1e-9):
-    k = table.ndim - 1
-    for perm in itertools.permutations(range(k)):
-        if np.max(np.abs(np.transpose(table, perm + (k,)) - table)) > tol:
-            return False
-    return True
-
-
 def _has_marking(table, tol=1e-9):
     x_size = table.shape[0]
     k = table.ndim - 1
@@ -167,7 +143,7 @@ class FairMarking(ChannelFamily):
         return _marking_linmin(grad, fair=True)
 
     def contains(self, table, q_x=None, tol=1e-8):
-        return _is_fair_table(table, tol) and _has_marking(table, tol)
+        return _exchangeable(table, table.ndim - 1, tol) and _has_marking(table, tol)
 
 
 class Marking(ChannelFamily):
@@ -282,10 +258,7 @@ class Distortion(ChannelFamily):
         self.cap = float(cap)
         if self.d2.ndim != 2 or self.d2.shape[0] <= self.estimator.max():
             raise ConfigError("d2 must cover the estimator range")
-        k = self.estimator.ndim
-        for perm in itertools.permutations(range(k)):
-            if not np.array_equal(np.transpose(self.estimator, perm), self.estimator):
-                raise ConfigError("estimator must be invariant to colluder order")
+        _require_symmetric_estimator(self.estimator, self.estimator.ndim)
 
     def _cost(self, y_size):
         if y_size > self.d2.shape[1]:

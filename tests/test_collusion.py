@@ -9,6 +9,7 @@ import pytest
 from fptrace.collusion import (
     AttackResult,
     ChannelSpec,
+    _exchangeable,
     apply_memoryless,
     check_distortion_attack,
     check_marking,
@@ -177,6 +178,67 @@ def test_is_permutation_invariant_detects_asymmetry():
     table[0, 1] = [0.0, 1.0]  # (0,1) differs from (1,0)
     ch = ChannelSpec(k=2, x_size=2, y_size=2, table=table)
     assert not is_permutation_invariant(ch)
+
+
+def relabelings(table, k):
+    """The table under each of the K! colluder relabelings (reference)."""
+    rest = tuple(range(k, table.ndim))
+    return [np.transpose(table, p + rest) for p in itertools.permutations(range(k))]
+
+
+def pairwise_fair(x_rows, y, x_size, y_size):
+    """First-order fairness by comparing every pair of sibling cells."""
+    k = len(x_rows)
+    counts = np.zeros((x_size,) * k + (y_size,), dtype=np.int64)
+    np.add.at(counts, tuple(x_rows) + (y,), 1)
+    totals = counts.sum(axis=-1)
+    cells = itertools.product(range(x_size), repeat=k)
+    for a, b in itertools.combinations(cells, 2):
+        if sorted(a) == sorted(b) and totals[a] and totals[b]:
+            if np.any(counts[a] * totals[b] != counts[b] * totals[a]):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("x_size", [2, 3])
+def test_symmetry_helpers_match_the_factorial_reference(k, x_size):
+    gen = np.random.default_rng(10 * k + x_size)
+    raw = gen.dirichlet(np.ones(3), size=(x_size,) * k)
+    ch = ChannelSpec(k=k, x_size=x_size, y_size=3, table=raw)
+    avg = permutation_average(ch)
+    # the K! mean, summed exactly so only the helper's rounding shows
+    stack = np.stack(relabelings(raw, k))
+    want = np.apply_along_axis(math.fsum, 0, stack) / math.factorial(k)
+    assert np.max(np.abs(avg.table - want)) <= 1e-15
+
+    # the orbit-constant table, then the same table with one cell moved
+    checked = {True: 0, False: 0}
+    for cell in [None, *itertools.product(range(x_size), repeat=k)]:
+        table = avg.table.copy()
+        if cell is not None:
+            table[cell + (0,)] += 1e-6
+        for tol in (0.0, 1e-9):
+            ref = all(np.max(np.abs(t - table)) <= tol for t in relabelings(table, k))
+            assert _exchangeable(table, k, tol) == ref
+            checked[ref] += 1
+    assert checked[True] and checked[False]
+    assert is_permutation_invariant(avg) and not is_permutation_invariant(ch)
+
+    # fair realizations (y a function of the colluder multiset), one
+    # position flipped, and unstructured copies
+    n = 4 * x_size**k
+    x_rows = gen.integers(0, x_size, size=(k, n))
+    fair_y = np.sort(x_rows, axis=0).sum(axis=0) % 2
+    flipped = fair_y.copy()
+    mixed = np.flatnonzero(np.ptp(x_rows, axis=0) > 0)
+    flipped[mixed[0]] ^= 1
+    verdicts = []
+    for y in (fair_y, flipped, gen.integers(0, 2, size=n)):
+        verdict = is_first_order_fair(x_rows, y, y_size=2)
+        assert verdict == pairwise_fair(x_rows, y, x_size, 2)
+        verdicts.append(verdict)
+    assert verdicts[:2] == [True, False]
 
 
 # ---------------------------------------------------------------------------

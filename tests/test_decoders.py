@@ -324,6 +324,39 @@ def test_each_row_is_generated_once_per_book(monkeypatch):
     assert len(calls) == m
 
 
+def test_threshold_guilt_streams_rows(monkeypatch):
+    m, n = 256, 1024
+    cb = make_codebook(47, n=n, m=m)
+    twin = make_codebook(47, n=n, m=m)  # same book, nothing generated yet
+    y = interleave(np.stack([twin.row(3), twin.row(9)]), rngmod.derive(47, "a"), 2).y
+    real = codec.sample_type_class
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "sample_type_class", counted)
+    cfg = DecodeConfig(delta=0.05)
+    out = threshold_decode(cb, y, cfg)
+    assert out.accused == (3, 9)
+    tracemalloc.start()
+    try:
+        rep = guilt_indices(cb, y, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # decode + guilt: at most 2M + k rows, and never the (M, n) matrix
+    assert len(calls) <= 2 * m + len(out.accused)
+    assert peak < m * n * 8 / 2
+    # the streamed audit equals the row-matrix audit of the same coalition
+    joint = DecodeOutcome(
+        accused=out.accused, best_k=2, score=mpmi_score(cb, out.accused, y, cfg),
+        scores={}, exact=True, mode="mpmi", delta=cfg.delta, rate=out.rate,
+    )
+    assert guilt_indices(cb, y, joint) == rep
+
+
 def test_decoder_and_audit_scores_are_one_quantity():
     cb = make_codebook(43, n=48, m=6)
     y = interleave(np.stack([cb.row(2), cb.row(5)]), rngmod.derive(43, "a"), 2).y

@@ -162,6 +162,26 @@ def test_single_user_payoff_capacity_not_larger():
     assert simple.value > 0.1
 
 
+def test_embedding_cap_is_reported_when_it_binds():
+    def capped(cost_scale, cap):
+        return GameProblem(
+            coalition_size=1, x_size=2, y_size=2, channel_class=FairMarking(),
+            d1=np.array([[0.0, cost_scale]]), d1_cap=cap,
+        )
+
+    # P(X=1) <= 0.2, against 0.5 at the uncapped optimum: C = h(0.2)
+    held = solve_capacity(capped(1.0, 0.2), restarts=4, grid_resolution=8)
+    h = -(0.2 * math.log2(0.2) + 0.8 * math.log2(0.8))
+    assert abs(held.value - h) < 1e-4
+    assert held.diagnostics["embedding_ok"] is True
+    assert held.diagnostics["embedding_cost"] <= 0.2 + 1e-9
+    # the same cap on costs 1e4 times smaller: the soft penalty cannot
+    # hold it, and the solution must say so instead of passing silently
+    broken = solve_capacity(capped(1e-4, 1e-5), restarts=4, grid_resolution=8)
+    assert broken.diagnostics["embedding_cost"] > 1e-5
+    assert broken.diagnostics["embedding_ok"] is False
+
+
 def test_timeshare_never_hurts():
     base = solve_capacity(fair_problem(k=2), restarts=6)
     lifted = solve_capacity(fair_problem(k=2, num_timeshare=2), restarts=6)
@@ -275,6 +295,21 @@ def test_operating_point_search_reports_convergence():
     assert out["converged"] is True
     assert out["value"] >= 0.0
     assert isinstance(out["input_law"], InputLaw)
+
+
+def test_operating_point_search_survives_an_infeasible_host_tilt():
+    # the untilted uniform law gives +inf here, so the host-tilt descent
+    # starts at +inf; it must stop there instead of walking to NaN
+    prob = GameProblem(
+        coalition_size=2, x_size=2, y_size=2, channel_class=FairMarking(),
+        s_size=2, p_host=[0.5, 0.5],
+    )
+    out = solve_exponent_program(
+        0.2, prob, restarts=1, psp_restarts=1, rounds=1, ascent_steps=3
+    )
+    assert isinstance(out["input_law"], InputLaw)
+    assert not any(math.isnan(v) for v in out["history"])
+    assert out["value"] == math.inf or out["value"] >= 0.0
 
 
 def test_exponent_argument_validation():

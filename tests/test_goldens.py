@@ -1,0 +1,87 @@
+"""Golden SHA-256 hashes of tiny deterministic artifacts.
+
+Each test runs one small end-to-end job and compares the hash of what it
+writes with a recorded hash.  A numpy or scipy upgrade that changes
+`choice`, `hypergeometric`, `linprog` or SLSQP output, or a refactor that
+is not value-preserving, fails here loudly instead of drifting silently.
+When such a change is intended, re-record the hash and say why in the
+change log.
+
+Recorded with numpy 2.4.6, scipy 1.17.1, Python 3.11.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from fptrace.cli import main
+from fptrace.games import FairMarking, GameProblem, solve_exponent_program
+
+FAIR_K2 = {
+    "coalition_size": 2,
+    "x_size": 2,
+    "y_size": 2,
+    "channel_class": {"kind": "boneh_shaw_fair"},
+    "objective": "detect_one",
+}
+
+GOLDEN = {
+    "simulate": "a0154e73b82162a5bf564ecc0f08aa14dd1993435d35f90e3b1ce0ef28e0ec89",
+    "capacity": "cf749441a4532050e8ecf055d935fb77ed0ae6a6457e19b59acdfc9031ad7031",
+    "exponent_sweep": "c073761b520bc94b2d41431e1d649b582c4201527d8cc03d266dc03782b6631a",
+    "operating_point": "ea973ec0a3ed1b002e9db6c591776fb87ab68e18a8223311070671a26a66aec5",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(tmp_path, command, payload):
+    cfg = tmp_path / f"{command}.json"
+    cfg.write_text(json.dumps(payload))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+def test_simulate_report_golden(tmp_path):
+    _run(tmp_path, "simulate", {
+        "params": {"n": 24, "num_users": 6, "s_size": 2, "w_size": 2},
+        "decode": {"delta": 0.05},
+        "coalition": 2,
+        "trials": 40,
+        "n_sweep": [20, 24],
+        "seed": 3,
+    })
+    assert _sha((tmp_path / "report.csv").read_bytes()) == GOLDEN["simulate"]
+
+
+def test_capacity_artifact_golden(tmp_path):
+    _run(tmp_path, "capacity", {
+        "problem": FAIR_K2, "restarts": 3, "grid_resolution": 4, "seed": 0,
+    })
+    assert _sha((tmp_path / "capacity.json").read_bytes()) == GOLDEN["capacity"]
+
+
+def test_exponent_sweep_golden(tmp_path):
+    _run(tmp_path, "exponent", {
+        "problem": FAIR_K2, "rates": [0.21, 0.23, 0.26], "restarts": 2, "seed": 0,
+    })
+    data = (tmp_path / "exponent_sweep.csv").read_bytes()
+    assert _sha(data) == GOLDEN["exponent_sweep"]
+
+
+def test_operating_point_search_golden():
+    problem = GameProblem(
+        coalition_size=2, x_size=2, y_size=2, channel_class=FairMarking()
+    )
+    # the uniform start is infeasible at this rate (+inf) and is left at
+    # once; the random start is finite and climbs to a non-uniform law
+    out = solve_exponent_program(
+        0.2, problem, restarts=2, psp_restarts=1, rounds=1, ascent_steps=3
+    )
+    law = out["input_law"]
+    floats = np.concatenate([
+        [out["value"]], out["history"], law.p_w, law.p_x_given_sw.ravel()
+    ]).astype(np.float64)
+    assert _sha(floats.tobytes()) == GOLDEN["operating_point"]
