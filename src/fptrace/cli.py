@@ -5,7 +5,12 @@ command reads its settings from a JSON file (--config), writes artifacts
 into --out, and prints a one-line summary.  Exit codes: 0 on success, 2
 for configuration problems and every other package error (an infeasible
 construction, a stale outcome, ...), 3 when a search or allocation budget
-is hit.  These failures print one line on stderr, not a traceback.
+is hit.  These failures print one line on stderr, not a traceback; a
+malformed config value is a configuration problem.
+
+``exponent`` with a ``rates`` list runs ``exponent_sweep`` (its private
+per-rate loop, to read each rate's solver info), so a memoryless sweep
+gets the same repair as ``memoryless_exponent_variant``.
 
 All emitted floats carry 9 significant digits and tables use a fixed
 column order, so repeated runs with the same seed produce byte-identical
@@ -29,13 +34,11 @@ from .errors import BudgetExceededError, ConfigError, FptraceError
 from .games import (
     GameProblem,
     InputLaw,
-    exponent_sweep,
-    pseudo_sphere_packing,
-    memoryless_exponent_variant,
     solve_capacity,
     solve_capacity_simple,
     solve_exponent_program,
 )
+from .games.exponents import _sweep
 from .simlab import ExperimentConfig, estimate, exponent_fit
 
 __all__ = ["main"]
@@ -101,24 +104,35 @@ def _load_config(args) -> dict:
         raise ConfigError("this command needs --config <json path>")
     try:
         with open(args.config) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    return cfg
+
+
+def _read(cfg: dict, key: str, default, cast):
+    """Typed config read: a value that ``cast`` rejects is a ConfigError."""
+    raw = cfg.get(key, default)
+    try:
+        return cast(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad {key!r} value: {raw!r}") from None
 
 
 def _seed_of(args, cfg: dict) -> int:
     if args.seed is not None:
         return args.seed
-    return int(cfg.get("seed", 0))
+    return _read(cfg, "seed", 0, int)
 
 
 def _params_from(cfg: dict) -> CodeParams:
-    try:
-        raw = dict(cfg["params"])
-    except KeyError:
-        raise ConfigError('config needs a "params" object') from None
+    if not isinstance(cfg.get("params"), dict):
+        raise ConfigError('config needs a "params" object')
+    raw = dict(cfg["params"])
     if "target_w_type" in raw:
         return CodeParams.from_dict(raw)
     for key in ("p_host", "d1", "target_x_given_sw"):
@@ -138,8 +152,8 @@ def _attack_from(cfg: dict):
 
 
 def _decode_config_from(cfg: dict) -> DecodeConfig:
-    raw = dict(cfg.get("decode", {}))
-    if "delta" not in raw:
+    raw = cfg.get("decode", {})
+    if not isinstance(raw, dict) or "delta" not in raw:
         raise ConfigError('config needs decode.delta')
     try:
         return DecodeConfig(**raw)
@@ -183,7 +197,7 @@ def _cmd_attack(args) -> int:
     coalition = cfg.get("coalition")
     if not coalition:
         raise ConfigError('config needs a nonempty "coalition" list')
-    coalition = sorted(int(m) for m in coalition)
+    coalition = _read(cfg, "coalition", None, lambda c: sorted(int(m) for m in c))
     rows = np.stack([cb.row(m) for m in coalition])
     attack = _attack_from(cfg)
     gen = rngmod.derive(_seed_of(args, cfg), "cli", "attack")
@@ -239,18 +253,18 @@ def _cmd_decode(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    coalition = cfg.get("coalition", 2)
-    if isinstance(coalition, list):
-        coalition = tuple(int(m) for m in coalition)
+    coalition = _read(
+        cfg, "coalition", 2, lambda c: tuple(int(m) for m in c) if isinstance(c, list) else c
+    )
     exp = ExperimentConfig(
         params=_params_from(cfg),
         decode=_decode_config_from(cfg),
         attack=_attack_from(cfg),
         coalition=coalition,
-        trials=int(cfg.get("trials", 1000)),
+        trials=_read(cfg, "trials", 1000, int),
         seed=_seed_of(args, cfg),
         decoder=cfg.get("decoder", "threshold"),
-        n_sweep=tuple(int(n) for n in cfg.get("n_sweep", ())),
+        n_sweep=_read(cfg, "n_sweep", (), lambda ns: tuple(int(n) for n in ns)),
     )
     report = estimate(exp, workers=args.workers)
     csv_path = args.out / "report.csv"
@@ -281,8 +295,8 @@ def _cmd_capacity(args) -> int:
     problem = GameProblem.from_dict(cfg["problem"])
     kw = {
         "seed": _seed_of(args, cfg),
-        "restarts": int(cfg.get("restarts", 20)),
-        "grid_resolution": int(cfg.get("grid_resolution", 16)),
+        "restarts": _read(cfg, "restarts", 20, int),
+        "grid_resolution": _read(cfg, "grid_resolution", 16, int),
     }
     solver = solve_capacity_simple if cfg.get("payoff") == "simple" else solve_capacity
     solution = solver(problem, **kw)
@@ -304,14 +318,13 @@ def _cmd_exponent(args) -> int:
         raise ConfigError('config needs a "problem" object')
     problem = GameProblem.from_dict(cfg["problem"])
     seed = _seed_of(args, cfg)
-    restarts = int(cfg.get("restarts", 6))
 
     if "rates" not in cfg:
         result = solve_exponent_program(
-            float(cfg.get("rate", 0.0)),
+            _read(cfg, "rate", 0.0, float),
             problem,
             seed=seed,
-            restarts=int(cfg.get("restarts", 4)),
+            restarts=_read(cfg, "restarts", 4, int),
         )
         path = args.out / "exponent.json"
         _dump_json(
@@ -326,34 +339,29 @@ def _cmd_exponent(args) -> int:
         print(f"wrote {path} (value={_fmt(result['value'])})")
         return 0
 
+    restarts = _read(cfg, "restarts", 6, int)
     law = _law_from(cfg, problem)
-    target = {}
+    subset, user = None, None
     if "user" in cfg:
-        target["user"] = int(cfg["user"])
+        user = _read(cfg, "user", None, int)
     else:
-        target["subset"] = tuple(cfg.get("subset", range(problem.coalition_size)))
-    solver = memoryless_exponent_variant if cfg.get("memoryless") else pseudo_sphere_packing
-    rates = sorted(float(r) for r in cfg["rates"])
-    rows = []
-    prev_val, prev_vec = math.inf, None
-    for rate in rates:
-        val, vec, info = solver(
-            rate, law, problem, restarts=restarts, seed=seed,
-            warm_start=prev_vec, full_output=True, **target,
+        subset = _read(
+            cfg, "subset", range(problem.coalition_size), lambda a: tuple(int(i) for i in a)
         )
-        if val > prev_val:  # rising-rate envelope: feasible sets only grow
-            val, vec = prev_val, prev_vec
-        prev_val, prev_vec = val, vec
-        rows.append(
-            {
-                "K": problem.coalition_size,
-                "L": problem.num_timeshare,
-                "R": rate,
-                "value": val,
-                "restarts": restarts,
-                "gap": info.get("lowest_info_gap", 0.0) or 0.0,
-            }
+    rates = _read(cfg, "rates", None, lambda r: [float(v) for v in r])
+    rows = [
+        {
+            "K": problem.coalition_size,
+            "L": problem.num_timeshare,
+            "R": rate,
+            "value": val,
+            "restarts": restarts,
+            "gap": info.get("lowest_info_gap", 0.0) or 0.0,
+        }
+        for _, rate, val, info in _sweep(
+            rates, law, problem, subset, user, bool(cfg.get("memoryless")), restarts, seed
         )
+    ]
     path = args.out / "exponent_sweep.csv"
     _dump_csv(rows, SWEEP_COLUMNS, path)
     print(f"wrote {path} ({len(rows)} rates)")

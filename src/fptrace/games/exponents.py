@@ -9,18 +9,23 @@ built from the induced channel; it decomposes into the inter-user
 dependence, the channel's (s,w)-memory, and the host-type tilt, so it is
 zero exactly at product points whose channel lies in the class.
 
-For permutation-invariant families the program is solved on symmetric
-tensors (lossless: the feasible set is permutation-invariant and the cost
-is convex and symmetric, so averaging over coordinate permutations never
-hurts).  Proper subsets of the coalition under fair families, and hull
-families in general, need the induced channel tied to explicit channel
-variables, which makes those instances nonconvex; they are attacked by
-multistart and the diagnostics say so.
+Both the tilted law and the explicit channel table are stored per cell
+class of X^K.  Where the program is permutation-invariant the classes are
+the colluder orbits (lossless: the feasible set is permutation-invariant and
+the cost is convex and symmetric, so averaging over coordinate permutations
+never hurts); everywhere else they are single cells.  Under marking a
+constant class is pinned to copy its symbol, and a single-cell law is
+unpacked by a plain reshape so that its sums keep one fixed order (see
+``_Layout``).  Proper subsets of the coalition under fair families, and
+hull families in general, need the induced channel tied to explicit
+channel variables, which makes those instances nonconvex; they are
+attacked by multistart and the diagnostics say so.
 
 Solved with SLSQP multistart rather than alternating projections; the
 grid-oracle agreement tests are the accuracy contract.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -72,8 +77,39 @@ def _inner_floor(problem, law, subset, user, tol=1e-10):
     return v, c
 
 
+def _cell_classes(k, x_size, orbits):
+    """(ids, reps, sizes) of the colluder orbits of X^K, or of its single
+    cells (identity classes, C order) when ``orbits`` is false."""
+    if orbits:
+        return input_orbits(k, x_size)
+    n = x_size**k
+    reps = list(itertools.product(range(x_size), repeat=k))
+    return np.arange(n).reshape((x_size,) * k), reps, np.ones(n)
+
+
+def _divergence(j, q):
+    """D(j || q) in bits with clipped logs, so SLSQP sees a smooth cost."""
+    terms = np.where(
+        j > 0, j * (np.log2(np.maximum(j, _TINY)) - np.log2(np.maximum(q, _TINY))), 0.0
+    )
+    return float(terms.sum())
+
+
 class _Layout:
-    """Variable layout and tensor plumbing for one program instance."""
+    """Variable layout and tensor plumbing for one program instance.
+
+    The vector is the tilted law's free (class, y) slots per active (s, w)
+    cell, then the channel block.  Both are indexed by cell classes: the
+    colluder orbits where the program is symmetric (the tilted law of a
+    fair family's full set or single user; any fair family's channel
+    table), single cells otherwise.  Under marking a constant class is
+    pinned to copy its symbol.  The channel block is a class table
+    (``table``), hull mixture weights (``lambda``) or absent (``none``).
+    Single-cell tilted laws are unpacked by a plain reshape: indexing them
+    with the identity classes gives a copy that is not C-contiguous once
+    there are several (s, w) cells, and later sums over it would then add
+    in another order and move results in the last bits.
+    """
 
     def __init__(self, problem, law, subset, user, memoryless):
         self.problem = problem
@@ -95,7 +131,6 @@ class _Layout:
             )
         if np.any((p_tilde > 0) & (problem.p_host[None, :] <= 0)):
             raise ConfigError("tilted host law escapes the host support")
-        self.p_tilde = p_tilde
 
         cells = [
             (s, w)
@@ -103,203 +138,138 @@ class _Layout:
             for s in range(problem.s_size)
             if law.p_w[w] * p_tilde[w, s] > 0
         ]
-        self.cells = cells
+        self.n_cells = len(cells)
         self.s_idx = np.array([c[0] for c in cells])
         self.w_idx = np.array([c[1] for c in cells])
         self.omega = np.array(
             [law.p_w[w] * p_tilde[w, s] for s, w in cells]
         )  # J weights
-        self.ref_w = np.array(
-            [law.p_w[w] * problem.p_host[s] for s, w in cells]
-        )  # Q weights
+        ref_w = np.array([law.p_w[w] * problem.p_host[s] for s, w in cells])  # Q weights
 
+        rows = law.p_x_given_sw[self.s_idx, self.w_idx]  # (n_cells, X)
         prodx = np.ones((len(cells),) + self.xshape)
         for m in range(k):
-            rows = law.p_x_given_sw[self.s_idx, self.w_idx]  # (n_cells, X)
             prodx = prodx * rows.reshape((len(cells),) + (1,) * m + (self.x,) + (1,) * (k - m - 1))
         self.prodx = prodx
-        self.qref = self.ref_w.reshape((-1,) + (1,) * k) * prodx
+        self.qref = ref_w.reshape((-1,) + (1,) * k) * prodx
 
         family = problem.channel_class
         marking = isinstance(family, (FairMarking, Marking))
         fair_family = isinstance(family, FairMarking)
+        hull = isinstance(family, Hull)
         full_set = subset is not None and len(subset) == k
         self.sym = fair_family and (full_set or user is not None)
-        self.ids, self.reps, self.sizes = input_orbits(k, self.x)
-        self.tie_fair = fair_family and not self.sym
-        self.tie_hull = isinstance(family, Hull) and not memoryless
+        self.tied = not memoryless and (hull or (fair_family and not self.sym))
         self.distortion = family if isinstance(family, Distortion) else None
+        self.fixed_channel = family.vertices[0] if hull and family.is_singleton else None
+        # the memoryless program pins its channel table, not the tilted law
+        pinned = marking and not memoryless
 
-        # t-variable mask: which (row, y) slots are free
-        if self.sym:
-            mask = np.ones((len(self.reps), self.y), dtype=bool)
-            if marking and not memoryless:
-                for i, rep in enumerate(self.reps):
-                    if len(set(rep)) == 1:
-                        mask[i] = False
-                        mask[i, rep[0]] = True
-        else:
-            mask = np.ones((self.n_rows, self.y), dtype=bool)
-            if marking and not memoryless:
-                for sym in range(self.x):
-                    r = np.ravel_multi_index((sym,) * k, self.xshape)
-                    mask[r] = False
-                    mask[r, sym] = True
+        # tilted law: which (class, y) slots are free
+        self.ids, self.reps, self.sizes = _cell_classes(k, self.x, self.sym)
+        mask = np.ones((len(self.reps), self.y), dtype=bool)
+        for i, rep in enumerate(self.reps):
+            if pinned and len(set(rep)) == 1:
+                mask[i] = False
+                mask[i, rep[0]] = True
         self.t_mask = mask
-        self.n_cells = len(cells)
         self.t_per_cell = int(mask.sum())
         self.n_t = self.n_cells * self.t_per_cell
 
         # channel block
-        self.ch_kind = "none"
-        self.ch_free_rows = None
-        if memoryless:
-            if fair_family:
-                self.ch_kind = "orbit"
-            elif marking:
-                self.ch_kind = "full"
-            elif isinstance(family, Hull):
-                self.ch_kind = "none" if family.is_singleton else "lambda"
-            elif isinstance(family, Distortion):
-                self.ch_kind = "full_free"
+        if hull and not family.is_singleton and (memoryless or self.tied):
+            self.ch_kind = "lambda"
+            self.n_ch = len(family.vertices)
+        elif not hull and (memoryless or self.tied):
+            self.ch_kind = "table"
+            self.ch_ids, self.ch_reps, _ = _cell_classes(k, self.x, fair_family)
+            self.ch_template = np.zeros((len(self.ch_reps), self.y))
+            self.ch_free = []
+            for i, rep in enumerate(self.ch_reps):
+                if marking and len(set(rep)) == 1:
+                    self.ch_template[i, rep[0]] = 1.0
+                else:
+                    self.ch_free.append(i)
+            self.n_ch = len(self.ch_free) * self.y
         else:
-            if self.tie_fair:
-                self.ch_kind = "orbit"
-            elif self.tie_hull and not family.is_singleton:
-                self.ch_kind = "lambda"
+            self.ch_kind = "none"
+            self.n_ch = 0
+        self.dim = self.n_t + self.n_ch
         # ties on constant rows are vacuous under marking (both sides are
         # structurally zero), and vacuous residuals make the constraint
         # Jacobian singular, so only informative rows are emitted
-        if self.tie_fair:
-            self.tie_rows = [
-                r
-                for r in range(self.n_rows)
-                if len(set(np.unravel_index(r, self.xshape))) > 1
-            ]
-        elif self.tie_hull:
-            self.tie_rows = list(range(self.n_rows))
-        else:
-            self.tie_rows = []
-        if self.ch_kind == "orbit":
-            self.ch_free_rows = [
-                i for i, rep in enumerate(self.reps) if len(set(rep)) > 1
-            ]
-            self.n_ch = len(self.ch_free_rows) * self.y
-        elif self.ch_kind == "full":
-            self.ch_free_rows = [
-                r
-                for r in range(self.n_rows)
-                if len(set(np.unravel_index(r, self.xshape))) > 1
-            ]
-            self.n_ch = len(self.ch_free_rows) * self.y
-        elif self.ch_kind == "full_free":
-            self.ch_free_rows = list(range(self.n_rows))
-            self.n_ch = self.n_rows * self.y
-        elif self.ch_kind == "lambda":
-            self.n_ch = len(problem.channel_class.vertices)
-        else:
-            self.n_ch = 0
-        self.dim = self.n_t + self.n_ch
+        self.tie_rows = [
+            r
+            for r, cell in enumerate(itertools.product(range(self.x), repeat=k))
+            if not (marking and len(set(cell)) == 1)
+        ]
 
     # -- tensors ---------------------------------------------------------
 
     def scatter_t(self, v):
-        vt = v[: self.n_t].reshape(self.n_cells, self.t_per_cell)
+        rows = np.zeros((self.n_cells, len(self.reps), self.y))
+        rows[:, self.t_mask] = v[: self.n_t].reshape(self.n_cells, self.t_per_cell)
         if self.sym:
-            rows = np.zeros((self.n_cells, len(self.reps), self.y))
-            rows[:, self.t_mask] = vt
-            t = rows[:, self.ids] / self.sizes[self.ids][..., None]
-        else:
-            rows = np.zeros((self.n_cells, self.n_rows, self.y))
-            rows[:, self.t_mask] = vt
-            t = rows.reshape((self.n_cells,) + self.xshape + (self.y,))
-        return t
+            return rows[:, self.ids] / self.sizes[self.ids][..., None]
+        return rows.reshape((self.n_cells,) + self.xshape + (self.y,))
+
+    def joint(self, v):
+        """Tilted joint law J(s, w, x_1..x_K, y) over the active cells."""
+        return self.omega.reshape((-1,) + (1,) * (self.k + 1)) * self.scatter_t(v)
 
     def channel_table(self, v):
         vc = v[self.n_t :]
-        fam = self.problem.channel_class
-        if self.ch_kind in ("orbit", "full", "full_free"):
-            if self.ch_kind == "orbit":
-                rows = np.zeros((len(self.reps), self.y))
-                for i, rep in enumerate(self.reps):
-                    if len(set(rep)) == 1:
-                        rows[i, rep[0]] = 1.0
-                free = vc.reshape(len(self.ch_free_rows), self.y)
-                rows[self.ch_free_rows] = free
-                return rows[self.ids]
-            rows = np.zeros((self.n_rows, self.y))
-            for sym in range(self.x):
-                r = np.ravel_multi_index((sym,) * self.k, self.xshape)
-                rows[r, sym] = 1.0
-            rows[self.ch_free_rows] = vc.reshape(len(self.ch_free_rows), self.y)
-            return rows.reshape(self.xshape + (self.y,))
+        if self.ch_kind == "table":
+            rows = self.ch_template.copy()
+            rows[self.ch_free] = vc.reshape(len(self.ch_free), self.y)
+            return rows[self.ch_ids]
         if self.ch_kind == "lambda":
             mix = np.zeros(self.xshape + (self.y,))
-            for lam, vert in zip(vc, fam.vertices):
+            for lam, vert in zip(vc, self.problem.channel_class.vertices):
                 mix = mix + lam * vert
             return mix
-        if isinstance(fam, Hull) and fam.is_singleton:
-            return fam.vertices[0]
-        return None
+        return self.fixed_channel
 
     def gather(self, t, channel):
-        if self.sym:
-            rows = np.zeros((self.n_cells, len(self.reps), self.y))
-            flat = t.reshape(self.n_cells, self.n_rows, self.y)
-            np.add.at(rows, (slice(None), self.ids.ravel()), flat)
-            vt = rows[:, self.t_mask]
-        else:
-            vt = t.reshape(self.n_cells, self.n_rows, self.y)[:, self.t_mask]
-        parts = [vt.ravel()]
-        if self.ch_kind in ("orbit", "full", "full_free"):
-            if self.ch_kind == "orbit":
-                rows = np.array([channel[rep] for rep in self.reps])
-            else:
-                rows = channel.reshape(self.n_rows, self.y)
-            parts.append(rows[self.ch_free_rows].ravel())
+        rows = np.zeros((self.n_cells, len(self.reps), self.y))
+        flat = t.reshape(self.n_cells, self.n_rows, self.y)
+        np.add.at(rows, (slice(None), self.ids.ravel()), flat)
+        parts = [rows[:, self.t_mask].ravel()]
+        if self.ch_kind == "table":
+            rows = np.array([channel[rep] for rep in self.ch_reps])
+            parts.append(rows[self.ch_free].ravel())
         elif self.ch_kind == "lambda":
             parts.append(np.full(self.n_ch, 1.0 / self.n_ch))
         return np.concatenate(parts)
 
     # -- program pieces ---------------------------------------------------
 
-    def objective(self, v):
-        t = self.scatter_t(v)
-        j = self.omega.reshape((-1,) + (1,) * (self.k + 1)) * t
+    def _tilted_and_reference(self, v):
+        j = self.joint(v)
         c = self.channel_table(v)
         if c is None:
             p_agg = j.sum(axis=0)
             denom = np.maximum(p_agg.sum(axis=-1, keepdims=True), _TINY)
             c = p_agg / denom
-        q = self.qref[..., None] * c[None]
-        terms = np.where(
-            j > 0, j * (np.log2(np.maximum(j, _TINY)) - np.log2(np.maximum(q, _TINY))), 0.0
-        )
-        return float(terms.sum())
+        return j, self.qref[..., None] * c[None]
+
+    def objective(self, v):
+        return _divergence(*self._tilted_and_reference(v))
 
     def true_value(self, v):
         """Objective with honest support handling: clipped logs keep SLSQP
         smooth, but a solution whose tilted mass sits on a reference zero
         has genuinely infinite divergence and must be reported as such."""
-        t = self.scatter_t(v)
-        j = self.omega.reshape((-1,) + (1,) * (self.k + 1)) * t
-        c = self.channel_table(v)
-        if c is None:
-            p_agg = j.sum(axis=0)
-            denom = np.maximum(p_agg.sum(axis=-1, keepdims=True), _TINY)
-            c = p_agg / denom
-        q = self.qref[..., None] * c[None]
+        j, q = self._tilted_and_reference(v)
         if float(j[q <= 1e-100].sum()) > 1e-9:
             return math.inf
-        return max(self.objective(v), 0.0)
+        return max(_divergence(j, q), 0.0)
 
     def full_measure(self, v):
-        t = self.scatter_t(v)
-        j = self.omega.reshape((-1,) + (1,) * (self.k + 1)) * t
         mu = np.zeros(
             (self.problem.s_size, len(self.law.p_w)) + self.xshape + (self.y,)
         )
-        mu[self.s_idx, self.w_idx] = j
+        mu[self.s_idx, self.w_idx] = self.joint(v)
         total = mu.sum()
         return mu / total if total > 0 else mu
 
@@ -331,9 +301,7 @@ class _Layout:
         return np.concatenate([r.ravel() for r in out])
 
     def tie_residuals(self, v):
-        t = self.scatter_t(v)
-        j = self.omega.reshape((-1,) + (1,) * (self.k + 1)) * t
-        p_agg = j.sum(axis=0)
+        p_agg = self.joint(v).sum(axis=0)
         c = self.channel_table(v)
         resid = (p_agg - c * p_agg.sum(axis=-1, keepdims=True)).reshape(
             self.n_rows, self.y
@@ -342,17 +310,14 @@ class _Layout:
 
     def channel_norms(self, v):
         vc = v[self.n_t :]
-        if self.ch_kind in ("orbit", "full", "full_free"):
-            rows = vc.reshape(len(self.ch_free_rows), self.y)
-            return rows.sum(axis=1) - 1.0
+        if self.ch_kind == "table":
+            return vc.reshape(len(self.ch_free), self.y).sum(axis=1) - 1.0
         if self.ch_kind == "lambda":
             return np.array([vc.sum() - 1.0])
         return np.zeros(0)
 
     def distortion_gap(self, v):
-        t = self.scatter_t(v)
-        j = self.omega.reshape((-1,) + (1,) * (self.k + 1)) * t
-        p_agg = j.sum(axis=0)
+        p_agg = self.joint(v).sum(axis=0)
         cost = self.distortion._cost(self.y)
         if self.memoryless:
             c = self.channel_table(v)
@@ -389,9 +354,7 @@ def _solve_program(
     structure = [{"type": "eq", "fun": lay.pins}]
     if lay.ch_kind != "none":
         structure.append({"type": "eq", "fun": lay.channel_norms})
-        if not memoryless:
-            structure.append({"type": "eq", "fun": lay.tie_residuals})
-    elif not memoryless and lay.tie_hull:
+    if lay.tied:
         structure.append({"type": "eq", "fun": lay.tie_residuals})
     if lay.distortion is not None:
         structure.append(
@@ -418,42 +381,30 @@ def _solve_program(
         c_mixed = mix * c_r + (1.0 - mix) * c_floor
         starts.append(lay.gather(lay.prodx[..., None] * c_mixed[None], c_mixed))
 
-    def residuals(v):
+    def is_feasible(v):
+        vals = [(c["type"], c["fun"](v)) for c in constraints]
         eq_bad = max(
-            (float(np.max(np.abs(c["fun"](v)))) if len(c["fun"](v)) else 0.0)
-            for c in constraints
-            if c["type"] == "eq"
+            float(np.max(np.abs(r))) if len(r) else 0.0 for kind, r in vals if kind == "eq"
         )
         ineq_bad = min(
-            (float(np.min(c["fun"](v))) if len(c["fun"](v)) else 0.0)
-            for c in constraints
-            if c["type"] == "ineq"
+            float(np.min(r)) if len(r) else 0.0 for kind, r in vals if kind == "ineq"
         )
-        return eq_bad, ineq_bad
+        return eq_bad <= _FEAS_TOL and ineq_bad >= -_FEAS_TOL
 
-    def attempt(v_init):
+    def slsqp(fun, v_init, cons):
         return minimize(
-            lay.objective,
-            v_init,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=constraints,
+            fun, v_init, method="SLSQP", bounds=bounds, constraints=cons,
             options={"maxiter": 400, "ftol": 1e-12},
         )
+
+    def attempt(v_init):
+        return slsqp(lay.objective, v_init, constraints)
 
     def seek_low_info(v_init):
         # phase 1: drive the empirical information down under the structural
         # constraints alone; away from the zero-cost valley the gradients are
         # healthy, and the reached value certifies (in)feasibility
-        res = minimize(
-            lambda v: -lay.info_gap(v, rate),
-            v_init,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=structure,
-            options={"maxiter": 400, "ftol": 1e-12},
-        )
-        return res.x
+        return slsqp(lambda v: -lay.info_gap(v, rate), v_init, structure).x
 
     best_val = math.inf
     best_vec = None
@@ -464,28 +415,22 @@ def _solve_program(
         # degenerates the SLSQP subproblem; retry off-center, then via a
         # low-information phase-1 point if the direct attempt stalls
         res = attempt(v0)
-        eq_bad, ineq_bad = residuals(res.x)
-        if eq_bad > _FEAS_TOL or ineq_bad < -_FEAS_TOL:
+        ok = is_feasible(res.x)
+        if not ok:
             v1 = seek_low_info(
                 np.clip(v0 + gen.normal(0.0, 1e-3, lay.dim), 0.0, 1.0)
             )
             lowest_gap = max(lowest_gap, lay.info_gap(v1, rate))
             res = attempt(v1)
-            eq_bad, ineq_bad = residuals(res.x)
-        if eq_bad <= _FEAS_TOL and ineq_bad >= -_FEAS_TOL:
+            ok = is_feasible(res.x)
+        # SLSQP can walk out of the constraint set from an already feasible
+        # start; the start itself is then still a witness
+        witness = res.x if ok else (v0 if is_feasible(v0) else None)
+        if witness is not None:
             feasible += 1
-            val = lay.true_value(res.x)
+            val = lay.true_value(witness)
             if val < best_val:
-                best_val, best_vec = val, res.x
-        else:
-            # SLSQP can walk out of the constraint set from an already
-            # feasible start; the start itself is then still a witness
-            eq0, in0 = residuals(v0)
-            if eq0 <= _FEAS_TOL and in0 >= -_FEAS_TOL:
-                feasible += 1
-                val = lay.true_value(v0)
-                if val < best_val:
-                    best_val, best_vec = val, v0
+                best_val, best_vec = val, witness
     info["feasible_starts"] = feasible
     info["lowest_info_gap"] = None if lowest_gap == -math.inf else lowest_gap
     if best_vec is None:
@@ -560,14 +505,29 @@ def _transplant_warm(problem, input_law, subset, user, c_vec):
     lay_m = _Layout(problem, input_law, subset, user, True)
     if lay_c.dim == lay_m.dim and lay_c.ch_kind == lay_m.ch_kind:
         return np.asarray(c_vec, dtype=float)
-    t = lay_c.scatter_t(c_vec)
-    j = lay_c.omega.reshape((-1,) + (1,) * (lay_c.k + 1)) * t
-    p_agg = j.sum(axis=0)
+    p_agg = lay_c.joint(c_vec).sum(axis=0)
     mass = p_agg.sum(axis=-1, keepdims=True)
     c_real = np.where(
         mass > _TINY, p_agg / np.maximum(mass, _TINY), 1.0 / lay_c.y
     )
-    return lay_m.gather(t, c_real)
+    return lay_m.gather(lay_c.scatter_t(c_vec), c_real)
+
+
+def _sweep(rates, input_law, problem, subset, user, memoryless, restarts, seed):
+    """Yield (index, rate, value, info) in rising-rate order; the body of
+    ``exponent_sweep``, which the CLI also reads for the per-rate info."""
+    solver = memoryless_exponent_variant if memoryless else pseudo_sphere_packing
+    rates = np.asarray(list(rates), dtype=float)
+    prev_val, prev_vec = math.inf, None
+    for i in np.argsort(rates):
+        val, vec, info = solver(
+            rates[i], input_law, problem, subset=subset, user=user,
+            restarts=restarts, seed=seed, warm_start=prev_vec, full_output=True,
+        )
+        if val > prev_val:
+            val, vec = prev_val, prev_vec
+        prev_val, prev_vec = val, vec
+        yield i, rates[i], val, info
 
 
 def exponent_sweep(
@@ -585,21 +545,16 @@ def exponent_sweep(
 
     Because the feasible set only grows with the rate, the minimizer found
     at a lower rate stays feasible at any higher one; carrying it forward
-    makes the reported sequence honestly nonincreasing.
+    makes the reported sequence honestly nonincreasing.  Each rate is one
+    call of ``pseudo_sphere_packing`` or, with ``memoryless``, of
+    ``memoryless_exponent_variant`` (repair included).
     """
     rates = np.asarray(list(rates), dtype=float)
-    order = np.argsort(rates)
     out = np.empty_like(rates)
-    prev_val, prev_vec = math.inf, None
-    for i in order:
-        val, vec, _ = _solve_program(
-            rates[i], input_law, problem, subset, user, memoryless, restarts, seed,
-            prev_vec, True,
-        )
-        if val > prev_val:
-            val, vec = prev_val, prev_vec
+    for i, _, val, _ in _sweep(
+        rates, input_law, problem, subset, user, memoryless, restarts, seed
+    ):
         out[i] = val
-        prev_val, prev_vec = val, vec
     return out
 
 

@@ -341,20 +341,25 @@ class Distortion(ChannelFamily):
 
 
 def channel_family_from_dict(d: dict) -> ChannelFamily:
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ConfigError('a channel family needs a "kind"')
     kind = d["kind"]
     if kind == "boneh_shaw_fair":
         return FairMarking()
     if kind == "marking":
         return Marking()
-    if kind == "hull":
-        shape = tuple(d["shape"])
-        return Hull([np.asarray(v, dtype=float).reshape(shape) for v in d["vertices"]])
-    if kind == "distortion":
-        est = np.asarray(d["estimator"], dtype=np.int64).reshape(
-            tuple(d["estimator_shape"])
-        )
-        d2 = np.asarray(d["d2"], dtype=float).reshape(tuple(d["d2_shape"]))
-        return Distortion(est, d2, d["cap"])
+    try:
+        if kind == "hull":
+            shape = tuple(d["shape"])
+            return Hull([np.asarray(v, dtype=float).reshape(shape) for v in d["vertices"]])
+        if kind == "distortion":
+            est = np.asarray(d["estimator"], dtype=np.int64).reshape(
+                tuple(d["estimator_shape"])
+            )
+            d2 = np.asarray(d["d2"], dtype=float).reshape(tuple(d["d2_shape"]))
+            return Distortion(est, d2, d["cap"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {kind} family: {exc!r}") from None
     raise ConfigError(f"unknown channel family {kind!r}")
 
 
@@ -452,23 +457,29 @@ class GameProblem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GameProblem":
+        if not isinstance(d, dict):
+            raise ConfigError("a problem config must be an object")
         missing = [k for k in ("coalition_size", "x_size", "y_size",
                                "channel_class") if k not in d]
         if missing:
             raise ConfigError(f"problem config missing keys: {missing}")
-        kw = {}
-        if "d1" in d:
-            kw["d1"] = np.asarray(d["d1"], dtype=float)
-            kw["d1_cap"] = float(d["d1_cap"])
+        try:
+            kw = dict(
+                coalition_size=int(d["coalition_size"]),
+                x_size=int(d["x_size"]),
+                y_size=int(d["y_size"]),
+                s_size=int(d.get("s_size", 1)),
+                num_timeshare=int(d.get("num_timeshare", 1)),
+                p_host=np.asarray(d["p_host"], dtype=float) if "p_host" in d else None,
+            )
+            if "d1" in d:
+                kw["d1"] = np.asarray(d["d1"], dtype=float)
+                kw["d1_cap"] = float(d["d1_cap"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad problem config: {exc!r}") from None
         return cls(
-            coalition_size=int(d["coalition_size"]),
-            x_size=int(d["x_size"]),
-            y_size=int(d["y_size"]),
             channel_class=channel_family_from_dict(d["channel_class"]),
             objective=d.get("objective", "detect_one"),
-            s_size=int(d.get("s_size", 1)),
-            num_timeshare=int(d.get("num_timeshare", 1)),
-            p_host=np.asarray(d["p_host"], dtype=float) if "p_host" in d else None,
             **kw,
         )
 
@@ -532,12 +543,15 @@ class InputLaw:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InputLaw":
-        ps = d.get("p_s_tilde_given_w")
-        return cls(
-            p_w=np.asarray(d["p_w"], dtype=float),
-            p_x_given_sw=np.asarray(d["p_x_given_sw"], dtype=float),
-            p_s_tilde_given_w=None if ps is None else np.asarray(ps, dtype=float),
-        )
+        try:
+            ps = d.get("p_s_tilde_given_w")
+            return cls(
+                p_w=np.asarray(d["p_w"], dtype=float),
+                p_x_given_sw=np.asarray(d["p_x_given_sw"], dtype=float),
+                p_s_tilde_given_w=None if ps is None else np.asarray(ps, dtype=float),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad input law: {exc!r}") from None
 
 
 @dataclass

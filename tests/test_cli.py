@@ -187,3 +187,28 @@ def test_exit_code_2_on_keyfile_with_bad_permutation(workdir, bad):
     key_path.write_text(json.dumps(key))
     att_cfg = write_json(workdir / "att.json", {"coalition": [0, 1]})
     assert run("attack", "--config", att_cfg, "--out", workdir) == 2
+
+
+FAIR_K2 = {"coalition_size": 2, "x_size": 2, "y_size": 2,
+           "channel_class": {"kind": "boneh_shaw_fair"}}
+SIM = {"params": {"n": 24, "num_users": 6}, "decode": {"delta": 0.05}}
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("exponent", {"problem": FAIR_K2, "rates": ["abc"]}),
+    ("exponent", {"problem": dict(FAIR_K2, channel_class={})}),
+    ("capacity", {"problem": dict(FAIR_K2, channel_class={})}),
+    ("exponent", {"problem": FAIR_K2, "rates": [0.2], "restarts": "x"}),
+    ("capacity", {"problem": FAIR_K2, "restarts": "x"}),
+    ("capacity", {"problem": dict(FAIR_K2, coalition_size="x")}),
+    ("capacity", {"problem": 5}),
+    ("exponent", {"problem": FAIR_K2, "rates": [0.2], "input_law": {}}),
+    ("simulate", dict(SIM, params=[1, 2])),
+    ("simulate", dict(SIM, trials="many")),
+    ("simulate", [1, 2]),
+])
+def test_malformed_config_values_exit_2_with_one_line(workdir, capsys, command, payload):
+    cfg = write_json(workdir / "cfg.json", payload)
+    assert run(command, "--config", cfg, "--out", workdir) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1

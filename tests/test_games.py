@@ -28,6 +28,7 @@ from fptrace.games import (
     solve_capacity_simple,
     solve_exponent_program,
 )
+from fptrace.games.exponents import _Layout
 from fptrace.games.problems import law_tensors
 
 
@@ -386,3 +387,41 @@ def test_subset_nesting_is_enforced():
     q = symmetrized(gen, 2, 2, 2)
     with pytest.raises(ConfigError):
         check_fair_inequalities(q, (0, 1), (1,))
+
+
+def test_memoryless_sweep_repairs_a_multistart_miss():
+    # the memoryless multistart misses here; the sweep must take the same
+    # repair as memoryless_exponent_variant instead of reporting +inf
+    prob = GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=Marking())
+    law = law_for(prob, 0.7)
+    swept = exponent_sweep([0.1], law, prob, subset=(0, 1), restarts=2, memoryless=True)
+    direct = memoryless_exponent_variant(0.1, law, prob, subset=(0, 1), restarts=2)
+    assert swept[0] == direct
+    assert abs(direct - 0.13770) < 1e-4
+
+
+def test_layout_gather_inverts_scatter():
+    gen = np.random.default_rng(0)
+    families = [
+        FairMarking(), Marking(),
+        Hull([gen.dirichlet(np.ones(2), size=(2, 2)) for _ in range(2)]),
+        Hull([gen.dirichlet(np.ones(2), size=(2, 2))]),
+        Distortion(np.array([[0, 0], [0, 1]]), np.array([[0.0, 1.0], [1.0, 0.0]]), 0.05),
+    ]
+    kinds = set()
+    for family in families:
+        prob = GameProblem(
+            coalition_size=2, x_size=2, y_size=2, channel_class=family,
+            s_size=2, p_host=np.array([0.6, 0.4]),
+        )
+        law = InputLaw(p_w=np.array([1.0]), p_x_given_sw=np.tile([0.45, 0.55], (2, 1, 1)))
+        for subset, user in (((0, 1), None), ((0,), None), (None, 0)):
+            for memoryless in (False, True):
+                lay = _Layout(prob, law, subset, user, memoryless)
+                kinds.add(lay.ch_kind)
+                v = gen.uniform(size=lay.dim)
+                back = lay.gather(lay.scatter_t(v), lay.channel_table(v))
+                assert np.allclose(back[: lay.n_t], v[: lay.n_t], rtol=0, atol=1e-15)
+                if lay.ch_kind == "table":
+                    assert np.array_equal(back[lay.n_t :], v[lay.n_t :])
+    assert kinds == {"table", "lambda", "none"}

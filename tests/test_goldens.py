@@ -16,7 +16,18 @@ import json
 import numpy as np
 
 from fptrace.cli import main
-from fptrace.games import FairMarking, GameProblem, solve_exponent_program
+from fptrace.games import (
+    Distortion,
+    FairMarking,
+    GameProblem,
+    Hull,
+    InputLaw,
+    Marking,
+    memoryless_exponent_variant,
+    pseudo_sphere_packing,
+    solve_exponent_program,
+)
+from fptrace.games.exponents import _inner_floor
 
 FAIR_K2 = {
     "coalition_size": 2,
@@ -31,6 +42,7 @@ GOLDEN = {
     "capacity": "cf749441a4532050e8ecf055d935fb77ed0ae6a6457e19b59acdfc9031ad7031",
     "exponent_sweep": "c073761b520bc94b2d41431e1d649b582c4201527d8cc03d266dc03782b6631a",
     "operating_point": "ea973ec0a3ed1b002e9db6c591776fb87ab68e18a8223311070671a26a66aec5",
+    "exponent_layouts": "48849b3980619a51584fc1077154b84f190e3368821184f5a2521b75f0a22a24",
 }
 
 
@@ -85,3 +97,45 @@ def test_operating_point_search_golden():
         [out["value"]], out["history"], law.p_w, law.p_x_given_sw.ravel()
     ]).astype(np.float64)
     assert _sha(floats.tobytes()) == GOLDEN["operating_point"]
+
+
+def _bernoulli_law(p0, s_size=1):
+    return InputLaw(
+        p_w=np.array([1.0]), p_x_given_sw=np.tile([p0, 1.0 - p0], (s_size, 1, 1))
+    )
+
+
+def _layout_cases():
+    """(problem, law, subset, rate) on the per-cell and the orbit layouts."""
+    def problem(family, **kw):
+        return GameProblem(
+            coalition_size=2, x_size=2, y_size=2, channel_class=family, **kw
+        )
+
+    host = problem(FairMarking(), s_size=2, p_host=np.array([0.6, 0.4]))
+    yield host, _bernoulli_law(0.45, 2), (0,), 0.3
+    yield host, _bernoulli_law(0.45, 2), (0, 1), 0.23
+    yield problem(Marking()), _bernoulli_law(0.45), (0, 1), 0.23
+    gen = np.random.default_rng(1)
+    vertices = [gen.dirichlet(np.ones(2), size=(2, 2)) for _ in range(2)]
+    yield problem(Hull(vertices)), _bernoulli_law(0.45), (0, 1), 0.04
+    dist = problem(Distortion(
+        np.array([[0, 0], [0, 1]]), np.array([[0.0, 1.0], [1.0, 0.0]]), 0.05
+    ))
+    floor, _ = _inner_floor(dist, _bernoulli_law(0.45), (0, 1), None)
+    yield dist, _bernoulli_law(0.45), (0, 1), 0.7 * floor
+
+
+def test_exponent_program_layouts_golden():
+    digest = hashlib.sha256()
+    for problem, law, subset, rate in _layout_cases():
+        for solver in (pseudo_sphere_packing, memoryless_exponent_variant):
+            val, vec, info = solver(
+                rate, law, problem, subset=subset, restarts=2, seed=3,
+                full_output=True,
+            )
+            digest.update(np.float64(val).tobytes())
+            if vec is not None:
+                digest.update(np.asarray(vec, dtype=np.float64).tobytes())
+            digest.update(json.dumps(info, sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN["exponent_layouts"]
