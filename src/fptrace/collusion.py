@@ -17,6 +17,7 @@ that is recomputable from (x_K, y) alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -160,12 +161,15 @@ class ChannelSpec:
         )
 
 
+@functools.lru_cache(maxsize=None)
 def input_orbits(k: int, x_size: int):
     """Orbits of X^K under coordinate permutations.
 
     Returns (orbit-id array of shape (x_size,)*k, representative tuples,
     orbit sizes).  Representatives are sorted tuples, listed in
-    lexicographic order, so the layout is deterministic.
+    lexicographic order, so the layout is deterministic.  The table is
+    built once per (k, x_size) and shared: both arrays are read-only and
+    the representatives are a tuple.
     """
     ids = np.empty((x_size,) * k, dtype=np.intp)
     reps: list[tuple[int, ...]] = []
@@ -177,7 +181,9 @@ def input_orbits(k: int, x_size: int):
             reps.append(key)
         ids[tup] = seen[key]
     sizes = np.bincount(ids.ravel(), minlength=len(reps)).astype(float)
-    return ids, reps, sizes
+    ids.setflags(write=False)
+    sizes.setflags(write=False)
+    return ids, tuple(reps), sizes
 
 
 def _exchangeable(a: np.ndarray, k: int, tol: float = 0.0) -> bool:

@@ -2,7 +2,10 @@
 
 The inner minimization over the channel polytope is Frank-Wolfe with exact
 line search; the payoffs are convex in the channel, so the linearization
-gap is a valid optimality certificate.  The outer maximization over the
+gap is a valid optimality certificate.  The input law is fixed within a
+solve, so its tensors and a ``Payoff`` are built once per solve, and the
+line searches evaluate the payoff value only: the gradient is taken once
+per iteration, at the accepted point.  The outer maximization over the
 input law is multistart gradient ascent on a softmax parameterization
 (the payoff is generally nonconcave in the mark law, so local optima are
 collected and the spread is reported rather than hidden).
@@ -21,6 +24,7 @@ from .problems import (
     GameProblem,
     GameSolution,
     InputLaw,
+    Payoff,
     law_tensors,
     payoff_value_grad,
 )
@@ -30,15 +34,12 @@ __all__ = ["inner_min_channel", "solve_capacity", "solve_capacity_simple"]
 _FD_STEP = 1e-4
 
 
-def _coalition_input_pmf(problem, law):
-    b, _ = law_tensors(problem, law)
-    return b.reshape((-1,) + (problem.x_size,) * problem.coalition_size).sum(axis=0)
-
-
 def _frank_wolfe(problem, law, objective, subset, user, fair, tol, max_iter):
     family = problem.channel_class
     k = problem.coalition_size
-    q_x = _coalition_input_pmf(problem, law)
+    tensors = law_tensors(problem, law)
+    q_x = tensors[0].reshape((-1,) + (problem.x_size,) * k).sum(axis=0)
+    payoff = Payoff(problem, tensors, objective, subset=subset, user=user)
 
     def vg(c):
         return payoff_value_grad(c, problem, law, objective, subset=subset, user=user)
@@ -54,18 +55,18 @@ def _frank_wolfe(problem, law, objective, subset, user, fair, tol, max_iter):
             break
         d = vertex - c
         res = minimize_scalar(
-            lambda t: vg(c + t * d)[0],
+            lambda t: payoff.value(c + t * d),
             bounds=(0.0, 1.0),
             method="bounded",
             options={"xatol": 1e-12},
         )
         step = float(res.x)
         cand = c + step * d
-        cand_value = vg(cand)[0]
+        cand_value = payoff.value(cand)
         if cand_value >= value:  # line search stalled: fall back to the FW step
             step = 2.0 / (it + 2.0)
             cand = c + step * d
-            cand_value = vg(cand)[0]
+            cand_value = payoff.value(cand)
             if cand_value >= value:
                 break
         c = cand

@@ -35,6 +35,7 @@ __all__ = [
     "Marking",
     "Hull",
     "Distortion",
+    "Payoff",
     "law_tensors",
     "payoff_value_grad",
     "channel_family_from_dict",
@@ -600,6 +601,103 @@ def _safe_log2(a):
     return np.log2(np.maximum(a, _TINY))
 
 
+class Payoff:
+    """One payoff at one input law, for evaluation at many channels.
+
+    Everything that depends only on the law is built once, from the
+    ``law_tensors`` output ``tensors``: the product law B, the reshape
+    targets, the clipped (s,w) marginal of detect-one and the scale.  A
+    call then pays only for the channel terms, and ``value`` skips the
+    gradient einsum that ``value_grad`` adds; both share ``_value_terms``.
+    objective, subset and user are as in ``payoff_value_grad``.
+    """
+
+    def __init__(self, problem, tensors, objective, subset=None, user=None):
+        b, p_x = tensors
+        k = problem.coalition_size
+        x, y = problem.x_size, problem.y_size
+        sw = b.shape[:2]
+        xs = _AXES[:k]
+        self.b = b
+        self.grad_expr = f"ab{xs},ab{xs}y->{xs}y"
+        self.den_shape = sw + (1,) * k + (y,)
+        if objective == "detect_one":
+            self.flat = sw + (-1, y)
+            self.psw = np.maximum(b.reshape(sw + (-1,)).sum(axis=2), _TINY)[..., None]
+            self.scale = 1.0 / k
+        elif objective == "detect_all_part":
+            a = tuple(sorted(subset))
+            if not a:
+                raise ConfigError("detect_all_part needs a nonempty subset")
+            rest = tuple(i for i in range(k) if i not in a)
+            in_a = "".join(xs[i] for i in a)
+            in_rest = "".join(xs[i] for i in rest)
+            # r(y | s, w, x_rest) = sum_{x_A} prod_{m in A} p(x_m|s,w) c(y|x)
+            self.p_ops = [p_x] * len(a)
+            self.expr = (
+                ",".join([f"ab{ch}" for ch in in_a] + [f"{xs}y"]) + f"->ab{in_rest}y"
+            )
+            shape = list(self.den_shape)
+            for i in rest:
+                shape[2 + i] = x
+            self.rden_shape = tuple(shape)
+            self.scale = 1.0 / len(a)
+        elif objective == "simple":
+            m = 0 if user is None else int(user)
+            others = tuple(i for i in range(k) if i != m)
+            in_o = "".join(xs[i] for i in others)
+            self.p_x = p_x
+            self.p_ops = [p_x] * len(others)
+            self.expr = (
+                ",".join([f"ab{ch}" for ch in in_o] + [f"{xs}y"]) + f"->ab{xs[m]}y"
+                if others
+                else None
+            )
+            self.ry_expr = f"ab{xs[m]},ab{xs[m]}y->aby"
+            shape = list(self.den_shape)
+            shape[2 + m] = x
+            self.u_shape = tuple(shape)
+            self.scale = 1.0
+        else:
+            raise ConfigError(f"unknown payoff {objective!r}")
+        self.objective = objective
+
+    def _value_terms(self, c):
+        """(payoff in bits, log-ratio table) at channel c.
+
+        The sums call ``np.add.reduce``, the reduction that ``np.sum`` and
+        ``ndarray.sum`` run, on the same axes and operands (so the same
+        bits) but without their argument handling, which at these sizes
+        costs more than the sum.
+        """
+        bc = self.b[..., None] * c
+        if self.objective == "detect_one":
+            rcond = np.add.reduce(bc.reshape(self.flat), axis=2) / self.psw
+            lf = _safe_log2(c)[None, None] - _safe_log2(rcond).reshape(self.den_shape)
+        elif self.objective == "detect_all_part":
+            rden = np.einsum(self.expr, *self.p_ops, c)
+            lf = _safe_log2(c)[None, None] - _safe_log2(rden).reshape(self.rden_shape)
+        else:
+            if self.expr is not None:
+                u = np.einsum(self.expr, *self.p_ops, c)
+            else:
+                u = np.broadcast_to(c, self.b.shape[:2] + c.shape)
+            ry = np.einsum(self.ry_expr, self.p_x, u)
+            lf = _safe_log2(u).reshape(self.u_shape) - _safe_log2(ry).reshape(
+                self.den_shape
+            )
+        return self.scale * float(np.add.reduce(bc * lf, axis=None)), lf
+
+    def value(self, c):
+        """Payoff in bits at channel c."""
+        return self._value_terms(c)[0]
+
+    def value_grad(self, c):
+        """Payoff in bits at channel c and its gradient in the channel table."""
+        value, lf = self._value_terms(c)
+        return value, self.scale * np.einsum(self.grad_expr, self.b, lf)
+
+
 def payoff_value_grad(c, problem, law, objective, subset=None, user=None):
     """Payoff in bits and its gradient with respect to the channel table.
 
@@ -608,57 +706,8 @@ def payoff_value_grad(c, problem, law, objective, subset=None, user=None):
                "simple" (user m) -> I(X_m;Y|S,W)
     The gradient pattern is the same for all three: a (s,w)-weighted sum of
     log ratios between the relevant forward density and its denominator.
+    A solver that evaluates one law at many channels builds a ``Payoff``
+    once instead.
     """
-    k = problem.coalition_size
-    b, p_x = law_tensors(problem, law)
-    xs = _AXES[:k]
-    bc = b[..., None] * c
-    if objective == "detect_one":
-        ry = bc.reshape(b.shape[:2] + (-1, c.shape[-1])).sum(axis=2)
-        psw = b.reshape(b.shape[:2] + (-1,)).sum(axis=2)
-        rcond = ry / np.maximum(psw, _TINY)[..., None]
-        lf = _safe_log2(c)[None, None] - _safe_log2(rcond).reshape(
-            b.shape[:2] + (1,) * k + (c.shape[-1],)
-        )
-        scale = 1.0 / k
-    elif objective == "detect_all_part":
-        a = tuple(sorted(subset))
-        if not a:
-            raise ConfigError("detect_all_part needs a nonempty subset")
-        rest = tuple(i for i in range(k) if i not in a)
-        in_a = "".join(xs[i] for i in a)
-        in_rest = "".join(xs[i] for i in rest)
-        # r(y | s, w, x_rest) = sum_{x_A} prod_{m in A} p(x_m|s,w) c(y|x)
-        operands = [law.p_x_given_sw] * len(a) + [c]
-        expr = (
-            ",".join([f"ab{ch}" for ch in in_a] + [f"{xs}y"])
-            + f"->ab{in_rest}y"
-        )
-        rden = np.einsum(expr, *operands)
-        shape = list(b.shape[:2]) + [1] * k + [c.shape[-1]]
-        for i in rest:
-            shape[2 + i] = c.shape[0]
-        lf = _safe_log2(c)[None, None] - _safe_log2(rden).reshape(shape)
-        scale = 1.0 / len(a)
-    elif objective == "simple":
-        m = 0 if user is None else int(user)
-        others = tuple(i for i in range(k) if i != m)
-        in_o = "".join(xs[i] for i in others)
-        if others:
-            operands = [law.p_x_given_sw] * len(others) + [c]
-            expr = ",".join([f"ab{ch}" for ch in in_o] + [f"{xs}y"]) + f"->ab{xs[m]}y"
-            u = np.einsum(expr, *operands)
-        else:
-            u = np.broadcast_to(c, b.shape[:2] + c.shape)
-        ry = np.einsum(f"ab{xs[m]},ab{xs[m]}y->aby", law.p_x_given_sw, u)
-        u_shape = list(b.shape[:2]) + [1] * k + [c.shape[-1]]
-        u_shape[2 + m] = c.shape[0]
-        lf = _safe_log2(u).reshape(u_shape) - _safe_log2(ry).reshape(
-            b.shape[:2] + (1,) * k + (c.shape[-1],)
-        )
-        scale = 1.0
-    else:
-        raise ConfigError(f"unknown payoff {objective!r}")
-    value = scale * float(np.sum(bc * lf))
-    grad = scale * np.einsum(f"ab{xs},ab{xs}y->{xs}y", b, lf)
-    return value, grad
+    payoff = Payoff(problem, law_tensors(problem, law), objective, subset, user)
+    return payoff.value_grad(c)

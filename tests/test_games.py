@@ -3,6 +3,7 @@ comparisons, checked against brute-force lattice oracles where one exists."""
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,8 +29,9 @@ from fptrace.games import (
     solve_capacity_simple,
     solve_exponent_program,
 )
+from fptrace.games import capacity, problems
 from fptrace.games.exponents import _Layout
-from fptrace.games.problems import law_tensors
+from fptrace.games.problems import Payoff, law_tensors, payoff_value_grad
 
 
 def fair_problem(k=2, y=2, **kw):
@@ -54,6 +56,13 @@ def test_orbits_partition_the_input_cube():
     assert sizes.sum() == 8
     for cell in itertools.product(range(2), repeat=3):
         assert tuple(sorted(cell)) == reps[ids[cell]]
+
+
+def test_orbit_table_is_shared_and_read_only():
+    ids, reps, sizes = input_orbits(3, 2)
+    assert input_orbits(3, 2)[0] is ids
+    assert isinstance(reps, tuple)
+    assert not ids.flags.writeable and not sizes.flags.writeable
 
 
 def test_problem_roundtrip_through_dict():
@@ -130,6 +139,87 @@ def test_distortion_inner_respects_budget():
     spec, val = inner_min_channel(prob.uniform_law(), prob)
     assert val >= -1e-12
     assert fam.expected_cost(spec.table, law_tensors(prob, prob.uniform_law())[0].reshape(2, 2)) <= 0.3 + 1e-8
+
+
+def _payoff_cases():
+    """(problem, law, objective, subset, user) over every payoff target."""
+    gen = np.random.default_rng(7)
+    instances = [
+        fair_problem(k=2),
+        fair_problem(k=3),
+        fair_problem(k=2, y=3, s_size=2, p_host=np.array([0.6, 0.4])),
+        fair_problem(k=2, num_timeshare=2),
+    ]
+    for prob in instances:
+        l, s, x = prob.num_timeshare, prob.s_size, prob.x_size
+        law = InputLaw(
+            p_w=gen.dirichlet(np.ones(l)), p_x_given_sw=gen.dirichlet(np.ones(x), size=(s, l))
+        )
+        k = prob.coalition_size
+        yield prob, law, "detect_one", None, None
+        for a in itertools.chain.from_iterable(
+            itertools.combinations(range(k), n) for n in range(1, k + 1)
+        ):
+            yield prob, law, "detect_all_part", a, None
+        for m in range(k):
+            yield prob, law, "simple", None, m
+
+
+def test_payoff_value_path_equals_payoff_value_grad_exactly():
+    gen = np.random.default_rng(3)
+    for prob, law, objective, subset, user in _payoff_cases():
+        shape = (prob.x_size,) * prob.coalition_size
+        grad = gen.normal(size=shape + (prob.y_size,))
+        channels = [
+            gen.dirichlet(np.ones(prob.y_size), size=shape),
+            # a marking vertex: zero entries take the clipped logs
+            FairMarking().linmin(grad),
+        ]
+        payoff = Payoff(prob, law_tensors(prob, law), objective, subset, user)
+        for c in channels:
+            value, g = payoff_value_grad(c, prob, law, objective, subset=subset, user=user)
+            assert payoff.value(c) == value
+            own_value, own_g = payoff.value_grad(c)
+            assert own_value == value and np.array_equal(own_g, g)
+
+
+def test_frank_wolfe_line_search_never_builds_a_gradient(monkeypatch):
+    calls = Counter()
+    searching = [False]
+
+    def counted(fn, key):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            calls[key, "in line search"] += searching[0]
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def minimize_scalar(fun, **kwargs):
+        def objective(t):
+            searching[0] = True
+            try:
+                return fun(t)
+            finally:
+                searching[0] = False
+        calls["line search"] += 1
+        return real_minimize_scalar(objective, **kwargs)
+
+    real_minimize_scalar = capacity.minimize_scalar
+    for owner in (capacity, problems):
+        monkeypatch.setattr(owner, "law_tensors", counted(owner.law_tensors, "tensors"))
+    monkeypatch.setattr(
+        capacity, "payoff_value_grad", counted(capacity.payoff_value_grad, "grads")
+    )
+    monkeypatch.setattr(Payoff, "value_grad", counted(Payoff.value_grad, "value_grad"))
+    monkeypatch.setattr(capacity, "minimize_scalar", minimize_scalar)
+    prob = fair_problem(k=3)
+    _, _, info = inner_min_channel(prob.uniform_law(), prob, full_output=True)
+    assert calls["line search"] >= 1
+    # every gradient is one payoff_value_grad call, which builds its tensors
+    assert calls["value_grad"] == calls["grads"] <= info["iterations"] + 1
+    assert calls["tensors"] <= 1 + calls["grads"]
+    for key in ("tensors", "grads", "value_grad"):
+        assert calls[key, "in line search"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ is not value-preserving, fails here loudly instead of drifting silently.
 When such a change is intended, re-record the hash and say why in the
 change log.
 
-Recorded with numpy 2.4.6, scipy 1.17.1, Python 3.11.
+Recorded with numpy 2.4.6, scipy 1.17.1, Python 3.11, at two BLAS threads
+(``conftest.py`` pins the count): SLSQP's iterates depend on it, so the
+exponent hashes hold only at that count.
 """
 
 import hashlib
