@@ -34,7 +34,7 @@ from scipy.optimize import minimize
 from .. import rng as rngmod
 from ..collusion import input_orbits
 from ..errors import ConfigError
-from ..types_core import multi_info_pmf
+from ..types_core import _TINY, _divergence_terms, multi_info_pmf
 from .capacity import _fd_ascent, _frank_wolfe, _law_from_theta, _softmax, _theta_dim
 from .problems import Distortion, FairMarking, Hull, Marking
 
@@ -45,7 +45,6 @@ __all__ = [
     "solve_exponent_program",
 ]
 
-_TINY = 1e-300
 _FEAS_TOL = 1e-7
 # finite-difference ascent settings of the operating-point search
 _ASCENT = dict(fd=1e-3, step0=0.5, min_step=1e-5, grad_tol=1e-7, gain_tol=1e-10)
@@ -85,14 +84,6 @@ def _cell_classes(k, x_size, orbits):
     n = x_size**k
     reps = list(itertools.product(range(x_size), repeat=k))
     return np.arange(n).reshape((x_size,) * k), reps, np.ones(n)
-
-
-def _divergence(j, q):
-    """D(j || q) in bits with clipped logs, so SLSQP sees a smooth cost."""
-    terms = np.where(
-        j > 0, j * (np.log2(np.maximum(j, _TINY)) - np.log2(np.maximum(q, _TINY))), 0.0
-    )
-    return float(terms.sum())
 
 
 class _Layout:
@@ -254,7 +245,9 @@ class _Layout:
         return j, self.qref[..., None] * c[None]
 
     def objective(self, v):
-        return _divergence(*self._tilted_and_reference(v))
+        """D(tilted || reference) in bits with clipped logs, so SLSQP sees a
+        smooth cost."""
+        return float(_divergence_terms(*self._tilted_and_reference(v)).sum())
 
     def true_value(self, v):
         """Objective with honest support handling: clipped logs keep SLSQP
@@ -263,7 +256,7 @@ class _Layout:
         j, q = self._tilted_and_reference(v)
         if float(j[q <= 1e-100].sum()) > 1e-9:
             return math.inf
-        return max(_divergence(j, q), 0.0)
+        return max(float(_divergence_terms(j, q).sum()), 0.0)
 
     def full_measure(self, v):
         mu = np.zeros(

@@ -25,7 +25,7 @@ from ..collusion import (
     input_orbits,
 )
 from ..errors import ConfigError, InfeasibleError
-from ..types_core import MAX_TABLE_CELLS
+from ..types_core import _TINY, MAX_TABLE_CELLS, _safe_log2
 
 __all__ = [
     "GameProblem",
@@ -41,7 +41,6 @@ __all__ = [
     "channel_family_from_dict",
 ]
 
-_TINY = 1e-300
 _AXES = "cdefgh"  # per-user einsum letters; coalition sizes stay small
 
 
@@ -57,6 +56,7 @@ class ChannelFamily:
     """Interface shared by the feasible-channel polytopes."""
 
     kind = "?"
+    class_tag = "explicit"  # the ChannelSpec class its channels validate as
     requires_matching_alphabets = False
 
     def start(self, k, x_size, y_size, q_x=None, fair=False):
@@ -67,17 +67,6 @@ class ChannelFamily:
 
     def contains(self, table, q_x=None, tol=1e-8) -> bool:
         raise NotImplementedError
-
-    def wrap(self, table) -> ChannelSpec:
-        """Package a solver channel as a validated ChannelSpec."""
-        k = table.ndim - 1
-        return ChannelSpec(
-            k=k,
-            x_size=table.shape[0],
-            y_size=table.shape[-1],
-            table=table,
-            class_tag="explicit",
-        )
 
     def to_dict(self) -> dict:
         return {"kind": self.kind}
@@ -135,6 +124,7 @@ class FairMarking(ChannelFamily):
     """
 
     kind = "boneh_shaw_fair"
+    class_tag = "boneh_shaw"
     requires_matching_alphabets = True
 
     def start(self, k, x_size, y_size, q_x=None, fair=False):
@@ -151,6 +141,7 @@ class Marking(ChannelFamily):
     """All channels satisfying the marking constraint (not necessarily fair)."""
 
     kind = "marking"
+    class_tag = "boneh_shaw"
     requires_matching_alphabets = True
 
     def start(self, k, x_size, y_size, q_x=None, fair=False):
@@ -189,9 +180,9 @@ class Hull(ChannelFamily):
             return sum(self.vertices) / len(self.vertices)
         return self.linmin(np.zeros_like(self.vertices[0]), fair=True)
 
-    def _fair_rows(self, k, x_size, y_size):
+    def _fair_rows(self, k, x_size):
         """(row, y) equality pairs forcing mixture fairness."""
-        ids, reps, _ = input_orbits(k, x_size)
+        ids = input_orbits(k, x_size)[0]
         pairs = []
         rep_cell = {}
         for tup in itertools.product(range(x_size), repeat=k):
@@ -208,7 +199,7 @@ class Hull(ChannelFamily):
             return self.vertices[int(np.argmin(scores))]
         k = grad.ndim - 1
         x_size, y_size = grad.shape[0], grad.shape[-1]
-        pairs = self._fair_rows(k, x_size, y_size)
+        pairs = self._fair_rows(k, x_size)
         n = len(self.vertices)
         a_eq = [[1.0] * n]
         b_eq = [1.0]
@@ -252,6 +243,7 @@ class Distortion(ChannelFamily):
     """
 
     kind = "distortion"
+    class_tag = "distortion"
 
     def __init__(self, estimator, d2, cap):
         self.estimator = np.asarray(estimator, dtype=np.int64)
@@ -317,19 +309,6 @@ class Distortion(ChannelFamily):
         cost = self._cost(table.shape[-1])
         return float(np.sum(np.asarray(q_x)[..., None] * table * cost))
 
-    def wrap(self, table):
-        k = table.ndim - 1
-        return ChannelSpec(
-            k=k,
-            x_size=table.shape[0],
-            y_size=table.shape[-1],
-            table=table,
-            class_tag="distortion",
-            estimator=self.estimator,
-            d2=self.d2,
-            distortion_cap=self.cap,
-        )
-
     def to_dict(self):
         return {
             "kind": self.kind,
@@ -366,20 +345,6 @@ def channel_family_from_dict(d: dict) -> ChannelFamily:
 
 # ---------------------------------------------------------------------------
 # problems, input laws, solutions
-
-
-def _wrap_marking_tag(family, table):
-    # fair/marking families produce channels the stricter tag can validate
-    if isinstance(family, (FairMarking, Marking)):
-        k = table.ndim - 1
-        return ChannelSpec(
-            k=k,
-            x_size=table.shape[0],
-            y_size=table.shape[-1],
-            table=table,
-            class_tag="boneh_shaw",
-        )
-    return family.wrap(table)
 
 
 @dataclass(frozen=True)
@@ -438,7 +403,20 @@ class GameProblem:
         )
 
     def wrap_channel(self, table) -> ChannelSpec:
-        return _wrap_marking_tag(self.channel_class, table)
+        """Package a solver table as a ChannelSpec validated under the
+        family's class tag; a distortion family adds its cost data."""
+        fam = self.channel_class
+        extra = {}
+        if isinstance(fam, Distortion):
+            extra = dict(estimator=fam.estimator, d2=fam.d2, distortion_cap=fam.cap)
+        return ChannelSpec(
+            k=table.ndim - 1,
+            x_size=table.shape[0],
+            y_size=table.shape[-1],
+            table=table,
+            class_tag=fam.class_tag,
+            **extra,
+        )
 
     def to_dict(self) -> dict:
         out = {
@@ -595,10 +573,6 @@ def law_tensors(problem: GameProblem, law: InputLaw):
     for i in range(k):
         b = b[..., None] * law.p_x_given_sw.reshape((s, l) + (1,) * i + (x,))
     return b, law.p_x_given_sw
-
-
-def _safe_log2(a):
-    return np.log2(np.maximum(a, _TINY))
 
 
 class Payoff:

@@ -10,7 +10,10 @@ The plain harness regenerates an (M, n) codebook per trial, which is the
 honest but slow path.  For the false-positive trend study there is a
 sufficient-statistic sampler (`threshold_fp_fast`) that draws only the
 handful of counts the threshold score actually depends on, plus an exact
-enumerator (`threshold_fp_exact`) used to validate it.
+enumerator (`threshold_fp_exact`) used to validate it.  Both score an
+innocent from its 2x2 (row, pirate) cell counts as H(x) + H(y) - H(xy),
+the formula of the decoders' scorer, through the batched entropy kernel
+of `types_core`.
 """
 
 import math
@@ -27,6 +30,7 @@ from .codec import CodeParams, build_codebook, draw_host, draw_timeshare
 from .collusion import ChannelSpec, apply_memoryless, interleave
 from .decoders import DecodeConfig, mpmi_decode, threshold_decode
 from .errors import ConfigError, InfeasibleError
+from .types_core import _count_entropy
 
 __all__ = [
     "ExperimentConfig",
@@ -42,6 +46,8 @@ __all__ = [
 ]
 
 MAX_ATTACK_RESAMPLES = 64
+# trials per batch of the fast false-positive engine
+_FP_CHUNK = 20_000
 
 
 @dataclass(frozen=True)
@@ -173,6 +179,8 @@ class PointEstimate:
     seconds: float
 
     def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigError("need at least one trial")
         for c in (self.fp_count, self.miss_one_count, self.miss_all_count):
             if not 0 <= c <= self.trials:
                 raise ConfigError("event count outside the trial budget")
@@ -307,22 +315,16 @@ def exponent_fit(series) -> tuple:
 # sufficient-statistic engine for the false-positive trend
 
 
-def _score_from_counts(a, n1y, n):
-    """Empirical I(x; y) in bits for a balanced binary row against a pirate
-    sequence with ``n1y`` ones, given the overlap count ``a``."""
-    a = np.asarray(a, dtype=float)
-    n1y = np.asarray(n1y, dtype=float)
-    half = n / 2.0
-    cells = np.stack(
-        [n - half - n1y + a, n1y - a, half - a, a], axis=-1
-    )  # (x,y) = 00, 01, 10, 11
-    frac = cells / n
-    h_joint = -np.sum(np.where(frac > 0, frac * np.log2(np.maximum(frac, 1e-300)), 0.0), axis=-1)
-    py1 = n1y / n
-    h_y = -np.where(py1 > 0, py1 * np.log2(np.maximum(py1, 1e-300)), 0.0) - np.where(
-        1 - py1 > 0, (1 - py1) * np.log2(np.maximum(1 - py1, 1e-300)), 0.0
-    )
-    return 1.0 + h_y - h_joint
+def _innocent_scores(a, n1y, n):
+    """Empirical I(x; y) = H(x) + H(y) - H(xy) in bits of balanced binary
+    rows against pirate copies with ``n1y`` ones, given the overlap counts
+    ``a`` (positions where both read one); ``n1y`` broadcasts against ``a``."""
+    half = n // 2
+    h_x = _count_entropy([n - half, half], n)
+    h_y = _count_entropy(np.stack([n - n1y, n1y], axis=-1), n, axis=-1)
+    # (x, y) cell counts 00, 01, 10, 11
+    cells = np.stack([n - half - n1y + a, n1y - a, half - a, a], axis=-1)
+    return h_x + h_y - _count_entropy(cells, n, axis=-1)
 
 
 def _balanced_split(gen, classes, n_half):
@@ -369,7 +371,6 @@ def threshold_fp_fast(
     seed: int = 0,
     k: int = 2,
     rate: float | None = None,
-    chunk: int = 20_000,
 ) -> PointEstimate:
     """False-positive rate of the threshold decoder without building codebooks.
 
@@ -381,8 +382,10 @@ def threshold_fp_fast(
     distribution; validated against the direct pipeline and the
     closed-form enumerator in the tests.
     """
-    if n % 2:
-        raise ConfigError("the fast engine assumes a balanced binary composition")
+    if n < 2 or n % 2:
+        raise ConfigError("the fast engine assumes a balanced binary composition, even n >= 2")
+    if k < 1 or innocents < 0:
+        raise ConfigError("the fast engine needs k >= 1 colluders and innocents >= 0")
     if rate is None:
         rate = math.log2(innocents + k) / n
     bar = rate + delta
@@ -391,14 +394,14 @@ def threshold_fp_fast(
     fp = 0
     done = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(_FP_CHUNK, trials - done)
         n1y = _pirate_ones(gen, n, k, m)
         a = gen.hypergeometric(
             np.broadcast_to(n1y[:, None], (m, innocents)),
             np.broadcast_to((n - n1y)[:, None], (m, innocents)),
             n // 2,
         )
-        scores = _score_from_counts(a, n1y[:, None], n)
+        scores = _innocent_scores(a, n1y[:, None], n)
         fp += int(np.count_nonzero(np.any(scores > bar, axis=1)))
         done += m
     return PointEstimate(
@@ -425,8 +428,10 @@ def threshold_fp_exact(
     Enumerates the pirate ones-count law exactly for k = 2 and integrates
     the per-innocent crossing probability of the hypergeometric overlap.
     """
-    if n % 2 or k != 2:
-        raise ConfigError("exact enumeration covers k=2 balanced binary codes")
+    if n < 2 or n % 2 or k != 2:
+        raise ConfigError("exact enumeration covers k=2 balanced binary codes, even n >= 2")
+    if innocents < 0:
+        raise ConfigError("innocents must be >= 0")
     if rate is None:
         rate = math.log2(innocents + k) / n
     bar = rate + delta
@@ -434,7 +439,6 @@ def threshold_fp_exact(
     # overlap of two balanced rows, then binomial fill on disagreements
     a_vals = np.arange(half + 1)
     p_a = stats.hypergeom.pmf(a_vals, n, half, half)
-    v_vals = np.arange(n + 1)
     p_v = np.zeros(n + 1)
     for a, pa in zip(a_vals, p_a):
         if pa <= 0:
@@ -444,11 +448,11 @@ def threshold_fp_exact(
         p_v[a + fill] += pa * stats.binom.pmf(fill, mixed, 0.5)
     p_v /= p_v.sum()
     total = 0.0
-    overlap = np.arange(half + 1)
     for v, pv in enumerate(p_v):
         if pv <= 0:
             continue
-        scores = _score_from_counts(overlap, np.full(half + 1, v), n)
+        overlap = np.arange(max(0, v - half), min(half, v) + 1)
+        scores = _innocent_scores(overlap, v, n)
         cross = stats.hypergeom.pmf(overlap, n, v, half)[scores > bar].sum()
         total += pv * (1.0 - (1.0 - min(cross, 1.0)) ** innocents)
     return float(total)

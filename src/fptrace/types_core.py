@@ -7,6 +7,11 @@ with the conventions 0*log(0) = 0 and 0*log(0/0) = 0.  These functionals are
 the common currency of the whole package: decoders score users with them,
 the game solvers optimize their distribution-level counterparts, and the
 counting bounds below control every exponential estimate.
+
+One kernel below computes every information value in the package: the
+entropy of a count array (a pmf is the case n = 1), the bodies that the
+count functions share with their pmf twins, and one clipped divergence
+term.  The decoders, the fast false-positive engine and the games use it.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# floor of the clipped logs: log2(_TINY) stays finite where a law vanishes
+_TINY = 1e-300
 
 # Hard cap on count-table cells; protects joint_type against axis blowup.
 MAX_TABLE_CELLS = 20_000_000
@@ -225,29 +232,65 @@ def count_table(arrays: PySequence[np.ndarray], sizes: tuple[int, ...]) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# entropy-family functionals on count tables
+# the information kernel
 
 
-def _count_entropy(counts: np.ndarray, n: int) -> float:
-    """H in bits of a raw count array summing to n, exact 0log0 handling."""
-    c = np.ravel(counts)
-    return math.log2(n) - float(xlogy(c, c).sum()) / (n * _LN2)
+def _count_entropy(counts, n, axis=None):
+    """H in bits of counts summing to n, exact 0log0 handling; a pmf is the
+    case n = 1.  With ``axis`` set, one entropy per slice along that axis."""
+    c = np.ravel(counts) if axis is None else counts
+    s = xlogy(c, c).sum(axis=axis)
+    return math.log2(n) - (float(s) if axis is None else s) / (n * _LN2)
 
 
-def _marginal_entropy(jt: JointType, axes: tuple[int, ...]) -> float:
-    """H of the marginal over ``axes`` in bits."""
+def _marginal_entropy(table: np.ndarray, n, axes) -> float:
+    """H in bits of the marginal of ``table`` (summing to n) over ``axes``."""
     if not axes:
         return 0.0
-    drop = tuple(i for i in range(len(jt.axes)) if i not in axes)
-    return _count_entropy(jt.counts.sum(axis=drop) if drop else jt.counts, jt.n)
+    drop = tuple(i for i in range(table.ndim) if i not in axes)
+    return _count_entropy(table.sum(axis=drop) if drop else table, n)
+
+
+def _cond_entropies(table: np.ndarray, n, groups, cond) -> list[float]:
+    """[H(g | cond) for g in groups] in bits, each clamped at zero; H(cond)
+    is taken once."""
+    hc = _marginal_entropy(table, n, cond)
+    return [
+        max(_marginal_entropy(table, n, tuple(g) + tuple(cond)) - hc, 0.0)
+        for g in groups
+    ]
+
+
+def _group_info(table: np.ndarray, n, parts, cond) -> float:
+    """sum_i H(U_i | cond) - H(U_1...U_k | cond) in bits, each conditional
+    entropy and the total clamped at zero."""
+    whole = [a for p in parts for a in p]
+    h_all, *h_parts = _cond_entropies(table, n, [whole] + list(parts), cond)
+    total = -h_all
+    for h in h_parts:
+        total += h
+    return max(total, 0.0)
+
+
+def _safe_log2(a):
+    """log2 with the argument clipped at _TINY: finite where a vanishes."""
+    return np.log2(np.maximum(a, _TINY))
+
+
+def _divergence_terms(p, q):
+    """Cellwise p log2(p / q) in bits, 0 where p = 0; the clipped logs keep
+    it finite off the support of q (``kl_divergence`` checks that itself)."""
+    return np.where(p > 0, p * (_safe_log2(p) - _safe_log2(q)), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# entropy-family functionals on count tables
 
 
 def entropy(jt: JointType, q: InfoQuery) -> float:
     """Empirical conditional entropy H(targets | cond) in bits."""
     q.validate(jt, need_partners=False)
-    h = _marginal_entropy(jt, tuple(sorted(q.targets + q.cond)))
-    h -= _marginal_entropy(jt, tuple(sorted(q.cond)))
-    return max(h, 0.0)
+    return _cond_entropies(jt.counts, jt.n, [q.targets], q.cond)[0]
 
 
 def mutual_info(jt: JointType, q: InfoQuery) -> float:
@@ -258,10 +301,10 @@ def mutual_info(jt: JointType, q: InfoQuery) -> float:
     """
     q.validate(jt, need_partners=True)
     a, b, c = q.targets, q.partners, q.cond
-    hac = _marginal_entropy(jt, tuple(sorted(a + c)))
-    hbc = _marginal_entropy(jt, tuple(sorted(b + c)))
-    habc = _marginal_entropy(jt, tuple(sorted(a + b + c)))
-    hc = _marginal_entropy(jt, tuple(sorted(c)))
+    hac = _marginal_entropy(jt.counts, jt.n, a + c)
+    hbc = _marginal_entropy(jt.counts, jt.n, b + c)
+    habc = _marginal_entropy(jt.counts, jt.n, a + b + c)
+    hc = _marginal_entropy(jt.counts, jt.n, c)
     return max(hac + hbc - habc - hc, 0.0)
 
 
@@ -279,20 +322,12 @@ def multi_info(
     parts = [tuple(p) for p in parts]
     if len(parts) < 2:
         raise ConfigError("multi_info needs at least two groups")
-    flat = [a for p in parts for a in p] + list(cond)
-    _check_axes(tuple(flat), len(jt.axes))
-    cond = tuple(sorted(cond))
-    hc = _marginal_entropy(jt, cond)
-    total = 0.0
-    for p in parts:
-        total += _marginal_entropy(jt, tuple(sorted(p + cond))) - hc
-    all_axes = tuple(sorted(tuple(flat)))
-    total -= _marginal_entropy(jt, all_axes) - hc
-    return max(total, 0.0)
+    _check_axes(tuple(a for p in parts for a in p) + tuple(cond), len(jt.axes))
+    return _group_info(jt.counts, jt.n, parts, tuple(cond))
 
 
 # ---------------------------------------------------------------------------
-# divergence on pmf arrays (count tables divide down to these)
+# pmf twins (used by the game solvers) and divergence
 
 
 def _as_pmf(p) -> np.ndarray:
@@ -330,22 +365,13 @@ def kl_divergence(p, q, cond: np.ndarray | None = None) -> float:
     qm = qc[mask]
     if np.any((pm > 0) & (qm <= 0)):
         return math.inf
-    terms = np.where(pm > 0, xlogy(pm, pm) - xlogy(pm, np.where(qm > 0, qm, 1.0)), 0.0)
-    return float((w[mask] @ terms.sum(axis=1)) / _LN2)
+    return float(w[mask] @ _divergence_terms(pm, qm).sum(axis=1))
 
 
 def entropy_pmf(p: np.ndarray, axes: tuple[int, ...], cond: tuple[int, ...] = ()) -> float:
     """H(axes | cond) in bits for a joint pmf array (distribution-level twin
     of :func:`entropy`, used by the game solvers)."""
-    p = np.asarray(p, dtype=float)
-
-    def h(group: tuple[int, ...]) -> float:
-        drop = tuple(i for i in range(p.ndim) if i not in group)
-        m = p.sum(axis=drop) if drop else p
-        m = m.ravel()
-        return -float(xlogy(m, m).sum()) / _LN2
-
-    return max(h(tuple(sorted(set(axes) | set(cond)))) - h(tuple(sorted(cond))), 0.0)
+    return _cond_entropies(np.asarray(p, dtype=float), 1, [axes], cond)[0]
 
 
 def multi_info_pmf(
@@ -354,11 +380,7 @@ def multi_info_pmf(
     cond: tuple[int, ...] = (),
 ) -> float:
     """Distribution-level multivariate mutual information in bits."""
-    parts = [tuple(g) for g in parts]
-    total = -entropy_pmf(p, tuple(a for g in parts for a in g), cond)
-    for g in parts:
-        total += entropy_pmf(p, g, cond)
-    return max(total, 0.0)
+    return _group_info(np.asarray(p, dtype=float), 1, [tuple(g) for g in parts], cond)
 
 
 # ---------------------------------------------------------------------------

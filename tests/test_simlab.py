@@ -20,6 +20,8 @@ from fptrace.simlab import (
     threshold_fp_fast,
     wilson_interval,
 )
+from fptrace.simlab import _innocent_scores
+from fptrace.types_core import InfoQuery, JointType, mutual_info
 
 
 def small_config(**kw):
@@ -220,3 +222,37 @@ def test_fast_engine_rejects_odd_blocklength():
         threshold_fp_fast(33, innocents=10, delta=0.05, trials=10)
     with pytest.raises(ConfigError):
         threshold_fp_exact(33, innocents=10, delta=0.05)
+    # also too short a block, an empty coalition, a negative innocent count
+    # and an empty trial budget
+    for n in (0, 1):
+        with pytest.raises(ConfigError):
+            threshold_fp_fast(n, innocents=10, delta=0.05, trials=10)
+        with pytest.raises(ConfigError):
+            threshold_fp_exact(n, innocents=10, delta=0.05)
+    for k in (0, -1):
+        with pytest.raises(ConfigError):
+            threshold_fp_fast(24, innocents=10, delta=0.05, trials=10, k=k)
+        with pytest.raises(ConfigError):
+            threshold_fp_exact(24, innocents=10, delta=0.05, k=k)
+    with pytest.raises(ConfigError):
+        threshold_fp_fast(24, innocents=-1, delta=0.05, trials=10)
+    with pytest.raises(ConfigError):
+        threshold_fp_exact(24, innocents=-1, delta=0.05)
+    with pytest.raises(ConfigError):
+        threshold_fp_fast(24, innocents=10, delta=0.05, trials=0)
+    with pytest.raises(ConfigError):
+        PointEstimate(24, 0, 0, 0, 0, 0, 0.0)
+
+
+def test_fast_engine_scores_equal_mutual_info():
+    # reference through an independent path: the explicit 2x2 joint type
+    for n in (24, 60):
+        half = n // 2
+        for ones in range(n + 1):
+            overlaps = np.arange(max(0, ones - half), min(half, ones) + 1)
+            scores = _innocent_scores(overlaps, ones, n)
+            for a, score in zip(overlaps, scores):
+                counts = [[n - half - ones + a, ones - a], [half - a, a]]
+                jt = JointType((2, 2), np.array(counts), n)
+                want = mutual_info(jt, InfoQuery((0,), (1,)))
+                assert abs(score - want) <= 1e-12

@@ -30,6 +30,7 @@ from fptrace.types_core import (
     mutual_info,
     quantize_pmf,
 )
+from fptrace.types_core import _count_entropy
 
 
 def seq(symbols, size):
@@ -206,6 +207,21 @@ def test_pmf_functionals_match_count_functionals():
     assert multi_info_pmf(p, [(0,), (1,)], (2,)) == pytest.approx(
         multi_info(jt, [(0,), (1,)], (2,)), abs=1e-12
     )
+
+
+def test_batched_entropy_equals_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for shape, n in (((7, 4), 60), ((3, 5, 4), 200), ((6, 19), 1000)):
+        counts = np.stack(
+            [random_counts(rng, shape[-1:], n) for _ in range(int(np.prod(shape[:-1])))]
+        ).reshape(shape)
+        batched = _count_entropy(counts, n, axis=-1)
+        assert batched.shape == shape[:-1]
+        for idx in np.ndindex(shape[:-1]):
+            assert batched[idx] == _count_entropy(counts[idx], n)
+    pmfs = rng.dirichlet(np.ones(5), size=9)
+    batched = _count_entropy(pmfs, 1, axis=-1)
+    assert all(batched[i] == _count_entropy(pmfs[i], 1) for i in range(9))
 
 
 # ---------------------------------------------------------------------------
