@@ -297,12 +297,21 @@ class Codebook:
         return sample_type_class(comp, gen, cond_seq=cid)
 
     def rows(self) -> np.ndarray:
-        """All user rows as an (M, n) matrix (cached)."""
+        """All user rows as an (M, n) matrix (cached, small integer type)."""
         if "rows" not in self._cache:
-            mat = np.stack([self.row(m) for m in range(self.params.num_users)])
+            mat = self._row_block(range(self.params.num_users))
             mat.setflags(write=False)
             self._cache["rows"] = mat
         return self._cache["rows"]
+
+    def _row_block(self, users) -> np.ndarray:
+        """Rows of ``users`` as a matrix of the smallest type holding a mark:
+        int8 up to 127 marks, int16 beyond."""
+        dtype = np.int8 if self.params.x_size <= 127 else np.int16
+        out = np.empty((len(users), self.params.n), dtype=dtype)
+        for i, m in enumerate(users):
+            out[i] = self.row(m)
+        return out
 
     def cell_compositions(self) -> np.ndarray:
         """Realized per-(s, w) mark compositions, shape (S, W, X)."""

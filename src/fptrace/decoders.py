@@ -3,10 +3,14 @@
 The decoders and the audits of their outcomes score with one quantity,
 conditional empirical information oI(x_A; y x_B | s, w) against the side
 data (host sequence and effective time-sharing sequence), computed by one
-private scorer built once per (codebook, pirated copy):
+private scorer built once per (codebook, pirated copy).  The scorer takes a
+block of candidates at once and counts all their joint types with one
+bincount; every path below streams its candidates through it in blocks,
+so memory stays bounded whatever the number of candidates:
 
 * threshold: accuse every user whose pairwise score beats rate + delta;
-  rows are regenerated from the key one at a time, so memory stays O(n);
+  rows are regenerated from the key a block at a time, so memory stays
+  O(block n) for any M;
 * joint: search coalitions and maximize the penalized multivariate score
   oI(x_A; y | s, w) - |A| (rate + delta), preferring larger coalitions on
   ties and lexicographically smaller ones within a size.  It and the
@@ -24,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -34,7 +39,7 @@ from .errors import (
     InapplicableCheckError,
     StaleOutcomeError,
 )
-from .types_core import _count_entropy
+from .types_core import _count_entropy, _xlogx_table
 # not used here; perfbench's traced run wraps these names on this module
 from .types_core import count_table, entropy, multi_info  # noqa: F401
 
@@ -52,6 +57,18 @@ __all__ = [
 
 # default cap on candidate coalitions, shared by the search and the audit
 _BUDGET = 2_000_000
+
+# code cells per scoring block: a block's combined codes and count tables
+# stay well under 1 MB whatever the blocklength and the table width
+_BLOCK_CELLS = 1 << 15
+
+
+def _finite_at_least(value, low) -> bool:
+    return isinstance(value, Real) and math.isfinite(value) and value >= low
+
+
+def _int_at_least(value, low) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True)
@@ -71,10 +88,16 @@ class DecodeConfig:
     tie_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.delta < 0:
-            raise ConfigError("delta must be nonnegative")
-        if self.k_max < 0:
-            raise ConfigError("k_max must be nonnegative")
+        if not _finite_at_least(self.delta, 0):
+            raise ConfigError(f"delta must be finite and nonnegative, got {self.delta!r}")
+        if self.rate is not None and not _finite_at_least(self.rate, 0):
+            raise ConfigError(f"rate must be finite and nonnegative, got {self.rate!r}")
+        if not _int_at_least(self.k_max, 0):
+            raise ConfigError(f"k_max must be a nonnegative integer, got {self.k_max!r}")
+        if not _int_at_least(self.budget, 1):
+            raise ConfigError(f"budget must be a positive integer, got {self.budget!r}")
+        if not _finite_at_least(self.tie_tol, 0):
+            raise ConfigError(f"tie_tol must be finite and nonnegative, got {self.tie_tol!r}")
         if self.search not in ("exhaustive", "greedy"):
             raise ConfigError(f"unknown search mode {self.search!r}")
 
@@ -108,11 +131,13 @@ class DecodeOutcome:
 
 class _Scorer:
     """Empirical information of codebook rows against one pirated copy y,
-    conditioned on the side data (host s, effective time-share w).
+    conditioned on the side data (host s, effective time-share w), for a
+    block of candidates at a time.
 
     y is relabelled to the symbols that occur in it: an injective relabelling
     leaves every score unchanged and sizes the count tables by the data, not
-    by the largest symbol.  Rows are passed in by the caller.
+    by the largest symbol.  Rows are passed in by the caller, so the same
+    scorer serves the cached row matrix and rows streamed from the key.
     """
 
     def __init__(self, cb: Codebook, y: np.ndarray) -> None:
@@ -126,25 +151,76 @@ class _Scorer:
         side = cb.host * p.w_size + cb.effective_w()
         self.n, self.x_size = p.n, p.x_size
         self.cells = y * (p.s_size * p.w_size) + side  # combined (y, s, w) code
+        self.n_cells = int(self.cells.max()) + 1
+        self.xlogx = _xlogx_table(p.n)
         comp = cb.cell_compositions()
         self.h_side = _count_entropy(comp.sum(axis=2), p.n)
         # constant composition: every row has the same H(x | s, w)
         self.h_x = _count_entropy(comp, p.n) - self.h_side
-        self.h_y = self._h(self.cells)
+        self.h_y = float(self._h(self.cells)[0])
 
-    def _h(self, code: np.ndarray) -> float:
-        """H(code | s, w) of a code that refines the (s, w) cell."""
-        return _count_entropy(np.bincount(code), self.n) - self.h_side
+    def block(self, k: int) -> int:
+        """Candidates per block when each candidate codes k rows."""
+        return max(1, _BLOCK_CELLS // max(self.n, self.n_cells * self.x_size**k))
 
-    def info(self, rows_a, rows_b=()) -> float:
-        """oI(x_A; y x_B | s, w) = |A| H(x|s,w) + H(x_B y|s,w) - H(x_A x_B y|s,w)."""
-        code = self.cells
-        for x in rows_b:
-            code = code * self.x_size + x
-        h_b = self._h(code) if len(rows_b) else self.h_y
-        for x in rows_a:
-            code = code * self.x_size + x
-        return max(len(rows_a) * self.h_x + h_b - self._h(code), 0.0)
+    def _h(self, code: np.ndarray) -> np.ndarray:
+        """H(code | s, w) of each row of a (b, n) block of codes that refine
+        the (s, w) cell (one code of shape (n,) is a block of one), from one
+        bincount over the block.
+
+        Each row's entropy sums its own table up to its largest code, as a
+        bincount of that row alone would, so a score does not depend on the
+        block it is scored in."""
+        code = np.atleast_2d(code)
+        lens = code.max(axis=1) + 1
+        width = int(lens.max())
+        offsets = np.arange(0, len(code) * width, width, dtype=code.dtype)
+        counts = np.bincount((code + offsets[:, None]).ravel(), minlength=offsets.size * width)
+        counts = counts.reshape(-1, width)
+        h = np.empty(len(code))
+        for size in np.unique(lens).tolist():
+            sel = lens == size
+            h[sel] = _count_entropy(counts[sel, :size], self.n, -1, self.xlogx)
+        return h - self.h_side
+
+    def info(self, xa: np.ndarray, xb: np.ndarray | None = None) -> np.ndarray:
+        """oI(x_A; y x_B | s, w) = |A| H(x|s,w) + H(x_B y|s,w) - H(x_A x_B y|s,w)
+        for each candidate of a block.
+
+        ``xa`` is (b, |A|, n): candidate i's rows of A.  ``xb`` holds the
+        rows of B, either (b, |B|, n) per candidate or (|B|, n) shared by
+        the block; None or no rows is the empty B.
+        """
+        k_a = xa.shape[1]
+        k_b = 0 if xb is None else xb.shape[-2]
+        # codes plus block offsets stay below top; a block sized by
+        # block() keeps top <= _BLOCK_CELLS, so int16 suffices
+        top = len(xa) * self.n_cells * self.x_size ** (k_a + k_b)
+        code = self.cells.astype(np.int16 if top <= 2**15 else np.int64)
+        for j in range(k_b):
+            code = code * self.x_size + xb[..., j, :]
+        h_b = self._h(code) if k_b else self.h_y
+        for j in range(k_a):
+            code = code * self.x_size + xa[:, j]
+        return np.maximum(k_a * self.h_x + h_b - self._h(code), 0.0)
+
+
+def _blocks(cands, k: int, size: int):
+    """Consecutive (<= size, k) index arrays of the size-k candidates
+    streamed from an iterable of tuples, in its order."""
+    flat = itertools.chain.from_iterable(cands)
+    while (block := np.fromiter(itertools.islice(flat, size * k), np.intp)).size:
+        yield block.reshape(-1, k)
+
+
+def _row_blocks(cb: Codebook, size: int, stream: bool):
+    """(users, rows) over every user in blocks of ``size``: regenerated from
+    the key when ``stream``, so memory stays O(size n), else slices of the
+    cached row matrix."""
+    m = cb.params.num_users
+    for lo in range(0, m, size):
+        users = range(lo, min(lo + size, m))
+        yield users, cb._row_block(users) if stream else cb.rows()[lo : users.stop]
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +233,15 @@ def threshold_decode(cb: Codebook, y: np.ndarray, cfg: DecodeConfig) -> DecodeOu
     False accusations are controlled by the penalty alone: an innocent row
     is independent of y given the side data, so its score concentrates near
     zero and beats rate + delta only with exponentially small probability.
-    Rows are regenerated one at a time, so memory stays O(n) for any M.
+    Rows are regenerated a block at a time, so memory stays O(block n) for
+    any M.
     """
     rate = cfg.rate_for(cb)
     bar = rate + cfg.delta
     scorer = _Scorer(cb, y)
-    scores = {m: scorer.info((cb.row(m),)) for m in range(cb.params.num_users)}
+    scores = {}
+    for users, x in _row_blocks(cb, scorer.block(1), stream=True):
+        scores.update(zip(users, scorer.info(x[:, None]).tolist()))
     accused = tuple(m for m, score in scores.items() if score > bar)
     return DecodeOutcome(
         accused=accused,
@@ -191,7 +270,7 @@ def mpmi_score(
         return 0.0
     if coalition[0] < 0 or coalition[-1] >= cb.params.num_users:
         raise ConfigError(f"coalition {coalition} has a user index out of range")
-    info = _Scorer(cb, y).info(cb.rows()[list(coalition)])
+    info = float(_Scorer(cb, y).info(cb.rows()[[coalition]])[0])
     return info - len(coalition) * (cfg.rate_for(cb) + cfg.delta)
 
 
@@ -207,6 +286,10 @@ def mpmi_decode(cb: Codebook, y: np.ndarray, cfg: DecodeConfig) -> DecodeOutcome
     lexicographically smallest set.  Greedy mode grows the coalition by the
     best single addition until no user improves the score; its outcome is
     marked inexact and is not eligible for the significance checks.
+
+    Candidates are scored a block at a time and the rule is replayed over
+    each block's scores in candidate order, skipping the scores that sit
+    below every bar the state could have while the block is replayed.
     """
     m = cb.params.num_users
     k_hi = min(cfg.k_max, m)
@@ -217,27 +300,36 @@ def mpmi_decode(cb: Codebook, y: np.ndarray, cfg: DecodeConfig) -> DecodeOutcome
         )
     scorer, rows = _Scorer(cb, y), cb.rows()
     penalty = cfg.rate_for(cb) + cfg.delta
+    tol = cfg.tie_tol
 
-    def penalized(cand: tuple[int, ...]) -> float:
-        return scorer.info(rows[list(cand)]) - len(cand) * penalty
+    def scored(cands, k):
+        """(block, penalized scores) over size-k candidates, in order."""
+        for block in _blocks(cands, k, scorer.block(k)):
+            yield block, scorer.info(rows[block]) - k * penalty
 
     if cfg.search == "exhaustive":
         best = ((), 0, 0.0)  # coalition, k, score
         evaluated = 1
         size_best: dict[int, tuple[tuple[int, ...], float]] = {0: ((), 0.0)}
         for k in range(1, k_hi + 1):
-            for cand in itertools.combinations(range(m), k):
-                score = penalized(cand)
-                evaluated += 1
-                if k not in size_best or score > size_best[k][1] + cfg.tie_tol:
-                    size_best[k] = (cand, score)
-                if score > best[2] + cfg.tie_tol:
-                    best = (cand, k, score)
-                elif score > best[2] - cfg.tie_tol and k > best[1]:
-                    # tie across sizes: keep the larger coalition
-                    best = (cand, k, score)
-                # ties within a size keep the first (lexicographically
-                # smallest) candidate, which is the iteration order
+            for block, scores in scored(itertools.combinations(range(m), k), k):
+                evaluated += len(block)
+                # the size bar only rises; the overall bar can fall by less
+                # than tol once, when the first size-k candidate ties it
+                low = -math.inf
+                if k in size_best:
+                    low = min(best[2] - tol, size_best[k][1] + tol)
+                for i in np.flatnonzero(scores > low).tolist():
+                    cand, score = tuple(block[i].tolist()), float(scores[i])
+                    if k not in size_best or score > size_best[k][1] + tol:
+                        size_best[k] = (cand, score)
+                    if score > best[2] + tol:
+                        best = (cand, k, score)
+                    elif score > best[2] - tol and k > best[1]:
+                        # tie across sizes: keep the larger coalition
+                        best = (cand, k, score)
+                    # ties within a size keep the first (lexicographically
+                    # smallest) candidate, which is the iteration order
         per_size = {c: s for c, s in size_best.values()}
         return DecodeOutcome(
             accused=best[0],
@@ -258,15 +350,15 @@ def mpmi_decode(cb: Codebook, y: np.ndarray, cfg: DecodeConfig) -> DecodeOutcome
     evaluated = 1
     while len(current) < k_hi:
         best_add = None
-        for u in range(m):
-            if u in current:
-                continue
-            cand = tuple(sorted(current + (u,)))
-            score = penalized(cand)
-            evaluated += 1
-            if best_add is None or score > best_add[1] + cfg.tie_tol:
-                best_add = (cand, score)
-        if best_add is None or best_add[1] <= current_score + cfg.tie_tol:
+        adds = (tuple(sorted(current + (u,))) for u in range(m) if u not in current)
+        for block, scores in scored(adds, len(current) + 1):
+            evaluated += len(block)
+            low = -math.inf if best_add is None else best_add[1] + tol
+            for i in np.flatnonzero(scores > low).tolist():
+                score = float(scores[i])
+                if best_add is None or score > best_add[1] + tol:
+                    best_add = (tuple(block[i].tolist()), score)
+        if best_add is None or best_add[1] <= current_score + tol:
             break
         current, current_score = best_add
         trail[current] = current_score
@@ -315,30 +407,36 @@ def guilt_indices(cb: Codebook, y: np.ndarray, outcome: DecodeOutcome) -> GuiltR
     free; the outcome is first recomputed and a mismatch raises.
 
     A threshold outcome is rechecked in the same pass that scores the
-    users, regenerating each row once, so memory stays O(n) for any M as
-    in ``threshold_decode``; a joint outcome reads the cached row matrix.
+    users, regenerating rows a block at a time, so memory stays O(block n)
+    for any M as in ``threshold_decode``; a joint outcome reads the cached
+    row matrix.
     """
     threshold = outcome.mode == "threshold"
-    if threshold:
-        row_of = cb.row
-    else:
+    if not threshold:
         _recheck_joint(cb, y, outcome)
-        row_of = cb.rows().__getitem__
     acc = outcome.accused
-    acc_rows = {u: row_of(u) for u in acc}
+    acc_rows = cb._row_block(acc) if threshold else cb.rows()[list(acc)]
     rate, bar = outcome.rate, outcome.rate + outcome.delta
     scorer = _Scorer(cb, y)
-    per_user, flagged = {}, []
-    for m in range(cb.params.num_users):
-        row = acc_rows[m] if m in acc_rows else row_of(m)
-        rest = [acc_rows[u] for u in acc if u != m]
-        idx = scorer.info((row,), rest) - rate
-        per_user[m] = {"accused": m in acc_rows, "index": idx}
-        if threshold and scorer.info((row,)) > bar:
-            flagged.append(m)
+    info = np.empty(cb.params.num_users)
+    flagged = []
+    for users, x in _row_blocks(cb, scorer.block(len(acc) + 1), stream=threshold):
+        info[users.start : users.stop] = scorer.info(x[:, None], acc_rows)
+        if threshold:
+            single = scorer.info(x[:, None]).tolist()
+            flagged += [u for u, score in zip(users, single) if score > bar]
     if threshold and tuple(flagged) != acc:
         raise StaleOutcomeError("threshold outcome does not match its inputs")
-    coalition_index = scorer.info([acc_rows[u] for u in acc]) - len(acc) * rate
+    if acc:
+        # an accused user is scored against the rest of the coalition
+        rest = [[j for j in range(len(acc)) if j != i] for i in range(len(acc))]
+        rest_rows = acc_rows[np.array(rest, dtype=np.intp)]
+        info[list(acc)] = scorer.info(acc_rows[:, None], rest_rows)
+    per_user = {
+        m: {"accused": m in acc, "index": idx}
+        for m, idx in enumerate((info - rate).tolist())
+    }
+    coalition_index = float(scorer.info(acc_rows[None])[0]) - len(acc) * rate
     return GuiltReport(coalition_index=coalition_index, per_user=per_user)
 
 
@@ -382,20 +480,22 @@ def verify_significance(
     scorer, rows = _Scorer(cb, y), cb.rows()
     inside = []
     for a in range(1, len(acc) + 1):
-        for sub in itertools.combinations(acc, a):
-            rest = [u for u in acc if u not in sub]
-            lhs = scorer.info(rows[list(sub)], rows[rest])
-            bound = a * bar
-            inside.append((sub, lhs, bound, lhs > bound - tol))
+        subs = list(itertools.combinations(acc, a))
+        rests = np.array([[u for u in acc if u not in sub] for sub in subs], dtype=np.intp)
+        lhs = scorer.info(rows[subs], rows[rests])
+        inside += [(sub, v, a * bar, v > a * bar - tol) for sub, v in zip(subs, lhs.tolist())]
     outside = []
     others = [u for u in range(cb.params.num_users) if u not in acc]
     room = min(k_cap - len(acc), len(others))
     if _candidate_count(len(others), room) > _BUDGET:
         raise BudgetExceededError("too many outside subsets to certify")
     for a in range(1, room + 1):
-        for sub in itertools.combinations(others, a):
-            lhs = scorer.info(rows[list(sub)], rows[list(acc)])
-            bound = a * bar
-            outside.append((sub, lhs, bound, lhs <= bound + tol))
+        subs = itertools.combinations(others, a)
+        for block in _blocks(subs, a, scorer.block(a + len(acc))):
+            lhs = scorer.info(rows[block], rows[list(acc)]).tolist()
+            outside += [
+                (tuple(sub), v, a * bar, v <= a * bar + tol)
+                for sub, v in zip(block.tolist(), lhs)
+            ]
     ok = all(r[3] for r in inside) and all(r[3] for r in outside)
     return SignificanceReport(ok=ok, inside=inside, outside=outside)

@@ -235,12 +235,20 @@ def count_table(arrays: PySequence[np.ndarray], sizes: tuple[int, ...]) -> np.nd
 # the information kernel
 
 
-def _count_entropy(counts, n, axis=None):
+def _count_entropy(counts, n, axis=None, xlogx=None):
     """H in bits of counts summing to n, exact 0log0 handling; a pmf is the
-    case n = 1.  With ``axis`` set, one entropy per slice along that axis."""
+    case n = 1.  With ``axis`` set, one entropy per slice along that axis.
+    ``xlogx``, the table ``_xlogx_table(n)``, looks the c ln c terms of
+    integer counts up instead of computing them: same values, less time."""
     c = np.ravel(counts) if axis is None else counts
-    s = xlogy(c, c).sum(axis=axis)
+    s = (xlogy(c, c) if xlogx is None else xlogx[c]).sum(axis=axis)
     return math.log2(n) - (float(s) if axis is None else s) / (n * _LN2)
+
+
+def _xlogx_table(n: int) -> np.ndarray:
+    """c ln c for the integer counts c = 0..n."""
+    c = np.arange(n + 1)
+    return xlogy(c, c)
 
 
 def _marginal_entropy(table: np.ndarray, n, axes) -> float:

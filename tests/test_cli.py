@@ -212,3 +212,19 @@ def test_malformed_config_values_exit_2_with_one_line(workdir, capsys, command, 
     assert run(command, "--config", cfg, "--out", workdir) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("decode,field", [
+    ({"delta": 0.1, "k_max": 2.5}, "k_max"),
+    ({"delta": float("nan")}, "delta"),
+])
+def test_bad_decode_values_exit_2_with_one_line(workdir, capsys, decode, field):
+    write_json(workdir / "gen.json", {"params": {"n": 24, "num_users": 5}})
+    assert run("gen", "--config", workdir / "gen.json", "--seed", 4, "--out", workdir) == 0
+    write_json(workdir / "att.json", {"coalition": [0, 2]})
+    assert run("attack", "--config", workdir / "att.json", "--seed", 4, "--out", workdir) == 0
+    cfg = write_json(workdir / "dec.json", {"decode": decode, "decoder": "mpmi"})
+    capsys.readouterr()
+    assert run("decode", "--config", cfg, "--out", workdir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} ") and err.count("\n") == 1

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fptrace import codec
+from fptrace import codec, decoders
 from fptrace import rng as rngmod
 from fptrace.codec import CodeParams, build_codebook, draw_host, draw_timeshare
 from fptrace.collusion import interleave
@@ -32,7 +32,13 @@ from fptrace.errors import (
     InapplicableCheckError,
     StaleOutcomeError,
 )
-from fptrace.types_core import Sequence, joint_type, multi_info, quantize_pmf
+from fptrace.types_core import (
+    Sequence,
+    _count_entropy,
+    joint_type,
+    multi_info,
+    quantize_pmf,
+)
 
 
 def make_codebook(seed, n=24, m=5, s_size=1, w_size=2, x_size=2):
@@ -372,3 +378,240 @@ def test_decoder_and_audit_scores_are_one_quantity():
     assert abs(guilt_indices(cb, y, out).coalition_index - want) <= 1e-12
     with pytest.raises(ConfigError):
         mpmi_score(cb, (0, 6), y, cfg)
+
+
+# ---------------------------------------------------------------------------
+# batched scoring against a per-candidate loop
+
+
+def loop_scorer(cb, y):
+    """The scorer as one bincount per candidate: the same combined code
+    cells * X^k + ..., with no block, no offsets and no lookup table."""
+    p = cb.params
+    y = np.unique(np.asarray(y), return_inverse=True)[1]
+    cells = y * (p.s_size * p.w_size) + cb.host * p.w_size + cb.effective_w()
+    comp = cb.cell_compositions()
+    h_side = _count_entropy(comp.sum(axis=2), p.n)
+    h_x = _count_entropy(comp, p.n) - h_side
+
+    def h(code):
+        return _count_entropy(np.bincount(code), p.n) - h_side
+
+    def info(rows_a, rows_b=()):
+        code = cells
+        for x in rows_b:
+            code = code * p.x_size + x
+        h_b = h(code)
+        for x in rows_a:
+            code = code * p.x_size + x
+        return max(len(rows_a) * h_x + h_b - h(code), 0.0)
+
+    return info
+
+
+def loop_decode(cb, y, cfg):
+    """The published rule replayed over every candidate, one at a time."""
+    info = loop_scorer(cb, y)
+    m = cb.params.num_users
+    rows = [cb.row(u) for u in range(m)]
+    k_hi = min(cfg.k_max, m)
+    rate, tol = cfg.rate_for(cb), cfg.tie_tol
+
+    def score(cand):
+        return info([rows[u] for u in cand]) - len(cand) * (rate + cfg.delta)
+
+    evaluated = 1
+    if cfg.search == "exhaustive":
+        best, size_best = ((), 0, 0.0), {0: ((), 0.0)}
+        for k in range(1, k_hi + 1):
+            for cand in itertools.combinations(range(m), k):
+                s = score(cand)
+                evaluated += 1
+                if k not in size_best or s > size_best[k][1] + tol:
+                    size_best[k] = (cand, s)
+                if s > best[2] + tol or (s > best[2] - tol and k > best[1]):
+                    best = (cand, k, s)
+        accused, score_, trail = best[0], best[2], dict(size_best.values())
+    else:
+        accused, score_, trail = (), 0.0, {(): 0.0}
+        while len(accused) < k_hi:
+            best_add = None
+            for u in range(m):
+                if u in accused:
+                    continue
+                cand = tuple(sorted(accused + (u,)))
+                s = score(cand)
+                evaluated += 1
+                if best_add is None or s > best_add[1] + tol:
+                    best_add = (cand, s)
+            if best_add is None or best_add[1] <= score_ + tol:
+                break
+            accused, score_ = best_add
+            trail[accused] = score_
+    return DecodeOutcome(
+        accused=accused, best_k=len(accused), score=score_, scores=trail,
+        exact=cfg.search == "exhaustive",
+        mode="mpmi" if cfg.search == "exhaustive" else "mpmi-greedy",
+        delta=cfg.delta, rate=rate, evaluated=evaluated,
+    )
+
+
+def batch_instance(name):
+    """(codebook, pirate copy, deltas, tie_tol) for one named case.  The
+    deltas put the optimum at the size cap, below it with larger sizes
+    scoring lower, and at the empty set."""
+    if name == "ties":
+        # six users on four positions of composition (2, 2): rows 3, 4
+        # and 5 are copies or complements of each other, so with bar =
+        # H(x) = 1 bit the empty set and every subset of {3, 4, 5} score
+        # exactly zero, the largest tie coming last in its size
+        cb = make_codebook(1, n=4, m=6, w_size=1)
+        return cb, cb.row(3).copy(), (1.0 - cb.params.rate,), 1e-12
+    if name == "wide-tol":
+        # a size-3 score just outside the tie band, then one inside it
+        cb = make_codebook(11, n=40, m=7)
+        y = interleave(np.stack([cb.row(1), cb.row(4)]), rngmod.derive(11, "a"), 2).y
+        return cb, y, (0.1, 0.2), 0.1
+    x_size = 3 if name.startswith("x3") else 2
+    n, deltas = (45, (0.04, 1.0)) if x_size == 3 else (160, (0.04, 0.2, 0.3))
+    cb = make_codebook(61 + x_size, n=n, m=7, s_size=2, w_size=2, x_size=x_size)
+    gen = rngmod.derive(61, name)
+    if "rp" in name:
+        cb = codec.apply_rp(cb, gen)
+    if "rm" in name:
+        cb = codec.apply_rm(cb, gen)
+    y = interleave(np.stack([cb.row(1), cb.row(4)]), gen, x_size=x_size).y.copy()
+    if "off" in name:
+        y[:2] = x_size + 1  # symbols outside the mark alphabet
+        y[5] = 10**6
+    tie_tol = 0.05 if "tol" in name else 1e-12
+    return cb, y, deltas, tie_tol
+
+
+BATCH_CASES = ["sw2", "x3", "sw2-rp", "x3-rm", "sw2-rp-rm", "x3-off", "sw2-off-rm",
+               "sw2-tol", "wide-tol", "ties"]
+
+
+@pytest.mark.parametrize("block_cells", [None, 40, 300])
+@pytest.mark.parametrize("name", BATCH_CASES)
+def test_batched_scoring_equals_per_candidate_loop(name, block_cells, monkeypatch):
+    if block_cells is not None:
+        # blocks of one to eighteen candidates: the replay carries its
+        # state across many blocks of every size, and a tie across sizes
+        # can fall in any block of the larger size
+        monkeypatch.setattr(decoders, "_BLOCK_CELLS", block_cells)
+    cb, y, deltas, tie_tol = batch_instance(name)
+    info = loop_scorer(cb, y)
+    rows = [cb.row(u) for u in range(cb.params.num_users)]
+    for delta, k_max, search in itertools.product(deltas, (1, 2, 3), ("exhaustive", "greedy")):
+        cfg = DecodeConfig(delta=delta, k_max=k_max, search=search, tie_tol=tie_tol)
+        out = mpmi_decode(cb, y, cfg)
+        assert out == loop_decode(cb, y, cfg), (delta, k_max, search)
+        acc = out.accused
+        rep = guilt_indices(cb, y, out)
+        for m, entry in rep.per_user.items():
+            rest = [rows[u] for u in acc if u != m]
+            want = info([rows[m]], rest) - out.rate
+            assert abs(entry["index"] - want) <= 1e-12
+        want = info([rows[u] for u in acc]) - len(acc) * out.rate
+        assert abs(rep.coalition_index - want) <= 1e-12
+        if not out.exact or 0 < out.best_k == k_max:
+            continue
+        sig = verify_significance(cb, y, out)
+        for sub, lhs, _, _ in sig.inside:
+            rest = [rows[u] for u in acc if u not in sub]
+            assert abs(lhs - info([rows[u] for u in sub], rest)) <= 1e-12
+        for sub, lhs, _, _ in sig.outside:
+            assert abs(lhs - info([rows[u] for u in sub], [rows[u] for u in acc])) <= 1e-12
+        assert len(sig.outside) == sum(
+            math.comb(cb.params.num_users - len(acc), a)
+            for a in range(1, k_max - len(acc) + 1)
+        )
+    single = threshold_decode(cb, y, DecodeConfig(delta=deltas[0]))
+    for m, score in single.scores.items():
+        assert abs(score - info([rows[m]])) <= 1e-12
+    rep = guilt_indices(cb, y, single)
+    for m, entry in rep.per_user.items():
+        rest = [rows[u] for u in single.accused if u != m]
+        assert abs(entry["index"] - (info([rows[m]], rest) - single.rate)) <= 1e-12
+
+
+def test_tie_instance_has_ties():
+    # the "ties" case above must really tie across sizes and within one
+    cb, y, (delta,), _ = batch_instance("ties")
+    cfg = DecodeConfig(delta=delta, k_max=3)
+    zero = [c for k in range(4) for c in itertools.combinations(range(6), k)
+            if abs(mpmi_score(cb, c, y, cfg)) <= 1e-12]
+    assert zero == [c for k in range(4) for c in itertools.combinations((3, 4, 5), k)]
+    assert mpmi_decode(cb, y, cfg).accused == (3, 4, 5)
+
+
+# ---------------------------------------------------------------------------
+# exact counters and memory
+
+
+@pytest.mark.parametrize("m,k_max", [(9, 3), (20, 3), (40, 2)])
+def test_exhaustive_decode_scores_every_candidate_once(m, k_max):
+    cb = make_codebook(53, n=64, m=m)
+    y = interleave(np.stack([cb.row(0), cb.row(5)]), rngmod.derive(53, "a"), 2).y
+    out = mpmi_decode(cb, y, DecodeConfig(delta=0.1, k_max=k_max))
+    assert out.evaluated == sum(math.comb(m, k) for k in range(k_max + 1))
+
+
+def test_exhaustive_decode_streams_candidates_in_blocks():
+    m = 120
+    cb = make_codebook(59, n=64, m=m)
+    y = interleave(np.stack([cb.row(7), cb.row(90)]), rngmod.derive(59, "a"), 2).y
+    tracemalloc.start()
+    try:
+        out = mpmi_decode(cb, y, DecodeConfig(delta=0.1, k_max=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.evaluated == 288_101 == sum(math.comb(m, k) for k in range(4))
+    # 288,101 index triples alone take 6.9 MB as one int64 array
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("field,value", [
+    ("delta", float("nan")), ("delta", float("inf")), ("delta", -0.1), ("delta", "0.1"),
+    ("rate", float("nan")), ("rate", -1.0),
+    ("k_max", 2.5), ("k_max", True), ("k_max", -1),
+    ("budget", 0), ("budget", 10.0),
+    ("tie_tol", float("nan")), ("tie_tol", -1e-12),
+])
+def test_decode_config_rejects_bad_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        DecodeConfig(**{"delta": 0.1, field: value})
+
+
+def test_decode_config_accepts_edge_values():
+    cfg = DecodeConfig(delta=0, k_max=np.int64(0), rate=0.0, budget=1, tie_tol=0.0)
+    cb = make_codebook(3, n=20, m=4)
+    assert mpmi_decode(cb, cb.row(0), cfg).evaluated == 1
+
+
+def test_a_score_does_not_depend_on_its_block():
+    # where the top cells are thin, the rows of one block end their count
+    # tables at different codes; each must be summed as if scored alone
+    cb = make_codebook(60, n=56, m=12, s_size=2, w_size=2)
+    y = interleave(np.stack([cb.row(2), cb.row(7)]), rngmod.derive(60, "a"), 2).y
+    scorer = decoders._Scorer(cb, y)
+    rows = cb.rows()
+    for k in (1, 2, 3):
+        cands = np.array(list(itertools.combinations(range(12), k)))
+        block = scorer.info(rows[cands])
+        alone = [scorer.info(rows[c[None]])[0] for c in cands]
+        assert block.tolist() == alone
+        shared = scorer.info(rows[cands], rows[[0, 5]])
+        assert shared.tolist() == [scorer.info(rows[c[None]], rows[[0, 5]])[0] for c in cands]
+
+
+def test_wide_count_tables_equal_the_loop():
+    # X = 4 marks up to k = 6 rows: blocks fill int16 codes exactly up to
+    # 2**15 at k = 4, and a single candidate's codes need int64 from k = 6
+    cb = make_codebook(71, n=64, m=7, s_size=2, w_size=2, x_size=4)
+    y = interleave(np.stack([cb.row(0), cb.row(3)]), rngmod.derive(71, "a"), 4).y
+    for delta in (0.02, 0.3):
+        cfg = DecodeConfig(delta=delta, k_max=6)
+        assert mpmi_decode(cb, y, cfg) == loop_decode(cb, y, cfg)
