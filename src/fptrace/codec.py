@@ -299,18 +299,20 @@ class Codebook:
     def rows(self) -> np.ndarray:
         """All user rows as an (M, n) matrix (cached, small integer type)."""
         if "rows" not in self._cache:
-            mat = self._row_block(range(self.params.num_users))
+            mat = self.row_block(range(self.params.num_users))
             mat.setflags(write=False)
             self._cache["rows"] = mat
         return self._cache["rows"]
 
-    def _row_block(self, users) -> np.ndarray:
+    def row_block(self, users, known=None) -> np.ndarray:
         """Rows of ``users`` as a matrix of the smallest type holding a mark:
-        int8 up to 127 marks, int16 beyond."""
+        int8 up to 127 marks, int16 beyond.  Rows found in ``known`` (a
+        mapping from user to row) are copied, not generated again."""
+        known = known or {}
         dtype = np.int8 if self.params.x_size <= 127 else np.int16
         out = np.empty((len(users), self.params.n), dtype=dtype)
         for i, m in enumerate(users):
-            out[i] = self.row(m)
+            out[i] = known[m] if m in known else self.row(m)
         return out
 
     def cell_compositions(self) -> np.ndarray:

@@ -150,7 +150,8 @@ class _Scorer:
         y = np.unique(y, return_inverse=True)[1]
         side = cb.host * p.w_size + cb.effective_w()
         self.n, self.x_size = p.n, p.x_size
-        self.cells = y * (p.s_size * p.w_size) + side  # combined (y, s, w) code
+        # combined (y, s, w) code; every code built on it is int32
+        self.cells = (y * (p.s_size * p.w_size) + side).astype(np.int32)
         self.n_cells = int(self.cells.max()) + 1
         self.xlogx = _xlogx_table(p.n)
         comp = cb.cell_compositions()
@@ -172,7 +173,7 @@ class _Scorer:
         bincount of that row alone would, so a score does not depend on the
         block it is scored in."""
         code = np.atleast_2d(code)
-        lens = code.max(axis=1) + 1
+        lens = code.max(axis=1).astype(np.intp) + 1
         width = int(lens.max())
         offsets = np.arange(0, len(code) * width, width, dtype=code.dtype)
         counts = np.bincount((code + offsets[:, None]).ravel(), minlength=offsets.size * width)
@@ -189,14 +190,25 @@ class _Scorer:
 
         ``xa`` is (b, |A|, n): candidate i's rows of A.  ``xb`` holds the
         rows of B, either (b, |B|, n) per candidate or (|B|, n) shared by
-        the block; None or no rows is the empty B.
+        the block; None or no rows is the empty B.  More candidates than
+        block(|A| + |B|) are scored a block at a time, so the count tables
+        stay bounded and every code, block offset included, fits int32.
         """
         k_a = xa.shape[1]
         k_b = 0 if xb is None else xb.shape[-2]
-        # codes plus block offsets stay below top; a block sized by
-        # block() keeps top <= _BLOCK_CELLS, so int16 suffices
-        top = len(xa) * self.n_cells * self.x_size ** (k_a + k_b)
-        code = self.cells.astype(np.int16 if top <= 2**15 else np.int64)
+        if self.n_cells * self.x_size ** (k_a + k_b) > 2**31:
+            # one candidate's count table alone would take 16 GB
+            raise BudgetExceededError(
+                f"a count table over {k_a + k_b} rows passes 2**31 cells"
+            )
+        size = self.block(k_a + k_b)
+        if len(xa) > size:
+            each = xb is not None and xb.ndim == 3
+            return np.concatenate([
+                self.info(xa[lo : lo + size], xb[lo : lo + size] if each else xb)
+                for lo in range(0, len(xa), size)
+            ])
+        code = self.cells
         for j in range(k_b):
             code = code * self.x_size + xb[..., j, :]
         h_b = self._h(code) if k_b else self.h_y
@@ -213,14 +225,14 @@ def _blocks(cands, k: int, size: int):
         yield block.reshape(-1, k)
 
 
-def _row_blocks(cb: Codebook, size: int, stream: bool):
+def _row_blocks(cb: Codebook, size: int, stream: bool, known=None):
     """(users, rows) over every user in blocks of ``size``: regenerated from
-    the key when ``stream``, so memory stays O(size n), else slices of the
-    cached row matrix."""
+    the key when ``stream``, so memory stays O(size n), except the rows in
+    ``known`` (user -> row), else slices of the cached row matrix."""
     m = cb.params.num_users
     for lo in range(0, m, size):
         users = range(lo, min(lo + size, m))
-        yield users, cb._row_block(users) if stream else cb.rows()[lo : users.stop]
+        yield users, cb.row_block(users, known) if stream else cb.rows()[lo : users.stop]
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +427,14 @@ def guilt_indices(cb: Codebook, y: np.ndarray, outcome: DecodeOutcome) -> GuiltR
     if not threshold:
         _recheck_joint(cb, y, outcome)
     acc = outcome.accused
-    acc_rows = cb._row_block(acc) if threshold else cb.rows()[list(acc)]
+    acc_rows = cb.row_block(acc) if threshold else cb.rows()[list(acc)]
     rate, bar = outcome.rate, outcome.rate + outcome.delta
     scorer = _Scorer(cb, y)
     info = np.empty(cb.params.num_users)
     flagged = []
-    for users, x in _row_blocks(cb, scorer.block(len(acc) + 1), stream=threshold):
+    # the accused rows are generated once, above, and reused in the stream
+    known = dict(zip(acc, acc_rows))
+    for users, x in _row_blocks(cb, scorer.block(len(acc) + 1), threshold, known):
         info[users.start : users.stop] = scorer.info(x[:, None], acc_rows)
         if threshold:
             single = scorer.info(x[:, None]).tolist()

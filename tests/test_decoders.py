@@ -346,14 +346,17 @@ def test_threshold_guilt_streams_rows(monkeypatch):
     cfg = DecodeConfig(delta=0.05)
     out = threshold_decode(cb, y, cfg)
     assert out.accused == (3, 9)
+    assert len(calls) == m
+    calls.clear()
     tracemalloc.start()
     try:
         rep = guilt_indices(cb, y, out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # decode + guilt: at most 2M + k rows, and never the (M, n) matrix
-    assert len(calls) <= 2 * m + len(out.accused)
+    # the audit generates each row once, the accused too, and never holds
+    # the (M, n) matrix
+    assert len(calls) == m
     assert peak < m * n * 8 / 2
     # the streamed audit equals the row-matrix audit of the same coalition
     joint = DecodeOutcome(
@@ -386,7 +389,7 @@ def test_decoder_and_audit_scores_are_one_quantity():
 
 def loop_scorer(cb, y):
     """The scorer as one bincount per candidate: the same combined code
-    cells * X^k + ..., with no block, no offsets and no lookup table."""
+    cells * X^k + ..., with no block and no offsets."""
     p = cb.params
     y = np.unique(np.asarray(y), return_inverse=True)[1]
     cells = y * (p.s_size * p.w_size) + cb.host * p.w_size + cb.effective_w()
@@ -591,9 +594,13 @@ def test_decode_config_accepts_edge_values():
     assert mpmi_decode(cb, cb.row(0), cfg).evaluated == 1
 
 
-def test_a_score_does_not_depend_on_its_block():
+@pytest.mark.parametrize("block_cells", [None, 300])
+def test_a_score_does_not_depend_on_its_block(block_cells, monkeypatch):
     # where the top cells are thin, the rows of one block end their count
-    # tables at different codes; each must be summed as if scored alone
+    # tables at different codes; each must be summed as if scored alone.
+    # At 300 cells a batch spans several blocks, per-candidate B rows too
+    if block_cells is not None:
+        monkeypatch.setattr(decoders, "_BLOCK_CELLS", block_cells)
     cb = make_codebook(60, n=56, m=12, s_size=2, w_size=2)
     y = interleave(np.stack([cb.row(2), cb.row(7)]), rngmod.derive(60, "a"), 2).y
     scorer = decoders._Scorer(cb, y)
@@ -605,13 +612,78 @@ def test_a_score_does_not_depend_on_its_block():
         assert block.tolist() == alone
         shared = scorer.info(rows[cands], rows[[0, 5]])
         assert shared.tolist() == [scorer.info(rows[c[None]], rows[[0, 5]])[0] for c in cands]
+        each = scorer.info(rows[cands], rows[(cands + 1) % 12][:, :1])
+        assert each.tolist() == [scorer.info(rows[c[None]], rows[[(c[0] + 1) % 12]])[0] for c in cands]
 
 
 def test_wide_count_tables_equal_the_loop():
-    # X = 4 marks up to k = 6 rows: blocks fill int16 codes exactly up to
-    # 2**15 at k = 4, and a single candidate's codes need int64 from k = 6
+    # X = 4 marks up to k = 6 rows: blocks fill their codes exactly up to
+    # 2**15 at k = 4, and a single candidate's codes pass it at k = 6
     cb = make_codebook(71, n=64, m=7, s_size=2, w_size=2, x_size=4)
     y = interleave(np.stack([cb.row(0), cb.row(3)]), rngmod.derive(71, "a"), 4).y
     for delta in (0.02, 0.3):
         cfg = DecodeConfig(delta=delta, k_max=6)
         assert mpmi_decode(cb, y, cfg) == loop_decode(cb, y, cfg)
+
+
+def test_a_code_at_the_top_of_its_block_is_counted():
+    # 8 (y, s, w) cells and 6 rows of X = 4 marks make exactly 2**15 codes,
+    # a block of one candidate; the top code 2**15 - 1 occurs where all six
+    # rows carry mark 3 in the top cell
+    cb = make_codebook(74, n=64, m=12, s_size=2, w_size=1, x_size=4)
+    rows, side = cb.rows(), cb.host * cb.params.w_size + cb.effective_w()
+    hits = (rows == 3).sum(axis=0) * (side == 1)
+    j = int(np.argmax(hits))
+    assert hits[j] >= 6
+    cand = np.flatnonzero(rows[:, j] == 3)[:6]
+    y = rngmod.derive(74, "y").integers(0, 3, size=cb.params.n)
+    y[j] = 3
+    scorer = decoders._Scorer(cb, y)
+    assert scorer.n_cells * 4**6 == 2**15 and scorer.block(6) == 1
+    code = scorer.cells
+    for u in cand:
+        code = code * 4 + rows[u]
+    assert code.max() == 2**15 - 1
+    want = loop_scorer(cb, y)
+    assert scorer.info(rows[cand][None]).tolist() == [want(rows[cand])]
+    # the same code through the decoder, which scores every 6-subset, and
+    # the guilt audit of a 5-coalition
+    cfg = DecodeConfig(delta=0.0, rate=0.0, k_max=6)
+    assert mpmi_decode(cb, y, cfg) == loop_decode(cb, y, cfg)
+    acc = tuple(int(u) for u in cand[:5])
+    joint = DecodeOutcome(
+        accused=acc, best_k=5, score=mpmi_score(cb, acc, y, cfg),
+        scores={}, exact=True, mode="mpmi", delta=0.0, rate=0.0,
+    )
+    rep = guilt_indices(cb, y, joint)
+    assert rep.per_user[int(cand[5])]["index"] == want(rows[cand[5:]], rows[cand[:5]])
+
+
+def test_a_count_table_past_2_31_cells_is_refused():
+    # 8 cells and 15 rows of X = 4 marks: 2**33 cells, 64 GB of counts
+    cb = make_codebook(74, n=64, m=15, s_size=2, w_size=1, x_size=4)
+    y = rngmod.derive(74, "y").integers(0, 4, size=cb.params.n)
+    scorer = decoders._Scorer(cb, y)
+    assert scorer.n_cells == 8
+    with pytest.raises(BudgetExceededError):
+        scorer.info(cb.rows()[None])
+    with pytest.raises(BudgetExceededError):
+        scorer.info(cb.rows()[None, :1], cb.rows()[1:])
+
+
+def test_a_large_batch_is_scored_a_block_at_a_time():
+    # 64 candidates of 6 rows over 2**15 cells each: one bincount over the
+    # whole batch would count 2**21 cells (16 MB); blocks of one stay small
+    cb = make_codebook(74, n=64, m=12, s_size=2, w_size=1, x_size=4)
+    y = rngmod.derive(74, "y").integers(0, 4, size=cb.params.n)
+    scorer = decoders._Scorer(cb, y)
+    cands = np.array(list(itertools.islice(itertools.combinations(range(12), 6), 64)))
+    x = cb.rows()[cands]
+    tracemalloc.start()
+    try:
+        got = scorer.info(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert got.tolist() == [scorer.info(x[i : i + 1])[0] for i in range(64)]
