@@ -13,11 +13,21 @@ exponent hashes hold only at that count.
 """
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
 
+from fptrace import rng as rngmod
 from fptrace.cli import main
+from fptrace.codec import (
+    CodeParams,
+    apply_rm,
+    apply_rp,
+    build_codebook,
+    draw_host,
+    draw_timeshare,
+)
 from fptrace.games import (
     Distortion,
     FairMarking,
@@ -45,6 +55,7 @@ GOLDEN = {
     "exponent_sweep": "c073761b520bc94b2d41431e1d649b582c4201527d8cc03d266dc03782b6631a",
     "operating_point": "ea973ec0a3ed1b002e9db6c591776fb87ab68e18a8223311070671a26a66aec5",
     "exponent_layouts": "48849b3980619a51584fc1077154b84f190e3368821184f5a2521b75f0a22a24",
+    "codebook_rows": "cd8e8246035cc8828d7deea4f484c01274467cf5853f3b7199a32f534d450981",
 }
 
 
@@ -141,3 +152,46 @@ def test_exponent_program_layouts_golden():
                 digest.update(np.asarray(vec, dtype=np.float64).tobytes())
             digest.update(json.dumps(info, sort_keys=True).encode())
     assert digest.hexdigest() == GOLDEN["exponent_layouts"]
+
+
+def _book(seed, n, m, s_size=1, w_size=1, x_size=2, p_host=None, tx=None, host=None):
+    params = CodeParams(
+        n=n, num_users=m, s_size=s_size, w_size=w_size, x_size=x_size,
+        p_host=p_host, target_x_given_sw=tx,
+    )
+    if host is None:
+        host = draw_host(params.p_host, n, rngmod.derive(seed, "host"))
+    w = draw_timeshare(params, rngmod.derive(seed, "w"))
+    return build_codebook(params, host, w, seed)
+
+
+def _row_books():
+    """Books over every small alphabet shape and each row-generation edge."""
+    for s_size, w_size, x_size in itertools.product((1, 2, 3), (1, 2, 3), (2, 3, 5)):
+        seed = 100 * s_size + 10 * w_size + x_size
+        yield _book(seed, 30, 5, s_size, w_size, x_size)
+    yield _book(7, 64, 4, x_size=200)  # int16 cache
+    yield _book(8, 40, 5, s_size=3, p_host=np.array([0.7, 0.2, 0.1]))
+    tx = np.array([[[0.5, 0.0, 0.5], [0.2, 0.3, 0.5]]])
+    yield _book(9, 36, 5, w_size=2, x_size=3, tx=tx)  # symbol 1 never in cell 0
+    # host symbol 1 never occurs, so both (1, w) cells have no positions
+    yield _book(10, 32, 5, s_size=2, w_size=2, host=np.zeros(32, dtype=np.int64))
+    base = _book(11, 40, 6, s_size=2, w_size=2, x_size=3)
+    yield apply_rp(base, rngmod.derive(11, "rp"))
+    yield apply_rm(base, rngmod.derive(11, "rm"))
+    yield apply_rm(apply_rp(base, rngmod.derive(12, "rp")), rngmod.derive(12, "rm"))
+
+
+def test_codebook_rows_golden():
+    digest = hashlib.sha256()
+    for cb in _row_books():
+        m = cb.params.num_users
+        for u in reversed(range(m)):
+            digest.update(cb.row(u).astype(np.int64).tobytes())
+        mat = cb.rows()
+        digest.update(str(mat.dtype).encode() + mat.tobytes())
+        users = [m - 1, 0, m - 1, 1]
+        fresh = type(cb)(cb.params, cb.host, cb.timeshare, cb.seed, cb.rp_perm, cb.rm_perm)
+        block = fresh.row_block(users, known={0: mat[0]})
+        digest.update(str(block.dtype).encode() + block.tobytes())
+    assert digest.hexdigest() == GOLDEN["codebook_rows"]
