@@ -8,7 +8,10 @@ layered on top: a user-index permutation (who owns which row) and a letter
 permutation (which hides the position structure; it enters scoring as a
 permuted effective time-sharing sequence).  Rows are generated lazily from a
 keyed per-row stream, so a codebook is reproducible from (params, seed)
-alone and generation order never matters.
+alone and generation order never matters.  Each book builds its cell plan
+(every cell's positions and sorted mark block) once; a row then costs one
+stream derivation and one shuffle per cell, bit-identical to a fresh
+:func:`sample_type_class` draw on that stream.
 
 The Tardos construction (i.i.d. biased binary columns) is included as the
 classical baseline with a continuous per-position bias in place of the
@@ -179,23 +182,54 @@ def sample_type_class(
     ``cond_seq``; each cell is arranged independently and uniformly.  Row c
     totals must equal the number of positions carrying cell value c.
     """
-    comp = np.asarray(composition, dtype=np.int64)
     if cond_seq is None:
-        if comp.ndim != 1 or comp.min() < 0:
-            raise ConfigError("composition must be 1-D nonnegative counts")
+        comp = _integers(composition, 1, "composition")
+        if comp.size == 0:
+            raise ConfigError("composition must count at least one symbol")
         block = np.repeat(np.arange(comp.size), comp)
         return rng.permutation(block)
-    cond_seq = np.asarray(cond_seq, dtype=np.int64)
-    if comp.ndim != 2:
-        raise ConfigError("conditional composition must be 2-D (cells x symbols)")
+    comp = _integers(composition, 2, "conditional composition (cells x symbols)")
+    cond_seq = _integers(cond_seq, 1, "cond_seq")
     have = np.bincount(cond_seq, minlength=comp.shape[0])
     if have.size > comp.shape[0] or np.any(comp.sum(axis=1) != have[: comp.shape[0]]):
         raise ConfigError("cell totals do not match the conditioning sequence")
-    out = np.empty(cond_seq.size, dtype=np.int64)
-    for c in np.flatnonzero(have):
-        block = np.repeat(np.arange(comp.shape[1]), comp[c])
-        out[cond_seq == c] = rng.permutation(block)
+    return _arrange(_cell_plan(cond_seq, comp), rng)
+
+
+def _integers(values, ndim: int, what: str) -> np.ndarray:
+    """``values`` as int64, refused unless ndim-D, integral and nonnegative."""
+    raw = np.asarray(values)
+    out = None
+    if raw.ndim == ndim and raw.dtype.kind in "iuf" and np.all(np.isfinite(raw)):
+        out = raw.astype(np.int64)
+    if out is None or np.any(out != raw) or np.any(out < 0):
+        raise ConfigError(f"{what} must be {ndim}-D nonnegative integers")
     return out
+
+
+def _cell_plan(cond_seq: np.ndarray, comp: np.ndarray) -> tuple:
+    """The fixed part of every conditional draw on ``cond_seq``.
+
+    ``block`` lists the sorted mark block of each cell present, in
+    increasing cell order, and ``spans`` holds each block's slice.  Position
+    ``i`` reads ``block[gather[i]]``.
+    """
+    cells, have = np.unique(cond_seq, return_counts=True)
+    block = np.repeat(np.tile(np.arange(comp.shape[1]), cells.size), comp[cells].ravel())
+    ends = np.cumsum(have).tolist()
+    spans = tuple(slice(a, b) for a, b in zip([0] + ends[:-1], ends))
+    gather = np.argsort(np.argsort(cond_seq, kind="stable"))
+    return block, spans, gather
+
+
+def _arrange(plan: tuple, rng: np.random.Generator) -> np.ndarray:
+    """One uniform arrangement of each cell's marks, put at its positions:
+    the same draws as ``rng.permutation`` of each block in cell order."""
+    block, spans, gather = plan
+    out = block.copy()
+    for span in spans:
+        rng.shuffle(out[span])
+    return out[gather]
 
 
 @dataclass(frozen=True)
@@ -258,8 +292,12 @@ class Codebook:
             return self.timeshare
         return self.timeshare[np.argsort(self.rm_perm)]
 
-    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cell id per position, per-cell mark compositions)."""
+    def _cells(self) -> tuple[np.ndarray, tuple]:
+        """(per-cell mark compositions, cell plan).
+
+        The plan holds each non-empty cell's positions and sorted mark
+        block, so a row only shuffles the blocks (see :func:`_cell_plan`).
+        """
         key = "cells"
         if key not in self._cache:
             p = self.params
@@ -270,7 +308,7 @@ class Codebook:
             for c in np.flatnonzero(have):
                 comp[c] = quantize_pmf(flat_target[c], int(have[c])).counts
             self._check_distortion(comp)
-            self._cache[key] = (cid, comp)
+            self._cache[key] = (comp, _cell_plan(cid, comp))
         return self._cache[key]
 
     def _check_distortion(self, comp: np.ndarray) -> None:
@@ -287,14 +325,24 @@ class Codebook:
 
     # -- rows -----------------------------------------------------------------
 
-    def row(self, m: int) -> np.ndarray:
-        """Codeword of user m (applies the user-index permutation)."""
+    def _user(self, m) -> int:
+        if isinstance(m, (bool, np.bool_)) or not isinstance(m, (int, np.integer)):
+            raise ConfigError(f"user index must be an integer, not {m!r}")
         if not 0 <= m < self.params.num_users:
             raise ConfigError(f"user index {m} out of range")
+        return int(m)
+
+    def row(self, m: int) -> np.ndarray:
+        """Codeword of user m (applies the user-index permutation).
+
+        The same draw as ``sample_type_class(comp, gen, cond_seq=cid)`` on
+        the key stream, with the cell plan built once per book.
+        """
+        m = self._user(m)
         proto = m if self.rp_perm is None else int(self.rp_perm[m])
-        cid, comp = self._cells()
+        plan = self._cells()[1]
         gen = rngmod.derive(self.seed, "row", proto)
-        return sample_type_class(comp, gen, cond_seq=cid)
+        return _arrange(plan, gen)
 
     def rows(self) -> np.ndarray:
         """All user rows as an (M, n) matrix (cached, small integer type)."""
@@ -312,12 +360,13 @@ class Codebook:
         dtype = np.int8 if self.params.x_size <= 127 else np.int16
         out = np.empty((len(users), self.params.n), dtype=dtype)
         for i, m in enumerate(users):
+            m = self._user(m)
             out[i] = known[m] if m in known else self.row(m)
         return out
 
     def cell_compositions(self) -> np.ndarray:
         """Realized per-(s, w) mark compositions, shape (S, W, X)."""
-        _, comp = self._cells()
+        comp = self._cells()[0]
         return comp.reshape(self.params.s_size, self.params.w_size, self.params.x_size)
 
 

@@ -12,6 +12,7 @@ across platforms and interpreter runs (unlike the builtin ``hash``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -24,6 +25,12 @@ def _word(key: str | int) -> int:
         if key < 0:
             raise ValueError("integer rng keys must be nonnegative")
         return int(key) & 0xFFFFFFFF
+    return _str_word(key)
+
+
+@functools.lru_cache(maxsize=256)
+def _str_word(key: str) -> int:
+    """BLAKE2 word of a purpose string, hashed once per process."""
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=4).digest()
     return int.from_bytes(digest, "little")
 

@@ -118,6 +118,30 @@ def test_timeshare_respects_target_type():
 # keyed determinism
 
 
+def _loop_draw(comp, gen, cid):
+    """Reference conditional draw: each present cell in increasing order,
+    one permutation of its sorted mark block written at its positions."""
+    out = np.empty(cid.size, dtype=np.int64)
+    for c in np.flatnonzero(np.bincount(cid)):
+        out[cid == c] = gen.permutation(np.repeat(np.arange(comp.shape[1]), comp[c]))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rows_equal_the_reference_loop_on_their_key_stream(seed):
+    cb = fresh_codebook(seed=seed, n=20 + 7 * seed, s_size=1 + seed % 3,
+                        w_size=1 + seed // 3, x_size=(2, 3, 5)[seed % 3])
+    cb = apply_rm(apply_rp(cb, rngmod.derive(seed, "rp")), rngmod.derive(seed, "rm"))
+    p = cb.params
+    cid = cb.host * p.w_size + cb.effective_w()
+    comp = cb.cell_compositions().reshape(-1, p.x_size)
+    for m in range(p.num_users):
+        want = _loop_draw(comp, rngmod.derive(cb.seed, "row", int(cb.rp_perm[m])), cid)
+        assert np.array_equal(cb.row(m), want)
+        got = sample_type_class(comp, rngmod.derive(cb.seed, "row", int(cb.rp_perm[m])), cid)
+        assert np.array_equal(got, want)
+
+
 def test_codebook_is_reproducible_and_order_free():
     a = fresh_codebook(seed=77)
     b = fresh_codebook(seed=77)
@@ -126,6 +150,18 @@ def test_codebook_is_reproducible_and_order_free():
     for m in order:
         assert np.array_equal(a.row(m), b.rows()[m])
     assert np.array_equal(a.rows(), b.rows())
+
+
+@pytest.mark.parametrize("user", [2.0, True, np.True_, "1", None, -1, 5])
+def test_row_rejects_a_bad_user_index(user):
+    cb = fresh_codebook(seed=4)
+    with pytest.raises(ConfigError):
+        cb.row(user)
+    with pytest.raises(ConfigError):
+        cb.row_block([0, user])
+    with pytest.raises(ConfigError):
+        cb.row_block([user], known={1: cb.row(1)})
+    assert np.array_equal(cb.row(np.int64(1)), cb.row(1))
 
 
 def test_different_seeds_differ():
@@ -151,6 +187,26 @@ def test_single_cell_draws_are_uniform_over_class():
     expected = draws / 6
     chi2 = sum((c - expected) ** 2 / expected for c in hits.values())
     assert chi2 < 25.7  # dof=5, far tail
+
+
+@pytest.mark.parametrize("composition, cond_seq", [
+    (np.array([[2, 0], [1, 1]]), np.array([0, 0, 1, -1])),  # negative cell
+    (np.array([[2, 0], [1, 1]]), np.array([[0, 0], [1, 1]])),  # 2-D cells
+    (np.array([[3, -1], [1, 1]]), np.array([0, 0, 1, 1])),  # negative count
+    (np.array([], dtype=np.int64), None),  # no symbols
+    (np.array([1.5, 0.5]), None),  # fractional counts
+    (np.array([[1.5, 1.5], [1, 1]]), np.array([0, 0, 1, 1])),
+    (np.array([[2, 2]]), np.array([0.5, 0, 0, 0])),  # fractional cell id
+])
+def test_sampler_rejects_malformed_input(composition, cond_seq):
+    with pytest.raises(ConfigError):
+        sample_type_class(composition, np.random.default_rng(0), cond_seq=cond_seq)
+
+
+def test_sampler_accepts_integral_float_counts():
+    want = sample_type_class(np.array([2, 1]), np.random.default_rng(0))
+    got = sample_type_class(np.array([2.0, 1.0]), np.random.default_rng(0))
+    assert np.array_equal(got, want)
 
 
 def test_conditional_sampler_validates_cell_totals():

@@ -311,14 +311,14 @@ def test_each_row_is_generated_once_per_book(monkeypatch):
     cb = make_codebook(41, n=160, m=m)
     twin = make_codebook(41, n=160, m=m)  # same book, nothing generated yet
     y = interleave(np.stack([twin.row(0), twin.row(4)]), rngmod.derive(41, "a"), 2).y
-    real = codec.sample_type_class
+    real = codec.Codebook.row
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(self, m):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real(self, m)
 
-    monkeypatch.setattr(codec, "sample_type_class", counted)
+    monkeypatch.setattr(codec.Codebook, "row", counted)
     cfg = DecodeConfig(delta=0.15, k_max=3)
     out = mpmi_decode(cb, y, cfg)
     guilt_indices(cb, y, out)
@@ -335,14 +335,14 @@ def test_threshold_guilt_streams_rows(monkeypatch):
     cb = make_codebook(47, n=n, m=m)
     twin = make_codebook(47, n=n, m=m)  # same book, nothing generated yet
     y = interleave(np.stack([twin.row(3), twin.row(9)]), rngmod.derive(47, "a"), 2).y
-    real = codec.sample_type_class
+    real = codec.Codebook.row
     calls = []
 
-    def counted(*args, **kwargs):
+    def counted(self, m):
         calls.append(1)
-        return real(*args, **kwargs)
+        return real(self, m)
 
-    monkeypatch.setattr(codec, "sample_type_class", counted)
+    monkeypatch.setattr(codec.Codebook, "row", counted)
     cfg = DecodeConfig(delta=0.05)
     out = threshold_decode(cb, y, cfg)
     assert out.accused == (3, 9)
