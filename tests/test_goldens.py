@@ -28,6 +28,7 @@ from fptrace.codec import (
     draw_host,
     draw_timeshare,
 )
+from fptrace.decoders import DecodeConfig
 from fptrace.games import (
     Distortion,
     FairMarking,
@@ -40,6 +41,7 @@ from fptrace.games import (
     solve_exponent_program,
 )
 from fptrace.games.exponents import _inner_floor
+from fptrace.simlab import ExperimentConfig, run_trial
 
 FAIR_K2 = {
     "coalition_size": 2,
@@ -56,6 +58,7 @@ GOLDEN = {
     "operating_point": "ea973ec0a3ed1b002e9db6c591776fb87ab68e18a8223311070671a26a66aec5",
     "exponent_layouts": "48849b3980619a51584fc1077154b84f190e3368821184f5a2521b75f0a22a24",
     "codebook_rows": "cd8e8246035cc8828d7deea4f484c01274467cf5853f3b7199a32f534d450981",
+    "trial_miss_events": "a0c2fd2d6f70e3021aab34fb5644d14ccd2b263503775bd00aa7bae232601f27",
 }
 
 
@@ -195,3 +198,38 @@ def test_codebook_rows_golden():
         block = fresh.row_block(users, known={0: mat[0]})
         digest.update(str(block.dtype).encode() + block.tobytes())
     assert digest.hexdigest() == GOLDEN["codebook_rows"]
+
+
+def _miss_event_cases():
+    """(config, blocklength) pairs: the perfbench ``simulate`` workload's
+    trial config at seed 1, and the simulate report golden's config at each
+    blocklength of its sweep."""
+    bench = ExperimentConfig(
+        params=CodeParams(n=256, num_users=1024, s_size=2, w_size=2),
+        decode=DecodeConfig(delta=0.06),
+        coalition=2,
+        seed=1,
+    )
+    yield bench, 256
+    small = ExperimentConfig(
+        params=CodeParams(n=24, num_users=6, s_size=2, w_size=2),
+        decode=DecodeConfig(delta=0.05),
+        coalition=2,
+        seed=3,
+        n_sweep=(20, 24),
+    )
+    yield small, 20
+    yield small, 24
+
+
+def test_trial_miss_events_golden():
+    # everything a trial decides about the coalition, over its first 200
+    # trials: only the innocents' accusations are left out
+    digest = hashlib.sha256()
+    for cfg, n in _miss_event_cases():
+        for i in range(200):
+            rec = run_trial(cfg, i, n=n)
+            caught = sorted(set(rec.accused) & set(rec.coalition))
+            event = [rec.coalition, rec.resamples, rec.miss_one, rec.miss_all, caught]
+            digest.update(json.dumps(event).encode())
+    assert digest.hexdigest() == GOLDEN["trial_miss_events"]
