@@ -39,7 +39,7 @@ from .games import (
     solve_exponent_program,
 )
 from .games.exponents import _sweep
-from .simlab import ExperimentConfig, estimate, exponent_fit
+from .simlab import ExperimentConfig, _coalition_users, estimate, exponent_fit
 
 __all__ = ["main"]
 
@@ -195,9 +195,9 @@ def _cmd_attack(args) -> int:
     cfg = _load_config(args)
     cb = _read_book(args.out)
     coalition = cfg.get("coalition")
-    if not coalition:
+    if not isinstance(coalition, list) or not coalition:
         raise ConfigError('config needs a nonempty "coalition" list')
-    coalition = _read(cfg, "coalition", None, lambda c: sorted(int(m) for m in c))
+    coalition = list(_coalition_users(coalition, cb.params.num_users))
     rows = np.stack([cb.row(m) for m in coalition])
     attack = _attack_from(cfg)
     gen = rngmod.derive(_seed_of(args, cfg), "cli", "attack")
@@ -253,9 +253,8 @@ def _cmd_decode(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    coalition = _read(
-        cfg, "coalition", 2, lambda c: tuple(int(m) for m in c) if isinstance(c, list) else c
-    )
+    # ExperimentConfig checks the size or the users, with no coercion
+    coalition = cfg.get("coalition", 2)
     exp = ExperimentConfig(
         params=_params_from(cfg),
         decode=_decode_config_from(cfg),

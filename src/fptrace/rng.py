@@ -17,15 +17,20 @@ import hashlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["derive", "key_words"]
 
 
 def _word(key: str | int) -> int:
-    if isinstance(key, (int, np.integer)):
-        if key < 0:
-            raise ValueError("integer rng keys must be nonnegative")
-        return int(key) & 0xFFFFFFFF
-    return _str_word(key)
+    if isinstance(key, str):
+        return _str_word(key)
+    # a bool would alias the stream of 0 or 1, and a float has no word
+    if isinstance(key, (bool, np.bool_)) or not isinstance(key, (int, np.integer)):
+        raise ConfigError(f"rng keys must be integers or strings, not {key!r}")
+    if key < 0:
+        raise ConfigError(f"integer rng keys must be nonnegative, not {key}")
+    return int(key) & 0xFFFFFFFF
 
 
 @functools.lru_cache(maxsize=256)

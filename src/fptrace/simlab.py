@@ -6,14 +6,21 @@ error events.  Every trial owns a keyed random stream derived from
 (master seed, blocklength, trial index), so reports are bit-identical for
 any worker count and any chunking of the trial range.
 
-The plain harness regenerates an (M, n) codebook per trial, which is the
-honest but slow path.  For the false-positive trend study there is a
-sufficient-statistic sampler (`threshold_fp_fast`) that draws only the
-handful of counts the threshold score actually depends on, plus an exact
-enumerator (`threshold_fp_exact`) used to validate it.  Both score an
-innocent from its 2x2 (row, pirate) cell counts as H(x) + H(y) - H(xy),
-the formula of the decoders' scorer, through the batched entropy kernel
-of `types_core`.
+A threshold trial generates only the coalition's rows, and scores them as
+`threshold_decode` does.  An innocent's score depends on its row only
+through the row's joint type with y inside each (s, w) cell, and the row is
+uniform on its conditional type class whatever y is, so that type is a
+multivariate hypergeometric table whose margins are the cell's mark
+composition and the cell's y counts.  Each innocent gets one such table
+(`_innocent_tables`), scored as I(x; y | s, w) from its entropies
+(`_table_info`): the cost of a trial no longer grows with M n.  The joint
+decoder still scores the whole book.
+
+For the false-positive trend study, `threshold_fp_fast` runs the same
+sampler on the balanced binary code with no side information under
+interleaving, where the pirate copy's ones-count has a closed sampling form
+too, so a trial builds nothing of size n; `threshold_fp_exact` enumerates
+that law for k = 2 and validates it.
 """
 
 import math
@@ -28,9 +35,12 @@ from scipy import stats
 from . import rng as rngmod
 from .codec import CodeParams, build_codebook, draw_host, draw_timeshare
 from .collusion import ChannelSpec, apply_memoryless, interleave
-from .decoders import DecodeConfig, mpmi_decode, threshold_decode
+from .decoders import DecodeConfig, _Scorer, mpmi_decode
+# not called here (threshold trials score innocents from drawn tables), but
+# it stays the decoder of `fptrace decode`; perfbench's traced run wraps it
+from .decoders import threshold_decode  # noqa: F401
 from .errors import ConfigError, InfeasibleError
-from .types_core import _count_entropy
+from .types_core import _count_entropy, _xlogx_table
 
 __all__ = [
     "ExperimentConfig",
@@ -48,6 +58,8 @@ __all__ = [
 MAX_ATTACK_RESAMPLES = 64
 # trials per batch of the fast false-positive engine
 _FP_CHUNK = 20_000
+# innocent tables drawn and scored at a time; part of every trial's stream
+_INNOCENT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -72,8 +84,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("need at least one trial")
-        size = self.coalition if isinstance(self.coalition, int) else len(self.coalition)
-        if size < 1 or size > self.params.num_users:
+        c, m = self.coalition, self.params.num_users
+        if isinstance(c, (list, tuple)):
+            object.__setattr__(self, "coalition", _coalition_users(c, m))
+            size = len(c)
+        elif _is_int(c):
+            object.__setattr__(self, "coalition", int(c))
+            size = c
+        else:
+            raise ConfigError(f"coalition must be a size or a list of users, not {c!r}")
+        if size < 1 or size > m:
             raise ConfigError("coalition size must be within the user roster")
         if self.decoder not in ("threshold", "mpmi"):
             raise ConfigError(f"unknown decoder {self.decoder!r}")
@@ -81,7 +101,27 @@ class ExperimentConfig:
             raise ConfigError(f"unknown named attack {self.attack!r}")
 
 
-@dataclass(frozen=True)
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+
+
+def _coalition_users(users, num_users: int) -> tuple:
+    """An explicit coalition as a sorted tuple of distinct user indices.
+
+    The trial engines count the innocents as M - |coalition|, so a bool, a
+    float, a repeated or an out-of-range user is refused, not coerced.
+    """
+    users = tuple(users)
+    if not all(_is_int(m) for m in users):
+        raise ConfigError(f"coalition users must be integers, got {list(users)!r}")
+    if len(set(users)) < len(users):
+        raise ConfigError(f"coalition lists a user twice: {list(users)!r}")
+    if not all(0 <= m < num_users for m in users):
+        raise ConfigError(f"coalition user out of range 0..{num_users - 1}: {list(users)!r}")
+    return tuple(sorted(int(m) for m in users))
+
+
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     fp: bool
     miss_one: bool
@@ -118,7 +158,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, n: int | None = None) -> 
         )
         coalition = tuple(int(i) for i in sorted(picks))
     else:
-        coalition = tuple(sorted(int(i) for i in cfg.coalition))
+        coalition = cfg.coalition
     rows = np.stack([cb.row(m) for m in coalition])
 
     gen_att = rngmod.derive(*root, "attack")
@@ -137,18 +177,53 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, n: int | None = None) -> 
         if resamples >= MAX_ATTACK_RESAMPLES:
             raise InfeasibleError("attack kept violating its feasibility rules")
 
-    decoder = threshold_decode if cfg.decoder == "threshold" else mpmi_decode
-    outcome = decoder(cb, result.y, cfg.decode)
-    guessed = set(outcome.accused)
+    if cfg.decoder == "mpmi":
+        accused = mpmi_decode(cb, result.y, cfg.decode).accused
+    else:
+        gen_inn = rngmod.derive(*root, "innocents")
+        accused = _threshold_accused(cb, result.y, cfg.decode, coalition, rows, gen_inn)
+    guessed = set(accused)
     truth = set(coalition)
     return TrialRecord(
         fp=bool(guessed - truth),
         miss_one=not (guessed & truth),
         miss_all=not (truth <= guessed),
-        accused=tuple(sorted(guessed)),
+        # the usual outcome shares the coalition's tuple
+        accused=coalition if accused == coalition else accused,
         coalition=coalition,
         resamples=resamples,
     )
+
+
+def _threshold_accused(cb, y, cfg: DecodeConfig, coalition, rows, gen) -> tuple:
+    """The users the threshold decoder accuses on y, in increasing order.
+
+    The coalition's ``rows`` are scored exactly as `threshold_decode` scores
+    them.  The innocents, the other users in increasing order, are scored
+    from joint types drawn from ``gen`` (see the module docstring).
+    """
+    p = cb.params
+    bar = cfg.rate_for(cb) + cfg.delta
+    caught = _Scorer(cb, y).info(rows[:, None]) > bar
+    cells = p.s_size * p.w_size
+    cell = cb.host * p.w_size + cb.effective_w()
+    y = np.unique(y, return_inverse=True)[1]
+    y_size = int(y.max()) + 1
+    ny = np.bincount(cell * y_size + y, minlength=cells * y_size).reshape(cells, y_size)
+    comp = cb.cell_compositions().reshape(cells, p.x_size)
+    idx = _crossings(
+        gen,
+        comp,
+        lambda i: np.broadcast_to(ny, (len(i),) + ny.shape),
+        p.num_users - len(coalition),
+        bar,
+        p.n,
+    )
+    # innocent j is user j + r, r the number of colluders c_i with
+    # c_i - i <= j (c_i - i innocents come before colluder i)
+    ahead = np.subtract(coalition, np.arange(len(coalition)))
+    users = idx + np.searchsorted(ahead, idx, side="right")
+    return tuple(sorted([m for m, hit in zip(coalition, caught) if hit] + users.tolist()))
 
 
 def wilson_interval(count: int, trials: int, z: float = 1.959964) -> tuple:
@@ -315,16 +390,56 @@ def exponent_fit(series) -> tuple:
 # sufficient-statistic engine for the false-positive trend
 
 
-def _innocent_scores(a, n1y, n):
-    """Empirical I(x; y) = H(x) + H(y) - H(xy) in bits of balanced binary
-    rows against pirate copies with ``n1y`` ones, given the overlap counts
-    ``a`` (positions where both read one); ``n1y`` broadcasts against ``a``."""
-    half = n // 2
-    h_x = _count_entropy([n - half, half], n)
-    h_y = _count_entropy(np.stack([n - n1y, n1y], axis=-1), n, axis=-1)
-    # (x, y) cell counts 00, 01, 10, 11
-    cells = np.stack([n - half - n1y + a, n1y - a, half - a, a], axis=-1)
-    return h_x + h_y - _count_entropy(cells, n, axis=-1)
+def _innocent_tables(gen, comp, ny):
+    """Joint-type tables (..., C, X, Y) of rows drawn uniformly from their
+    conditional type class against a fixed sequence y.
+
+    ``comp`` (..., C, X) gives each cell's mark composition and ``ny``
+    (..., C, Y) its y counts; their leading axes broadcast to the batch.
+    Within a cell the table is multivariate hypergeometric with these
+    margins, drawn by sequential conditioning: the last mark's positions
+    first, split over the y values from the last one down.
+    """
+    comp, ny = np.asarray(comp), np.asarray(ny)
+    shape = np.broadcast_shapes(comp.shape[:-1], ny.shape[:-1])
+    x_size, y_size = comp.shape[-1], ny.shape[-1]
+    out = np.empty(shape + (x_size, y_size), dtype=np.int64)
+    left = np.broadcast_to(ny, shape + (y_size,)).copy()  # y counts not yet marked
+    for x in range(x_size - 1, 0, -1):
+        draw = np.broadcast_to(comp[..., x], shape).copy()
+        rest = left.sum(axis=-1)
+        for v in range(y_size - 1, 0, -1):
+            rest -= left[..., v]
+            out[..., x, v] = gen.hypergeometric(left[..., v], rest, draw)
+            draw -= out[..., x, v]
+        out[..., x, 0] = draw
+        left -= out[..., x, :]
+    out[..., 0, :] = left
+    return out
+
+
+def _table_info(tables, n):
+    """I(x; y | c) = H(cx) + H(cy) - H(cxy) - H(c) in bits of each
+    (C, X, Y) joint-type table summing to n, for a batch (..., C, X, Y)."""
+    lead = tables.shape[:-3]
+    xlogx = _xlogx_table(n)
+
+    def h(counts):
+        return _count_entropy(counts.reshape(lead + (-1,)), n, -1, xlogx)
+
+    return h(tables.sum(axis=-1)) + h(tables.sum(axis=-2)) - h(tables) - h(tables.sum(axis=(-2, -1)))
+
+
+def _crossings(gen, comp, ny_of, count, bar, n):
+    """Indices in range(count), increasing, of the innocents whose drawn
+    table scores above ``bar``.  ``ny_of(idx)`` gives the (len(idx), C, Y)
+    y counts innocents ``idx`` are scored against.  Innocents are drawn in
+    index order, ``_INNOCENT_BLOCK`` at a time, so memory stays O(block)."""
+    hits = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, count, _INNOCENT_BLOCK):
+        idx = np.arange(lo, min(lo + _INNOCENT_BLOCK, count))
+        hits.append(idx[_table_info(_innocent_tables(gen, comp, ny_of(idx)), n) > bar])
+    return np.concatenate(hits)
 
 
 def _balanced_split(gen, classes, n_half):
@@ -375,9 +490,9 @@ def threshold_fp_fast(
     """False-positive rate of the threshold decoder without building codebooks.
 
     Covers the binary balanced-composition code with no host or time-share
-    conditioning under the interleaving attack.  An innocent score only
-    depends on the pirate ones-count and the row/pirate overlap, both of
-    which have closed sampling forms, so each trial draws ``innocents``
+    conditioning under the interleaving attack.  The pirate ones-count has a
+    closed sampling form, and each innocent's 2x2 table with the pirate copy
+    is one draw of `_innocent_tables`, so a trial draws ``innocents``
     hypergeometric variates instead of an (M, n) matrix.  Exact in
     distribution; validated against the direct pipeline and the
     closed-form enumerator in the tests.
@@ -391,18 +506,16 @@ def threshold_fp_fast(
     bar = rate + delta
     gen = rngmod.derive(seed, "fastfp", n)
     t0 = time.perf_counter()
+    comp = np.array([[n - n // 2, n // 2]])  # one cell
     fp = 0
     done = 0
     while done < trials:
         m = min(_FP_CHUNK, trials - done)
         n1y = _pirate_ones(gen, n, k, m)
-        a = gen.hypergeometric(
-            np.broadcast_to(n1y[:, None], (m, innocents)),
-            np.broadcast_to((n - n1y)[:, None], (m, innocents)),
-            n // 2,
-        )
-        scores = _innocent_scores(a, n1y[:, None], n)
-        fp += int(np.count_nonzero(np.any(scores > bar, axis=1)))
+        ny = np.stack([n - n1y, n1y], axis=-1)[:, None]  # (trial, cell, y)
+        # innocent j of trial t is index t * innocents + j
+        hits = _crossings(gen, comp, lambda i: ny[i // innocents], m * innocents, bar, n)
+        fp += np.unique(hits // max(innocents, 1)).size
         done += m
     return PointEstimate(
         n=n,
@@ -452,7 +565,9 @@ def threshold_fp_exact(
         if pv <= 0:
             continue
         overlap = np.arange(max(0, v - half), min(half, v) + 1)
-        scores = _innocent_scores(overlap, v, n)
+        # (x, y) counts 00, 01, 10, 11 of a balanced row against v ones
+        cells = [n - half - v + overlap, v - overlap, half - overlap, overlap]
+        scores = _table_info(np.stack(cells, axis=-1).reshape(-1, 1, 2, 2), n)
         cross = stats.hypergeom.pmf(overlap, n, v, half)[scores > bar].sum()
         total += pv * (1.0 - (1.0 - min(cross, 1.0)) ** innocents)
     return float(total)

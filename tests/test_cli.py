@@ -206,8 +206,23 @@ SIM = {"params": {"n": 24, "num_users": 6}, "decode": {"delta": 0.05}}
     ("simulate", dict(SIM, params=[1, 2])),
     ("simulate", dict(SIM, trials="many")),
     ("simulate", [1, 2]),
+    # a coalition is a size or a list of distinct integer users, no coercion
+    ("simulate", dict(SIM, coalition=[3, 3])),
+    ("simulate", dict(SIM, coalition=[0, True])),
+    ("simulate", dict(SIM, coalition=[0, 1.5])),
+    ("simulate", dict(SIM, coalition=2.0)),
+    ("simulate", dict(SIM, coalition=True)),
+    ("attack", {"coalition": [3, 3]}),
+    ("attack", {"coalition": [0, True]}),
+    ("attack", {"coalition": [0, 1.5]}),
+    ("attack", {"coalition": 2.0}),
+    ("attack", {"coalition": True}),
 ])
 def test_malformed_config_values_exit_2_with_one_line(workdir, capsys, command, payload):
+    if command == "attack":  # with a book, so only the config can fail
+        book = write_json(workdir / "gen.json", SIM)
+        assert run("gen", "--config", book, "--out", workdir) == 0
+        capsys.readouterr()
     cfg = write_json(workdir / "cfg.json", payload)
     assert run(command, "--config", cfg, "--out", workdir) == 2
     err = capsys.readouterr().err

@@ -1,12 +1,18 @@
 """Monte Carlo harness: determinism, event algebra, estimators."""
 
+import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from fptrace.codec import CodeParams
-from fptrace.decoders import DecodeConfig
+from fptrace import simlab
+from fptrace.codec import CodeParams, apply_rm, build_codebook, draw_host, draw_timeshare
+from fptrace.collusion import ChannelSpec, interleave
+from fptrace.decoders import DecodeConfig, threshold_decode
 from fptrace.errors import ConfigError
 from fptrace.simlab import (
     EstimateReport,
@@ -20,7 +26,7 @@ from fptrace.simlab import (
     threshold_fp_fast,
     wilson_interval,
 )
-from fptrace.simlab import _innocent_scores
+from fptrace.simlab import _innocent_tables, _table_info
 from fptrace.types_core import InfoQuery, JointType, mutual_info
 
 
@@ -193,20 +199,36 @@ def test_fast_engine_matches_exact_enumeration():
         assert abs(pe.rate("fp") - exact) < 4 * se
 
 
+def _direct_fp_rate(params, delta, trials, seed):
+    """False-positive rate of the direct pipeline: a fresh book, a uniform
+    2-user coalition, interleaving, and `threshold_decode` over every row."""
+    cfg = DecodeConfig(delta=delta)
+    fp = 0
+    for i in range(trials):
+        gen = np.random.default_rng([seed, i])
+        s = draw_host(params.p_host, params.n, gen)
+        w = draw_timeshare(params, gen)
+        cb = build_codebook(params, s, w, seed=int(gen.integers(0, 2**62)))
+        coalition = gen.choice(params.num_users, size=2, replace=False).tolist()
+        y = interleave(np.stack([cb.row(m) for m in coalition]), gen, x_size=2).y
+        fp += bool(set(threshold_decode(cb, y, cfg).accused) - set(coalition))
+    return fp / trials
+
+
 def test_fast_engine_matches_direct_pipeline():
-    # same statistical model end to end: full codebooks vs sufficient stats
+    # same statistical model three ways: full codebooks and every row
+    # scored, the trial engine's drawn innocent tables, and the enumerator
     n, users, delta, t = 24, 16, 0.05, 3000
-    cfg = ExperimentConfig(
-        params=CodeParams(n=n, num_users=users, k_nom=2),
-        decode=DecodeConfig(delta=delta),
-        coalition=2,
-        trials=t,
-        seed=21,
-    )
-    direct = estimate(cfg).points[0].rate("fp")
+    params = CodeParams(n=n, num_users=users, k_nom=2)
     exact = threshold_fp_exact(n, innocents=users - 2, delta=delta)
     se = math.sqrt(exact * (1 - exact) / t)
+    direct = _direct_fp_rate(params, delta, t, seed=21)
     assert abs(direct - exact) < 4 * se
+    cfg = ExperimentConfig(
+        params=params, decode=DecodeConfig(delta=delta), coalition=2, trials=t, seed=21
+    )
+    engine = estimate(cfg).points[0].rate("fp")
+    assert abs(engine - exact) < 4 * se
 
 
 def test_fast_engine_is_deterministic_and_monotone_in_delta():
@@ -249,10 +271,194 @@ def test_fast_engine_scores_equal_mutual_info():
     for n in (24, 60):
         half = n // 2
         for ones in range(n + 1):
-            overlaps = np.arange(max(0, ones - half), min(half, ones) + 1)
-            scores = _innocent_scores(overlaps, ones, n)
-            for a, score in zip(overlaps, scores):
-                counts = [[n - half - ones + a, ones - a], [half - a, a]]
-                jt = JointType((2, 2), np.array(counts), n)
-                want = mutual_info(jt, InfoQuery((0,), (1,)))
+            overlaps = range(max(0, ones - half), min(half, ones) + 1)
+            counts = np.array([[[n - half - ones + a, ones - a], [half - a, a]] for a in overlaps])
+            scores = _table_info(counts[:, None], n)
+            for table, score in zip(counts, scores):
+                want = mutual_info(JointType((2, 2), table, n), InfoQuery((0,), (1,)))
                 assert abs(score - want) <= 1e-12
+
+
+def test_table_scores_equal_threshold_decode_scores():
+    # a real row's (cell, x, y) table scores what threshold_decode scores it
+    for seed in range(4):
+        params = CodeParams(n=48, num_users=9, s_size=2, w_size=2, x_size=3)
+        gen = np.random.default_rng(seed)
+        cb = build_codebook(
+            params, draw_host(params.p_host, 48, gen), draw_timeshare(params, gen), seed
+        )
+        if seed % 2:
+            cb = apply_rm(cb, gen)
+        y = gen.integers(0, 4, size=48)
+        scores = threshold_decode(cb, y, DecodeConfig(delta=0.1)).scores
+        cell = cb.host * 2 + cb.effective_w()
+        yi = np.unique(y, return_inverse=True)[1]
+        y_size = yi.max() + 1
+        tables = np.stack([
+            np.bincount((cell * 3 + cb.row(m)) * y_size + yi, minlength=4 * 3 * y_size)
+            for m in range(9)
+        ]).reshape(9, 4, 3, y_size)
+        assert np.allclose(_table_info(tables, 48), [scores[m] for m in range(9)],
+                           rtol=0, atol=1e-12)
+
+
+def _tables_of(comp, ny):
+    """Every (X, Y) table with row sums comp and column sums ny."""
+    x_size, y_size = len(comp), len(ny)
+    out = []
+    for free in itertools.product(*[range(max(comp) + 1)] * ((x_size - 1) * y_size)):
+        t = np.zeros((x_size, y_size), dtype=np.int64)
+        t[:-1] = np.reshape(free, (x_size - 1, y_size))
+        t[-1] = np.asarray(ny) - t[:-1].sum(axis=0)
+        if t[-1].min() >= 0 and np.array_equal(t.sum(axis=1), comp):
+            out.append(t)
+    return out
+
+
+def _table_pmf(t):
+    """P(table) for a uniform arrangement of the row margin's marks over
+    positions labelled by the column margin: ways to split each column
+    among the marks, over ways to arrange the marks."""
+    ways = 1
+    for col in t.T:
+        left = int(col.sum())
+        for c in col:
+            ways *= math.comb(left, int(c))
+            left -= int(c)
+    total, left = 1, int(t.sum())
+    for r in t.sum(axis=1):
+        total *= math.comb(left, int(r))
+        left -= int(r)
+    return ways / total
+
+
+def test_innocent_tables_follow_the_hypergeometric_law():
+    # four (s, w) cells, three marks, three pirate symbols, n = 12; a mark
+    # and a y value are missing from some cells
+    comp = np.array([[2, 1, 1], [1, 0, 2], [1, 1, 1], [0, 1, 1]])
+    ny = np.array([[1, 2, 1], [2, 1, 0], [0, 1, 2], [1, 0, 1]])
+    assert comp.sum() == ny.sum() == 12
+    per_cell = [_tables_of(c, v) for c, v in zip(comp, ny)]
+    law = {}
+    for combo in itertools.product(*per_cell):
+        law[np.stack(combo).tobytes()] = math.prod(_table_pmf(t) for t in combo)
+    assert abs(sum(law.values()) - 1.0) < 1e-12
+    draws = 200_000
+    tables = _innocent_tables(
+        np.random.default_rng(2024), comp, np.broadcast_to(ny, (draws,) + ny.shape)
+    )
+    assert tables.shape == (draws, 4, 3, 3)
+    assert np.array_equal(tables.sum(axis=-1), np.broadcast_to(comp, (draws, 4, 3)))
+    assert np.array_equal(tables.sum(axis=-2), np.broadcast_to(ny, (draws, 4, 3)))
+    seen = Counter(t.tobytes() for t in tables)
+    assert set(seen) <= set(law)
+    # chi-square over the outcomes, those expected fewer than 5 times pooled
+    big = {k: p for k, p in law.items() if p * draws >= 5}
+    observed = [seen[k] for k in big] + [draws - sum(seen[k] for k in big)]
+    expected = [p * draws for p in big.values()] + [draws * (1.0 - sum(big.values()))]
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    # bound: the chi-square quantile at 1 - 1e-6 for this many bins
+    assert chi2 < stats.chi2.ppf(1 - 1e-6, len(observed) - 1), (chi2, len(observed))
+
+
+def _spy_threshold_trials(monkeypatch, cfg, trials):
+    """(record, book, pirate copy) of each of the first trials of cfg."""
+    seen = []
+    original = simlab._threshold_accused
+
+    def spy(cb, y, dcfg, coalition, rows, gen):
+        seen.append((cb, y))
+        return original(cb, y, dcfg, coalition, rows, gen)
+
+    monkeypatch.setattr(simlab, "_threshold_accused", spy)
+    recs = [run_trial(cfg, i) for i in range(trials)]
+    return [(rec, cb, y) for rec, (cb, y) in zip(recs, seen)]
+
+
+def _distortion_attack():
+    # each colluder cell copies a colluder's mark with probability 0.8; the
+    # realized distortion against AND is often above the cap, and redrawn
+    table = np.full((2, 2, 2), 0.5)
+    table[0, 0] = [0.8, 0.2]
+    table[1, 1] = [0.2, 0.8]
+    return ChannelSpec(
+        k=2, x_size=2, y_size=2, table=table, class_tag="distortion",
+        estimator=np.array([[0, 0], [0, 1]]), d2=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        distortion_cap=0.3,
+    )
+
+
+@pytest.mark.parametrize("case", ["side_info", "ternary", "resampled", "fixed"])
+def test_coalition_decisions_equal_threshold_decode(monkeypatch, case):
+    params = dict(n=32, num_users=12)
+    kw = dict(decode=DecodeConfig(delta=0.06), seed=17)
+    if case == "side_info":
+        params.update(s_size=2, w_size=2)
+    elif case == "ternary":
+        params.update(x_size=3)
+    elif case == "resampled":
+        kw.update(attack=_distortion_attack())
+    else:
+        kw.update(coalition=(2, 5, 9))
+    cfg = ExperimentConfig(params=CodeParams(**params), **kw)
+    missed = caught = resamples = 0
+    for rec, cb, y in _spy_threshold_trials(monkeypatch, cfg, 200):
+        truth = set(rec.coalition)
+        want = set(threshold_decode(cb, y, cfg.decode).accused) & truth
+        assert set(rec.accused) & truth == want
+        missed += len(truth - want)
+        caught += len(want)
+        resamples += rec.resamples
+        if rec.accused == rec.coalition:
+            assert rec.accused is rec.coalition
+    assert missed and caught  # both decisions occur
+    assert (resamples > 0) == (case == "resampled")
+
+
+def test_innocent_scores_match_real_rows(monkeypatch):
+    # distribution-level agreement on S=W=2, X=3 books: a trial's drawn
+    # innocent scores against the scores threshold_decode gives the real
+    # innocent rows of the same book and pirate copy
+    cfg = ExperimentConfig(
+        params=CodeParams(n=40, num_users=3000, s_size=2, w_size=2, x_size=3),
+        decode=DecodeConfig(delta=0.05),
+        seed=8,
+    )
+    drawn = []
+    original = simlab._table_info
+
+    def spy(tables, n):
+        out = original(tables, n)
+        drawn.append(out)
+        return out
+
+    monkeypatch.setattr(simlab, "_table_info", spy)
+    trials = _spy_threshold_trials(monkeypatch, cfg, 3)
+    drawn = np.concatenate(drawn)
+    assert len(drawn) == 3 * 2998
+    for (rec, cb, y), fake in zip(trials, np.split(drawn, 3)):
+        scores = threshold_decode(cb, y, cfg.decode).scores
+        real = np.array([v for m, v in scores.items() if m not in rec.coalition])
+        # ten bins at the pooled deciles; equal scores share a bin
+        both = np.round(np.concatenate([real, fake]), 9)
+        edges = np.unique(np.quantile(both, np.linspace(0.1, 0.9, 9)))
+        table = [np.bincount(np.searchsorted(edges, np.round(x, 9), side="right"),
+                             minlength=len(edges) + 1) for x in (real, fake)]
+        assert stats.chi2_contingency(table)[1] > 1e-6
+
+
+def test_threshold_trial_memory_does_not_grow_with_users():
+    cfg = ExperimentConfig(
+        params=CodeParams(n=64, num_users=200_000, s_size=2, w_size=2),
+        decode=DecodeConfig(delta=0.02),
+        seed=4,
+    )
+    run_trial(cfg, 0)  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        rec = run_trial(cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.fp  # innocents were drawn and some crossed the low bar
+    assert peak < 3_000_000, peak
