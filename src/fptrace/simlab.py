@@ -387,7 +387,8 @@ def exponent_fit(series) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# sufficient-statistic engine for the false-positive trend
+# sufficient-statistic engine: innocent tables for threshold trials and
+# for the false-positive trend
 
 
 def _innocent_tables(gen, comp, ny):
@@ -403,31 +404,38 @@ def _innocent_tables(gen, comp, ny):
     comp, ny = np.asarray(comp), np.asarray(ny)
     shape = np.broadcast_shapes(comp.shape[:-1], ny.shape[:-1])
     x_size, y_size = comp.shape[-1], ny.shape[-1]
-    out = np.empty(shape + (x_size, y_size), dtype=np.int64)
-    left = np.broadcast_to(ny, shape + (y_size,)).copy()  # y counts not yet marked
+    # marks and y values lead while drawing, so each step works on
+    # contiguous (..., C) slices; draws run over them in C order
+    comp = np.moveaxis(np.broadcast_to(comp, shape + (x_size,)), -1, 0)
+    left = np.moveaxis(np.broadcast_to(ny, shape + (y_size,)), -1, 0).copy()
+    out = np.empty((x_size, y_size) + shape, dtype=np.int64)
+    pop = left.sum(axis=0)  # positions not yet marked
     for x in range(x_size - 1, 0, -1):
-        draw = np.broadcast_to(comp[..., x], shape).copy()
-        rest = left.sum(axis=-1)
+        draw, rest = comp[x].copy(), pop.copy()
         for v in range(y_size - 1, 0, -1):
-            rest -= left[..., v]
-            out[..., x, v] = gen.hypergeometric(left[..., v], rest, draw)
-            draw -= out[..., x, v]
-        out[..., x, 0] = draw
-        left -= out[..., x, :]
-    out[..., 0, :] = left
-    return out
+            rest -= left[v]
+            out[x, v] = gen.hypergeometric(left[v], rest, draw)
+            draw -= out[x, v]
+        out[x, 0] = draw
+        left -= out[x]
+        pop -= comp[x]
+    out[0] = left
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def _table_info(tables, n):
     """I(x; y | c) = H(cx) + H(cy) - H(cxy) - H(c) in bits of each
     (C, X, Y) joint-type table summing to n, for a batch (..., C, X, Y)."""
     lead = tables.shape[:-3]
+    # the batch goes last, so each sum below adds contiguous rows
+    t = np.moveaxis(tables, (-3, -2, -1), (0, 1, 2)).reshape(tables.shape[-3:] + (-1,))
     xlogx = _xlogx_table(n)
 
     def h(counts):
-        return _count_entropy(counts.reshape(lead + (-1,)), n, -1, xlogx)
+        return _count_entropy(counts.reshape(-1, t.shape[-1]), n, 0, xlogx)
 
-    return h(tables.sum(axis=-1)) + h(tables.sum(axis=-2)) - h(tables) - h(tables.sum(axis=(-2, -1)))
+    h_cx, h_cy = h(t.sum(axis=2)), h(t.sum(axis=1))
+    return (h_cx + h_cy - h(t) - h(t.sum(axis=(1, 2)))).reshape(lead)
 
 
 def _crossings(gen, comp, ny_of, count, bar, n):
@@ -515,7 +523,7 @@ def threshold_fp_fast(
         ny = np.stack([n - n1y, n1y], axis=-1)[:, None]  # (trial, cell, y)
         # innocent j of trial t is index t * innocents + j
         hits = _crossings(gen, comp, lambda i: ny[i // innocents], m * innocents, bar, n)
-        fp += np.unique(hits // max(innocents, 1)).size
+        fp += np.unique(hits // innocents).size
         done += m
     return PointEstimate(
         n=n,
