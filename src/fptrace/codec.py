@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, InfeasibleError, int_at_least
 from .types_core import JointType, quantize_pmf
 
 __all__ = [
@@ -326,10 +326,8 @@ class Codebook:
     # -- rows -----------------------------------------------------------------
 
     def _user(self, m) -> int:
-        if isinstance(m, (bool, np.bool_)) or not isinstance(m, (int, np.integer)):
-            raise ConfigError(f"user index must be an integer, not {m!r}")
-        if not 0 <= m < self.params.num_users:
-            raise ConfigError(f"user index {m} out of range")
+        if not int_at_least(m, 0) or m >= self.params.num_users:
+            raise ConfigError(f"user index {m!r} is not in 0..{self.params.num_users - 1}")
         return int(m)
 
     def row(self, m: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .errors import (
     ConfigError,
     InapplicableCheckError,
     StaleOutcomeError,
+    int_at_least,
 )
 from .types_core import _count_entropy, _xlogx_table
 # not used here; perfbench's traced run wraps these names on this module
@@ -67,10 +68,6 @@ def _finite_at_least(value, low) -> bool:
     return isinstance(value, Real) and math.isfinite(value) and value >= low
 
 
-def _int_at_least(value, low) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
-
-
 @dataclass(frozen=True)
 class DecodeConfig:
     """Decoder knobs.
@@ -92,9 +89,9 @@ class DecodeConfig:
             raise ConfigError(f"delta must be finite and nonnegative, got {self.delta!r}")
         if self.rate is not None and not _finite_at_least(self.rate, 0):
             raise ConfigError(f"rate must be finite and nonnegative, got {self.rate!r}")
-        if not _int_at_least(self.k_max, 0):
+        if not int_at_least(self.k_max, 0):
             raise ConfigError(f"k_max must be a nonnegative integer, got {self.k_max!r}")
-        if not _int_at_least(self.budget, 1):
+        if not int_at_least(self.budget, 1):
             raise ConfigError(f"budget must be a positive integer, got {self.budget!r}")
         if not _finite_at_least(self.tie_tol, 0):
             raise ConfigError(f"tie_tol must be finite and nonnegative, got {self.tie_tol!r}")
@@ -149,9 +146,9 @@ class _Scorer:
             raise ConfigError("pirated sequence has negative symbols")
         y = np.unique(y, return_inverse=True)[1]
         side = cb.host * p.w_size + cb.effective_w()
-        self.n, self.x_size = p.n, p.x_size
+        self.n, self.x_size, self.sides = p.n, p.x_size, p.s_size * p.w_size
         # combined (y, s, w) code; every code built on it is int32
-        self.cells = (y * (p.s_size * p.w_size) + side).astype(np.int32)
+        self.cells = (y * self.sides + side).astype(np.int32)
         self.n_cells = int(self.cells.max()) + 1
         self.xlogx = _xlogx_table(p.n)
         comp = cb.cell_compositions()
@@ -159,6 +156,12 @@ class _Scorer:
         # constant composition: every row has the same H(x | s, w)
         self.h_x = _count_entropy(comp, p.n) - self.h_side
         self.h_y = float(self._h(self.cells)[0])
+
+    def y_counts(self) -> np.ndarray:
+        """(S W, Y) counts of each relabelled y symbol in each (s, w) cell."""
+        y_size = -(-self.n_cells // self.sides)
+        counts = np.bincount(self.cells, minlength=y_size * self.sides)
+        return counts.reshape(y_size, self.sides).T
 
     def block(self, k: int) -> int:
         """Candidates per block when each candidate codes k rows."""

@@ -2,8 +2,23 @@
 
 The CLI maps these onto exit codes: BudgetExceededError -> 3, ConfigError
 and every other FptraceError -> 2, each with a one-line message.  Anything
-else is an ordinary bug and propagates as exit 1.
+else is an ordinary bug and propagates as exit 1.  `int_at_least` is the
+one integer check behind the ConfigErrors for counts, indices and keys.
 """
+
+from numbers import Integral
+
+
+def int_at_least(value, low) -> bool:
+    """True for an integer >= low, numpy integers included.
+
+    A bool is refused: it would pass for 0 or 1 and alias that index or
+    stream.  numpy's bool is no Integral, so it is refused as well.
+    """
+    # a plain int, the usual case, skips the slower abstract-class check
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+        return False
+    return value >= low
 
 
 class FptraceError(Exception):

@@ -17,7 +17,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, int_at_least
 
 __all__ = ["derive", "key_words"]
 
@@ -25,11 +25,8 @@ __all__ = ["derive", "key_words"]
 def _word(key: str | int) -> int:
     if isinstance(key, str):
         return _str_word(key)
-    # a bool would alias the stream of 0 or 1, and a float has no word
-    if isinstance(key, (bool, np.bool_)) or not isinstance(key, (int, np.integer)):
-        raise ConfigError(f"rng keys must be integers or strings, not {key!r}")
-    if key < 0:
-        raise ConfigError(f"integer rng keys must be nonnegative, not {key}")
+    if not int_at_least(key, 0):
+        raise ConfigError(f"rng keys must be nonnegative integers or strings, not {key!r}")
     return int(key) & 0xFFFFFFFF
 
 

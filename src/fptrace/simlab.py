@@ -13,8 +13,10 @@ uniform on its conditional type class whatever y is, so that type is a
 multivariate hypergeometric table whose margins are the cell's mark
 composition and the cell's y counts.  Each innocent gets one such table
 (`_innocent_tables`), scored as I(x; y | s, w) from its entropies
-(`_table_info`): the cost of a trial no longer grows with M n.  The joint
-decoder still scores the whole book.
+(`_table_info`).  A table has S W X Y entries; past `_ROW_ENTRIES` + n/8 of
+them it costs more to draw than the row it stands for, so a trial with so
+wide a table (a large mark or y alphabet) runs `threshold_decode` on the
+real rows instead.  The joint decoder still scores the whole book.
 
 For the false-positive trend study, `threshold_fp_fast` runs the same
 sampler on the balanced binary code with no side information under
@@ -36,10 +38,8 @@ from . import rng as rngmod
 from .codec import CodeParams, build_codebook, draw_host, draw_timeshare
 from .collusion import ChannelSpec, apply_memoryless, interleave
 from .decoders import DecodeConfig, _Scorer, mpmi_decode
-# not called here (threshold trials score innocents from drawn tables), but
-# it stays the decoder of `fptrace decode`; perfbench's traced run wraps it
-from .decoders import threshold_decode  # noqa: F401
-from .errors import ConfigError, InfeasibleError
+from .decoders import threshold_decode
+from .errors import ConfigError, InfeasibleError, int_at_least
 from .types_core import _count_entropy, _xlogx_table
 
 __all__ = [
@@ -58,8 +58,14 @@ __all__ = [
 MAX_ATTACK_RESAMPLES = 64
 # trials per batch of the fast false-positive engine
 _FP_CHUNK = 20_000
-# innocent tables drawn and scored at a time; part of every trial's stream
+# innocent tables drawn and scored at a time, fewer when a block would
+# pass _BLOCK_ENTRIES table entries; part of every trial's stream
 _INNOCENT_BLOCK = 4096
+_BLOCK_ENTRIES = 1 << 16
+# widest table a trial draws is _ROW_ENTRIES + n // 8 entries: on a 2-core
+# VM a keyed row and its score took about 35 us + 22 ns n, a table entry
+# 50-160 ns, so a wider table costs more than the real row
+_ROW_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,7 @@ class ExperimentConfig:
         if isinstance(c, (list, tuple)):
             object.__setattr__(self, "coalition", _coalition_users(c, m))
             size = len(c)
-        elif _is_int(c):
+        elif int_at_least(c, 0):
             object.__setattr__(self, "coalition", int(c))
             size = c
         else:
@@ -101,10 +107,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown named attack {self.attack!r}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
-
-
 def _coalition_users(users, num_users: int) -> tuple:
     """An explicit coalition as a sorted tuple of distinct user indices.
 
@@ -112,17 +114,19 @@ def _coalition_users(users, num_users: int) -> tuple:
     float, a repeated or an out-of-range user is refused, not coerced.
     """
     users = tuple(users)
-    if not all(_is_int(m) for m in users):
-        raise ConfigError(f"coalition users must be integers, got {list(users)!r}")
+    if not all(int_at_least(m, 0) and m < num_users for m in users):
+        raise ConfigError(f"coalition users must be integers in 0..{num_users - 1}: {list(users)!r}")
     if len(set(users)) < len(users):
         raise ConfigError(f"coalition lists a user twice: {list(users)!r}")
-    if not all(0 <= m < num_users for m in users):
-        raise ConfigError(f"coalition user out of range 0..{num_users - 1}: {list(users)!r}")
     return tuple(sorted(int(m) for m in users))
 
 
 @dataclass(frozen=True, slots=True)
 class TrialRecord:
+    """Events of one trial.  ``accused`` is the decoder's accused set; in a
+    threshold trial whose innocents were scored from drawn tables, its
+    innocents are sampled stand-ins (see `run_trial`)."""
+
     fp: bool
     miss_one: bool
     miss_all: bool
@@ -143,7 +147,15 @@ def _trial_params(cfg: ExperimentConfig, n: int) -> CodeParams:
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int, n: int | None = None) -> TrialRecord:
-    """Execute one full pipeline pass, deterministic in (seed, n, index)."""
+    """One trial of the pipeline, deterministic in (seed, n, index).
+
+    The book, coalition, attack and the coalition's accusations are those of
+    the full pipeline.  A threshold trial scores the innocents from drawn
+    joint types (see the module docstring): ``fp`` keeps its distribution,
+    but the innocents in ``accused`` are the users the draws put above the
+    bar, not the ones `threshold_decode` would accuse on the book's rows.
+    Only a trial whose tables are too wide decodes the rows themselves.
+    """
     params = _trial_params(cfg, int(n if n is not None else cfg.params.n))
     root = (cfg.seed, "trial", params.n, int(trial_index))
     gen_env = rngmod.derive(*root, "env")
@@ -200,25 +212,18 @@ def _threshold_accused(cb, y, cfg: DecodeConfig, coalition, rows, gen) -> tuple:
 
     The coalition's ``rows`` are scored exactly as `threshold_decode` scores
     them.  The innocents, the other users in increasing order, are scored
-    from joint types drawn from ``gen`` (see the module docstring).
+    from joint types drawn from ``gen`` (see the module docstring), or from
+    their real rows when a table would cost more than its row.
     """
     p = cb.params
+    scorer = _Scorer(cb, y)
+    ny = scorer.y_counts()
+    comp = cb.cell_compositions().reshape(len(ny), p.x_size)
+    if comp.size * ny.shape[1] > _ROW_ENTRIES + p.n // 8:
+        return threshold_decode(cb, y, cfg).accused
     bar = cfg.rate_for(cb) + cfg.delta
-    caught = _Scorer(cb, y).info(rows[:, None]) > bar
-    cells = p.s_size * p.w_size
-    cell = cb.host * p.w_size + cb.effective_w()
-    y = np.unique(y, return_inverse=True)[1]
-    y_size = int(y.max()) + 1
-    ny = np.bincount(cell * y_size + y, minlength=cells * y_size).reshape(cells, y_size)
-    comp = cb.cell_compositions().reshape(cells, p.x_size)
-    idx = _crossings(
-        gen,
-        comp,
-        lambda i: np.broadcast_to(ny, (len(i),) + ny.shape),
-        p.num_users - len(coalition),
-        bar,
-        p.n,
-    )
+    caught = scorer.info(rows[:, None]) > bar
+    idx = _crossings(gen, comp, ny[None], p.num_users - len(coalition), bar, p.n)
     # innocent j is user j + r, r the number of colluders c_i with
     # c_i - i <= j (c_i - i innocents come before colluder i)
     ahead = np.subtract(coalition, np.arange(len(coalition)))
@@ -438,15 +443,20 @@ def _table_info(tables, n):
     return (h_cx + h_cy - h(t) - h(t.sum(axis=(1, 2)))).reshape(lead)
 
 
-def _crossings(gen, comp, ny_of, count, bar, n):
+def _crossings(gen, comp, ny, count, bar, n):
     """Indices in range(count), increasing, of the innocents whose drawn
-    table scores above ``bar``.  ``ny_of(idx)`` gives the (len(idx), C, Y)
-    y counts innocents ``idx`` are scored against.  Innocents are drawn in
-    index order, ``_INNOCENT_BLOCK`` at a time, so memory stays O(block)."""
+    table scores above ``bar``.  ``comp`` holds the (C, X) cell compositions
+    and ``ny`` (G, C, Y) y counts shared in order by equal runs of the
+    innocents: innocent i is scored against ny[i G // count].  Innocents
+    are drawn in index order, at most ``_INNOCENT_BLOCK`` of them and
+    ``_BLOCK_ENTRIES`` table entries at a time, so memory stays bounded for
+    any count and any table width."""
     hits = [np.empty(0, dtype=np.int64)]
-    for lo in range(0, count, _INNOCENT_BLOCK):
-        idx = np.arange(lo, min(lo + _INNOCENT_BLOCK, count))
-        hits.append(idx[_table_info(_innocent_tables(gen, comp, ny_of(idx)), n) > bar])
+    size = min(_INNOCENT_BLOCK, max(1, _BLOCK_ENTRIES // (comp.size * ny.shape[-1])))
+    for lo in range(0, count, size):
+        idx = np.arange(lo, min(lo + size, count))
+        tables = _innocent_tables(gen, comp, ny[idx * len(ny) // count])
+        hits.append(idx[_table_info(tables, n) > bar])
     return np.concatenate(hits)
 
 
@@ -522,7 +532,7 @@ def threshold_fp_fast(
         n1y = _pirate_ones(gen, n, k, m)
         ny = np.stack([n - n1y, n1y], axis=-1)[:, None]  # (trial, cell, y)
         # innocent j of trial t is index t * innocents + j
-        hits = _crossings(gen, comp, lambda i: ny[i // innocents], m * innocents, bar, n)
+        hits = _crossings(gen, comp, ny, m * innocents, bar, n)
         fp += np.unique(hits // innocents).size
         done += m
     return PointEstimate(

@@ -462,3 +462,68 @@ def test_threshold_trial_memory_does_not_grow_with_users():
         tracemalloc.stop()
     assert rec.fp  # innocents were drawn and some crossed the low bar
     assert peak < 3_000_000, peak
+
+
+def _never_drawn(*args):
+    raise AssertionError("a wide table was drawn instead of the real row")
+
+
+def test_wide_tables_score_the_real_rows(monkeypatch):
+    # 16 marks and up to 16 y symbols in 4 cells: a table has more entries
+    # than the row of n = 64 it stands for, so the trial decodes the book
+    cfg = ExperimentConfig(
+        params=CodeParams(n=64, num_users=40, s_size=2, w_size=2, x_size=16),
+        decode=DecodeConfig(delta=0.05),
+        seed=6,
+    )
+    monkeypatch.setattr(simlab, "_innocent_tables", _never_drawn)
+    fp = 0
+    for rec, cb, y in _spy_threshold_trials(monkeypatch, cfg, 20):
+        assert rec.accused == threshold_decode(cb, y, cfg.decode).accused
+        fp += rec.fp
+    assert fp  # some innocent rows crossed the bar
+
+
+def test_wide_table_trials_keep_innocent_scoring_bounded(monkeypatch):
+    # at 200 marks one table would have about 150,000 entries; the innocents
+    # are scored from their rows, a block at a time.  The attack's own joint
+    # type is 200**3 cells, so the peak is taken over the innocent scoring
+    cfg = ExperimentConfig(
+        params=CodeParams(n=256, num_users=64, s_size=2, w_size=2, x_size=200),
+        decode=DecodeConfig(delta=0.02),
+        seed=4,
+    )
+    run_trial(cfg, 0)  # lazy imports and caches
+    peaks = []
+    original = simlab._threshold_accused
+
+    def spy(*args):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = original(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return out
+
+    monkeypatch.setattr(simlab, "_threshold_accused", spy)
+    tracemalloc.start()
+    try:
+        run_trial(cfg, 1)
+    finally:
+        tracemalloc.stop()
+    assert peaks and peaks[0] < 4_000_000, peaks
+
+
+def test_innocent_blocks_bound_the_table_entries():
+    # 3,600-entry tables: 18 a block, not all 60 at once
+    comp = np.full((4, 30), 2)
+    ny = np.full((1, 4, 30), 2)
+    gen = np.random.default_rng(5)
+    simlab._crossings(gen, comp, ny, 2, 0.5, 240)
+    tracemalloc.start()
+    try:
+        hits = simlab._crossings(gen, comp, ny, 60, 0.5, 240)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits.size and np.all(np.diff(hits) > 0)
+    assert peak < 3_000_000, peak
