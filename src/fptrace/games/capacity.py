@@ -9,10 +9,23 @@ per iteration, at the accepted point.  The outer maximization over the
 input law is multistart gradient ascent on a softmax parameterization
 (the payoff is generally nonconcave in the mark law, so local optima are
 collected and the spread is reported rather than hidden).
+
+The ascent's gradient comes from Danskin's theorem: each forward-difference
+probe evaluates the payoff at the probed law with the worst channel of the
+accepted point held fixed, so it costs one ``Payoff`` and no inner solve.
+Detect-all holds every subset's channel and takes the min over subsets.
+Two cases probe with full inner solves instead: a Distortion family, whose
+polytope moves with the law, and a point whose Frank-Wolfe gap did not
+close below the inner tolerance.  Moves are accepted on full solves only.
+``value_evaluations`` counts the full solves of the ascent (its starts,
+line-search trials and full probes); ``model_probes`` counts the probes at
+a fixed channel and ``full_probe_points`` the evaluated points that had no
+probe model.
 """
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +34,7 @@ from scipy.optimize import minimize_scalar
 from .. import rng as rngmod
 from ..errors import ConfigError
 from .problems import (
+    Distortion,
     GameProblem,
     GameSolution,
     InputLaw,
@@ -79,6 +93,23 @@ def _subsets(k):
         yield from itertools.combinations(range(k), size)
 
 
+def _parts(problem, subset, user):
+    """The convex parts of one inner game, as (objective, subset, user, fair);
+    the game's value is the min over its parts of each part's minimum."""
+    if subset is not None:
+        return [("detect_all_part", tuple(subset), None, False)]
+    if user is not None or problem.objective == "simple":
+        return [("simple", None, user or 0, True)]
+    if problem.objective == "detect_one":
+        return [("detect_one", None, None, True)]
+    if problem.objective == "detect_all":
+        return [
+            ("detect_all_part", a, None, False)
+            for a in _subsets(problem.coalition_size)
+        ]
+    raise ConfigError(f"unknown objective {problem.objective!r}")
+
+
 def inner_min_channel(
     input_law,
     problem,
@@ -95,36 +126,27 @@ def inner_min_channel(
     of the channel family; detect-all is minimized over the family as given,
     jointly with the choice of the weakest coalition subset (each subset
     problem is convex, so the min over subsets of exact minima is exact).
+    With ``full_output`` the info dict also holds ``parts``: one
+    (objective, subset, user, table, gap) per part solved, every
+    detect-all subset included.
     """
-    if subset is not None:
+    parts = []
+    best = None
+    iterations = 0
+    for objective, a, m, fair in _parts(problem, subset, user):
         c, v, info = _frank_wolfe(
-            problem, input_law, "detect_all_part", subset, None, False, tol, max_iter
+            problem, input_law, objective, a, m, fair, tol, max_iter
         )
-        info["subset"] = tuple(subset)
-    elif user is not None or problem.objective == "simple":
-        c, v, info = _frank_wolfe(
-            problem, input_law, "simple", None, user or 0, True, tol, max_iter
-        )
-    elif problem.objective == "detect_one":
-        c, v, info = _frank_wolfe(
-            problem, input_law, "detect_one", None, None, True, tol, max_iter
-        )
-    elif problem.objective == "detect_all":
-        best = None
-        total_iters = 0
-        for a in _subsets(problem.coalition_size):
-            ca, va, ia = _frank_wolfe(
-                problem, input_law, "detect_all_part", a, None, False, tol, max_iter
-            )
-            total_iters += ia["iterations"]
-            if best is None or va < best[1] - 1e-15:
-                best = (ca, va, {"gap": ia["gap"], "subset": a})
-        c, v, info = best
-        info["iterations"] = total_iters
-    else:
-        raise ConfigError(f"unknown objective {problem.objective!r}")
+        iterations += info["iterations"]
+        parts.append((objective, a, m, c, info["gap"]))
+        if best is None or v < best[1] - 1e-15:
+            best = (c, v, info["gap"], a)
+    c, v, gap, a = best
     spec = problem.wrap_channel(c)
     if full_output:
+        info = {"iterations": iterations, "gap": gap, "parts": parts}
+        if a is not None:
+            info["subset"] = a
         return spec, v, info
     return spec, v
 
@@ -144,11 +166,11 @@ def _softmax(t):
 
 
 def _law_from_theta(problem, theta, p_tilde=None):
+    """The input law at theta.  Softmax rows are pmfs by construction, so the
+    law skips InputLaw's checks; a solver validates the law it returns."""
     l, s, x = problem.num_timeshare, problem.s_size, problem.x_size
-    return InputLaw(
-        p_w=_softmax(theta[:l]),
-        p_x_given_sw=_softmax(theta[l:].reshape(s, l, x)),
-        p_s_tilde_given_w=p_tilde,
+    return InputLaw._trusted(
+        _softmax(theta[:l]), _softmax(theta[l:].reshape(s, l, x)), p_tilde
     )
 
 
@@ -159,50 +181,97 @@ def _theta_from_law(problem, law):
     return np.concatenate([tw, tx.ravel()])
 
 
+def _penalty(problem, law):
+    """Soft embedding-cap penalty subtracted from the game value."""
+    if problem.d1_cap is None:
+        return 0.0
+    excess = law.embedding_cost(problem) - problem.d1_cap
+    return 1e3 * excess if excess > 0 else 0.0
+
+
 def _penalized_value(problem, law, inner_tol):
-    _, v = inner_min_channel(law, problem, tol=inner_tol)
-    if problem.d1_cap is not None:
-        excess = law.embedding_cost(problem) - problem.d1_cap
-        if excess > 0:
-            v -= 1e3 * excess
-    return v
+    """(penalized game value, probe parts) at law.
+
+    The parts are the inner solve's (objective, subset, user, table, gap)
+    tuples, or None when their tables cannot serve as a probe model: a
+    Distortion polytope moves with the law, and a part whose Frank-Wolfe
+    gap did not close has no certified minimizer.
+    """
+    _, v, info = inner_min_channel(law, problem, tol=inner_tol, full_output=True)
+    parts = info["parts"]
+    if isinstance(problem.channel_class, Distortion) or any(
+        part[-1] >= inner_tol for part in parts
+    ):
+        parts = None
+    return v - _penalty(problem, law), parts
 
 
-def _fd_ascent(f, theta, *, steps, fd, step0, min_step, grad_tol, gain_tol, sign=+1):
+def _danskin_probe(problem, parts, theta):
+    """Penalized payoff at theta with each part's channel held fixed.
+
+    Every held table is feasible at any law, so this bounds the game value
+    at theta from above, and it equals the value where the tables were
+    solved; by Danskin's theorem its forward differences there are those of
+    the value itself, without an inner solve.
+    """
+    law = _law_from_theta(problem, theta)
+    tensors = law_tensors(problem, law)
+    value = min(
+        Payoff(problem, tensors, objective, a, m).value(c)
+        for objective, a, m, c, _ in parts
+    )
+    return value - _penalty(problem, law)
+
+
+def _fd_ascent(
+    f, theta, *, steps, fd, step0, min_step, grad_tol, gain_tol, sign=+1, probe=None
+):
     """Finite-difference ascent of f (sign=+1) or descent (sign=-1).
 
-    Each step takes the forward-difference gradient (one probe of f at
-    theta + fd e_i per coordinate), then tries theta + sign s g/|g| for
-    s = step0, step0/4, ... while s > min_step, and moves to the first
-    point where sign f beats sign f(theta) by more than gain_tol.  It stops
-    after ``steps`` moves, when |g| < grad_tol, or when no trial point
-    gains.  A non-finite start is returned at once, a non-finite probe
-    counts as a zero gradient component, and a non-finite trial point is
-    never taken.  Returns (theta, f(theta), number of f evaluations).
+    Each step takes the forward-difference gradient at the current point,
+    one probe at theta + fd e_i per coordinate.  Without ``probe`` each
+    probe is one more evaluation of f.  With ``probe``, f returns
+    (value, anchor) and a probe is ``probe(anchor, theta + fd e_i)``: the
+    value of a model of f that touches f at the point the anchor came from
+    (for the capacity ascent, the payoff at that point's worst channel).
+    A None anchor has no model, and its probes evaluate f.  Then it tries
+    theta + sign s g/|g| for s = s0, s0/4, ... while s > min_step, with s0 =
+    min(step0, 4 x the last step taken), and moves to the first point where
+    sign f beats sign f(theta) by more than gain_tol: moves are taken on
+    true f values only.  It stops after ``steps`` moves, when
+    |g| < grad_tol, or when no trial point gains.  A non-finite start is
+    returned at once, a non-finite probe counts as a zero gradient
+    component, and a non-finite trial point is never taken.  Returns
+    (theta, f(theta), number of f evaluations).
     """
+    evaluate = f if probe is not None else (lambda t: (f(t), None))
     theta = np.array(theta, dtype=float)
-    cur = f(theta)
+    cur, anchor = evaluate(theta)
     evals = 1
     if not math.isfinite(cur):
         return theta, cur, evals
+    last = step0
     for _ in range(steps):
         grad = np.empty_like(theta)
         for i in range(len(theta)):
             bumped = theta.copy()
             bumped[i] += fd
-            probe = f(bumped)
-            grad[i] = (probe - cur) / fd if math.isfinite(probe) else 0.0
-        evals += len(theta)
+            if anchor is None:
+                value = evaluate(bumped)[0]
+                evals += 1
+            else:
+                value = probe(anchor, bumped)
+            grad[i] = (value - cur) / fd if math.isfinite(value) else 0.0
         norm = float(np.linalg.norm(grad))
         if norm < grad_tol:
             break
-        step = step0
+        step = min(step0, 4.0 * last)
         while step > min_step:
             cand = theta + sign * step * grad / norm
-            cv = f(cand)
+            cv, cand_anchor = evaluate(cand)
             evals += 1
             if math.isfinite(cv) and sign * cv > sign * cur + gain_tol:
-                theta, cur = cand, cv
+                theta, cur, anchor, last = cand, cv, cand_anchor, step
                 break
             step /= 4.0
         else:
@@ -272,7 +341,10 @@ def solve_capacity(
     grid = _grid_laws(problem, grid_resolution)
     if grid:
         scored = sorted(
-            ((_penalized_value(problem, law, 1e-6), i) for i, law in enumerate(grid)),
+            (
+                (_penalized_value(problem, law, 1e-6)[0], i)
+                for i, law in enumerate(grid)
+            ),
             reverse=True,
         )
         for _, i in scored[:3]:
@@ -289,8 +361,18 @@ def solve_capacity(
         )
         starts.append(_theta_from_law(problem, _embed_lower(problem, lower)))
 
+    counts = Counter()
+
     def penalized(theta):
-        return _penalized_value(problem, _law_from_theta(problem, theta), inner_tol)
+        value, parts = _penalized_value(
+            problem, _law_from_theta(problem, theta), inner_tol
+        )
+        counts["full_probe_points"] += parts is None
+        return value, parts
+
+    def probe(parts, theta):
+        counts["model_probes"] += 1
+        return _danskin_probe(problem, parts, theta)
 
     best_theta = None
     best_value = -math.inf
@@ -299,7 +381,7 @@ def solve_capacity(
     for theta0 in starts:
         theta, value, evals = _fd_ascent(
             penalized, theta0, steps=200, fd=_FD_STEP, step0=1.0, min_step=1e-7,
-            grad_tol=1e-9, gain_tol=1e-12,
+            grad_tol=1e-9, gain_tol=1e-12, probe=probe,
         )
         total_evals += evals
         local_values.append(value)
@@ -307,7 +389,7 @@ def solve_capacity(
             best_value = value
             best_theta = theta
 
-    law = _law_from_theta(problem, best_theta)
+    law = replace(_law_from_theta(problem, best_theta))
     spec, value, info = inner_min_channel(
         law, problem, tol=min(inner_tol, 1e-9), full_output=True
     )
@@ -319,6 +401,8 @@ def solve_capacity(
         "inner_iterations": info["iterations"],
         "inner_gap": info["gap"],
         "value_evaluations": total_evals,
+        "model_probes": counts["model_probes"],
+        "full_probe_points": counts["full_probe_points"],
         "reeval_discrepancy": abs(value - best_value),
     }
     if "subset" in info:

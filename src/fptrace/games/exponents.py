@@ -27,6 +27,7 @@ grid-oracle agreement tests are the accuracy contract.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -621,7 +622,7 @@ def solve_exponent_program(
                 break
     return {
         "value": val,
-        "input_law": _law_from_theta(problem, theta, p_tilde),
+        "input_law": replace(_law_from_theta(problem, theta, p_tilde)),
         "history": history,
         "converged": converged,
     }

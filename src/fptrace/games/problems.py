@@ -504,6 +504,22 @@ class InputLaw:
             ps.setflags(write=False)
             object.__setattr__(self, "p_s_tilde_given_w", ps)
 
+    @classmethod
+    def _trusted(cls, p_w, p_x_given_sw, p_s_tilde_given_w=None):
+        """A law from arrays that are pmfs by construction (softmax rows),
+        built without the checks and renormalization of ``__post_init__``.
+        ``dataclasses.replace(law)`` returns the validated law."""
+        law = object.__new__(cls)
+        for name, arr in (
+            ("p_w", p_w),
+            ("p_x_given_sw", p_x_given_sw),
+            ("p_s_tilde_given_w", p_s_tilde_given_w),
+        ):
+            if arr is not None:
+                arr.setflags(write=False)
+            object.__setattr__(law, name, arr)
+        return law
+
     def embedding_cost(self, problem: GameProblem) -> float:
         if problem.d1 is None:
             return 0.0

@@ -4,6 +4,7 @@ comparisons, checked against brute-force lattice oracles where one exists."""
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -278,6 +279,99 @@ def test_timeshare_never_hurts():
     lifted = solve_capacity(fair_problem(k=2, num_timeshare=2), restarts=6)
     assert lifted.value >= base.value - 1e-6
     assert lifted.diagnostics["lower_l_value"] >= base.value - 1e-6
+
+
+def _danskin_cases():
+    """Problems whose channel polytope does not move with the input law."""
+    gen = np.random.default_rng(11)
+    fair = _interleaving_table(2, 2)
+    tilted = fair.copy()
+    tilted[0, 1] = tilted[1, 0] = [0.8, 0.2]
+    yield fair_problem(k=2, num_timeshare=2)
+    yield fair_problem(k=3)
+    yield GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=Marking())
+    yield GameProblem(
+        coalition_size=2, x_size=2, y_size=2,
+        channel_class=Hull([fair, tilted, gen.dirichlet(np.ones(2), size=(2, 2))]),
+        objective="simple",
+    )
+    yield fair_problem(k=2, objective="detect_all")
+    yield fair_problem(k=2, objective="simple", s_size=2)
+    # P(X=1) capped at 0.3: a random law mostly pays the penalty
+    yield fair_problem(k=2, d1=np.array([[0.0, 1.0]]), d1_cap=0.3)
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_danskin_probe_gradient_matches_full_forward_difference(case):
+    problem = list(_danskin_cases())[case]
+    gen = np.random.default_rng(100 + case)
+    h = capacity._FD_STEP
+    points = 0
+    for _ in range(20):
+        theta = gen.normal(0.0, 1.0, capacity._theta_dim(problem))
+        law = capacity._law_from_theta(problem, theta)
+        cur, parts = capacity._penalized_value(problem, law, 1e-8)
+        if parts is None:  # an open Frank-Wolfe gap: probed by full solves
+            continue
+        for i in range(len(theta)):
+            bumped = theta.copy()
+            bumped[i] += h
+            model = (capacity._danskin_probe(problem, parts, bumped) - cur) / h
+            full_law = capacity._law_from_theta(problem, bumped)
+            full = (capacity._penalized_value(problem, full_law, 1e-8)[0] - cur) / h
+            assert abs(model - full) <= 1e-3 * max(1.0, abs(full))
+        points += 1
+        if points == 2:
+            break
+    assert points == 2
+
+
+def test_open_frank_wolfe_gap_has_no_probe_model():
+    prob = fair_problem(k=3)
+    # this K=3 solve stalls with its gap near 6e-8
+    law = capacity._law_from_theta(prob, np.array([-0.79, -2.03, 0.60]))
+    _, _, info = inner_min_channel(law, prob, tol=1e-8, full_output=True)
+    assert info["gap"] >= 1e-8
+    assert capacity._penalized_value(prob, law, 1e-8)[1] is None
+    assert capacity._penalized_value(prob, law, 1e-6)[1] is not None
+
+
+def test_distortion_capacity_probes_with_full_solves():
+    fam = Distortion(estimator=np.array([[0, 0], [0, 1]]), d2=1.0 - np.eye(2), cap=0.3)
+    prob = GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=fam)
+    diag = solve_capacity(prob, restarts=1, grid_resolution=2).diagnostics
+    assert diag["model_probes"] == 0
+    assert diag["full_probe_points"] == diag["value_evaluations"] > 0
+    fair = solve_capacity(fair_problem(k=2), restarts=1, grid_resolution=2).diagnostics
+    assert fair["model_probes"] > 0 and fair["full_probe_points"] == 0
+
+
+def test_capacity_ascent_evaluation_count_and_values():
+    two_slots = solve_capacity(
+        fair_problem(k=2, num_timeshare=2), seed=0, restarts=6, grid_resolution=8
+    )
+    # a third of the 6,574 that forward differences of full solves took
+    assert two_slots.diagnostics["value_evaluations"] <= 2191
+    assert abs(two_slots.value - 0.25) < 1e-6
+    three_slots = solve_capacity(
+        fair_problem(k=2, num_timeshare=3), seed=0, restarts=6, grid_resolution=8
+    )
+    assert abs(three_slots.value - 0.25) < 1e-6
+    k3 = solve_capacity(fair_problem(k=3), seed=0, restarts=2, grid_resolution=10)
+    assert abs(k3.value - 1.0 / 12.0) < 1e-6
+
+
+def test_unchecked_ascent_law_validates_through_replace():
+    theta = np.array([0.3, -1.0, 2.0])
+    law = capacity._law_from_theta(fair_problem(k=2), theta)
+    checked = InputLaw(p_w=law.p_w, p_x_given_sw=law.p_x_given_sw)
+    again = replace(law)
+    assert np.array_equal(again.p_w, checked.p_w)
+    assert np.array_equal(again.p_x_given_sw, checked.p_x_given_sw)
+    assert not again.p_x_given_sw.flags.writeable
+    bad = InputLaw._trusted(np.array([0.7, 0.7]), np.full((1, 2, 2), 0.5))
+    with pytest.raises(ConfigError):
+        replace(bad)
 
 
 # ---------------------------------------------------------------------------

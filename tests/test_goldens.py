@@ -53,7 +53,7 @@ FAIR_K2 = {
 
 GOLDEN = {
     "simulate": "11a316b0487b6dcba356ac9558aaece9e871cc35c19a4834c61dafa91a212b7a",
-    "capacity": "cf749441a4532050e8ecf055d935fb77ed0ae6a6457e19b59acdfc9031ad7031",
+    "capacity": "f15c059f3682127a146460be1018e747023c1ff3dc13f3f4dad84faf89b2725b",
     "exponent_sweep": "c073761b520bc94b2d41431e1d649b582c4201527d8cc03d266dc03782b6631a",
     "operating_point": "ea973ec0a3ed1b002e9db6c591776fb87ab68e18a8223311070671a26a66aec5",
     "exponent_layouts": "48849b3980619a51584fc1077154b84f190e3368821184f5a2521b75f0a22a24",
