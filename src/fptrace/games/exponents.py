@@ -14,15 +14,22 @@ class of X^K.  Where the program is permutation-invariant the classes are
 the colluder orbits (lossless: the feasible set is permutation-invariant and
 the cost is convex and symmetric, so averaging over coordinate permutations
 never hurts); everywhere else they are single cells.  Under marking a
-constant class is pinned to copy its symbol, and a single-cell law is
-unpacked by a plain reshape so that its sums keep one fixed order (see
-``_Layout``).  Proper subsets of the coalition under fair families, and
-hull families in general, need the induced channel tied to explicit
-channel variables, which makes those instances nonconvex; they are
-attacked by multistart and the diagnostics say so.
+constant class is pinned to copy its symbol (see ``_Layout``).  Proper
+subsets of the coalition under fair families, and hull families in
+general, need the induced channel tied to explicit channel variables,
+which makes those instances nonconvex; they are attacked by multistart and
+the diagnostics say so.
 
 Solved with SLSQP multistart rather than alternating projections; the
-grid-oracle agreement tests are the accuracy contract.
+grid-oracle agreement tests are the accuracy contract.  SLSQP gets
+analytic derivatives of the cost and of every constraint.  The layout
+builds the linear maps from the variables to the tilted law, the
+aggregated joint and the channel table once; each nonlinear piece (the
+divergence, the information cap, the ties, a memoryless distortion) gives
+its partials in the joint and the channel, and ``_Layout._chain`` carries
+them back through those maps.  The memoryless variant always solves the
+constrained program too and keeps its transplanted minimizer when that is
+lower, so it is dominated by construction.
 """
 
 import itertools
@@ -35,7 +42,7 @@ from scipy.optimize import minimize
 from .. import rng as rngmod
 from ..collusion import input_orbits
 from ..errors import ConfigError
-from ..types_core import _TINY, _divergence_terms, multi_info_pmf
+from ..types_core import _LN2, _TINY, _divergence_terms, _safe_log2, multi_info_pmf
 from .capacity import _fd_ascent, _frank_wolfe, _law_from_theta, _softmax, _theta_dim
 from .problems import Distortion, FairMarking, Hull, Marking
 
@@ -97,17 +104,14 @@ class _Layout:
     table), single cells otherwise.  Under marking a constant class is
     pinned to copy its symbol.  The channel block is a class table
     (``table``), hull mixture weights (``lambda``) or absent (``none``).
-    Single-cell tilted laws are unpacked by a plain reshape: indexing them
-    with the identity classes gives a copy that is not C-contiguous once
-    there are several (s, w) cells, and later sums over it would then add
-    in another order and move results in the last bits.
+    ``scatter_t`` unpacks the tilted law as one product with ``t_map``,
+    which gives a C-contiguous array, so later sums over it add in one
+    fixed order.
     """
 
     def __init__(self, problem, law, subset, user, memoryless):
         self.problem = problem
         self.law = law
-        self.subset = subset
-        self.user = user
         self.memoryless = memoryless
         k = problem.coalition_size
         self.k = k
@@ -190,37 +194,90 @@ class _Layout:
         # ties on constant rows are vacuous under marking (both sides are
         # structurally zero), and vacuous residuals make the constraint
         # Jacobian singular, so only informative rows are emitted
+        cell_reps = np.array(list(itertools.product(range(self.x), repeat=k)))
         self.tie_rows = [
-            r
-            for r, cell in enumerate(itertools.product(range(self.x), repeat=k))
+            r for r, cell in enumerate(cell_reps)
             if not (marking and len(set(cell)) == 1)
         ]
+        if subset is not None:
+            rest = tuple(1 + i for i in range(k) if i not in subset) + (1 + k,)
+            self.info_parts = [(1 + m,) for m in subset] + [rest]
+            self.info_scale = 1.0 / len(subset)
+        else:
+            self.info_parts = [(1 + user,), (1 + k,)]
+            self.info_scale = 1.0
+        self._build_maps(cell_reps)
+
+    def _build_maps(self, cell_reps):
+        """The program's linear maps, built once.
+
+        ``t_map`` takes one cell's free slots to its tilted law (X^K * Y
+        entries, C order): a slot's mass goes to its single cell, or is
+        spread evenly over its orbit.  ``p_map`` takes the whole tilted
+        block to the joint summed over the active cells, and ``c_map`` the
+        channel block to the channel table, less its constant part
+        ``ch_const`` (the copy rows under marking).  The pins and channel
+        norms are linear, so their Jacobians are stored.
+        """
+        rows, y, tpc = self.n_rows, self.y, self.t_per_cell
+        slots = np.full(self.t_mask.shape, -1)
+        slots[self.t_mask] = np.arange(tpc)
+        cls = self.ids.ravel()
+        r, yy = np.nonzero(slots[cls] >= 0)
+        t_map = np.zeros((rows, y, tpc))
+        t_map[r, yy, slots[cls][r, yy]] = 1.0 / self.sizes[cls[r]]
+        self.t_map = t_map.reshape(rows * y, tpc)
+        self.p_map = np.kron(self.omega[None, :], self.t_map)
+
+        c_map = np.zeros((rows, y, self.n_ch))
+        self.ch_const = np.zeros(self.xshape + (y,))
+        if self.ch_kind == "table":
+            self.ch_const = self.ch_template[self.ch_ids]
+            pos = np.full(len(self.ch_reps), -1)
+            pos[self.ch_free] = np.arange(len(self.ch_free))
+            r = np.nonzero(pos[self.ch_ids.ravel()] >= 0)[0]
+            for yy in range(y):
+                c_map[r, yy, pos[self.ch_ids.ravel()[r]] * y + yy] = 1.0
+            norms = np.kron(np.eye(len(self.ch_free)), np.ones((1, y)))
+        elif self.ch_kind == "lambda":
+            for i, vert in enumerate(self.problem.channel_class.vertices):
+                c_map[..., i] = np.reshape(vert, (rows, y))
+            norms = np.ones((1, self.n_ch))
+        else:
+            norms = np.zeros((0, 0))
+        self.c_map = c_map.reshape(rows * y, self.n_ch)
+        self.norm_jac = np.hstack([np.zeros((len(norms), self.n_t)), norms])
+
+        # pins: user m's marginal of each cell's tilted law (only user 0
+        # under symmetry; later users drop their last, implied, entry)
+        target = self.law.p_x_given_sw[self.s_idx, self.w_idx]  # (n_cells, X)
+        jac, rhs = [], []
+        for m in [0] if self.sym else range(self.k):
+            marg = (cell_reps[:, m] == np.arange(self.x)[:, None]).astype(float)
+            block = marg @ t_map.reshape(rows, y * tpc)
+            block = block.reshape(self.x, y, tpc).sum(axis=1)
+            keep = self.x if m == 0 else self.x - 1
+            jac.append(np.kron(np.eye(self.n_cells), block[:keep]))
+            rhs.append(target[:, :keep].ravel())
+        jac = np.vstack(jac)
+        self.pin_jac = np.hstack([jac, np.zeros((len(jac), self.n_ch))])
+        self.pin_target = np.concatenate(rhs)
 
     # -- tensors ---------------------------------------------------------
 
     def scatter_t(self, v):
-        rows = np.zeros((self.n_cells, len(self.reps), self.y))
-        rows[:, self.t_mask] = v[: self.n_t].reshape(self.n_cells, self.t_per_cell)
-        if self.sym:
-            return rows[:, self.ids] / self.sizes[self.ids][..., None]
-        return rows.reshape((self.n_cells,) + self.xshape + (self.y,))
+        t = v[: self.n_t].reshape(self.n_cells, self.t_per_cell) @ self.t_map.T
+        return t.reshape((self.n_cells,) + self.xshape + (self.y,))
 
     def joint(self, v):
         """Tilted joint law J(s, w, x_1..x_K, y) over the active cells."""
         return self.omega.reshape((-1,) + (1,) * (self.k + 1)) * self.scatter_t(v)
 
     def channel_table(self, v):
-        vc = v[self.n_t :]
-        if self.ch_kind == "table":
-            rows = self.ch_template.copy()
-            rows[self.ch_free] = vc.reshape(len(self.ch_free), self.y)
-            return rows[self.ch_ids]
-        if self.ch_kind == "lambda":
-            mix = np.zeros(self.xshape + (self.y,))
-            for lam, vert in zip(vc, self.problem.channel_class.vertices):
-                mix = mix + lam * vert
-            return mix
-        return self.fixed_channel
+        if self.ch_kind == "none":
+            return self.fixed_channel
+        free = self.c_map @ v[self.n_t :]
+        return self.ch_const + free.reshape(self.xshape + (self.y,))
 
     def gather(self, t, channel):
         rows = np.zeros((self.n_cells, len(self.reps), self.y))
@@ -234,6 +291,15 @@ class _Layout:
             parts.append(np.full(self.n_ch, 1.0 / self.n_ch))
         return np.concatenate(parts)
 
+    def _chain(self, d_joint, d_channel=None):
+        """Gradient in v from the partials in the tilted joint (per active
+        cell, or one table shared by every cell) and in the channel table."""
+        d_joint = np.broadcast_to(d_joint, (self.n_cells,) + self.xshape + (self.y,))
+        g_t = (self.omega[:, None] * d_joint.reshape(self.n_cells, -1)) @ self.t_map
+        if d_channel is None:
+            return np.concatenate([g_t.ravel(), np.zeros(self.n_ch)])
+        return np.concatenate([g_t.ravel(), np.ravel(d_channel) @ self.c_map])
+
     # -- program pieces ---------------------------------------------------
 
     def _tilted_and_reference(self, v):
@@ -246,9 +312,24 @@ class _Layout:
         return j, self.qref[..., None] * c[None]
 
     def objective(self, v):
-        """D(tilted || reference) in bits with clipped logs, so SLSQP sees a
-        smooth cost."""
-        return float(_divergence_terms(*self._tilted_and_reference(v)).sum())
+        """D(tilted || reference) in bits and its gradient in v.
+
+        The logs are clipped at ``_TINY``, so SLSQP sees a smooth cost.  In
+        the tilted joint the partial is log2(J / Q) + 1/ln 2 whether the
+        channel is induced (its own terms cancel), fixed or a variable; a
+        channel variable adds -sum_cells J / (c ln 2), taken as 0 where the
+        reference is below ``_TINY``.  Where J = 0 the clipped log gives a
+        finite slope near log2(_TINY) ~ -997, which pushes the mass back
+        off the boundary, instead of the true -inf.
+        """
+        j, q = self._tilted_and_reference(v)
+        d_joint = _safe_log2(j) - _safe_log2(q) + 1.0 / _LN2
+        d_channel = None
+        if self.n_ch:
+            ratio = np.where(q > _TINY, j / np.maximum(q, _TINY), 0.0)
+            d_channel = -(ratio * self.qref[..., None]).sum(axis=0) / _LN2
+        value = float(_divergence_terms(j, q).sum())
+        return value, self._chain(d_joint, d_channel)
 
     def true_value(self, v):
         """Objective with honest support handling: clipped logs keep SLSQP
@@ -259,40 +340,50 @@ class _Layout:
             return math.inf
         return max(float(_divergence_terms(j, q).sum()), 0.0)
 
-    def full_measure(self, v):
-        mu = np.zeros(
-            (self.problem.s_size, len(self.law.p_w)) + self.xshape + (self.y,)
-        )
-        mu[self.s_idx, self.w_idx] = self.joint(v)
-        total = mu.sum()
-        return mu / total if total > 0 else mu
+    def _measure(self, v):
+        """The tilted measure over the active cells (axis 0), normalized,
+        and its total mass before normalizing."""
+        j = self.joint(v)
+        total = float(j.sum())
+        return (j / total if total > 0 else j), total
+
+    def info_value(self, v):
+        """The capped empirical information: per watched user for a subset,
+        plain mutual information for one user."""
+        mu, _ = self._measure(v)
+        return self.info_scale * multi_info_pmf(mu, self.info_parts, cond=(0,))
+
+    def info_grad(self, v):
+        """Gradient of ``info_value``.  For I = sum_i H(U_i | C) - H(U | C)
+        the partial in the measure is the log-ratio table
+        log2[p_{U,C} p_C^(m-1) / prod_i p_{U_i,C}] (m parts); normalizing
+        by the total mass subtracts I and divides by that mass."""
+        mu, total = self._measure(v)
+
+        def log_marginal(axes):
+            drop = tuple(a for a in range(1, mu.ndim) if a not in axes)
+            return _safe_log2(mu.sum(axis=drop, keepdims=True))
+
+        table = log_marginal(sum(self.info_parts, ()))
+        table = table + (len(self.info_parts) - 1) * log_marginal(())
+        for part in self.info_parts:
+            table = table - log_marginal(part)
+        table = np.broadcast_to(table, mu.shape)
+        d_mu = (table - float(np.sum(mu * table))) / max(total, _TINY)
+        return self.info_scale * self._chain(d_mu)
 
     def info_gap(self, v, rate):
-        mu = self.full_measure(v)
-        if self.subset is not None:
-            parts = [(2 + m,) for m in self.subset]
-            rest = tuple(
-                2 + i for i in range(self.k) if i not in self.subset
-            ) + (2 + self.k,)
-            parts.append(rest)
-            val = multi_info_pmf(mu, parts, cond=(0, 1)) / len(self.subset)
-        else:
-            val = multi_info_pmf(
-                mu, [(2 + self.user,), (2 + self.k,)], cond=(0, 1)
-            )
-        return rate - val
+        return rate - self.info_value(v)
+
+    def info_excess(self, v, rate):
+        """The phase-1 objective, information minus rate, and its gradient."""
+        return self.info_value(v) - rate, self.info_grad(v)
 
     def pins(self, v):
-        t = self.scatter_t(v)
-        users = [0] if self.sym else range(self.k)
-        out = []
-        target = self.law.p_x_given_sw[self.s_idx, self.w_idx]  # (n_cells, X)
-        for m in users:
-            axes = tuple(i for i in range(1, self.k + 2) if i != 1 + m)
-            pm = t.sum(axis=axes)
-            res = pm - target
-            out.append(res if m == 0 else res[:, :-1])
-        return np.concatenate([r.ravel() for r in out])
+        return self.pin_jac @ v - self.pin_target
+
+    def channel_norms(self, v):
+        return self.norm_jac @ v - 1.0
 
     def tie_residuals(self, v):
         p_agg = self.joint(v).sum(axis=0)
@@ -302,13 +393,16 @@ class _Layout:
         )
         return resid[self.tie_rows, :-1].ravel()
 
-    def channel_norms(self, v):
-        vc = v[self.n_t :]
-        if self.ch_kind == "table":
-            return vc.reshape(len(self.ch_free), self.y).sum(axis=1) - 1.0
-        if self.ch_kind == "lambda":
-            return np.array([vc.sum() - 1.0])
-        return np.zeros(0)
+    def tie_jac(self, v):
+        """Ties are bilinear: P - c * m in the aggregated joint P, its row
+        mass m and the channel table c."""
+        p_map = self.p_map.reshape(self.n_rows, self.y, self.n_t)
+        c = np.reshape(self.channel_table(v), (self.n_rows, self.y, 1))
+        mass = (p_map.sum(axis=1) @ v[: self.n_t])[:, None, None]
+        d_t = p_map - c * p_map.sum(axis=1, keepdims=True)
+        d_c = -mass * self.c_map.reshape(self.n_rows, self.y, self.n_ch)
+        jac = np.concatenate([d_t, d_c], axis=2)
+        return jac[self.tie_rows, :-1].reshape(-1, self.dim)
 
     def distortion_gap(self, v):
         p_agg = self.joint(v).sum(axis=0)
@@ -319,6 +413,58 @@ class _Layout:
         else:
             spent = float(np.sum(p_agg * cost))
         return self.distortion.cap - spent
+
+    def distortion_grad(self, v):
+        """Gradient of ``distortion_gap``: linear in the joint, bilinear in
+        the joint's row mass and the channel table when memoryless."""
+        cost = self.distortion._cost(self.y)
+        if not self.memoryless:
+            return -self._chain(cost)
+        c = self.channel_table(v)
+        mass = self.joint(v).sum(axis=(0, -1))[..., None]
+        spent_row = np.sum(c * cost, axis=-1, keepdims=True)
+        return -self._chain(np.broadcast_to(spent_row, cost.shape), mass * cost)
+
+    def constraints(self, rate):
+        """SLSQP constraints with their Jacobians: the structural ones
+        (pins, channel norms, ties, distortion) and the information cap."""
+        def const(jac):
+            return lambda v: jac
+
+        structure = [{"type": "eq", "fun": self.pins, "jac": const(self.pin_jac)}]
+        if self.ch_kind != "none":
+            structure.append(
+                {"type": "eq", "fun": self.channel_norms, "jac": const(self.norm_jac)}
+            )
+        if self.tied:
+            structure.append(
+                {"type": "eq", "fun": self.tie_residuals, "jac": self.tie_jac}
+            )
+        if self.distortion is not None:
+            structure.append({
+                "type": "ineq",
+                "fun": lambda v: np.array([self.distortion_gap(v)]),
+                "jac": lambda v: self.distortion_grad(v)[None, :],
+            })
+        info_con = {
+            "type": "ineq",
+            "fun": lambda v: np.array([self.info_gap(v, rate)]),
+            "jac": lambda v: -self.info_grad(v)[None, :],
+        }
+        return structure, info_con
+
+    def is_feasible(self, v, rate):
+        structure, info_con = self.constraints(rate)
+        eq_bad, ineq_bad = 0.0, 0.0
+        for con in structure + [info_con]:
+            r = con["fun"](v)
+            if not len(r):
+                continue
+            if con["type"] == "eq":
+                eq_bad = max(eq_bad, float(np.max(np.abs(r))))
+            else:
+                ineq_bad = min(ineq_bad, float(np.min(r)))
+        return eq_bad <= _FEAS_TOL and ineq_bad >= -_FEAS_TOL
 
 
 def _solve_program(
@@ -345,26 +491,16 @@ def _solve_program(
     info["fast_path"] = False
     info["tied"] = lay.ch_kind != "none" and not memoryless
 
-    structure = [{"type": "eq", "fun": lay.pins}]
-    if lay.ch_kind != "none":
-        structure.append({"type": "eq", "fun": lay.channel_norms})
-    if lay.tied:
-        structure.append({"type": "eq", "fun": lay.tie_residuals})
-    if lay.distortion is not None:
-        structure.append(
-            {"type": "ineq", "fun": lambda v: np.array([lay.distortion_gap(v)])}
-        )
-    info_con = {"type": "ineq", "fun": lambda v: np.array([lay.info_gap(v, rate)])}
+    structure, info_con = lay.constraints(rate)
     constraints = structure + [info_con]
     bounds = [(0.0, 1.0)] * lay.dim
 
+    # the product start and restarts - 1 random ones draw exactly as in a
+    # cold call; a warm vector comes after them, so it can only add a start
     gen = rngmod.derive(seed, "psp")
     q_x = (lay.omega.reshape((-1,) + (1,) * lay.k) * lay.prodx).sum(axis=0)
-    starts = []
-    if warm is not None and len(warm) == lay.dim:
-        starts.append(np.asarray(warm, dtype=float))
-    starts.append(lay.gather(lay.prodx[..., None] * c_floor[None], c_floor))
-    for _ in range(max(restarts - len(starts), 0)):
+    starts = [lay.gather(lay.prodx[..., None] * c_floor[None], c_floor)]
+    for _ in range(max(restarts - 1, 0)):
         try:
             c_r = problem.channel_class.linmin(
                 gen.normal(size=lay.xshape + (lay.y,)), q_x=q_x, fair=False
@@ -374,20 +510,12 @@ def _solve_program(
         mix = gen.uniform(0.3, 1.0)
         c_mixed = mix * c_r + (1.0 - mix) * c_floor
         starts.append(lay.gather(lay.prodx[..., None] * c_mixed[None], c_mixed))
-
-    def is_feasible(v):
-        vals = [(c["type"], c["fun"](v)) for c in constraints]
-        eq_bad = max(
-            float(np.max(np.abs(r))) if len(r) else 0.0 for kind, r in vals if kind == "eq"
-        )
-        ineq_bad = min(
-            float(np.min(r)) if len(r) else 0.0 for kind, r in vals if kind == "ineq"
-        )
-        return eq_bad <= _FEAS_TOL and ineq_bad >= -_FEAS_TOL
+    if warm is not None and len(warm) == lay.dim:
+        starts.append(np.asarray(warm, dtype=float))
 
     def slsqp(fun, v_init, cons):
         return minimize(
-            fun, v_init, method="SLSQP", bounds=bounds, constraints=cons,
+            fun, v_init, method="SLSQP", jac=True, bounds=bounds, constraints=cons,
             options={"maxiter": 400, "ftol": 1e-12},
         )
 
@@ -398,7 +526,7 @@ def _solve_program(
         # phase 1: drive the empirical information down under the structural
         # constraints alone; away from the zero-cost valley the gradients are
         # healthy, and the reached value certifies (in)feasibility
-        return slsqp(lambda v: -lay.info_gap(v, rate), v_init, structure).x
+        return slsqp(lambda v: lay.info_excess(v, rate), v_init, structure).x
 
     best_val = math.inf
     best_vec = None
@@ -409,17 +537,17 @@ def _solve_program(
         # degenerates the SLSQP subproblem; retry off-center, then via a
         # low-information phase-1 point if the direct attempt stalls
         res = attempt(v0)
-        ok = is_feasible(res.x)
+        ok = lay.is_feasible(res.x, rate)
         if not ok:
             v1 = seek_low_info(
                 np.clip(v0 + gen.normal(0.0, 1e-3, lay.dim), 0.0, 1.0)
             )
             lowest_gap = max(lowest_gap, lay.info_gap(v1, rate))
             res = attempt(v1)
-            ok = is_feasible(res.x)
+            ok = lay.is_feasible(res.x, rate)
         # SLSQP can walk out of the constraint set from an already feasible
         # start; the start itself is then still a witness
-        witness = res.x if ok else (v0 if is_feasible(v0) else None)
+        witness = res.x if ok else (v0 if lay.is_feasible(v0, rate) else None)
         if witness is not None:
             feasible += 1
             val = lay.true_value(witness)
@@ -471,40 +599,44 @@ def memoryless_exponent_variant(
 ):
     """Same program with the induced-channel feasibility dropped and the
     divergence reference minimized over the family instead; never exceeds
-    the constrained exponent."""
+    the constrained exponent.
+
+    That holds by construction: the relaxed constraint set contains every
+    constrained point, re-encoded with its realized conditional as the
+    channel table.  So the constrained program is solved cold, with the
+    starts of a direct ``pseudo_sphere_packing`` call, and its minimizer,
+    transplanted, is a witness whenever it is feasible here.
+    """
     val, vec, info = _solve_program(
         rate, input_law, problem, subset, user, True, restarts, seed, warm_start,
         True,
     )
-    if math.isinf(val):
-        # the relaxed constraint set contains every constrained minimizer,
-        # so a multistart miss here can be repaired by solving the tied
-        # program and transplanting its tilt with the realized conditional
-        c_val, c_vec, _ = _solve_program(
-            rate, input_law, problem, subset, user, False, restarts, seed, None,
-            True,
-        )
-        if c_vec is not None:
-            warm = _transplant_warm(problem, input_law, subset, user, c_vec)
-            val, vec, info = _solve_program(
-                rate, input_law, problem, subset, user, True, 1, seed, warm, True
-            )
+    _, c_vec, _ = _solve_program(
+        rate, input_law, problem, subset, user, False, restarts, seed, None, True
+    )
+    if c_vec is not None:
+        lay, w_vec = _transplant_warm(problem, input_law, subset, user, c_vec)
+        if lay.is_feasible(w_vec, rate):
+            w_val = lay.true_value(w_vec)
+            if w_val < val:
+                val, vec = w_val, w_vec
     return (val, vec, info) if full_output else val
 
 
 def _transplant_warm(problem, input_law, subset, user, c_vec):
-    """Re-encode a constrained-program solution in the memoryless layout."""
+    """Re-encode a constrained-program solution in the memoryless layout;
+    returns that layout and the vector."""
     subset, user = _resolve_target(problem, subset, user)
     lay_c = _Layout(problem, input_law, subset, user, False)
     lay_m = _Layout(problem, input_law, subset, user, True)
     if lay_c.dim == lay_m.dim and lay_c.ch_kind == lay_m.ch_kind:
-        return np.asarray(c_vec, dtype=float)
+        return lay_m, np.asarray(c_vec, dtype=float)
     p_agg = lay_c.joint(c_vec).sum(axis=0)
     mass = p_agg.sum(axis=-1, keepdims=True)
     c_real = np.where(
         mass > _TINY, p_agg / np.maximum(mass, _TINY), 1.0 / lay_c.y
     )
-    return lay_m.gather(lay_c.scatter_t(c_vec), c_real)
+    return lay_m, lay_m.gather(lay_c.scatter_t(c_vec), c_real)
 
 
 def _sweep(rates, input_law, problem, subset, user, memoryless, restarts, seed):
@@ -541,7 +673,8 @@ def exponent_sweep(
     at a lower rate stays feasible at any higher one; carrying it forward
     makes the reported sequence honestly nonincreasing.  Each rate is one
     call of ``pseudo_sphere_packing`` or, with ``memoryless``, of
-    ``memoryless_exponent_variant`` (repair included).
+    ``memoryless_exponent_variant``, with the carried minimizer as one
+    start after those of a cold call, so no value exceeds the cold one.
     """
     rates = np.asarray(list(rates), dtype=float)
     out = np.empty_like(rates)

@@ -51,26 +51,92 @@ def min_fair_marking_payoff(q_pair, y_size, step=1e-3):
     return 0.5 * float(val[i]), rows[i]
 
 
-def reduced_exponent_grid(rate, step=1e-3):
-    """Exhaustive full-coalition exponent for binary fair marking at the
-    uniform input.
+def _d2(x, q):
+    return np.where(x > 0, x * (np.log2(np.clip(x, 1e-300, None)) - np.log2(q)), 0.0)
+
+
+def _pair_cost(b, p0):
+    """D((a0, b, a1) || (p0^2, 2 p0 p1, p1^2)) with a0 = p0 - b/2 and
+    a1 = p1 - b/2: the divergence of a pinned, marking-consistent joint of
+    two binary users against the product reference built from its induced
+    channel.  The channel enters only through the off-diagonal mass b."""
+    p1 = 1.0 - p0
+    return (
+        _d2(p0 - b / 2, p0 * p0) + _d2(b, 2 * p0 * p1) + _d2(p1 - b / 2, p1 * p1)
+    )
+
+
+def _feasible_argmin(cost, info, rate):
+    """Index of the cheapest point with info <= 2 rate, or None."""
+    feasible = info <= 2.0 * rate + 1e-9
+    if not np.any(feasible):
+        return None
+    return int(np.argmin(np.where(feasible, cost, np.inf)))
+
+
+def _slack(b, cost, reach, p0):
+    """How far a solver may fall below a lattice minimum of the given cost
+    at off-diagonal mass b: the cost change across ``reach`` in b, the span
+    of two lattice cells, on either side."""
+    ends = np.array([max(b - reach, 0.0), min(b + reach, 2 * min(p0, 1.0 - p0))])
+    return float(np.max(np.abs(_pair_cost(ends, p0) - cost)))
+
+
+def reduced_exponent_grid(rate, step=1e-3, p0=0.5):
+    """Exhaustive full-coalition exponent for binary fair marking under the
+    Bernoulli input law p(x = 0) = p0, and its ``_slack``.
 
     Symmetry and the marginal pins collapse the tilted joint to the two
-    off-diagonal masses (b0, b1) routed to each output; the divergence
-    against the induced reference is then purely the inter-user dependence
-    1 - H2(b0 + b1).
+    off-diagonal masses (b0, b1) routed to each output, split evenly over
+    the two mixed pairs; the diagonal masses are p0 - b/2 and p1 - b/2 with
+    b = b0 + b1, so a lattice cell spans 2 step in b.
     """
     ticks = np.arange(0.0, 1.0 + step / 2, step)
     b0, b1 = np.meshgrid(ticks, ticks, indexing="ij")
-    keep = b0 + b1 <= 1.0 + 1e-12
-    b0, b1 = b0[keep], b1[keep]
     b = b0 + b1
-    a = (1.0 - b) / 2.0
-    cost = 1.0 - (_h(b) + _h(1.0 - b))
-    py0 = a + b0
-    h_all = 2 * _h(a) + _h(b0) + b0 + _h(b1) + b1
-    info = 2.0 + _h(py0) + _h(1.0 - py0) - h_all
-    feasible = info <= 2.0 * rate + 1e-9
-    if not np.any(feasible):
-        return np.inf
-    return float(np.min(cost[feasible]))
+    keep = b <= 2 * min(p0, 1.0 - p0) + 1e-12
+    b0, b1, b = b0[keep], b1[keep], b[keep]
+    a0 = np.clip(p0 - b / 2, 0.0, None)
+    a1 = np.clip(1.0 - p0 - b / 2, 0.0, None)
+    h_all = _h(a0) + _h(a1) + _h(b0) + b0 + _h(b1) + b1
+    py0 = a0 + b0
+    info = 2 * (_h(p0) + _h(1.0 - p0)) + _h(py0) + _h(1.0 - py0) - h_all
+    cost = _pair_cost(b, p0)
+    i = _feasible_argmin(cost, info, rate)
+    if i is None:
+        return np.inf, 0.0
+    return float(cost[i]), _slack(b[i], cost[i], 4 * step, p0)
+
+
+def marking_exponent_grid(rate, p0, step=5e-3):
+    """Exhaustive full-coalition exponent for binary plain marking under
+    p(x = 0) = p0, and its ``_slack``.
+
+    Marking pins the constant pairs to copy their symbol, and the two users'
+    pins force equal mixed masses u = u0 + u1 on (0, 1) and on (1, 0), so
+    the free masses are (u0, u1, w0) with w1 = u - w0; the off-diagonal mass
+    is b = 2 u, and a lattice cell spans 4 step in b.  The points are
+    scanned one u0 slab at a time to keep the arrays small.
+    """
+    ticks = np.arange(0.0, 1.0 + step / 2, step)
+    cap = min(p0, 1.0 - p0) + 1e-12
+    u1, w0 = np.meshgrid(ticks, ticks, indexing="ij")
+    hx = 2 * (_h(p0) + _h(1.0 - p0))
+    best_cost, best_b = np.inf, 0.0
+    for u0 in ticks[ticks <= cap]:
+        u = u0 + u1
+        keep = (u <= cap) & (w0 <= u + 1e-12)
+        uu, ww0 = u[keep], w0[keep]
+        ww1 = np.clip(uu - ww0, 0.0, None)
+        a0 = np.clip(p0 - uu, 0.0, None)
+        a1 = np.clip(1.0 - p0 - uu, 0.0, None)
+        h_all = _h(a0) + _h(a1) + _h(u0) + _h(u1[keep]) + _h(ww0) + _h(ww1)
+        py0 = a0 + u0 + ww0
+        info = hx + _h(py0) + _h(1.0 - py0) - h_all
+        cost = _pair_cost(2 * uu, p0)
+        i = _feasible_argmin(cost, info, rate)
+        if i is not None and cost[i] < best_cost:
+            best_cost, best_b = float(cost[i]), 2 * uu[i]
+    if best_cost == np.inf:
+        return np.inf, 0.0
+    return best_cost, _slack(best_b, best_cost, 8 * step, p0)

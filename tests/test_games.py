@@ -9,7 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from grid_oracles import min_fair_marking_payoff, reduced_exponent_grid
+from grid_oracles import (
+    marking_exponent_grid,
+    min_fair_marking_payoff,
+    reduced_exponent_grid,
+)
 from fptrace.errors import ConfigError
 from fptrace.collusion import _interleaving_table
 from fptrace.games import (
@@ -392,7 +396,7 @@ def test_exponent_matches_reduced_grid():
     law = prob.uniform_law()
     for rate in (0.24, 0.22, 0.21):
         v = pseudo_sphere_packing(rate, law, prob, subset=(0, 1))
-        g = reduced_exponent_grid(rate, step=1e-3)
+        g, _ = reduced_exponent_grid(rate, step=1e-3)
         assert v <= g + 1e-9          # lattice is a restriction
         assert g - v < 2e-3           # and a fine one
 
@@ -401,7 +405,7 @@ def test_exponent_infeasible_region_is_infinite_both_ways():
     prob = fair_problem(k=2)
     law = prob.uniform_law()
     v = pseudo_sphere_packing(0.19, law, prob, subset=(0, 1))
-    g = reduced_exponent_grid(0.19)
+    g, _ = reduced_exponent_grid(0.19)
     assert math.isinf(v) and math.isinf(g)
 
 
@@ -609,3 +613,102 @@ def test_layout_gather_inverts_scatter():
                 if lay.ch_kind == "table":
                     assert np.array_equal(back[lay.n_t :], v[lay.n_t :])
     assert kinds == {"table", "lambda", "none"}
+
+
+def _central_difference(f, v, h=1e-6):
+    cols = []
+    for i in range(len(v)):
+        e = np.zeros(len(v))
+        e[i] = h
+        cols.append((np.atleast_1d(f(v + e)) - np.atleast_1d(f(v - e))) / (2 * h))
+    return np.array(cols).T
+
+
+def _jacobian_cases():
+    """Every layout of the exponent-layout golden, then a tied FairMarking
+    single user without host, Y = 3, a three-vertex Hull and K = 3."""
+    from test_goldens import _layout_cases
+
+    yield from _layout_cases()
+    gen = np.random.default_rng(4)
+    yield fair_problem(k=2), law_for(None, 0.3), (0,), 0.2
+    yield fair_problem(k=2, y=3), law_for(None, 0.6), (0, 1), 0.2
+    hull = Hull([gen.dirichlet(np.ones(2), size=(2, 2)) for _ in range(3)])
+    yield GameProblem(
+        coalition_size=2, x_size=2, y_size=2, channel_class=hull
+    ), law_for(None, 0.4), (0, 1), 0.05
+    yield fair_problem(k=3), law_for(None, 0.45), (0, 2), 0.1
+
+
+def test_exponent_program_derivatives_match_differences():
+    # every derivative SLSQP is handed, against 3-point differences at random
+    # interior points, within 1e-6 max(1, |g|): the objective, the phase-1
+    # objective and every constraint of both programs
+    gen = np.random.default_rng(11)
+    kinds, programs = set(), set()
+    for problem, law, subset, rate in _jacobian_cases():
+        for memoryless in (False, True):
+            targets = [(subset, None)] + ([(None, 0)] if subset == (0, 1) else [])
+            for sub, user in targets:
+                lay = _Layout(problem, law, sub, user, memoryless)
+                kinds.add(lay.ch_kind)
+                structure, info_con = lay.constraints(rate)
+                pieces = [
+                    (lambda v: lay.objective(v)[0], lambda v: lay.objective(v)[1]),
+                    (lambda v: lay.info_excess(v, rate)[0],
+                     lambda v: lay.info_excess(v, rate)[1]),
+                ] + [(c["fun"], c["jac"]) for c in structure + [info_con]]
+                programs.update(
+                    ("ties" if c["fun"] == lay.tie_residuals else c["type"], memoryless)
+                    for c in structure
+                )
+                for _ in range(2):
+                    v = gen.uniform(0.05, 0.95, lay.dim)
+                    for fun, jac in pieces:
+                        g = np.atleast_2d(jac(v))
+                        fd = _central_difference(fun, v).reshape(g.shape)
+                        assert np.all(np.abs(g - fd) <= 1e-6 * np.maximum(1.0, np.abs(g)))
+    assert kinds == {"table", "lambda", "none"}
+    assert {("ties", False), ("ineq", False), ("ineq", True)} <= programs
+
+
+def test_warm_sweep_never_exceeds_a_cold_solve():
+    # the warm vector is one start more than a cold call's, which the sweep
+    # replays draw for draw; here a warm start once took a random start's
+    # slot and the memoryless sweep reported 0.0679 at rates 0.15 and 0.2
+    prob = fair_problem(k=2)
+    law = law_for(prob, 0.3)
+    rates = np.linspace(0.05, 0.3, 6)
+    for memoryless, solver in (
+        (False, pseudo_sphere_packing), (True, memoryless_exponent_variant)
+    ):
+        swept = exponent_sweep(
+            rates, law, prob, subset=(0,), restarts=2, memoryless=memoryless
+        )
+        cold = [solver(r, law, prob, subset=(0,), restarts=2) for r in rates]
+        assert all(s <= c for s, c in zip(swept, cold)), (memoryless, swept, cold)
+    assert swept[2] < 0.03 and swept[3] < 0.03
+
+
+@pytest.mark.parametrize("family, p0, rate", [
+    (FairMarking(), 0.3, 0.16),
+    (FairMarking(), 0.3, 0.12),
+    (FairMarking(), 0.65, 0.19),
+    (FairMarking(), 0.8, 0.05),
+    (Marking(), 0.3, 0.14),
+    (Marking(), 0.65, 0.19),
+    (Marking(), 0.8, 0.09),
+])
+def test_exponent_matches_bernoulli_lattice(family, p0, rate):
+    # the lattice points are feasible points, so the solver may not exceed
+    # the lattice minimum; it may fall below it by at most the cost change
+    # across two lattice cells
+    prob = GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=family)
+    v = pseudo_sphere_packing(rate, law_for(prob, p0), prob, subset=(0, 1))
+    if isinstance(family, Marking):
+        g, slack = marking_exponent_grid(rate, p0, step=2e-3)
+    else:
+        g, slack = reduced_exponent_grid(rate, step=1e-3, p0=p0)
+    assert math.isfinite(g) and g > 0
+    assert v <= g + 1e-9
+    assert g - v <= slack

@@ -7,7 +7,7 @@ is not value-preserving, fails here loudly instead of drifting silently.
 When such a change is intended, re-record the hash and say why in the
 change log.
 
-Recorded with numpy 2.4.6, scipy 1.17.1, Python 3.11, at two BLAS threads
+Recorded with numpy 2.4.6, scipy 1.17.1, Python 3.11, at one BLAS thread
 (``conftest.py`` pins the count): SLSQP's iterates depend on it, so the
 exponent hashes hold only at that count.
 """
@@ -54,9 +54,9 @@ FAIR_K2 = {
 GOLDEN = {
     "simulate": "11a316b0487b6dcba356ac9558aaece9e871cc35c19a4834c61dafa91a212b7a",
     "capacity": "f15c059f3682127a146460be1018e747023c1ff3dc13f3f4dad84faf89b2725b",
-    "exponent_sweep": "c073761b520bc94b2d41431e1d649b582c4201527d8cc03d266dc03782b6631a",
-    "operating_point": "ea973ec0a3ed1b002e9db6c591776fb87ab68e18a8223311070671a26a66aec5",
-    "exponent_layouts": "48849b3980619a51584fc1077154b84f190e3368821184f5a2521b75f0a22a24",
+    "exponent_sweep": "34c72b69b9943d86d248b14face6891c2b98a6fb902ab210184fec0474a9e6ef",
+    "operating_point": "db4ed99b6789fc13b068521d397893b1632d39029b502e5857c87e192e0cd0e7",
+    "exponent_layouts": "552eb6dd5756bc655899cbcb84d8cabc0fdb0ea4ac3115702381fe1ebb1ec505",
     "codebook_rows": "cd8e8246035cc8828d7deea4f484c01274467cf5853f3b7199a32f534d450981",
     "trial_miss_events": "a0c2fd2d6f70e3021aab34fb5644d14ccd2b263503775bd00aa7bae232601f27",
 }
