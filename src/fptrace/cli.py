@@ -119,14 +119,15 @@ def _read(cfg: dict, key: str, default, cast):
     raw = cfg.get(key, default)
     try:
         return cast(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"bad {key!r} value: {raw!r}") from None
 
 
 def _seed_of(args, cfg: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    return _read(cfg, "seed", 0, int)
+    seed = args.seed if args.seed is not None else _read(cfg, "seed", 0, int)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, not {seed}")
+    return seed
 
 
 def _params_from(cfg: dict) -> CodeParams:
@@ -135,9 +136,6 @@ def _params_from(cfg: dict) -> CodeParams:
     raw = dict(cfg["params"])
     if "target_w_type" in raw:
         return CodeParams.from_dict(raw)
-    for key in ("p_host", "d1", "target_x_given_sw"):
-        if raw.get(key) is not None:
-            raw[key] = np.asarray(raw[key], dtype=float)
     try:
         return CodeParams(**raw)
     except TypeError as exc:
@@ -306,9 +304,13 @@ def _cmd_capacity(args) -> int:
 
 
 def _law_from(cfg: dict, problem: GameProblem) -> InputLaw:
-    if "input_law" in cfg:
-        return InputLaw.from_dict(cfg["input_law"])
-    return problem.uniform_law()
+    if "input_law" not in cfg:
+        return problem.uniform_law()
+    law = InputLaw.from_dict(cfg["input_law"])
+    want = (problem.s_size, problem.num_timeshare, problem.x_size)
+    if law.p_x_given_sw.shape != want:
+        raise ConfigError(f"input_law.p_x_given_sw must have shape {want}")
+    return law
 
 
 def _cmd_exponent(args) -> int:

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -45,6 +47,14 @@ __all__ = [
     "write_codebook",
     "read_codebook",
 ]
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; one numpy cannot read is a ConfigError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be numeric: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -72,15 +82,17 @@ class CodeParams:
     distortion_cap: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.num_users < 1:
-            raise ConfigError("need n >= 1 and num_users >= 1")
-        if min(self.s_size, self.x_size, self.w_size) < 1:
-            raise ConfigError("alphabet sizes must be positive")
+        for name in ("n", "num_users", "s_size", "x_size", "w_size", "k_nom"):
+            if not int_at_least(getattr(self, name), 1):
+                raise ConfigError(f"{name} must be a positive integer")
         p_host = self.p_host
         if p_host is None:
             p_host = np.full(self.s_size, 1.0 / self.s_size)
-        p_host = np.asarray(p_host, dtype=float)
-        if p_host.shape != (self.s_size,) or abs(p_host.sum() - 1) > 1e-9:
+        p_host = _float_array(p_host, "p_host")
+        # phrased so that a NaN fails too
+        if p_host.shape != (self.s_size,) or not (
+            np.all(p_host >= 0) and abs(p_host.sum() - 1) <= 1e-9
+        ):
             raise ConfigError("p_host must be a pmf over the host alphabet")
         object.__setattr__(self, "p_host", p_host)
 
@@ -94,20 +106,23 @@ class CodeParams:
         tx = self.target_x_given_sw
         if tx is None:
             tx = np.full((self.s_size, self.w_size, self.x_size), 1.0 / self.x_size)
-        tx = np.asarray(tx, dtype=float)
+        tx = _float_array(tx, "target_x_given_sw")
         if tx.shape != (self.s_size, self.w_size, self.x_size):
             raise ConfigError("target_x_given_sw must have shape (S, W, X)")
-        if np.any(tx < 0) or np.max(np.abs(tx.sum(axis=2) - 1)) > 1e-9:
+        if not (np.all(tx >= 0) and np.max(np.abs(tx.sum(axis=2) - 1)) <= 1e-9):
             raise ConfigError("target_x_given_sw rows must be pmfs")
         object.__setattr__(self, "target_x_given_sw", tx)
 
         if self.d1 is not None:
-            d1 = np.asarray(self.d1, dtype=float)
+            d1 = _float_array(self.d1, "d1")
             if d1.shape != (self.s_size, self.x_size):
                 raise ConfigError("d1 table must have shape (S, X)")
             object.__setattr__(self, "d1", d1)
             if self.distortion_cap is None:
                 raise ConfigError("d1 table given without a distortion cap")
+            cap = self.distortion_cap
+            if isinstance(cap, bool) or not isinstance(cap, Real) or math.isnan(cap):
+                raise ConfigError(f"distortion_cap must be a number, not {cap!r}")
 
     @property
     def rate(self) -> float:
@@ -134,28 +149,31 @@ class CodeParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CodeParams":
-        wt = JointType(
-            (int(d["w_size"]),), np.asarray(d["target_w_type"], dtype=np.int64)
-        )
-        tx = np.asarray(d["target_x_given_sw"], dtype=float).reshape(
-            int(d["s_size"]), int(d["w_size"]), int(d["x_size"])
-        )
-        d1 = d.get("d1")
-        if d1 is not None:
-            d1 = np.asarray(d1, dtype=float).reshape(int(d["s_size"]), int(d["x_size"]))
-        return cls(
-            n=int(d["n"]),
-            num_users=int(d["num_users"]),
-            s_size=int(d["s_size"]),
-            x_size=int(d["x_size"]),
-            w_size=int(d["w_size"]),
-            k_nom=int(d.get("k_nom", 2)),
-            p_host=np.asarray(d["p_host"], dtype=float),
-            target_w_type=wt,
-            target_x_given_sw=tx,
-            d1=d1,
-            distortion_cap=d.get("distortion_cap"),
-        )
+        try:
+            wt = JointType(
+                (int(d["w_size"]),), np.asarray(d["target_w_type"], dtype=np.int64)
+            )
+            tx = np.asarray(d["target_x_given_sw"], dtype=float).reshape(
+                int(d["s_size"]), int(d["w_size"]), int(d["x_size"])
+            )
+            d1 = d.get("d1")
+            if d1 is not None:
+                d1 = np.asarray(d1, dtype=float).reshape(int(d["s_size"]), int(d["x_size"]))
+            return cls(
+                n=int(d["n"]),
+                num_users=int(d["num_users"]),
+                s_size=int(d["s_size"]),
+                x_size=int(d["x_size"]),
+                w_size=int(d["w_size"]),
+                k_nom=int(d.get("k_nom", 2)),
+                p_host=np.asarray(d["p_host"], dtype=float),
+                target_w_type=wt,
+                target_x_given_sw=tx,
+                d1=d1,
+                distortion_cap=d.get("distortion_cap"),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad code params: {exc!r}") from None
 
 
 def draw_host(p_host: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,15 +18,15 @@ that is recomputable from (x_K, y) alone.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
-from .types_core import JointType, count_table
+from .errors import BudgetExceededError, ConfigError
+from .types_core import MAX_TABLE_CELLS, JointType, count_table
 
 __all__ = [
     "ChannelSpec",
@@ -77,9 +77,10 @@ class ChannelSpec:
         want = (self.x_size,) * self.k + (self.y_size,)
         if table.shape != want:
             raise ConfigError(f"channel table shape {table.shape}, expected {want}")
-        if np.any(table < -1e-15):
-            raise ConfigError("channel table has negative entries")
-        if np.max(np.abs(table.sum(axis=-1) - 1.0)) > 1e-12:
+        # phrased so that a NaN fails both checks
+        if not np.all(table >= -1e-15):
+            raise ConfigError("channel table has negative or NaN entries")
+        if not np.max(np.abs(table.sum(axis=-1) - 1.0)) <= 1e-12:
             raise ConfigError("channel rows must sum to one")
         table = np.clip(table, 0.0, None)
         table.setflags(write=False)
@@ -88,12 +89,9 @@ class ChannelSpec:
         if self.class_tag == "boneh_shaw":
             if self.y_size < self.x_size:
                 raise ConfigError("marking channels need inputs embedded in outputs")
-            for u in range(self.x_size):
-                cell = table[(u,) * self.k]
-                if abs(cell[u] - 1.0) > 1e-12:
-                    raise ConfigError(
-                        f"marking violated: all-{u} cell does not copy symbol {u}"
-                    )
+            u = _unmarked_symbol(table, 1e-12)
+            if u is not None:
+                raise ConfigError(f"marking violated: all-{u} cell does not copy symbol {u}")
         elif self.class_tag == "interleaving":
             if self.y_size != self.x_size:
                 raise ConfigError("uniform-copy channels need matching alphabets")
@@ -141,24 +139,74 @@ class ChannelSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ChannelSpec":
-        d = json.loads(text)
-        shape = tuple(d["shape"])
-        table = np.asarray(d["table"], dtype=float).reshape(shape)
-        kw = {}
-        if d["class"] == "distortion":
-            kw["estimator"] = np.asarray(d["estimator"], dtype=np.int64).reshape(
-                shape[:-1]
-            )
-            kw["d2"] = np.asarray(d["d2"], dtype=float).reshape(tuple(d["d2_shape"]))
-            kw["distortion_cap"] = float(d["distortion_cap"])
-        return cls(
-            k=int(d["k"]),
-            x_size=int(d["x_size"]),
-            y_size=int(d["y_size"]),
-            table=table,
-            class_tag=d["class"],
-            **kw,
-        )
+        try:
+            d = json.loads(text)
+            shape = tuple(d["shape"])
+            table = np.asarray(d["table"], dtype=float).reshape(shape)
+            kw = {}
+            if d["class"] == "distortion":
+                kw["estimator"] = np.asarray(d["estimator"], dtype=np.int64).reshape(
+                    shape[:-1]
+                )
+                kw["d2"] = np.asarray(d["d2"], dtype=float).reshape(tuple(d["d2_shape"]))
+                kw["distortion_cap"] = float(d["distortion_cap"])
+            k, x_size, y_size = int(d["k"]), int(d["x_size"]), int(d["y_size"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad channel: {exc!r}") from None
+        return cls(k=k, x_size=x_size, y_size=y_size, table=table, class_tag=d["class"], **kw)
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_classes(k: int, x_size: int, orbits: bool):
+    """Cell classes of X^K: its colluder orbits, or its single cells.
+
+    Returns (class id of every cell, shape (x_size,)*k; representatives,
+    a (classes, k) array; class sizes; the constant symbol of each class,
+    or -1).  Orbit representatives are sorted tuples in lexicographic
+    order, which is also the order in which a C-order walk of X^K first
+    meets each orbit; single cells come in C order.  Under the marking
+    rule a constant class must copy its symbol.  Built once per argument
+    triple and shared, so every array is read-only.
+    """
+    cells = np.indices((x_size,) * k).reshape(k, -1).T
+    if orbits:
+        reps, ids = np.unique(np.sort(cells, axis=1), axis=0, return_inverse=True)
+    else:
+        reps, ids = cells, np.arange(len(cells))
+    ids = ids.reshape((x_size,) * k)
+    sizes = np.bincount(ids.ravel(), minlength=len(reps)).astype(float)
+    const = np.where(np.all(reps == reps[:, :1], axis=1), reps[:, 0], -1)
+    for a in (ids, reps, sizes, const):
+        a.setflags(write=False)
+    return ids, reps, sizes, const
+
+
+def _class_sums(ids: np.ndarray, table: np.ndarray, classes: int) -> np.ndarray:
+    """Per-class sums of the rows of a (cells..., y) table, each class
+    adding its cells in C order."""
+    y = table.shape[-1]
+    sums = np.zeros((classes, y))
+    np.add.at(sums, ids.ravel(), table.reshape(-1, y))
+    return sums
+
+
+@functools.lru_cache(maxsize=None)
+def _constant_cells(k: int, x_size: int) -> tuple[tuple[int, int], ...]:
+    """(flat cell index, symbol) of each constant cell of X^K, in C order:
+    the marking check's per-call work is then one lookup per symbol."""
+    const = _cell_classes(k, x_size, False)[3]
+    return tuple((int(c), int(const[c])) for c in np.flatnonzero(const >= 0))
+
+
+def _unmarked_symbol(table: np.ndarray, tol: float) -> int | None:
+    """The first symbol u whose all-u cell does not copy u to within
+    ``tol`` (a NaN does not), or None when the table obeys the marking
+    rule."""
+    flat = table.reshape(-1, table.shape[-1])
+    for cell, u in _constant_cells(table.ndim - 1, table.shape[0]):
+        if not abs(flat[cell, u] - 1.0) <= tol:
+            return u
+    return None
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,19 +219,8 @@ def input_orbits(k: int, x_size: int):
     built once per (k, x_size) and shared: both arrays are read-only and
     the representatives are a tuple.
     """
-    ids = np.empty((x_size,) * k, dtype=np.intp)
-    reps: list[tuple[int, ...]] = []
-    seen: dict[tuple[int, ...], int] = {}
-    for tup in itertools.product(range(x_size), repeat=k):
-        key = tuple(sorted(tup))
-        if key not in seen:
-            seen[key] = len(reps)
-            reps.append(key)
-        ids[tup] = seen[key]
-    sizes = np.bincount(ids.ravel(), minlength=len(reps)).astype(float)
-    ids.setflags(write=False)
-    sizes.setflags(write=False)
-    return ids, tuple(reps), sizes
+    ids, reps, sizes, _ = _cell_classes(k, x_size, True)
+    return ids, tuple(map(tuple, reps.tolist())), sizes
 
 
 def _exchangeable(a: np.ndarray, k: int, tol: float = 0.0) -> bool:
@@ -209,11 +246,12 @@ def _require_symmetric_estimator(est: np.ndarray, k: int) -> None:
 
 
 def _interleaving_table(k: int, q: int) -> np.ndarray:
-    table = np.zeros((q,) * k + (q,))
-    for cell in itertools.product(range(q), repeat=k):
-        for sym in cell:
-            table[cell + (sym,)] += 1.0 / k
-    return table
+    cells = _cell_classes(k, q, False)[1]
+    table = np.zeros((len(cells), q))
+    rows = np.arange(len(cells))
+    for m in range(k):  # 1/k per colluder, in colluder order
+        table[rows, cells[:, m]] += 1.0 / k
+    return table.reshape((q,) * k + (q,))
 
 
 def interleaving_channel(k: int, q: int) -> ChannelSpec:
@@ -224,13 +262,27 @@ def interleaving_channel(k: int, q: int) -> ChannelSpec:
 
 @dataclass(frozen=True)
 class AttackResult:
-    """Pirated copy plus a feasibility report recomputable from (x_K, y)."""
+    """Pirated copy plus a feasibility report recomputable from (x_K, y).
+
+    The audits read only the rows; the joint type ``realized`` has
+    prod(axes) cells, so it is counted on first read, under the same cell
+    cap as ``joint_type``.
+    """
 
     y: np.ndarray
-    realized: JointType  # joint type of (x_1..x_K, y)
+    x_rows: np.ndarray
+    axes: tuple[int, ...]  # alphabet sizes of (x_1..x_K, y)
     marking_ok: bool
     distortion: float | None = None
     distortion_ok: bool | None = None
+
+    @functools.cached_property
+    def realized(self) -> JointType:
+        """Joint type of (x_1..x_K, y)."""
+        cells = math.prod(self.axes)
+        if cells > MAX_TABLE_CELLS:
+            raise BudgetExceededError(f"joint type would need {cells} cells")
+        return JointType(self.axes, count_table([*self.x_rows, self.y], self.axes), len(self.y))
 
 
 def feasibility_report(
@@ -250,9 +302,6 @@ def feasibility_report(
         raise ConfigError("pirated copy length mismatch")
     if x_size is None:
         x_size = int(x_rows.max()) + 1 if x_rows.size else 1
-    sizes = (x_size,) * k + (y_size,)
-    counts = count_table([*x_rows, y], sizes)
-    realized = JointType(sizes, counts, n)
     marking_ok = check_marking(x_rows, y)
     distortion = None
     distortion_ok = None
@@ -260,7 +309,8 @@ def feasibility_report(
         if d2 is None or cap is None:
             raise ConfigError("distortion audit needs estimator, d2 and cap together")
         distortion, distortion_ok = check_distortion_attack(x_rows, y, estimator, d2, cap)
-    return AttackResult(y, realized, marking_ok, distortion, distortion_ok)
+    axes = (x_size,) * k + (y_size,)
+    return AttackResult(y, x_rows, axes, marking_ok, distortion, distortion_ok)
 
 
 def interleave(
@@ -340,9 +390,8 @@ def permutation_average(ch: ChannelSpec) -> ChannelSpec:
     relabelings.  The result is permutation-invariant, and averaging an
     already invariant channel returns it unchanged (up to rounding).
     """
-    ids, _, sizes = input_orbits(ch.k, ch.x_size)
-    sums = np.zeros((len(sizes), ch.y_size))
-    np.add.at(sums, ids.ravel(), ch.table.reshape(-1, ch.y_size))
+    ids, _, sizes, _ = _cell_classes(ch.k, ch.x_size, True)
+    sums = _class_sums(ids, ch.table, len(sizes))
     return ChannelSpec(
         k=ch.k,
         x_size=ch.x_size,
@@ -384,9 +433,7 @@ def wrap_exchangeable(
         base = attack(x_rows[:, pi], rng)
         y = np.empty(n, dtype=np.int64)
         y[pi] = base.y
-        return feasibility_report(
-            x_rows, y, y_size=base.realized.axes[-1], x_size=base.realized.axes[0]
-        )
+        return feasibility_report(x_rows, y, y_size=base.axes[-1], x_size=base.axes[0])
 
     return wrapped
 
@@ -409,7 +456,7 @@ def is_first_order_fair(x_rows: np.ndarray, y: np.ndarray, y_size: int | None = 
     counts = count_table([*x_rows, y], (x_size,) * k + (y_size,))
     counts = counts.reshape(-1, y_size).astype(object)
     totals = counts.sum(axis=-1)
-    ids = input_orbits(k, x_size)[0].ravel()
+    ids = _cell_classes(k, x_size, True)[0].ravel()
     first: dict[int, int] = {}
     for b in np.flatnonzero(totals):
         a = first.setdefault(ids[b], b)

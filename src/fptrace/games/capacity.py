@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .. import rng as rngmod
-from ..errors import ConfigError
+from ..errors import ConfigError, int_at_least
 from .problems import (
     Distortion,
     GameProblem,
@@ -333,6 +333,8 @@ def solve_capacity(
     Global optimality is not certified; the spread of local optima is
     reported in diagnostics ("nonconcave").
     """
+    if not int_at_least(grid_resolution, 1):
+        raise ConfigError("grid_resolution must be a positive integer")
     starts = [np.zeros(_theta_dim(problem))]
     gen = rngmod.derive(seed, "capacity")
     for _ in range(max(restarts - 1, 0)):

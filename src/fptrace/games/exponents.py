@@ -32,16 +32,15 @@ constrained program too and keeps its transplanted minimizer when that is
 lower, so it is dominated by construction.
 """
 
-import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import minimize
 
+from .. import collusion
 from .. import rng as rngmod
-from ..collusion import input_orbits
-from ..errors import ConfigError
+from ..errors import ConfigError, int_at_least
 from ..types_core import _LN2, _TINY, _divergence_terms, _safe_log2, multi_info_pmf
 from .capacity import _fd_ascent, _frank_wolfe, _law_from_theta, _softmax, _theta_dim
 from .problems import Distortion, FairMarking, Hull, Marking
@@ -82,16 +81,6 @@ def _inner_floor(problem, law, subset, user, tol=1e-10):
     else:
         c, v, _ = _frank_wolfe(problem, law, "simple", None, user, False, tol, 10_000)
     return v, c
-
-
-def _cell_classes(k, x_size, orbits):
-    """(ids, reps, sizes) of the colluder orbits of X^K, or of its single
-    cells (identity classes, C order) when ``orbits`` is false."""
-    if orbits:
-        return input_orbits(k, x_size)
-    n = x_size**k
-    reps = list(itertools.product(range(x_size), repeat=k))
-    return np.arange(n).reshape((x_size,) * k), reps, np.ones(n)
 
 
 class _Layout:
@@ -162,14 +151,10 @@ class _Layout:
         pinned = marking and not memoryless
 
         # tilted law: which (class, y) slots are free
-        self.ids, self.reps, self.sizes = _cell_classes(k, self.x, self.sym)
-        mask = np.ones((len(self.reps), self.y), dtype=bool)
-        for i, rep in enumerate(self.reps):
-            if pinned and len(set(rep)) == 1:
-                mask[i] = False
-                mask[i, rep[0]] = True
-        self.t_mask = mask
-        self.t_per_cell = int(mask.sum())
+        self.ids, _, self.sizes, const = collusion._cell_classes(k, self.x, self.sym)
+        fixed = pinned & (const >= 0)
+        self.t_mask = ~fixed[:, None] | (np.arange(self.y) == const[:, None])
+        self.t_per_cell = int(self.t_mask.sum())
         self.n_t = self.n_cells * self.t_per_cell
 
         # channel block
@@ -178,14 +163,12 @@ class _Layout:
             self.n_ch = len(family.vertices)
         elif not hull and (memoryless or self.tied):
             self.ch_kind = "table"
-            self.ch_ids, self.ch_reps, _ = _cell_classes(k, self.x, fair_family)
-            self.ch_template = np.zeros((len(self.ch_reps), self.y))
-            self.ch_free = []
-            for i, rep in enumerate(self.ch_reps):
-                if marking and len(set(rep)) == 1:
-                    self.ch_template[i, rep[0]] = 1.0
-                else:
-                    self.ch_free.append(i)
+            self.ch_ids, self.ch_reps, _, ch_const = collusion._cell_classes(
+                k, self.x, fair_family
+            )
+            fixed = (marking & (ch_const >= 0))[:, None]
+            self.ch_template = 1.0 * (fixed & (np.arange(self.y) == ch_const[:, None]))
+            self.ch_free = np.flatnonzero(~fixed[:, 0])
             self.n_ch = len(self.ch_free) * self.y
         else:
             self.ch_kind = "none"
@@ -194,11 +177,8 @@ class _Layout:
         # ties on constant rows are vacuous under marking (both sides are
         # structurally zero), and vacuous residuals make the constraint
         # Jacobian singular, so only informative rows are emitted
-        cell_reps = np.array(list(itertools.product(range(self.x), repeat=k)))
-        self.tie_rows = [
-            r for r, cell in enumerate(cell_reps)
-            if not (marking and len(set(cell)) == 1)
-        ]
+        _, cell_reps, _, cell_const = collusion._cell_classes(k, self.x, False)
+        self.tie_rows = np.flatnonzero(~(marking & (cell_const >= 0)))
         if subset is not None:
             rest = tuple(1 + i for i in range(k) if i not in subset) + (1 + k,)
             self.info_parts = [(1 + m,) for m in subset] + [rest]
@@ -280,12 +260,12 @@ class _Layout:
         return self.ch_const + free.reshape(self.xshape + (self.y,))
 
     def gather(self, t, channel):
-        rows = np.zeros((self.n_cells, len(self.reps), self.y))
+        rows = np.zeros((self.n_cells, len(self.sizes), self.y))
         flat = t.reshape(self.n_cells, self.n_rows, self.y)
         np.add.at(rows, (slice(None), self.ids.ravel()), flat)
         parts = [rows[:, self.t_mask].ravel()]
         if self.ch_kind == "table":
-            rows = np.array([channel[rep] for rep in self.ch_reps])
+            rows = channel[tuple(self.ch_reps.T)]
             parts.append(rows[self.ch_free].ravel())
         elif self.ch_kind == "lambda":
             parts.append(np.full(self.n_ch, 1.0 / self.n_ch))
@@ -471,8 +451,8 @@ def _solve_program(
     rate, law, problem, subset, user, memoryless, restarts, seed, warm, full_output
 ):
     subset, user = _resolve_target(problem, subset, user)
-    if rate < 0:
-        raise ConfigError("rate must be nonnegative")
+    if not rate >= 0:  # NaN included
+        raise ConfigError(f"rate must be a nonnegative number, not {rate!r}")
 
     floor, c_floor = _inner_floor(problem, law, subset, user)
     info = {
@@ -704,6 +684,8 @@ def solve_exponent_program(
     last round moved the value by less than 1e-4 bits, and no optimality is
     claimed beyond that.
     """
+    if not int_at_least(restarts, 1):
+        raise ConfigError("the operating-point search needs restarts >= 1")
     full = tuple(range(problem.coalition_size))
     l, s = problem.num_timeshare, problem.s_size
 

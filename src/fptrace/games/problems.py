@@ -11,7 +11,6 @@ detect-one game minimizes over.
 All information quantities are in bits.
 """
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -20,9 +19,12 @@ from scipy.optimize import linprog
 
 from ..collusion import (
     ChannelSpec,
+    _cell_classes,
+    _class_sums,
     _exchangeable,
+    _interleaving_table,
     _require_symmetric_estimator,
-    input_orbits,
+    _unmarked_symbol,
 )
 from ..errors import ConfigError, InfeasibleError
 from ..types_core import _TINY, MAX_TABLE_CELLS, _safe_log2
@@ -42,10 +44,6 @@ __all__ = [
 ]
 
 _AXES = "cdefgh"  # per-user einsum letters; coalition sizes stay small
-
-
-def _constant_orbit_symbol(rep: tuple[int, ...]) -> int | None:
-    return rep[0] if len(set(rep)) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -73,85 +71,54 @@ class ChannelFamily:
 
 
 def _marking_linmin(grad, fair):
-    k = grad.ndim - 1
-    x_size = grad.shape[0]
+    """The marking vertex minimizing <grad, c>: each cell class (an orbit
+    when ``fair``, else a single cell) puts its mass on the output with the
+    least class-summed gradient, and a constant class copies its symbol."""
     y_size = grad.shape[-1]
-    out = np.zeros_like(grad)
-    if fair:
-        ids, reps, _ = input_orbits(k, x_size)
-        g_orb = np.zeros((len(reps), y_size))
-        np.add.at(g_orb, ids.ravel(), grad.reshape(-1, y_size))
-        rows = np.zeros((len(reps), y_size))
-        for i, rep in enumerate(reps):
-            sym = _constant_orbit_symbol(rep)
-            rows[i, sym if sym is not None else int(np.argmin(g_orb[i]))] = 1.0
-        out = rows[ids]
-    else:
-        flat = grad.reshape(-1, y_size)
-        rows = np.zeros_like(flat)
-        rows[np.arange(len(flat)), np.argmin(flat, axis=1)] = 1.0
-        for x in range(x_size):
-            cell = np.ravel_multi_index((x,) * k, (x_size,) * k)
-            rows[cell] = 0.0
-            rows[cell, x] = 1.0
-        out = rows.reshape(grad.shape)
-    return out
+    ids, _, _, const = _cell_classes(grad.ndim - 1, grad.shape[0], fair)
+    g = _class_sums(ids, grad, len(const))
+    pick = np.where(const >= 0, const, g.argmin(axis=1))
+    return np.eye(y_size)[pick[ids]]
 
 
-def _has_marking(table, tol=1e-9):
-    x_size = table.shape[0]
-    k = table.ndim - 1
-    return all(abs(table[(x,) * k + (x,)] - 1.0) <= tol for x in range(x_size))
+class _MarkingFamily(ChannelFamily):
+    """Channels satisfying the marking constraint; ``always_fair`` limits
+    them to the permutation-invariant ones.
 
-
-def _embedded_interleaving(k, x_size, y_size):
-    """Interleaving table with the output alphabet widened to y_size."""
-    from ..collusion import _interleaving_table
-
-    base = _interleaving_table(k, x_size)
-    if y_size == x_size:
-        return base
-    out = np.zeros(base.shape[:-1] + (y_size,))
-    out[..., :x_size] = base
-    return out
-
-
-class FairMarking(ChannelFamily):
-    """Permutation-invariant channels satisfying the marking constraint.
-
-    The polytope is a product of simplices indexed by input-symbol
+    The fair polytope is a product of simplices indexed by input-symbol
     multisets, with the constant multisets pinned to copy their symbol.
     """
 
-    kind = "boneh_shaw_fair"
     class_tag = "boneh_shaw"
     requires_matching_alphabets = True
+    always_fair = False
 
     def start(self, k, x_size, y_size, q_x=None, fair=False):
-        return _embedded_interleaving(k, x_size, y_size)
+        """The interleaving channel, its outputs embedded in Y."""
+        out = np.zeros((x_size,) * k + (y_size,))
+        out[..., :x_size] = _interleaving_table(k, x_size)
+        return out
 
     def linmin(self, grad, q_x=None, fair=False):
-        return _marking_linmin(grad, fair=True)
+        return _marking_linmin(grad, fair or self.always_fair)
 
     def contains(self, table, q_x=None, tol=1e-8):
-        return _exchangeable(table, table.ndim - 1, tol) and _has_marking(table, tol)
+        if self.always_fair and not _exchangeable(table, table.ndim - 1, tol):
+            return False
+        return _unmarked_symbol(table, tol) is None
 
 
-class Marking(ChannelFamily):
+class FairMarking(_MarkingFamily):
+    """Permutation-invariant channels satisfying the marking constraint."""
+
+    kind = "boneh_shaw_fair"
+    always_fair = True
+
+
+class Marking(_MarkingFamily):
     """All channels satisfying the marking constraint (not necessarily fair)."""
 
     kind = "marking"
-    class_tag = "boneh_shaw"
-    requires_matching_alphabets = True
-
-    def start(self, k, x_size, y_size, q_x=None, fair=False):
-        return _embedded_interleaving(k, x_size, y_size)
-
-    def linmin(self, grad, q_x=None, fair=False):
-        return _marking_linmin(grad, fair=fair)
-
-    def contains(self, table, q_x=None, tol=1e-8):
-        return _has_marking(table, tol)
 
 
 class Hull(ChannelFamily):
@@ -167,7 +134,7 @@ class Hull(ChannelFamily):
         for t in tables:
             if t.shape != shape:
                 raise ConfigError("hull channels must share a shape")
-            if np.max(np.abs(t.sum(axis=-1) - 1.0)) > 1e-10 or np.any(t < -1e-12):
+            if not (np.max(np.abs(t.sum(axis=-1) - 1.0)) <= 1e-10 and np.all(t >= -1e-12)):
                 raise ConfigError("hull vertices must be channels")
         self.vertices = [np.clip(t, 0.0, None) for t in tables]
 
@@ -181,35 +148,26 @@ class Hull(ChannelFamily):
         return self.linmin(np.zeros_like(self.vertices[0]), fair=True)
 
     def _fair_rows(self, k, x_size):
-        """(row, y) equality pairs forcing mixture fairness."""
-        ids = input_orbits(k, x_size)[0]
-        pairs = []
-        rep_cell = {}
-        for tup in itertools.product(range(x_size), repeat=k):
-            o = ids[tup]
-            if o not in rep_cell:
-                rep_cell[o] = tup
-            elif rep_cell[o] != tup:
-                pairs.append((rep_cell[o], tup))
-        return pairs
+        """(first, other) flat cell indices, C order, of the equality pairs
+        forcing mixture fairness: every cell of an orbit other than its
+        first (its sorted representative) is paired with that first cell."""
+        ids, reps, _, _ = _cell_classes(k, x_size, True)
+        first = np.ravel_multi_index(tuple(reps[ids.ravel()].T), ids.shape)
+        other = np.flatnonzero(first != np.arange(ids.size))
+        return first[other], other
 
     def linmin(self, grad, q_x=None, fair=False):
         scores = np.array([float(np.sum(grad * v)) for v in self.vertices])
         if not fair:
             return self.vertices[int(np.argmin(scores))]
-        k = grad.ndim - 1
-        x_size, y_size = grad.shape[0], grad.shape[-1]
-        pairs = self._fair_rows(k, x_size)
-        n = len(self.vertices)
-        a_eq = [[1.0] * n]
-        b_eq = [1.0]
-        for a, b in pairs:
-            for y in range(y_size):
-                a_eq.append([v[a + (y,)] - v[b + (y,)] for v in self.vertices])
-                b_eq.append(0.0)
-        res = linprog(
-            scores, A_eq=np.asarray(a_eq), b_eq=np.asarray(b_eq), bounds=(0.0, 1.0)
-        )
+        first, other = self._fair_rows(grad.ndim - 1, grad.shape[0])
+        verts = np.stack(self.vertices, axis=-1).reshape(-1, grad.shape[-1], len(scores))
+        # one row per (pair, y), pair-major, then the weights summing to one
+        diffs = (verts[first] - verts[other]).reshape(-1, len(scores))
+        a_eq = np.vstack([np.ones((1, len(scores))), diffs])
+        b_eq = np.zeros(len(a_eq))
+        b_eq[0] = 1.0
+        res = linprog(scores, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0))
         if not res.success:
             raise InfeasibleError("hull has no fair member")
         mix = np.zeros_like(self.vertices[0])
@@ -251,6 +209,9 @@ class Distortion(ChannelFamily):
         self.cap = float(cap)
         if self.d2.ndim != 2 or self.d2.shape[0] <= self.estimator.max():
             raise ConfigError("d2 must cover the estimator range")
+        finite = np.all(np.isfinite(self.d2)) and np.isfinite(self.cap)
+        if self.estimator.min() < 0 or not finite:
+            raise ConfigError("distortion needs estimates >= 0, finite costs and a finite cap")
         _require_symmetric_estimator(self.estimator, self.estimator.ndim)
 
     def _cost(self, y_size):
@@ -265,38 +226,24 @@ class Distortion(ChannelFamily):
     def linmin(self, grad, q_x=None, fair=False):
         if q_x is None:
             raise ConfigError("distortion polytope needs the coalition input law")
-        k = grad.ndim - 1
-        x_size, y_size = grad.shape[0], grad.shape[-1]
+        y_size = grad.shape[-1]
         cost = self._cost(y_size)
         q = np.asarray(q_x, dtype=float)
-        if fair:
-            ids, reps, _ = input_orbits(k, x_size)
-            n_rows = len(reps)
-            obj = np.zeros((n_rows, y_size))
-            np.add.at(obj, ids.ravel(), grad.reshape(-1, y_size))
-            dist = np.zeros((n_rows, y_size))
-            np.add.at(dist, ids.ravel(), (q[..., None] * cost).reshape(-1, y_size))
-        else:
-            n_rows = x_size**k
-            obj = grad.reshape(n_rows, y_size)
-            dist = (q[..., None] * cost).reshape(n_rows, y_size)
-        a_eq = np.zeros((n_rows, n_rows * y_size))
-        for r in range(n_rows):
-            a_eq[r, r * y_size : (r + 1) * y_size] = 1.0
+        ids, _, sizes, _ = _cell_classes(grad.ndim - 1, grad.shape[0], fair)
+        n_rows = len(sizes)
+        obj = _class_sums(ids, grad, n_rows)
+        dist = _class_sums(ids, q[..., None] * cost, n_rows)
         res = linprog(
             obj.ravel(),
             A_ub=dist.ravel()[None, :],
             b_ub=[self.cap],
-            A_eq=a_eq,
+            A_eq=np.kron(np.eye(n_rows), np.ones((1, y_size))),
             b_eq=np.ones(n_rows),
             bounds=(0.0, 1.0),
         )
         if not res.success:
             raise InfeasibleError("distortion cap admits no channel at this input law")
-        rows = res.x.reshape(n_rows, y_size)
-        if fair:
-            return rows[ids]
-        return rows.reshape(grad.shape)
+        return res.x.reshape(n_rows, y_size)[ids]
 
     def contains(self, table, q_x=None, tol=1e-8):
         if q_x is None:
@@ -338,7 +285,7 @@ def channel_family_from_dict(d: dict) -> ChannelFamily:
             )
             d2 = np.asarray(d["d2"], dtype=float).reshape(tuple(d["d2_shape"]))
             return Distortion(est, d2, d["cap"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {kind} family: {exc!r}") from None
     raise ConfigError(f"unknown channel family {kind!r}")
 
@@ -377,11 +324,20 @@ class GameProblem:
             raise ConfigError(f"joint tensor would need {cells} cells")
         if self.channel_class.requires_matching_alphabets and self.y_size < self.x_size:
             raise ConfigError("marking families need the inputs embedded in the output alphabet")
+        fam = self.channel_class
+        shape = (self.x_size,) * self.coalition_size + (self.y_size,)
+        if isinstance(fam, Hull) and fam.vertices[0].shape != shape:
+            raise ConfigError(f"hull vertices must have the problem's shape {shape}")
+        if isinstance(fam, Distortion) and fam.estimator.shape != shape[:-1]:
+            raise ConfigError(f"the estimator must map every cell of {shape[:-1]}")
         host = self.p_host
         if host is None:
             host = np.full(self.s_size, 1.0 / self.s_size)
         host = np.asarray(host, dtype=float)
-        if host.shape != (self.s_size,) or abs(host.sum() - 1.0) > 1e-9 or host.min() < 0:
+        # the pmf checks here are phrased so that a NaN fails them
+        if host.shape != (self.s_size,) or not (
+            abs(host.sum() - 1.0) <= 1e-9 and host.min() >= 0
+        ):
             raise ConfigError("p_host must be a pmf over the host alphabet")
         host = host / host.sum()
         host.setflags(write=False)
@@ -454,7 +410,7 @@ class GameProblem:
             if "d1" in d:
                 kw["d1"] = np.asarray(d["d1"], dtype=float)
                 kw["d1_cap"] = float(d["d1_cap"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad problem config: {exc!r}") from None
         return cls(
             channel_class=channel_family_from_dict(d["channel_class"]),
@@ -479,11 +435,12 @@ class InputLaw:
     def __post_init__(self):
         pw = np.asarray(self.p_w, dtype=float)
         px = np.asarray(self.p_x_given_sw, dtype=float)
-        if pw.ndim != 1 or abs(pw.sum() - 1.0) > 1e-9 or pw.min() < -1e-12:
+        # phrased so that a NaN fails the pmf checks
+        if pw.ndim != 1 or not (abs(pw.sum() - 1.0) <= 1e-9 and pw.min() >= -1e-12):
             raise ConfigError("p_w must be a pmf")
         if px.ndim != 3 or px.shape[1] != pw.shape[0]:
             raise ConfigError("p_x_given_sw must have shape (s, w, x)")
-        if np.max(np.abs(px.sum(axis=-1) - 1.0)) > 1e-9 or px.min() < -1e-12:
+        if not (np.max(np.abs(px.sum(axis=-1) - 1.0)) <= 1e-9 and px.min() >= -1e-12):
             raise ConfigError("p_x_given_sw rows must be pmfs")
         pw = np.clip(pw, 0.0, None)
         pw = pw / pw.sum()
@@ -497,7 +454,7 @@ class InputLaw:
             ps = np.asarray(self.p_s_tilde_given_w, dtype=float)
             if ps.shape != (pw.shape[0], px.shape[0]):
                 raise ConfigError("p_s_tilde_given_w must have shape (w, s)")
-            if np.max(np.abs(ps.sum(axis=-1) - 1.0)) > 1e-9 or ps.min() < -1e-12:
+            if not (np.max(np.abs(ps.sum(axis=-1) - 1.0)) <= 1e-9 and ps.min() >= -1e-12):
                 raise ConfigError("p_s_tilde_given_w rows must be pmfs")
             ps = np.clip(ps, 0.0, None)
             ps = ps / ps.sum(axis=-1, keepdims=True)

@@ -1,0 +1,165 @@
+"""Malformed config values end in exit 2 or 3 with one stderr line.
+
+One explicit test per value that once escaped as a traceback, then a
+property test: any single value of a valid config, for every subcommand,
+replaced by a value of the wrong kind or range, exits 0, 2 or 3, and a
+failing run prints exactly one stderr line and no traceback.
+"""
+
+import copy
+import json
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fptrace.cli import main
+
+FAIR_K2 = {"coalition_size": 2, "x_size": 2, "y_size": 2,
+           "channel_class": {"kind": "boneh_shaw_fair"}}
+MARKING_CHANNEL = {"k": 2, "x_size": 2, "y_size": 2, "class": "boneh_shaw",
+                   "shape": [2, 2, 2], "table": [1.0, 0.0, 0.5, 0.5, 0.5, 0.5, 0.0, 1.0]}
+
+# one valid, fast config per subcommand (several for the richer ones)
+VALID = {
+    "gen": [
+        {"params": {"n": 16, "num_users": 4, "s_size": 1, "x_size": 2, "w_size": 1,
+                    "k_nom": 2}, "seed": 1},
+        {"params": {"n": 16, "num_users": 4, "s_size": 2, "p_host": [0.5, 0.5],
+                    "d1": [[0, 1], [1, 0]], "distortion_cap": 0.6,
+                    "target_x_given_sw": [[[0.5, 0.5]], [[0.5, 0.5]]]}},
+        {"params": {"n": 16, "num_users": 4, "s_size": 1, "x_size": 2, "w_size": 2,
+                    "p_host": [1.0], "target_w_type": [8, 8],
+                    "target_x_given_sw": [0.5, 0.5, 0.25, 0.75]}},
+    ],
+    "attack": [
+        {"coalition": [0, 1], "seed": 1},
+        {"coalition": [0, 1], "attack": MARKING_CHANNEL},
+    ],
+    "decode": [{"decode": {"delta": 0.05, "k_max": 2}, "decoder": "mpmi"}],
+    "simulate": [{"params": {"n": 16, "num_users": 4}, "decode": {"delta": 0.05},
+                  "trials": 2, "coalition": 2}],
+    "capacity": [
+        {"problem": FAIR_K2, "restarts": 1, "grid_resolution": 2},
+        {"problem": dict(FAIR_K2, channel_class={
+            "kind": "hull", "shape": [2, 2, 2],
+            "vertices": [[1.0, 0.0, 0.5, 0.5, 0.5, 0.5, 0.0, 1.0],
+                         [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]]}),
+         "restarts": 1, "grid_resolution": 2},
+    ],
+    "exponent": [
+        {"problem": FAIR_K2, "rates": [0.2, 0.3], "restarts": 1},
+        {"problem": FAIR_K2, "rate": 0.3, "restarts": 1},
+        {"problem": FAIR_K2, "rates": [0.3], "restarts": 1, "user": 0,
+         "input_law": {"p_w": [1.0], "p_x_given_sw": [[[0.5, 0.5]]]}},
+    ],
+}
+# small values only: a wrong kind or range, never a large size
+MUTANTS = ["x", None, -1, 0, 1, 2, 0.5, -0.5, math.nan, math.inf, -math.inf, True,
+           [], [1], {}, {"a": 1}]
+
+
+def run(*argv):
+    return main([str(a) for a in argv])
+
+
+def write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.fixture(scope="module")
+def dirs(tmp_path_factory):
+    """One artifact directory per subcommand; attack and decode get a book,
+    decode a pirated copy too."""
+    root = tmp_path_factory.mktemp("cli")
+    out = {}
+    for command in VALID:
+        out[command] = root / command
+        out[command].mkdir()
+    book = write_json(root / "book.json", {"params": {"n": 16, "num_users": 4}})
+    for command in ("attack", "decode"):
+        assert run("gen", "--config", book, "--seed", 1, "--out", out[command]) == 0
+    att = write_json(root / "att.json", {"coalition": [0, 1]})
+    assert run("attack", "--config", att, "--seed", 1, "--out", out["decode"]) == 0
+    return out
+
+
+def expect_one_line(capsys, code, want=(2,)):
+    err = capsys.readouterr().err
+    assert code in want, err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+    return err
+
+
+def test_gen_non_numeric_p_host_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "c.json", {"params": {"n": 16, "num_users": 4, "p_host": "x"}})
+    err = expect_one_line(capsys, run("gen", "--config", cfg, "--out", tmp_path))
+    assert err.startswith("config error: p_host")
+
+
+def test_gen_target_law_of_the_wrong_length_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "c.json", {"params": {
+        "n": 16, "num_users": 4, "s_size": 1, "x_size": 2, "w_size": 1, "p_host": [1.0],
+        "target_w_type": [16], "target_x_given_sw": [0.5, 0.5, 0.1]}})
+    expect_one_line(capsys, run("gen", "--config", cfg, "--out", tmp_path))
+
+
+def test_gen_non_numeric_distortion_cap_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "c.json", {"params": {
+        "n": 16, "num_users": 4, "d1": [[0, 1]], "distortion_cap": "a"}})
+    err = expect_one_line(capsys, run("gen", "--config", cfg, "--out", tmp_path))
+    assert "distortion_cap" in err
+
+
+def test_capacity_zero_grid_resolution_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "c.json", {"problem": FAIR_K2, "grid_resolution": 0})
+    err = expect_one_line(capsys, run("capacity", "--config", cfg, "--out", tmp_path))
+    assert "grid_resolution" in err
+
+
+def test_exponent_nan_rate_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "c.json", {"problem": FAIR_K2, "rate": "nan", "restarts": 1})
+    err = expect_one_line(capsys, run("exponent", "--config", cfg, "--out", tmp_path))
+    assert "rate" in err
+    assert not (tmp_path / "exponent.json").exists()
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON tree, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replace(cfg, path, value):
+    if not path:
+        return value
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_single_bad_value_exits_cleanly(dirs, capsys, command, data):
+    base = data.draw(st.sampled_from(VALID[command]))
+    path = data.draw(st.sampled_from(list(_paths(base))))
+    cfg = _replace(base, path, data.draw(st.sampled_from(MUTANTS)))
+    out = dirs[command]
+    capsys.readouterr()
+    code = run(command, "--config", write_json(out / "cfg.json", cfg), "--out", out)
+    if code != 0:
+        expect_one_line(capsys, code, want=(2, 3))

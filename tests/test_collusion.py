@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fptrace.collusion import (
     permutation_average,
     wrap_exchangeable,
 )
-from fptrace.errors import ConfigError
+from fptrace.errors import BudgetExceededError, ConfigError
 
 
 def majority_channel(k=3):
@@ -325,3 +326,27 @@ def test_wrap_exchangeable_keeps_marking():
 def test_feasibility_report_length_check():
     with pytest.raises(ConfigError):
         feasibility_report(np.array([[0, 1]]), np.array([0, 1, 0]), y_size=2)
+
+
+def test_interleave_audit_counts_no_dense_joint_type():
+    # the (x_1, x_2, y) table at X=200 has 8e6 cells; the audits read only rows
+    rows = np.random.default_rng(0).integers(0, 200, size=(2, 256))
+    tracemalloc.start()
+    try:
+        res = interleave(rows, np.random.default_rng(1), x_size=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert res.marking_ok and res.axes == (200, 200, 200)
+
+
+def test_realized_joint_type_is_counted_on_read_under_the_cell_cap():
+    rows = np.random.default_rng(2).integers(0, 3, size=(2, 40))
+    res = interleave(rows, np.random.default_rng(3), x_size=3)
+    assert "realized" not in vars(res)
+    assert res.realized.counts.sum() == 40 and res.realized is res.realized
+    wide = interleave(np.zeros((3, 8), dtype=np.int64), np.random.default_rng(4), x_size=200)
+    assert wide.marking_ok
+    with pytest.raises(BudgetExceededError):
+        wide.realized
