@@ -282,7 +282,8 @@ class AttackResult:
         cells = math.prod(self.axes)
         if cells > MAX_TABLE_CELLS:
             raise BudgetExceededError(f"joint type would need {cells} cells")
-        return JointType(self.axes, count_table([*self.x_rows, self.y], self.axes), len(self.y))
+        counts = count_table([*self.x_rows, self.y], self.axes)
+        return JointType(self.axes, counts, len(self.y))
 
 
 def feasibility_report(

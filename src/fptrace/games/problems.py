@@ -134,7 +134,8 @@ class Hull(ChannelFamily):
         for t in tables:
             if t.shape != shape:
                 raise ConfigError("hull channels must share a shape")
-            if not (np.max(np.abs(t.sum(axis=-1) - 1.0)) <= 1e-10 and np.all(t >= -1e-12)):
+            rows_ok = np.max(np.abs(t.sum(axis=-1) - 1.0)) <= 1e-10
+            if not (rows_ok and np.all(t >= -1e-12)):  # so that a NaN fails
                 raise ConfigError("hull vertices must be channels")
         self.vertices = [np.clip(t, 0.0, None) for t in tables]
 
@@ -162,7 +163,7 @@ class Hull(ChannelFamily):
             return self.vertices[int(np.argmin(scores))]
         first, other = self._fair_rows(grad.ndim - 1, grad.shape[0])
         verts = np.stack(self.vertices, axis=-1).reshape(-1, grad.shape[-1], len(scores))
-        # one row per (pair, y), pair-major, then the weights summing to one
+        # first the weights sum to one, then one row per (pair, y), pair-major
         diffs = (verts[first] - verts[other]).reshape(-1, len(scores))
         a_eq = np.vstack([np.ones((1, len(scores))), diffs])
         b_eq = np.zeros(len(a_eq))

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from fptrace.collusion import _cell_classes, _interleaving_table, input_orbits
-from fptrace.errors import InfeasibleError
+from fptrace.collusion import ChannelSpec, _cell_classes, _interleaving_table, input_orbits
+from fptrace.errors import ConfigError, InfeasibleError
 from fptrace.games.problems import Distortion, FairMarking, Hull, Marking, _marking_linmin
 
 SHAPES = [(k, x) for k in range(1, 5) for x in range(1, 5)]
@@ -185,7 +185,54 @@ def test_hull_fair_rows_keep_the_c_order_pairs(k, x_size):
     assert [np.unravel_index(b, shape) for b in other] == [b for _, b in pairs]
 
 
+def ref_hull_fair_linmin(vertices, grad):
+    scores = np.array([float(np.sum(grad * v)) for v in vertices])
+    a_eq, b_eq = [[1.0] * len(vertices)], [1.0]
+    for a, b in ref_fair_rows(grad.ndim - 1, grad.shape[0]):
+        for y in range(grad.shape[-1]):
+            a_eq.append([v[a + (y,)] - v[b + (y,)] for v in vertices])
+            b_eq.append(0.0)
+    res = linprog(scores, A_eq=np.asarray(a_eq), b_eq=np.asarray(b_eq), bounds=(0.0, 1.0))
+    mix = np.zeros_like(vertices[0])
+    for lam, v in zip(res.x, vertices):
+        mix = mix + lam * v
+    return mix
+
+
+@pytest.mark.parametrize("k,x_size,y_size", [(2, 2, 2), (2, 3, 3), (3, 2, 3)])
+def test_hull_fair_linmin_matches_the_pair_loop(k, x_size, y_size):
+    rng = np.random.default_rng(k + x_size + y_size)
+    shape = (x_size,) * k + (y_size,)
+    base = [rng.dirichlet(np.ones(y_size), size=shape[:-1]) for _ in range(2)]
+    # each vertex under every colluder relabeling, so fair mixtures exist
+    hull = Hull([np.transpose(v, p + (k,)) for v in base
+                 for p in itertools.permutations(range(k))])
+    for _ in range(3):
+        grad = rng.normal(size=shape)
+        want = ref_hull_fair_linmin(hull.vertices, grad)
+        assert np.array_equal(hull.linmin(grad, fair=True), want)
+
+
 def test_marking_families_share_a_base_but_not_each_other():
     assert not isinstance(FairMarking(), Marking)
     assert not isinstance(Marking(), FairMarking)
     assert type(FairMarking()).__mro__[1] is type(Marking()).__mro__[1]
+
+
+@pytest.mark.parametrize("k,x_size", [(1, 3), (2, 2), (2, 3), (3, 3)])
+def test_marking_check_names_the_first_failing_symbol(k, x_size):
+    y_size = x_size + 1
+    table = Marking().start(k, x_size, y_size)
+    ChannelSpec(k=k, x_size=x_size, y_size=y_size, table=table, class_tag="boneh_shaw")
+    assert Marking().contains(table) and FairMarking().contains(table)
+    for u in range(x_size):
+        bad = table.copy()
+        bad[(u,) * k] = np.eye(y_size)[x_size]  # the all-u cell emits the extra symbol
+        with pytest.raises(ConfigError, match=f"all-{u} cell does not copy symbol {u}$"):
+            ChannelSpec(k=k, x_size=x_size, y_size=y_size, table=bad, class_tag="boneh_shaw")
+        assert not Marking().contains(bad) and not FairMarking().contains(bad)
+    nan = table.copy()
+    nan[(0,) * k] = np.nan
+    with pytest.raises(ConfigError):
+        ChannelSpec(k=k, x_size=x_size, y_size=y_size, table=nan, class_tag="boneh_shaw")
+    assert not Marking().contains(nan)
