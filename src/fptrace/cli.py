@@ -30,7 +30,7 @@ from . import rng as rngmod
 from .codec import CodeParams, build_codebook, draw_host, draw_timeshare, read_codebook, write_codebook
 from .collusion import ChannelSpec, apply_memoryless, interleave
 from .decoders import DecodeConfig, guilt_indices, mpmi_decode, threshold_decode
-from .errors import BudgetExceededError, ConfigError, FptraceError
+from .errors import BudgetExceededError, ConfigError, FptraceError, int_at_least
 from .games import (
     GameProblem,
     InputLaw,
@@ -123,11 +123,20 @@ def _read(cfg: dict, key: str, default, cast):
         raise ConfigError(f"bad {key!r} value: {raw!r}") from None
 
 
+def _int(low: int):
+    """A `_read` cast taking an integer >= low as it is: a float, a bool or
+    a string is refused, never truncated."""
+
+    def cast(raw):
+        if not int_at_least(raw, low):
+            raise ValueError
+        return raw
+
+    return cast
+
+
 def _seed_of(args, cfg: dict) -> int:
-    seed = args.seed if args.seed is not None else _read(cfg, "seed", 0, int)
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, not {seed}")
-    return seed
+    return _read({"seed": args.seed} if args.seed is not None else cfg, "seed", 0, _int(0))
 
 
 def _params_from(cfg: dict) -> CodeParams:
@@ -144,8 +153,10 @@ def _params_from(cfg: dict) -> CodeParams:
 
 def _attack_from(cfg: dict):
     spec = cfg.get("attack", "interleaving")
-    if isinstance(spec, str):
+    if spec == "interleaving":
         return spec
+    if isinstance(spec, str):
+        raise ConfigError(f"unknown named attack {spec!r}")
     return ChannelSpec.from_json(json.dumps(spec))
 
 
@@ -226,7 +237,10 @@ def _cmd_decode(args) -> int:
     with open(pirate_path) as fh:
         y = np.asarray(json.load(fh)["y"], dtype=np.int64)
     dcfg = _decode_config_from(cfg)
-    decoder = mpmi_decode if cfg.get("decoder") == "mpmi" else threshold_decode
+    name = cfg.get("decoder", "threshold")
+    if name not in ("threshold", "mpmi"):
+        raise ConfigError(f"unknown decoder {name!r}")
+    decoder = mpmi_decode if name == "mpmi" else threshold_decode
     outcome = decoder(cb, y, dcfg)
     guilt = guilt_indices(cb, y, outcome)
     payload = {
@@ -251,17 +265,17 @@ def _cmd_decode(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    # ExperimentConfig checks the size or the users, with no coercion
-    coalition = cfg.get("coalition", 2)
+    # ExperimentConfig checks the coalition, trials and n_sweep, with no
+    # coercion
     exp = ExperimentConfig(
         params=_params_from(cfg),
         decode=_decode_config_from(cfg),
         attack=_attack_from(cfg),
-        coalition=coalition,
-        trials=_read(cfg, "trials", 1000, int),
+        coalition=cfg.get("coalition", 2),
+        trials=cfg.get("trials", 1000),
         seed=_seed_of(args, cfg),
         decoder=cfg.get("decoder", "threshold"),
-        n_sweep=_read(cfg, "n_sweep", (), lambda ns: tuple(int(n) for n in ns)),
+        n_sweep=_read(cfg, "n_sweep", (), tuple),
     )
     report = estimate(exp, workers=args.workers)
     csv_path = args.out / "report.csv"
@@ -292,10 +306,13 @@ def _cmd_capacity(args) -> int:
     problem = GameProblem.from_dict(cfg["problem"])
     kw = {
         "seed": _seed_of(args, cfg),
-        "restarts": _read(cfg, "restarts", 20, int),
-        "grid_resolution": _read(cfg, "grid_resolution", 16, int),
+        "restarts": _read(cfg, "restarts", 20, _int(1)),
+        "grid_resolution": _read(cfg, "grid_resolution", 16, _int(1)),
     }
-    solver = solve_capacity_simple if cfg.get("payoff") == "simple" else solve_capacity
+    simple = "payoff" in cfg
+    if simple and cfg["payoff"] != "simple":
+        raise ConfigError(f'payoff must be "simple" or absent, not {cfg["payoff"]!r}')
+    solver = solve_capacity_simple if simple else solve_capacity
     solution = solver(problem, **kw)
     path = args.out / "capacity.json"
     _dump_json(json.loads(solution.to_json()), path)
@@ -319,13 +336,16 @@ def _cmd_exponent(args) -> int:
         raise ConfigError('config needs a "problem" object')
     problem = GameProblem.from_dict(cfg["problem"])
     seed = _seed_of(args, cfg)
+    memoryless = cfg.get("memoryless", False)
+    if not isinstance(memoryless, bool):
+        raise ConfigError(f"memoryless must be true or false, not {memoryless!r}")
 
     if "rates" not in cfg:
         result = solve_exponent_program(
             _read(cfg, "rate", 0.0, float),
             problem,
             seed=seed,
-            restarts=_read(cfg, "restarts", 4, int),
+            restarts=_read(cfg, "restarts", 4, _int(1)),
         )
         path = args.out / "exponent.json"
         _dump_json(
@@ -340,14 +360,14 @@ def _cmd_exponent(args) -> int:
         print(f"wrote {path} (value={_fmt(result['value'])})")
         return 0
 
-    restarts = _read(cfg, "restarts", 6, int)
+    restarts = _read(cfg, "restarts", 6, _int(1))
     law = _law_from(cfg, problem)
     subset, user = None, None
     if "user" in cfg:
-        user = _read(cfg, "user", None, int)
+        user = _read(cfg, "user", None, _int(0))
     else:
         subset = _read(
-            cfg, "subset", range(problem.coalition_size), lambda a: tuple(int(i) for i in a)
+            cfg, "subset", range(problem.coalition_size), lambda a: tuple(map(_int(0), a))
         )
     rates = _read(cfg, "rates", None, lambda r: [float(v) for v in r])
     rows = [
@@ -360,7 +380,7 @@ def _cmd_exponent(args) -> int:
             "gap": info.get("lowest_info_gap", 0.0) or 0.0,
         }
         for _, rate, val, info in _sweep(
-            rates, law, problem, subset, user, bool(cfg.get("memoryless")), restarts, seed
+            rates, law, problem, subset, user, memoryless, restarts, seed
         )
     ]
     path = args.out / "exponent_sweep.csv"

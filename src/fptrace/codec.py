@@ -149,23 +149,26 @@ class CodeParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CodeParams":
+        # sizes are checked by __post_init__ and by numpy's reshape, which
+        # refuses a float or a bool; nothing here truncates them
         try:
-            wt = JointType(
-                (int(d["w_size"]),), np.asarray(d["target_w_type"], dtype=np.int64)
-            )
+            counts = d["target_w_type"]
+            if not all(int_at_least(c, 0) for c in counts):
+                raise ConfigError(f"target_w_type must list integer counts: {counts!r}")
+            wt = JointType((d["w_size"],), np.asarray(counts, dtype=np.int64))
             tx = np.asarray(d["target_x_given_sw"], dtype=float).reshape(
-                int(d["s_size"]), int(d["w_size"]), int(d["x_size"])
+                d["s_size"], d["w_size"], d["x_size"]
             )
             d1 = d.get("d1")
             if d1 is not None:
-                d1 = np.asarray(d1, dtype=float).reshape(int(d["s_size"]), int(d["x_size"]))
+                d1 = np.asarray(d1, dtype=float).reshape(d["s_size"], d["x_size"])
             return cls(
-                n=int(d["n"]),
-                num_users=int(d["num_users"]),
-                s_size=int(d["s_size"]),
-                x_size=int(d["x_size"]),
-                w_size=int(d["w_size"]),
-                k_nom=int(d.get("k_nom", 2)),
+                n=d["n"],
+                num_users=d["num_users"],
+                s_size=d["s_size"],
+                x_size=d["x_size"],
+                w_size=d["w_size"],
+                k_nom=d.get("k_nom", 2),
                 p_host=np.asarray(d["p_host"], dtype=float),
                 target_w_type=wt,
                 target_x_given_sw=tx,

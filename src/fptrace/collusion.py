@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, int_at_least
 from .types_core import MAX_TABLE_CELLS, JointType, count_table
 
 __all__ = [
@@ -71,8 +71,8 @@ class ChannelSpec:
     def __post_init__(self) -> None:
         if self.class_tag not in CHANNEL_CLASSES:
             raise ConfigError(f"unknown channel class {self.class_tag!r}")
-        if self.k < 1 or self.x_size < 1 or self.y_size < 1:
-            raise ConfigError("channel dimensions must be positive")
+        if not all(int_at_least(v, 1) for v in (self.k, self.x_size, self.y_size)):
+            raise ConfigError("channel dimensions must be positive integers")
         table = np.asarray(self.table, dtype=float)
         want = (self.x_size,) * self.k + (self.y_size,)
         if table.shape != want:
@@ -150,7 +150,7 @@ class ChannelSpec:
                 )
                 kw["d2"] = np.asarray(d["d2"], dtype=float).reshape(tuple(d["d2_shape"]))
                 kw["distortion_cap"] = float(d["distortion_cap"])
-            k, x_size, y_size = int(d["k"]), int(d["x_size"]), int(d["y_size"])
+            k, x_size, y_size = d["k"], d["x_size"], d["y_size"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad channel: {exc!r}") from None
         return cls(k=k, x_size=x_size, y_size=y_size, table=table, class_tag=d["class"], **kw)

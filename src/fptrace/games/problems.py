@@ -26,7 +26,7 @@ from ..collusion import (
     _require_symmetric_estimator,
     _unmarked_symbol,
 )
-from ..errors import ConfigError, InfeasibleError
+from ..errors import ConfigError, InfeasibleError, int_at_least
 from ..types_core import _TINY, MAX_TABLE_CELLS, _safe_log2
 
 __all__ = [
@@ -309,10 +309,9 @@ class GameProblem:
     d1_cap: float | None = None
 
     def __post_init__(self):
-        if min(self.coalition_size, self.x_size, self.y_size, self.s_size) < 1:
-            raise ConfigError("all dimensions must be positive")
-        if self.num_timeshare < 1:
-            raise ConfigError("need at least one time-share slot")
+        for name in ("coalition_size", "x_size", "y_size", "s_size", "num_timeshare"):
+            if not int_at_least(getattr(self, name), 1):
+                raise ConfigError(f"{name} must be a positive integer")
         if self.objective not in ("detect_one", "detect_all", "simple"):
             raise ConfigError(f"unknown objective {self.objective!r}")
         cells = (
@@ -401,11 +400,11 @@ class GameProblem:
             raise ConfigError(f"problem config missing keys: {missing}")
         try:
             kw = dict(
-                coalition_size=int(d["coalition_size"]),
-                x_size=int(d["x_size"]),
-                y_size=int(d["y_size"]),
-                s_size=int(d.get("s_size", 1)),
-                num_timeshare=int(d.get("num_timeshare", 1)),
+                coalition_size=d["coalition_size"],
+                x_size=d["x_size"],
+                y_size=d["y_size"],
+                s_size=d.get("s_size", 1),
+                num_timeshare=d.get("num_timeshare", 1),
                 p_host=np.asarray(d["p_host"], dtype=float) if "p_host" in d else None,
             )
             if "d1" in d:

@@ -19,10 +19,11 @@ wide a table (a large mark or y alphabet) runs `threshold_decode` on the
 real rows instead.  The joint decoder still scores the whole book.
 
 For the false-positive trend study, `threshold_fp_fast` runs the same
-sampler on the balanced binary code with no side information under
-interleaving, where the pirate copy's ones-count has a closed sampling form
-too, so a trial builds nothing of size n; `threshold_fp_exact` enumerates
-that law for k = 2 and validates it.
+innocent sampler on the balanced binary code with no side information under
+interleaving.  There the pirate copy's ones-count is drawn in closed form, a
+multinomial split of the positions over the colluders and a hypergeometric
+ones-count on each share (`_pirate_ones`), so a trial builds nothing of size
+n; `threshold_fp_exact` enumerates that law for k = 2 and validates it.
 """
 
 import math
@@ -88,8 +89,12 @@ class ExperimentConfig:
     n_sweep: tuple = ()
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("need at least one trial")
+        if not int_at_least(self.trials, 1):
+            raise ConfigError(f"need a positive integer number of trials, not {self.trials!r}")
+        if not int_at_least(self.seed, 0):
+            raise ConfigError(f"seed must be a nonnegative integer, not {self.seed!r}")
+        if not all(int_at_least(n, 1) for n in self.n_sweep):
+            raise ConfigError(f"n_sweep must list positive integers: {self.n_sweep!r}")
         c, m = self.coalition, self.params.num_users
         if isinstance(c, (list, tuple)):
             object.__setattr__(self, "coalition", _coalition_users(c, m))
@@ -460,39 +465,15 @@ def _crossings(gen, comp, ny, count, bar, n):
     return np.concatenate(hits)
 
 
-def _balanced_split(gen, classes, n_half):
-    """Multivariate hypergeometric by sequential conditioning: scatter the
-    n_half one-positions of a fresh balanced row across the class columns."""
-    pop_left = classes.sum(axis=1)
-    draw_left = np.full(classes.shape[0], n_half, dtype=np.int64)
-    out = np.zeros_like(classes)
-    for j in range(classes.shape[1]):
-        pop_j = classes[:, j]
-        out[:, j] = gen.hypergeometric(pop_j, pop_left - pop_j, draw_left)
-        pop_left -= pop_j
-        draw_left -= out[:, j]
-    return out
-
-
 def _pirate_ones(gen, n, k, size):
-    """Ones count of an interleaving pirate copy over k iid balanced rows.
+    """Ones counts of ``size`` interleaving copies of k iid balanced rows.
 
-    Tracks, per trial, the histogram of positions by how many of the rows
-    peeled so far carry a one; each new row splits every class with the
-    correct joint law.  A position with j of k ones then emits a one with
-    probability j/k under position-wise uniform colluder choice.
+    Interleaving copies each position from a uniform colluder, whatever the
+    rows, so the colluders' shares are Multinomial(n, 1/k); a balanced row
+    carries Hypergeometric(n/2, n - n/2, share) ones on its share.
     """
-    classes = np.tile([n - n // 2, n // 2], (size, 1)).astype(np.int64)
-    for _ in range(k - 1):
-        up = _balanced_split(gen, classes, n // 2)
-        grown = np.zeros((size, classes.shape[1] + 1), dtype=np.int64)
-        grown[:, :-1] = classes - up
-        grown[:, 1:] += up
-        classes = grown
-    n1y = classes[:, k].copy()
-    for j in range(1, k):
-        n1y += gen.binomial(classes[:, j], j / k)
-    return n1y
+    shares = gen.multinomial(n, np.full(k, 1.0 / k), size)
+    return gen.hypergeometric(n // 2, n - n // 2, shares).sum(axis=1)
 
 
 def threshold_fp_fast(
@@ -515,10 +496,12 @@ def threshold_fp_fast(
     distribution; validated against the direct pipeline and the
     closed-form enumerator in the tests.
     """
-    if n < 2 or n % 2:
+    if not int_at_least(n, 2) or n % 2:
         raise ConfigError("the fast engine assumes a balanced binary composition, even n >= 2")
-    if k < 1 or innocents < 0:
-        raise ConfigError("the fast engine needs k >= 1 colluders and innocents >= 0")
+    if not (int_at_least(k, 1) and int_at_least(innocents, 0)):
+        raise ConfigError("the fast engine needs integers k >= 1 colluders and innocents >= 0")
+    if not (int_at_least(trials, 1) and int_at_least(seed, 0)):
+        raise ConfigError("the fast engine needs integers trials >= 1 and seed >= 0")
     if rate is None:
         rate = math.log2(innocents + k) / n
     bar = rate + delta
@@ -559,10 +542,10 @@ def threshold_fp_exact(
     Enumerates the pirate ones-count law exactly for k = 2 and integrates
     the per-innocent crossing probability of the hypergeometric overlap.
     """
-    if n < 2 or n % 2 or k != 2:
+    if not (int_at_least(n, 2) and int_at_least(k, 2)) or n % 2 or k != 2:
         raise ConfigError("exact enumeration covers k=2 balanced binary codes, even n >= 2")
-    if innocents < 0:
-        raise ConfigError("innocents must be >= 0")
+    if not int_at_least(innocents, 0):
+        raise ConfigError("innocents must be an integer >= 0")
     if rate is None:
         rate = math.log2(innocents + k) / n
     bar = rate + delta

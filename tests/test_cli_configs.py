@@ -163,3 +163,96 @@ def test_any_single_bad_value_exits_cleanly(dirs, capsys, command, data):
     code = run(command, "--config", write_json(out / "cfg.json", cfg), "--out", out)
     if code != 0:
         expect_one_line(capsys, code, want=(2, 3))
+
+
+# --- integers are refused, never truncated; unknown names are refused -------
+
+SIM = VALID["simulate"][0]
+CAPACITY = VALID["capacity"][0]
+SWEEP = VALID["exponent"][0]
+PROBES = {
+    "simulate-trials": ("simulate", dict(SIM, trials=2.5)),
+    "simulate-seed": ("simulate", dict(SIM, seed=1.5)),
+    "simulate-bool-trials": ("simulate", dict(SIM, trials=True)),
+    "simulate-n_sweep": ("simulate", dict(SIM, n_sweep=[16.5])),
+    "capacity-restarts": ("capacity", dict(CAPACITY, restarts=0.5)),
+    "capacity-grid_resolution": ("capacity", dict(CAPACITY, grid_resolution=2.5)),
+    "exponent-restarts": ("exponent", dict(VALID["exponent"][1], restarts=2.5)),
+    "sweep-restarts": ("exponent", dict(SWEEP, restarts=1.5)),
+    "sweep-user": ("exponent", dict(SWEEP, user=0.5)),
+    "sweep-subset": ("exponent", dict(SWEEP, subset=[0.5, 1])),
+    "problem-sizes": ("capacity", dict(CAPACITY, problem=dict(
+        FAIR_K2, coalition_size=2.5, x_size=2.9, num_timeshare=True))),
+    "params-n": ("gen", {"params": {"n": 16.7, "num_users": 4}}),
+    "params-num_users": ("gen", {"params": {"n": 16, "num_users": 4.2}}),
+    "params-target_w_type": ("gen", {"params": dict(VALID["gen"][2]["params"],
+                                                   target_w_type=[8.5, 8.5])}),
+    "channel-k": ("attack", {"coalition": [0, 1], "attack": dict(MARKING_CHANNEL, k=2.5)}),
+    "decode-decoder": ("decode", {"decode": {"delta": 0.05}, "decoder": "bogus"}),
+    "capacity-payoff": ("capacity", dict(CAPACITY, payoff="bogus")),
+    "attack-name": ("attack", {"coalition": [0, 1], "attack": "bogus"}),
+    "sweep-memoryless": ("exponent", dict(SWEEP, memoryless="false")),
+}
+
+
+def _exits_2(dirs, capsys, command, cfg):
+    out = dirs[command]
+    capsys.readouterr()
+    code = run(command, "--config", write_json(out / "cfg.json", cfg), "--out", out)
+    expect_one_line(capsys, code)
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_truncated_or_unknown_values_exit_2(dirs, capsys, probe):
+    _exits_2(dirs, capsys, *PROBES[probe])
+
+
+def _value(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+# every integer leaf of the valid configs; d1 is a real-valued table that
+# happens to be written with integers
+INT_KEYS = [
+    (command, i, path)
+    for command in sorted(VALID)
+    for i, cfg in enumerate(VALID[command])
+    for path in _paths(cfg)
+    if type(_value(cfg, path)) is int and "d1" not in path
+]
+# every enumerated key: the names in the valid configs, and the keys they
+# leave at their default
+NAME_KEYS = [
+    (command, i, path)
+    for command in sorted(VALID)
+    for i, cfg in enumerate(VALID[command])
+    for path in _paths(cfg)
+    if isinstance(_value(cfg, path), str)
+] + [
+    ("attack", 0, ("attack",)),
+    ("simulate", 0, ("attack",)),
+    ("simulate", 0, ("decoder",)),
+    ("capacity", 0, ("payoff",)),
+    ("capacity", 0, ("problem", "objective")),
+    ("exponent", 0, ("memoryless",)),
+    ("exponent", 0, ("problem", "objective")),
+]
+
+
+def _ids(keys):
+    return [f"{c}-{i}-{'.'.join(map(str, p))}" for c, i, p in keys]
+
+
+@pytest.mark.parametrize("command,index,path", INT_KEYS, ids=_ids(INT_KEYS))
+@settings(max_examples=3, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=st.one_of(st.booleans(), st.floats().filter(lambda v: not v.is_integer())))
+def test_integer_keys_refuse_floats_and_bools(dirs, capsys, command, index, path, value):
+    _exits_2(dirs, capsys, command, _replace(VALID[command][index], path, value))
+
+
+@pytest.mark.parametrize("command,index,path", NAME_KEYS, ids=_ids(NAME_KEYS))
+def test_enumerated_keys_refuse_unknown_names(dirs, capsys, command, index, path):
+    _exits_2(dirs, capsys, command, _replace(VALID[command][index], path, "bogus"))

@@ -448,3 +448,20 @@ def test_draw_host_matches_law():
     p = np.array([0.2, 0.8])
     s = draw_host(p, 20000, np.random.default_rng(3))
     assert abs(np.mean(s == 1) - 0.8) < 0.02
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 16.7), ("num_users", 4.2), ("k_nom", True), ("w_size", 1.0), ("s_size", "1"),
+    ("target_w_type", [16.0]), ("target_w_type", [True]),
+])
+def test_params_from_dict_refuses_non_integers(field, value):
+    d = CodeParams(n=16, num_users=4).to_dict()
+    with pytest.raises(ConfigError):
+        CodeParams.from_dict(dict(d, **{field: value}))
+
+
+def test_params_from_dict_refuses_fractional_time_share_counts():
+    # [8.5, 8.5] once truncated to a valid [8, 8]
+    d = CodeParams(n=16, num_users=4, w_size=2).to_dict()
+    with pytest.raises(ConfigError, match="target_w_type"):
+        CodeParams.from_dict(dict(d, target_w_type=[8.5, 8.5]))

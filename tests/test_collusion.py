@@ -1,6 +1,7 @@
 """Attack channels, feasibility audits, fairness and exchangeability."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -350,3 +351,10 @@ def test_realized_joint_type_is_counted_on_read_under_the_cell_cap():
     assert wide.marking_ok
     with pytest.raises(BudgetExceededError):
         wide.realized
+
+
+@pytest.mark.parametrize("field,value", [("k", 2.5), ("x_size", True), ("y_size", 2.0)])
+def test_channel_dimensions_are_integers_not_truncated(field, value):
+    payload = json.loads(interleaving_channel(2, 2).to_json())
+    with pytest.raises(ConfigError, match="positive integers"):
+        ChannelSpec.from_json(json.dumps(dict(payload, **{field: value})))

@@ -712,3 +712,13 @@ def test_exponent_matches_bernoulli_lattice(family, p0, rate):
     assert math.isfinite(g) and g > 0
     assert v <= g + 1e-9
     assert g - v <= slack
+
+
+@pytest.mark.parametrize("field,value", [
+    ("coalition_size", 2.5), ("x_size", 2.9), ("y_size", "2"), ("s_size", True),
+    ("num_timeshare", True), ("num_timeshare", 1.5),
+])
+def test_problem_sizes_are_integers_not_truncated(field, value):
+    d = fair_problem().to_dict()
+    with pytest.raises(ConfigError, match=field):
+        GameProblem.from_dict(dict(d, **{field: value}))

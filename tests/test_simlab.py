@@ -527,3 +527,66 @@ def test_innocent_blocks_bound_the_table_entries():
         tracemalloc.stop()
     assert hits.size and np.all(np.diff(hits) > 0)
     assert peak < 3_000_000, peak
+
+
+def _pirate_law(n, k):
+    """Exact ones-count law of an interleaving copy of k balanced rows of
+    length n, by enumerating every tuple of rows and every pick vector."""
+    balanced = [r for r in itertools.product((0, 1), repeat=n) if sum(r) == n // 2]
+    rows = np.array(list(itertools.product(balanced, repeat=k)), dtype=np.int8)
+    picks = np.array(list(itertools.product(range(k), repeat=n)))
+    ones = np.zeros((len(rows), len(picks)), dtype=np.int8)
+    for t in range(n):
+        ones += rows[:, picks[:, t], t]
+    return np.bincount(ones.ravel(), minlength=n + 1) / ones.size
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pirate_ones_follow_the_enumerated_law(k):
+    n, draws = 6, 400_000
+    law = _pirate_law(n, k)
+    seen = np.bincount(simlab._pirate_ones(np.random.default_rng(77), n, k, draws),
+                       minlength=n + 1)
+    assert seen.sum() == draws and np.all(seen[law == 0] == 0)
+    p = law[law > 0]
+    z = (seen[law > 0] - draws * p) / np.sqrt(draws * p * (1 - p) + 1e-300)
+    assert np.max(np.abs(z)) < 4.5, z
+
+
+def test_fast_engine_matches_the_pipeline_at_three_colluders():
+    # the trial engine interleaves three real rows of a fresh book; the fast
+    # engine draws the copy's ones-count from `_pirate_ones`
+    n, users, delta, t = 24, 16, 0.02, 3000
+    cfg = ExperimentConfig(params=CodeParams(n=n, num_users=users, k_nom=3),
+                           decode=DecodeConfig(delta=delta), coalition=3, trials=t, seed=31)
+    engine = estimate(cfg).points[0]
+    fast = threshold_fp_fast(n, innocents=users - 3, delta=delta, trials=40_000, seed=31, k=3)
+    p = (engine.fp_count + fast.fp_count) / (t + fast.trials)
+    assert 0.05 < p < 0.95, p
+    se = math.sqrt(p * (1 - p) * (1 / t + 1 / fast.trials))
+    assert abs(engine.rate("fp") - fast.rate("fp")) < 4 * se
+
+
+@pytest.mark.parametrize("kw", [
+    dict(trials=2.5), dict(trials=True), dict(seed=-1), dict(seed=1.5), dict(n_sweep=(32.5,)),
+])
+def test_experiment_config_refuses_non_integers(kw):
+    with pytest.raises(ConfigError):
+        small_config(**kw)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(trials=2.5), dict(innocents=10.0), dict(k=2.0), dict(k=True), dict(seed=-1),
+    dict(seed=1.5), dict(n=24.0),
+])
+def test_fast_engine_refuses_non_integers(kw):
+    args = dict(n=24, innocents=10, delta=0.05, trials=10)
+    with pytest.raises(ConfigError):
+        threshold_fp_fast(**dict(args, **kw))
+
+
+@pytest.mark.parametrize("kw", [dict(innocents=2.5), dict(innocents=True), dict(k=2.0),
+                                dict(n=16.0)])
+def test_exact_enumeration_refuses_non_integers(kw):
+    with pytest.raises(ConfigError):
+        threshold_fp_exact(**dict(dict(n=16, innocents=10, delta=0.05), **kw))
