@@ -30,7 +30,8 @@ from . import rng as rngmod
 from .codec import CodeParams, build_codebook, draw_host, draw_timeshare, read_codebook, write_codebook
 from .collusion import ChannelSpec, apply_memoryless, interleave
 from .decoders import DecodeConfig, guilt_indices, mpmi_decode, threshold_decode
-from .errors import BudgetExceededError, ConfigError, FptraceError, int_at_least
+from .errors import (BudgetExceededError, ConfigError, FptraceError, int_array, int_at_least,
+                     read_json, reading)
 from .games import (
     GameProblem,
     InputLaw,
@@ -102,13 +103,7 @@ def _dump_csv(rows, columns, path: Path) -> None:
 def _load_config(args) -> dict:
     if args.config is None:
         raise ConfigError("this command needs --config <json path>")
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    cfg = read_json(args.config, "config")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg
@@ -117,10 +112,8 @@ def _load_config(args) -> dict:
 def _read(cfg: dict, key: str, default, cast):
     """Typed config read: a value that ``cast`` rejects is a ConfigError."""
     raw = cfg.get(key, default)
-    try:
+    with reading(f"{key} value {raw!r}"):
         return cast(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"bad {key!r} value: {raw!r}") from None
 
 
 def _int(low: int):
@@ -129,7 +122,7 @@ def _int(low: int):
 
     def cast(raw):
         if not int_at_least(raw, low):
-            raise ValueError
+            raise ValueError(f"not an integer >= {low}")
         return raw
 
     return cast
@@ -140,15 +133,8 @@ def _seed_of(args, cfg: dict) -> int:
 
 
 def _params_from(cfg: dict) -> CodeParams:
-    if not isinstance(cfg.get("params"), dict):
-        raise ConfigError('config needs a "params" object')
-    raw = dict(cfg["params"])
-    if "target_w_type" in raw:
-        return CodeParams.from_dict(raw)
-    try:
-        return CodeParams(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad code params: {exc}") from exc
+    with reading("config"):
+        return CodeParams.from_dict(cfg["params"])
 
 
 def _attack_from(cfg: dict):
@@ -161,13 +147,8 @@ def _attack_from(cfg: dict):
 
 
 def _decode_config_from(cfg: dict) -> DecodeConfig:
-    raw = cfg.get("decode", {})
-    if not isinstance(raw, dict) or "delta" not in raw:
-        raise ConfigError('config needs decode.delta')
-    try:
-        return DecodeConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad decode config: {exc}") from exc
+    with reading("decode config"):
+        return DecodeConfig(**cfg["decode"])
 
 
 def _book_paths(out: Path) -> tuple:
@@ -234,8 +215,8 @@ def _cmd_decode(args) -> int:
     pirate_path = args.out / "pirate.json"
     if not pirate_path.exists():
         raise ConfigError(f"missing {pirate_path}; run attack first")
-    with open(pirate_path) as fh:
-        y = np.asarray(json.load(fh)["y"], dtype=np.int64)
+    with reading("pirated copy"):
+        y = int_array(read_json(pirate_path, "pirated copy")["y"], "pirated copy y", 1)
     dcfg = _decode_config_from(cfg)
     name = cfg.get("decoder", "threshold")
     if name not in ("threshold", "mpmi"):
@@ -341,6 +322,9 @@ def _cmd_exponent(args) -> int:
         raise ConfigError(f"memoryless must be true or false, not {memoryless!r}")
 
     if "rates" not in cfg:
+        for key in ("memoryless", "input_law", "subset", "user"):
+            if key in cfg:
+                raise ConfigError(f"{key} needs a rates sweep; a single rate solves one program")
         result = solve_exponent_program(
             _read(cfg, "rate", 0.0, float),
             problem,

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigError, InfeasibleError, int_at_least
+from .errors import ConfigError, InfeasibleError, int_array, int_at_least, read_json, reading
 from .types_core import JointType, quantize_pmf
 
 __all__ = [
@@ -49,12 +49,14 @@ __all__ = [
 ]
 
 
-def _float_array(value, name: str) -> np.ndarray:
-    """``value`` as a float array; one numpy cannot read is a ConfigError."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be numeric: {exc}") from None
+def _float_array(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape``, given nested or flat; one
+    numpy cannot read, or of another shape, is a ConfigError."""
+    with reading(name):
+        arr = np.asarray(value, dtype=float)
+    if arr.shape != shape and (arr.ndim != 1 or arr.size != math.prod(shape)):
+        raise ConfigError(f"{name} must have shape {shape}")
+    return arr.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,8 @@ class CodeParams:
     ``target_x_given_sw[s, w]`` is the mark distribution the rows must hit
     (after per-cell quantization) inside each (host, time-share) cell.
     ``d1``/``distortion_cap`` bound the average embedding distortion between
-    host and marked copy; None disables the check.
+    host and marked copy; None disables the check.  ``target_w_type`` may be
+    a JointType or a list of counts, and each table may be nested or flat.
     """
 
     n: int
@@ -85,39 +88,38 @@ class CodeParams:
         for name in ("n", "num_users", "s_size", "x_size", "w_size", "k_nom"):
             if not int_at_least(getattr(self, name), 1):
                 raise ConfigError(f"{name} must be a positive integer")
+        s, w, x = self.s_size, self.w_size, self.x_size
         p_host = self.p_host
         if p_host is None:
-            p_host = np.full(self.s_size, 1.0 / self.s_size)
-        p_host = _float_array(p_host, "p_host")
+            p_host = np.full(s, 1.0 / s)
+        p_host = _float_array(p_host, "p_host", (s,))
         # phrased so that a NaN fails too
-        if p_host.shape != (self.s_size,) or not (
-            np.all(p_host >= 0) and abs(p_host.sum() - 1) <= 1e-9
-        ):
+        if not (np.all(p_host >= 0) and abs(p_host.sum() - 1) <= 1e-9):
             raise ConfigError("p_host must be a pmf over the host alphabet")
         object.__setattr__(self, "p_host", p_host)
 
         wt = self.target_w_type
         if wt is None:
-            wt = quantize_pmf(np.full(self.w_size, 1.0 / self.w_size), self.n)
-        if wt.axes != (self.w_size,) or wt.n != self.n:
+            wt = quantize_pmf(np.full(w, 1.0 / w), self.n)
+        elif not isinstance(wt, JointType):
+            # strict per count: 16.0 is refused, not read as 16
+            if not all(int_at_least(c, 0) for c in wt):
+                raise ConfigError(f"target_w_type must list integer counts: {wt!r}")
+            wt = JointType((w,), np.asarray(wt, dtype=np.int64))
+        if wt.axes != (w,) or wt.n != self.n:
             raise ConfigError("target_w_type must be a type over W with total n")
         object.__setattr__(self, "target_w_type", wt)
 
         tx = self.target_x_given_sw
         if tx is None:
-            tx = np.full((self.s_size, self.w_size, self.x_size), 1.0 / self.x_size)
-        tx = _float_array(tx, "target_x_given_sw")
-        if tx.shape != (self.s_size, self.w_size, self.x_size):
-            raise ConfigError("target_x_given_sw must have shape (S, W, X)")
+            tx = np.full((s, w, x), 1.0 / x)
+        tx = _float_array(tx, "target_x_given_sw", (s, w, x))
         if not (np.all(tx >= 0) and np.max(np.abs(tx.sum(axis=2) - 1)) <= 1e-9):
             raise ConfigError("target_x_given_sw rows must be pmfs")
         object.__setattr__(self, "target_x_given_sw", tx)
 
         if self.d1 is not None:
-            d1 = _float_array(self.d1, "d1")
-            if d1.shape != (self.s_size, self.x_size):
-                raise ConfigError("d1 table must have shape (S, X)")
-            object.__setattr__(self, "d1", d1)
+            object.__setattr__(self, "d1", _float_array(self.d1, "d1", (s, x)))
             if self.distortion_cap is None:
                 raise ConfigError("d1 table given without a distortion cap")
             cap = self.distortion_cap
@@ -149,34 +151,10 @@ class CodeParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CodeParams":
-        # sizes are checked by __post_init__ and by numpy's reshape, which
-        # refuses a float or a bool; nothing here truncates them
-        try:
-            counts = d["target_w_type"]
-            if not all(int_at_least(c, 0) for c in counts):
-                raise ConfigError(f"target_w_type must list integer counts: {counts!r}")
-            wt = JointType((d["w_size"],), np.asarray(counts, dtype=np.int64))
-            tx = np.asarray(d["target_x_given_sw"], dtype=float).reshape(
-                d["s_size"], d["w_size"], d["x_size"]
-            )
-            d1 = d.get("d1")
-            if d1 is not None:
-                d1 = np.asarray(d1, dtype=float).reshape(d["s_size"], d["x_size"])
-            return cls(
-                n=d["n"],
-                num_users=d["num_users"],
-                s_size=d["s_size"],
-                x_size=d["x_size"],
-                w_size=d["w_size"],
-                k_nom=d.get("k_nom", 2),
-                p_host=np.asarray(d["p_host"], dtype=float),
-                target_w_type=wt,
-                target_x_given_sw=tx,
-                d1=d1,
-                distortion_cap=d.get("distortion_cap"),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad code params: {exc!r}") from None
+        """Params from ``to_dict`` output or a config's ``params`` object;
+        every key but ``n`` and ``num_users`` may be left out."""
+        with reading("code params"):
+            return cls(**d)
 
 
 def draw_host(p_host: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -204,28 +182,17 @@ def sample_type_class(
     totals must equal the number of positions carrying cell value c.
     """
     if cond_seq is None:
-        comp = _integers(composition, 1, "composition")
+        comp = int_array(composition, "composition", 1)
         if comp.size == 0:
             raise ConfigError("composition must count at least one symbol")
         block = np.repeat(np.arange(comp.size), comp)
         return rng.permutation(block)
-    comp = _integers(composition, 2, "conditional composition (cells x symbols)")
-    cond_seq = _integers(cond_seq, 1, "cond_seq")
+    comp = int_array(composition, "conditional composition (cells x symbols)", 2)
+    cond_seq = int_array(cond_seq, "cond_seq", 1)
     have = np.bincount(cond_seq, minlength=comp.shape[0])
     if have.size > comp.shape[0] or np.any(comp.sum(axis=1) != have[: comp.shape[0]]):
         raise ConfigError("cell totals do not match the conditioning sequence")
     return _arrange(_cell_plan(cond_seq, comp), rng)
-
-
-def _integers(values, ndim: int, what: str) -> np.ndarray:
-    """``values`` as int64, refused unless ndim-D, integral and nonnegative."""
-    raw = np.asarray(values)
-    out = None
-    if raw.ndim == ndim and raw.dtype.kind in "iuf" and np.all(np.isfinite(raw)):
-        out = raw.astype(np.int64)
-    if out is None or np.any(out != raw) or np.any(out < 0):
-        raise ConfigError(f"{what} must be {ndim}-D nonnegative integers")
-    return out
 
 
 def _cell_plan(cond_seq: np.ndarray, comp: np.ndarray) -> tuple:
@@ -533,29 +500,34 @@ def write_codebook(cb: Codebook, rows_path, header_path, key_path) -> None:
 
 
 def read_codebook(rows_path, header_path, key_path) -> Codebook:
-    """Rebuild a codebook from its three files, validating consistency."""
-    with open(header_path) as fh:
-        header = json.load(fh)
-    if header.get("format") != "fptrace-codebook-v1":
-        raise ConfigError("unrecognized codebook header format")
-    with open(key_path) as fh:
-        key = json.load(fh)
-    if _seed_fingerprint(key["seed"]) != header["seed_fingerprint"]:
-        raise ConfigError("keyfile does not match codebook header")
-    params = CodeParams.from_dict(header["params"])
-    cb = Codebook(
-        params=params,
-        host=np.asarray(key["host"], dtype=np.int64),
-        timeshare=np.asarray(key["timeshare"], dtype=np.int64),
-        seed=int(key["seed"]),
-        rp_perm=None if key["rp_perm"] is None else np.asarray(key["rp_perm"]),
-        rm_perm=None if key["rm_perm"] is None else np.asarray(key["rm_perm"]),
-    )
-    with open(rows_path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
+    """Rebuild a codebook from its three files, validating consistency:
+    the row file must list each user once, with the row of the keyed
+    stream."""
+    header = read_json(header_path, "codebook header")
+    key = read_json(key_path, "codebook keyfile")
+    with reading("codebook header"):
+        if header["format"] != "fptrace-codebook-v1":
+            raise ConfigError("unrecognized codebook header format")
+        params = CodeParams.from_dict(header["params"])
+        fingerprint = header["seed_fingerprint"]
+    with reading("codebook keyfile"):
+        if not int_at_least(key["seed"], 0) or _seed_fingerprint(key["seed"]) != fingerprint:
+            raise ConfigError("keyfile does not match codebook header")
+        cb = Codebook(
+            params=params,
+            host=int_array(key["host"], "host", 1),
+            timeshare=int_array(key["timeshare"], "timeshare", 1),
+            seed=key["seed"],
+            rp_perm=None if key["rp_perm"] is None else int_array(key["rp_perm"], "rp_perm", 1),
+            rm_perm=None if key["rm_perm"] is None else int_array(key["rm_perm"], "rm_perm", 1),
+        )
+    users = []
+    with reading("codebook rows"), open(rows_path) as fh:
+        for line in filter(str.strip, fh):
             rec = json.loads(line)
-            if not np.array_equal(cb.row(int(rec["m"])), np.asarray(rec["x"])):
+            if not np.array_equal(cb.row(rec["m"]), rec["x"]):
                 raise ConfigError(f"row {rec['m']} does not match the keyed stream")
+            users.append(rec["m"])
+    if len(users) != params.num_users or len(set(users)) != len(users):
+        raise ConfigError(f"the row file must list each of the {params.num_users} users once")
     return cb

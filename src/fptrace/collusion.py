@@ -21,11 +21,12 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError, int_at_least
+from .errors import BudgetExceededError, ConfigError, int_array, int_at_least, reading
 from .types_core import MAX_TABLE_CELLS, JointType, count_table
 
 __all__ = [
@@ -99,17 +100,10 @@ class ChannelSpec:
             if np.max(np.abs(table - ref)) > 1e-12:
                 raise ConfigError("table is not the uniform-copy channel")
         elif self.class_tag == "distortion":
-            if self.estimator is None or self.d2 is None or self.distortion_cap is None:
-                raise ConfigError(
-                    "distortion channels need estimator, d2 and distortion_cap"
-                )
-            est = np.asarray(self.estimator, dtype=np.int64)
+            est, d2, _ = _distortion_rule(self.estimator, self.d2, self.distortion_cap)
             if est.shape != (self.x_size,) * self.k:
                 raise ConfigError("estimator must map every colluder cell")
-            _require_symmetric_estimator(est, self.k)
-            d2 = np.asarray(self.d2, dtype=float)
-            if d2.ndim != 2 or d2.shape[0] <= est.max() or d2.shape[1] != self.y_size:
-                raise ConfigError("d2 shape incompatible with estimator/output")
+            _distortion_costs(est, d2, self.y_size)  # d2 must cover the outputs
             object.__setattr__(self, "estimator", est)
             object.__setattr__(self, "d2", d2)
 
@@ -118,7 +112,7 @@ class ChannelSpec:
         if self.class_tag != "distortion":
             raise ConfigError("expected_distortion needs a distortion-class channel")
         p = np.asarray(input_pmf, dtype=float).reshape((self.x_size,) * self.k)
-        cost = self.d2[self.estimator.ravel()].reshape(self.table.shape)
+        cost = _distortion_costs(self.estimator, self.d2, self.y_size)
         return float(np.sum(self.table * p[..., None] * cost))
 
     def to_json(self) -> str:
@@ -139,21 +133,43 @@ class ChannelSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ChannelSpec":
-        try:
+        with reading("channel"):
             d = json.loads(text)
-            shape = tuple(d["shape"])
-            table = np.asarray(d["table"], dtype=float).reshape(shape)
-            kw = {}
+            shape, kw = d["shape"], {}
             if d["class"] == "distortion":
-                kw["estimator"] = np.asarray(d["estimator"], dtype=np.int64).reshape(
-                    shape[:-1]
+                kw = dict(
+                    estimator=np.reshape(d["estimator"], shape[:-1]),
+                    d2=np.reshape(d["d2"], d["d2_shape"]),
+                    distortion_cap=d["distortion_cap"],
                 )
-                kw["d2"] = np.asarray(d["d2"], dtype=float).reshape(tuple(d["d2_shape"]))
-                kw["distortion_cap"] = float(d["distortion_cap"])
-            k, x_size, y_size = d["k"], d["x_size"], d["y_size"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad channel: {exc!r}") from None
-        return cls(k=k, x_size=x_size, y_size=y_size, table=table, class_tag=d["class"], **kw)
+            table = np.reshape(d["table"], shape)
+            return cls(d["k"], d["x_size"], d["y_size"], table, d["class"], **kw)
+
+
+def _distortion_rule(estimator, d2, cap) -> tuple[np.ndarray, np.ndarray, float]:
+    """The one check of a distortion rule, for channels and families alike.
+
+    Returns (estimator, d2, cap) once the estimator is a colluder-symmetric
+    map to integer estimates >= 0, ``d2`` a finite (estimate, output) cost
+    table with a row per estimate and any number of outputs, and the cap a
+    finite number."""
+    est = int_array(estimator, "estimator")
+    _require_symmetric_estimator(est, est.ndim)
+    with reading("d2"):
+        d2 = np.asarray(d2, dtype=float)
+    if d2.ndim != 2 or d2.shape[0] <= est.max(initial=0) or not np.all(np.isfinite(d2)):
+        raise ConfigError("d2 must be a finite (estimate, output) table covering every estimate")
+    if isinstance(cap, bool) or not isinstance(cap, Real) or not math.isfinite(cap):
+        raise ConfigError(f"the distortion cap must be a finite number, not {cap!r}")
+    return est, d2, float(cap)
+
+
+def _distortion_costs(estimator: np.ndarray, d2: np.ndarray, y_size: int) -> np.ndarray:
+    """The cost table d2(f(x_1..x_K), y) over the first ``y_size`` outputs,
+    shape estimator.shape + (y_size,)."""
+    if y_size > d2.shape[1]:
+        raise ConfigError("d2 does not cover the output alphabet")
+    return d2[estimator][..., :y_size]
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,12 +1,23 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its input policy.
 
 The CLI maps these onto exit codes: BudgetExceededError -> 3, ConfigError
 and every other FptraceError -> 2, each with a one-line message.  Anything
-else is an ordinary bug and propagates as exit 1.  `int_at_least` is the
-one integer check behind the ConfigErrors for counts, indices and keys.
+else is an ordinary bug and propagates as exit 1.
+
+Data from outside the program (configs, codebook files, pirated copies,
+serialized channels and types) is decoded here and refused, never
+coerced.  Every reader is one constructor call inside `reading`, which
+turns a missing file or key, or a value of the wrong kind or shape, into
+a one-line ConfigError; `read_json` loads a file under it.  `int_at_least`
+is the one integer check behind the ConfigErrors for counts, indices and
+keys, and `int_array` its array form.
 """
 
+import json
+from contextlib import contextmanager
 from numbers import Integral
+
+import numpy as np
 
 
 def int_at_least(value, low) -> bool:
@@ -19,6 +30,43 @@ def int_at_least(value, low) -> bool:
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         return False
     return value >= low
+
+
+def int_array(values, what: str, ndim: int | None = None) -> np.ndarray:
+    """``values`` as int64, refused unless integral and nonnegative (and
+    ``ndim``-D when given).  Integral floats pass; a bool, a string or a
+    fraction does not."""
+    with reading(what):
+        raw = np.asarray(values)
+    out = None
+    if ndim in (None, raw.ndim) and raw.dtype.kind in "iuf" and np.all(np.isfinite(raw)):
+        with np.errstate(invalid="ignore"):  # a float past int64 fails below
+            out = raw.astype(np.int64)
+    if out is None or np.any(out != raw) or np.any(out < 0):
+        shape = "" if ndim is None else f"{ndim}-D "
+        raise ConfigError(f"{what} must be {shape}nonnegative integers")
+    return out
+
+
+@contextmanager
+def reading(what: str):
+    """Decode outside data: an unreadable file, a missing key, or a value of
+    the wrong kind or shape becomes a one-line ConfigError naming ``what``.
+    Package errors pass through unchanged."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
+    except KeyError as exc:
+        raise ConfigError(f"{what}: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what}: {' '.join(str(exc).split())}") from None
+
+
+def read_json(path, what: str):
+    """The JSON document at ``path``, read under ``reading(what)``."""
+    with reading(what), open(path) as fh:
+        return json.load(fh)
 
 
 class FptraceError(Exception):

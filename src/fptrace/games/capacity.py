@@ -182,11 +182,13 @@ def _theta_from_law(problem, law):
 
 
 def _penalty(problem, law):
-    """Soft embedding-cap penalty subtracted from the game value."""
+    """Soft embedding-cap penalty subtracted from the game value: 1e3 per
+    unit of excess, in units of the range of ``d1``, so that the cap holds
+    at any cost scale."""
     if problem.d1_cap is None:
         return 0.0
     excess = law.embedding_cost(problem) - problem.d1_cap
-    return 1e3 * excess if excess > 0 else 0.0
+    return 1e3 * excess / (float(np.ptp(problem.d1)) or 1.0) if excess > 0 else 0.0
 
 
 def _penalized_value(problem, law, inner_tol):

@@ -22,11 +22,12 @@ from ..collusion import (
     _cell_classes,
     _class_sums,
     _exchangeable,
+    _distortion_costs,
+    _distortion_rule,
     _interleaving_table,
-    _require_symmetric_estimator,
     _unmarked_symbol,
 )
-from ..errors import ConfigError, InfeasibleError, int_at_least
+from ..errors import ConfigError, InfeasibleError, int_at_least, reading
 from ..types_core import _TINY, MAX_TABLE_CELLS, _safe_log2
 
 __all__ = [
@@ -205,21 +206,10 @@ class Distortion(ChannelFamily):
     class_tag = "distortion"
 
     def __init__(self, estimator, d2, cap):
-        self.estimator = np.asarray(estimator, dtype=np.int64)
-        self.d2 = np.asarray(d2, dtype=float)
-        self.cap = float(cap)
-        if self.d2.ndim != 2 or self.d2.shape[0] <= self.estimator.max():
-            raise ConfigError("d2 must cover the estimator range")
-        finite = np.all(np.isfinite(self.d2)) and np.isfinite(self.cap)
-        if self.estimator.min() < 0 or not finite:
-            raise ConfigError("distortion needs estimates >= 0, finite costs and a finite cap")
-        _require_symmetric_estimator(self.estimator, self.estimator.ndim)
+        self.estimator, self.d2, self.cap = _distortion_rule(estimator, d2, cap)
 
     def _cost(self, y_size):
-        if y_size > self.d2.shape[1]:
-            raise ConfigError("d2 does not cover the output alphabet")
-        shape = self.estimator.shape + (y_size,)
-        return self.d2[self.estimator.ravel()][:, :y_size].reshape(shape)
+        return _distortion_costs(self.estimator, self.d2, y_size)
 
     def start(self, k, x_size, y_size, q_x=None, fair=False):
         return self.linmin(np.zeros((x_size,) * k + (y_size,)), q_x=q_x, fair=fair)
@@ -249,9 +239,7 @@ class Distortion(ChannelFamily):
     def contains(self, table, q_x=None, tol=1e-8):
         if q_x is None:
             raise ConfigError("distortion polytope needs the coalition input law")
-        cost = self._cost(table.shape[-1])
-        val = float(np.sum(np.asarray(q_x)[..., None] * table * cost))
-        return val <= self.cap + tol
+        return self.expected_cost(table, q_x) <= self.cap + tol
 
     def expected_cost(self, table, q_x):
         cost = self._cost(table.shape[-1])
@@ -269,25 +257,17 @@ class Distortion(ChannelFamily):
 
 
 def channel_family_from_dict(d: dict) -> ChannelFamily:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError('a channel family needs a "kind"')
-    kind = d["kind"]
-    if kind == "boneh_shaw_fair":
-        return FairMarking()
-    if kind == "marking":
-        return Marking()
-    try:
+    with reading("channel family"):
+        kind = d["kind"]
+        if kind == "boneh_shaw_fair":
+            return FairMarking()
+        if kind == "marking":
+            return Marking()
         if kind == "hull":
-            shape = tuple(d["shape"])
-            return Hull([np.asarray(v, dtype=float).reshape(shape) for v in d["vertices"]])
+            return Hull([np.reshape(v, d["shape"]) for v in d["vertices"]])
         if kind == "distortion":
-            est = np.asarray(d["estimator"], dtype=np.int64).reshape(
-                tuple(d["estimator_shape"])
-            )
-            d2 = np.asarray(d["d2"], dtype=float).reshape(tuple(d["d2_shape"]))
-            return Distortion(est, d2, d["cap"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad {kind} family: {exc!r}") from None
+            est = np.reshape(d["estimator"], d["estimator_shape"])
+            return Distortion(est, np.reshape(d["d2"], d["d2_shape"]), d["cap"])
     raise ConfigError(f"unknown channel family {kind!r}")
 
 
@@ -328,8 +308,10 @@ class GameProblem:
         shape = (self.x_size,) * self.coalition_size + (self.y_size,)
         if isinstance(fam, Hull) and fam.vertices[0].shape != shape:
             raise ConfigError(f"hull vertices must have the problem's shape {shape}")
-        if isinstance(fam, Distortion) and fam.estimator.shape != shape[:-1]:
-            raise ConfigError(f"the estimator must map every cell of {shape[:-1]}")
+        if isinstance(fam, Distortion):
+            if fam.estimator.shape != shape[:-1]:
+                raise ConfigError(f"the estimator must map every cell of {shape[:-1]}")
+            fam._cost(self.y_size)  # d2 must cover the outputs
         host = self.p_host
         if host is None:
             host = np.full(self.s_size, 1.0 / self.s_size)
@@ -350,6 +332,7 @@ class GameProblem:
                 raise ConfigError("d1 must be a (host, mark) cost table")
             d1.setflags(write=False)
             object.__setattr__(self, "d1", d1)
+            object.__setattr__(self, "d1_cap", float(self.d1_cap))
 
     def uniform_law(self) -> "InputLaw":
         l = self.num_timeshare
@@ -392,31 +375,8 @@ class GameProblem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GameProblem":
-        if not isinstance(d, dict):
-            raise ConfigError("a problem config must be an object")
-        missing = [k for k in ("coalition_size", "x_size", "y_size",
-                               "channel_class") if k not in d]
-        if missing:
-            raise ConfigError(f"problem config missing keys: {missing}")
-        try:
-            kw = dict(
-                coalition_size=d["coalition_size"],
-                x_size=d["x_size"],
-                y_size=d["y_size"],
-                s_size=d.get("s_size", 1),
-                num_timeshare=d.get("num_timeshare", 1),
-                p_host=np.asarray(d["p_host"], dtype=float) if "p_host" in d else None,
-            )
-            if "d1" in d:
-                kw["d1"] = np.asarray(d["d1"], dtype=float)
-                kw["d1_cap"] = float(d["d1_cap"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad problem config: {exc!r}") from None
-        return cls(
-            channel_class=channel_family_from_dict(d["channel_class"]),
-            objective=d.get("objective", "detect_one"),
-            **kw,
-        )
+        with reading("problem"):
+            return cls(**dict(d, channel_class=channel_family_from_dict(d["channel_class"])))
 
 
 @dataclass(frozen=True)
@@ -495,15 +455,8 @@ class InputLaw:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InputLaw":
-        try:
-            ps = d.get("p_s_tilde_given_w")
-            return cls(
-                p_w=np.asarray(d["p_w"], dtype=float),
-                p_x_given_sw=np.asarray(d["p_x_given_sw"], dtype=float),
-                p_s_tilde_given_w=None if ps is None else np.asarray(ps, dtype=float),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad input law: {exc!r}") from None
+        with reading("input law"):
+            return cls(**d)
 
 
 @dataclass

@@ -25,9 +25,10 @@ __all__ = ["derive", "key_words"]
 def _word(key: str | int) -> int:
     if isinstance(key, str):
         return _str_word(key)
-    if not int_at_least(key, 0):
-        raise ConfigError(f"rng keys must be nonnegative integers or strings, not {key!r}")
-    return int(key) & 0xFFFFFFFF
+    # a key of 2**32 or more would alias the key it equals mod 2**32
+    if not int_at_least(key, 0) or key > 0xFFFFFFFF:
+        raise ConfigError(f"rng keys must be strings or integers in [0, 2**32), not {key!r}")
+    return int(key)
 
 
 @functools.lru_cache(maxsize=256)

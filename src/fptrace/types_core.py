@@ -24,7 +24,7 @@ from typing import Iterable, Sequence as PySequence
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .errors import BudgetExceededError, ConfigError
+from .errors import BudgetExceededError, ConfigError, int_array, int_at_least, reading
 
 __all__ = [
     "Alphabet",
@@ -156,12 +156,12 @@ class JointType:
 
     @classmethod
     def from_json(cls, text: str) -> "JointType":
-        payload = json.loads(text)
-        axes = tuple(int(a) for a in payload["axes"])
-        flat = np.asarray(payload["counts"], dtype=np.int64)
-        if flat.size != int(np.prod(axes)):
-            raise ConfigError("serialized count length does not match axes")
-        return cls(axes, flat.reshape(axes), int(payload["n"]))
+        with reading("joint type"):
+            d = json.loads(text)
+            counts = np.reshape(int_array(d["counts"], "counts", 1), d["axes"])
+            if not int_at_least(d["n"], 0):
+                raise ConfigError(f"the blocklength must be an integer, not {d['n']!r}")
+            return cls(tuple(d["axes"]), counts, d["n"])
 
 
 @dataclass(frozen=True)

@@ -256,3 +256,128 @@ def test_integer_keys_refuse_floats_and_bools(dirs, capsys, command, index, path
 @pytest.mark.parametrize("command,index,path", NAME_KEYS, ids=_ids(NAME_KEYS))
 def test_enumerated_keys_refuse_unknown_names(dirs, capsys, command, index, path):
     _exits_2(dirs, capsys, command, _replace(VALID[command][index], path, "bogus"))
+
+
+# --- artifact files are checked like configs ---------------------------------
+
+ARTIFACTS = ("codebook_header.json", "codebook_key.json", "codebook.jsonl", "pirate.json")
+DECODE = VALID["decode"][0]
+
+
+@pytest.fixture(scope="module")
+def book(dirs):
+    """The gen and attack artifacts of one valid run, as text by file name."""
+    return {name: (dirs["decode"] / name).read_text() for name in ARTIFACTS}
+
+
+def _decode_with(tmp_path, book, **texts):
+    for name in ARTIFACTS:
+        (tmp_path / name).write_text(texts.get(name, book[name]))
+    return run("decode", "--config", write_json(tmp_path / "cfg.json", DECODE),
+               "--out", tmp_path)
+
+
+def _first_row(book, **changes):
+    lines = book["codebook.jsonl"].splitlines()
+    lines[0] = json.dumps(dict(json.loads(lines[0]), **changes))
+    return "\n".join(lines) + "\n"
+
+
+def _without(book, name, key):
+    doc = json.loads(book[name])
+    del doc[key]
+    return json.dumps(doc)
+
+
+ARTIFACT_CASES = {
+    # once accepted: 1 of 4 users, "m": 0.7 read as user 0, "y" of 0.5 read as 0
+    "rows-missing-users": ("codebook.jsonl", lambda b: b["codebook.jsonl"].splitlines()[0]),
+    "rows-fractional-user": ("codebook.jsonl", lambda b: _first_row(b, m=0.7)),
+    "pirate-fractional-y": ("pirate.json", lambda b: json.dumps(
+        dict(json.loads(b["pirate.json"]), y=[0.5] * 16))),
+    # once a KeyError or JSONDecodeError traceback with exit 1
+    "key-without-seed": ("codebook_key.json", lambda b: _without(b, "codebook_key.json", "seed")),
+    "header-not-json": ("codebook_header.json", lambda b: "{not json"),
+    "key-not-json": ("codebook_key.json", lambda b: "[1, 2"),
+    "pirate-without-y": ("pirate.json", lambda b: _without(b, "pirate.json", "y")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARTIFACT_CASES))
+def test_bad_artifact_exits_2_with_one_line(tmp_path, capsys, book, case):
+    name, make = ARTIFACT_CASES[case]
+    capsys.readouterr()
+    expect_one_line(capsys, _decode_with(tmp_path, book, **{name: make(book)}))
+    assert not (tmp_path / "decode.json").exists()
+
+
+def test_valid_artifacts_decode(tmp_path, capsys, book):
+    assert _decode_with(tmp_path, book) == 0
+
+
+def _mutate_artifact(data, book):
+    """One artifact with one value replaced by a mutant, or one key deleted."""
+    name = data.draw(st.sampled_from(ARTIFACTS))
+    if name == "codebook.jsonl":
+        lines = book[name].splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        doc = json.loads(lines[i])
+    else:
+        doc = json.loads(book[name])
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    parent = _value(doc, path[:-1]) if path else None
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        doc = copy.deepcopy(doc)
+        del _value(doc, path[:-1])[path[-1]]
+    else:
+        doc = _replace(doc, path, data.draw(st.sampled_from(MUTANTS)))
+    if name == "codebook.jsonl":
+        lines[i] = json.dumps(doc)
+        return name, "\n".join(lines) + "\n"
+    return name, json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_single_bad_artifact_value_exits_cleanly(tmp_path, capsys, book, data):
+    name, text = _mutate_artifact(data, book)
+    capsys.readouterr()
+    code = _decode_with(tmp_path, book, **{name: text})
+    if code != 0:
+        expect_one_line(capsys, code, want=(2, 3))
+
+
+# --- params, problem and input_law readers ------------------------------------
+
+
+def test_gen_takes_a_time_share_type_alone(tmp_path, capsys):
+    # giving target_w_type once switched to the header reader and its keys
+    cfg = write_json(tmp_path / "c.json",
+                     {"params": {"n": 16, "num_users": 4, "target_w_type": [16]}})
+    assert run("gen", "--config", cfg, "--out", tmp_path) == 0
+    flat = {"params": {"n": 16, "num_users": 4, "target_x_given_sw": [0.25, 0.75]}}
+    assert run("gen", "--config", write_json(tmp_path / "c.json", flat), "--out", tmp_path) == 0
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("capacity", dict(CAPACITY, problem=dict(FAIR_K2, num_timeshares=2))),
+    ("exponent", dict(VALID["exponent"][2], input_law=dict(
+        VALID["exponent"][2]["input_law"], p_s_tilde=[[1.0]]))),
+], ids=["problem", "input_law"])
+def test_unknown_key_inside_problem_or_input_law_exits_2(dirs, capsys, command, cfg):
+    _exits_2(dirs, capsys, command, cfg)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("memoryless", True), ("user", 0), ("subset", [0]),
+    ("input_law", {"p_w": [1.0], "p_x_given_sw": [[[0.5, 0.5]]]}),
+])
+def test_single_rate_exponent_refuses_sweep_only_keys(dirs, capsys, key, value):
+    cfg = dict(VALID["exponent"][1], **{key: value})
+    out = dirs["exponent"]
+    (out / "exponent.json").unlink(missing_ok=True)
+    capsys.readouterr()
+    code = run("exponent", "--config", write_json(out / "cfg.json", cfg), "--out", out)
+    assert key in expect_one_line(capsys, code)
+    assert not (out / "exponent.json").exists()

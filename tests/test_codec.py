@@ -465,3 +465,59 @@ def test_params_from_dict_refuses_fractional_time_share_counts():
     d = CodeParams(n=16, num_users=4, w_size=2).to_dict()
     with pytest.raises(ConfigError, match="target_w_type"):
         CodeParams.from_dict(dict(d, target_w_type=[8.5, 8.5]))
+
+
+# ---------------------------------------------------------------------------
+# the codebook files are checked like configs
+
+
+def _book_files(tmp_path, seed=61):
+    paths = tmp_path / "c.jsonl", tmp_path / "c.json", tmp_path / "c.key"
+    write_codebook(fresh_codebook(seed=seed), *paths)
+    return paths
+
+
+def test_codebook_reader_refuses_a_row_file_missing_users(tmp_path):
+    paths = _book_files(tmp_path)
+    lines = paths[0].read_text().splitlines()
+    paths[0].write_text(lines[0] + "\n")  # 1 of 5 users
+    with pytest.raises(ConfigError, match="each of the 5 users once"):
+        read_codebook(*paths)
+
+
+def test_codebook_reader_refuses_a_fractional_user_index(tmp_path):
+    paths = _book_files(tmp_path)
+    lines = paths[0].read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["m"] = 0.7  # once read as user 0
+    paths[0].write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+    with pytest.raises(ConfigError, match="0.7"):
+        read_codebook(*paths)
+
+
+def test_codebook_reader_refuses_a_keyfile_without_seed_or_a_header_not_json(tmp_path):
+    paths = _book_files(tmp_path)
+    key = json.loads(paths[2].read_text())
+    del key["seed"]
+    paths[2].write_text(json.dumps(key))
+    with pytest.raises(ConfigError, match="seed"):
+        read_codebook(*paths)
+    paths = _book_files(tmp_path)
+    paths[1].write_text("{not json")
+    with pytest.raises(ConfigError, match="codebook header"):
+        read_codebook(*paths)
+
+
+def test_params_take_a_time_share_type_alone_and_flat_or_nested_tables():
+    alone = CodeParams.from_dict({"n": 16, "num_users": 4, "target_w_type": [16]})
+    assert alone.target_w_type.counts.tolist() == [16]
+    nested = dict(n=16, num_users=4, s_size=2, w_size=2, target_w_type=[8, 8],
+                  target_x_given_sw=[[[0.5, 0.5], [0.25, 0.75]], [[1, 0], [0, 1]]],
+                  d1=[[0, 1], [1, 0]], distortion_cap=1.0)
+    flat = dict(nested, target_x_given_sw=np.ravel(nested["target_x_given_sw"]).tolist(),
+                d1=[0, 1, 1, 0])
+    a, b = CodeParams.from_dict(nested), CodeParams.from_dict(flat)
+    assert np.array_equal(a.target_x_given_sw, b.target_x_given_sw)
+    assert np.array_equal(a.d1, b.d1) and a.d1.shape == (2, 2)
+    with pytest.raises(ConfigError, match="shape"):
+        CodeParams.from_dict(dict(nested, d1=[[0, 1, 1, 0]]))  # 2-D but not (S, X)

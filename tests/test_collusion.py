@@ -358,3 +358,33 @@ def test_channel_dimensions_are_integers_not_truncated(field, value):
     payload = json.loads(interleaving_channel(2, 2).to_json())
     with pytest.raises(ConfigError, match="positive integers"):
         ChannelSpec.from_json(json.dumps(dict(payload, **{field: value})))
+
+
+def _distortion_json(estimator, d2=(0, 1, 1, 0), d2_shape=(2, 2)):
+    return json.dumps({
+        "k": 2, "x_size": 2, "y_size": 2, "class": "distortion", "shape": [2, 2, 2],
+        "table": [0.5] * 8, "estimator": estimator, "d2": list(d2),
+        "d2_shape": list(d2_shape), "distortion_cap": 1.0,
+    })
+
+
+def test_channel_reader_refuses_a_fractional_estimator():
+    # once loaded as [[0, 0], [0, 1]]
+    with pytest.raises(ConfigError, match="estimator"):
+        ChannelSpec.from_json(_distortion_json([0, 0.7, 0.7, 1.9]))
+
+
+def test_channel_reader_refuses_a_negative_estimate():
+    # an estimate of -1 once read the last row of d2
+    with pytest.raises(ConfigError, match="estimator"):
+        ChannelSpec.from_json(_distortion_json([0, -1, -1, 1]))
+
+
+def test_distortion_channel_takes_a_cost_table_wider_than_its_outputs():
+    # as a Distortion family does: the costs of outputs past Y are unused
+    wide = ChannelSpec.from_json(_distortion_json([0, 1, 1, 1], (0, 1, 5, 1, 0, 5), (2, 3)))
+    assert wide.d2.shape == (2, 3)
+    assert wide.expected_distortion(np.full(4, 0.25)) == pytest.approx(0.5)
+    narrow = _distortion_json([0, 1, 1, 1], (0, 1), (2, 1))
+    with pytest.raises(ConfigError, match="output alphabet"):
+        ChannelSpec.from_json(narrow)

@@ -271,10 +271,20 @@ def test_embedding_cap_is_reported_when_it_binds():
     assert abs(held.value - h) < 1e-4
     assert held.diagnostics["embedding_ok"] is True
     assert held.diagnostics["embedding_cost"] <= 0.2 + 1e-9
-    # the same cap on costs 1e4 times smaller: the soft penalty cannot
-    # hold it, and the solution must say so instead of passing silently
-    broken = solve_capacity(capped(1e-4, 1e-5), restarts=4, grid_resolution=8)
-    assert broken.diagnostics["embedding_cost"] > 1e-5
+    # costs 1e4 times smaller, P(X=1) <= 0.1: the penalty is scaled by the
+    # range of d1, so the cap holds at any cost scale (it once gave 4.8e-5)
+    small = solve_capacity(capped(1e-4, 1e-5), restarts=4, grid_resolution=8)
+    h1 = -(0.1 * math.log2(0.1) + 0.9 * math.log2(0.9))
+    assert abs(small.value - h1) < 1e-4
+    assert small.diagnostics["embedding_cost"] <= 1e-5 + 1e-12
+    assert small.diagnostics["embedding_ok"] is True
+    # a cap no law can meet is reported, not passed silently
+    broken = solve_capacity(
+        GameProblem(coalition_size=1, x_size=2, y_size=2, channel_class=FairMarking(),
+                    d1=np.array([[0.5, 0.5]]), d1_cap=0.1),
+        restarts=4, grid_resolution=8,
+    )
+    assert broken.diagnostics["embedding_cost"] > 0.1
     assert broken.diagnostics["embedding_ok"] is False
 
 
@@ -722,3 +732,39 @@ def test_problem_sizes_are_integers_not_truncated(field, value):
     d = fair_problem().to_dict()
     with pytest.raises(ConfigError, match=field):
         GameProblem.from_dict(dict(d, **{field: value}))
+
+
+# --- the game readers: one check per rule, refused not truncated -----------
+
+
+def test_family_reader_refuses_a_fractional_estimator():
+    d = {"kind": "distortion", "estimator": [0, 0.7, 0.7, 1.9], "estimator_shape": [2, 2],
+         "d2": [0, 1, 1, 0], "d2_shape": [2, 2], "cap": 0.5}
+    with pytest.raises(ConfigError, match="estimator"):
+        channel_family_from_dict(d)  # once read as [[0, 0], [0, 1]]
+    assert channel_family_from_dict(dict(d, estimator=[0, 1, 1, 1])).estimator.tolist() == [
+        [0, 1], [1, 1]]
+
+
+def test_distortion_family_with_a_wide_cost_table_solves():
+    # d2 covers 3 outputs, the problem has 2: the family and its worst
+    # channel agree on the rule, so the solve returns a value
+    fam = Distortion(np.array([[0, 1], [1, 1]]), np.array([[0, 1, 1], [1, 0, 1]]), 0.3)
+    prob = GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=fam)
+    spec, val = inner_min_channel(prob.uniform_law(), prob)
+    assert spec.class_tag == "distortion" and spec.d2.shape == (2, 3)
+    assert math.isfinite(val) and val >= -1e-9
+    with pytest.raises(ConfigError, match="output alphabet"):
+        GameProblem(coalition_size=2, x_size=2, y_size=4, channel_class=fam)
+
+
+def test_problem_and_law_readers_refuse_unknown_keys():
+    d = {"coalition_size": 2, "x_size": 2, "y_size": 2,
+         "channel_class": {"kind": "boneh_shaw_fair"}}
+    assert GameProblem.from_dict(dict(d, num_timeshare=2)).num_timeshare == 2
+    with pytest.raises(ConfigError, match="num_timeshares"):
+        GameProblem.from_dict(dict(d, num_timeshares=2))  # once ran with L = 1
+    law = {"p_w": [1.0], "p_x_given_sw": [[[0.5, 0.5]]]}
+    assert InputLaw.from_dict(law).p_w.tolist() == [1.0]
+    with pytest.raises(ConfigError, match="p_s_tilde"):
+        InputLaw.from_dict(dict(law, p_s_tilde=[[1.0]]))

@@ -376,3 +376,17 @@ def test_info_query_validation():
         mutual_info(jt, InfoQuery((0,), (0,)))  # overlap
     with pytest.raises(ConfigError):
         entropy(jt, InfoQuery((5,)))  # out of range
+
+
+@pytest.mark.parametrize("payload", [
+    '{"axes": [2.7], "n": 3, "counts": [1.9, 2.9]}',  # once axes (2,), counts [1, 2]
+    '{"axes": [2], "n": 3, "counts": [1.9, 1.1]}',
+    '{"axes": [2.0], "n": 3, "counts": [1, 2]}',
+    '{"axes": [-1], "n": 3, "counts": [1, 2]}',
+    '{"axes": [2], "n": 3.0, "counts": [1, 2]}',
+    '{"axes": [2], "counts": [1, 2]}',
+    '[1, 2]',
+])
+def test_joint_type_reader_refuses_what_it_once_truncated(payload):
+    with pytest.raises(ConfigError):
+        JointType.from_json(payload)
