@@ -22,6 +22,7 @@ import csv
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .codec import CodeParams, build_codebook, draw_host, draw_timeshare, read_c
 from .collusion import ChannelSpec, apply_memoryless, interleave
 from .decoders import DecodeConfig, guilt_indices, mpmi_decode, threshold_decode
 from .errors import (BudgetExceededError, ConfigError, FptraceError, int_array, int_at_least,
-                     read_json, reading)
+                     read_json, reading, real_at_least)
 from .games import (
     GameProblem,
     InputLaw,
@@ -116,16 +117,20 @@ def _read(cfg: dict, key: str, default, cast):
         return cast(raw)
 
 
-def _int(low: int):
-    """A `_read` cast taking an integer >= low as it is: a float, a bool or
-    a string is refused, never truncated."""
+def _at_least(check, kind: str, low):
+    """A `_read` cast taking a value for which ``check(value, low)`` holds
+    as it is: anything else is refused, never truncated or converted."""
 
     def cast(raw):
-        if not int_at_least(raw, low):
-            raise ValueError(f"not an integer >= {low}")
+        if not check(raw, low):
+            raise ValueError(f"not {kind} >= {low}")
         return raw
 
     return cast
+
+
+_int = partial(_at_least, int_at_least, "an integer")
+_real = partial(_at_least, real_at_least, "a finite number")
 
 
 def _seed_of(args, cfg: dict) -> int:
@@ -326,7 +331,7 @@ def _cmd_exponent(args) -> int:
             if key in cfg:
                 raise ConfigError(f"{key} needs a rates sweep; a single rate solves one program")
         result = solve_exponent_program(
-            _read(cfg, "rate", 0.0, float),
+            _read(cfg, "rate", 0.0, _real(0)),
             problem,
             seed=seed,
             restarts=_read(cfg, "restarts", 4, _int(1)),
@@ -353,7 +358,7 @@ def _cmd_exponent(args) -> int:
         subset = _read(
             cfg, "subset", range(problem.coalition_size), lambda a: tuple(map(_int(0), a))
         )
-    rates = _read(cfg, "rates", None, lambda r: [float(v) for v in r])
+    rates = _read(cfg, "rates", None, lambda r: list(map(_real(0), r)))
     rows = [
         {
             "K": problem.coalition_size,

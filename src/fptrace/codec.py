@@ -24,13 +24,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
-from numbers import Real
 from typing import Callable
 
 import numpy as np
 
 from . import rng as rngmod
-from .errors import ConfigError, InfeasibleError, int_array, int_at_least, read_json, reading
+from .errors import (ConfigError, InfeasibleError, float_array, int_array, int_at_least, pmf_rows,
+                     read_json, real_at_least, reading)
 from .types_core import JointType, quantize_pmf
 
 __all__ = [
@@ -47,16 +47,6 @@ __all__ = [
     "write_codebook",
     "read_codebook",
 ]
-
-
-def _float_array(value, name: str, shape: tuple) -> np.ndarray:
-    """``value`` as a float array of ``shape``, given nested or flat; one
-    numpy cannot read, or of another shape, is a ConfigError."""
-    with reading(name):
-        arr = np.asarray(value, dtype=float)
-    if arr.shape != shape and (arr.ndim != 1 or arr.size != math.prod(shape)):
-        raise ConfigError(f"{name} must have shape {shape}")
-    return arr.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -89,14 +79,8 @@ class CodeParams:
             if not int_at_least(getattr(self, name), 1):
                 raise ConfigError(f"{name} must be a positive integer")
         s, w, x = self.s_size, self.w_size, self.x_size
-        p_host = self.p_host
-        if p_host is None:
-            p_host = np.full(s, 1.0 / s)
-        p_host = _float_array(p_host, "p_host", (s,))
-        # phrased so that a NaN fails too
-        if not (np.all(p_host >= 0) and abs(p_host.sum() - 1) <= 1e-9):
-            raise ConfigError("p_host must be a pmf over the host alphabet")
-        object.__setattr__(self, "p_host", p_host)
+        p_host = np.full(s, 1.0 / s) if self.p_host is None else self.p_host
+        object.__setattr__(self, "p_host", pmf_rows(p_host, "p_host", (s,)))
 
         wt = self.target_w_type
         if wt is None:
@@ -113,18 +97,12 @@ class CodeParams:
         tx = self.target_x_given_sw
         if tx is None:
             tx = np.full((s, w, x), 1.0 / x)
-        tx = _float_array(tx, "target_x_given_sw", (s, w, x))
-        if not (np.all(tx >= 0) and np.max(np.abs(tx.sum(axis=2) - 1)) <= 1e-9):
-            raise ConfigError("target_x_given_sw rows must be pmfs")
-        object.__setattr__(self, "target_x_given_sw", tx)
+        object.__setattr__(self, "target_x_given_sw", pmf_rows(tx, "target_x_given_sw", (s, w, x)))
 
         if self.d1 is not None:
-            object.__setattr__(self, "d1", _float_array(self.d1, "d1", (s, x)))
-            if self.distortion_cap is None:
-                raise ConfigError("d1 table given without a distortion cap")
-            cap = self.distortion_cap
-            if isinstance(cap, bool) or not isinstance(cap, Real) or math.isnan(cap):
-                raise ConfigError(f"distortion_cap must be a number, not {cap!r}")
+            object.__setattr__(self, "d1", float_array(self.d1, "d1", (s, x)))
+            if not real_at_least(self.distortion_cap, -math.inf):
+                raise ConfigError(f"d1 needs a finite distortion_cap, not {self.distortion_cap!r}")
 
     @property
     def rate(self) -> float:

@@ -21,12 +21,12 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConfigError, int_array, int_at_least, reading
+from .errors import (BudgetExceededError, ConfigError, float_array, int_array, int_at_least,
+                     pmf_rows, real_at_least, reading)
 from .types_core import MAX_TABLE_CELLS, JointType, count_table
 
 __all__ = [
@@ -74,17 +74,10 @@ class ChannelSpec:
             raise ConfigError(f"unknown channel class {self.class_tag!r}")
         if not all(int_at_least(v, 1) for v in (self.k, self.x_size, self.y_size)):
             raise ConfigError("channel dimensions must be positive integers")
-        table = np.asarray(self.table, dtype=float)
+        table = pmf_rows(self.table, "channel table")
         want = (self.x_size,) * self.k + (self.y_size,)
         if table.shape != want:
             raise ConfigError(f"channel table shape {table.shape}, expected {want}")
-        # phrased so that a NaN fails both checks
-        if not np.all(table >= -1e-15):
-            raise ConfigError("channel table has negative or NaN entries")
-        if not np.max(np.abs(table.sum(axis=-1) - 1.0)) <= 1e-12:
-            raise ConfigError("channel rows must sum to one")
-        table = np.clip(table, 0.0, None)
-        table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
         if self.class_tag == "boneh_shaw":
@@ -147,19 +140,19 @@ class ChannelSpec:
 
 
 def _distortion_rule(estimator, d2, cap) -> tuple[np.ndarray, np.ndarray, float]:
-    """The one check of a distortion rule, for channels and families alike.
+    """The one check of a distortion rule, for channels, families and audits.
 
     Returns (estimator, d2, cap) once the estimator is a colluder-symmetric
     map to integer estimates >= 0, ``d2`` a finite (estimate, output) cost
     table with a row per estimate and any number of outputs, and the cap a
     finite number."""
     est = int_array(estimator, "estimator")
-    _require_symmetric_estimator(est, est.ndim)
-    with reading("d2"):
-        d2 = np.asarray(d2, dtype=float)
-    if d2.ndim != 2 or d2.shape[0] <= est.max(initial=0) or not np.all(np.isfinite(d2)):
-        raise ConfigError("d2 must be a finite (estimate, output) table covering every estimate")
-    if isinstance(cap, bool) or not isinstance(cap, Real) or not math.isfinite(cap):
+    if not _exchangeable(est, est.ndim):
+        raise ConfigError("estimator must be invariant to colluder order")
+    d2 = float_array(d2, "d2")
+    if d2.ndim != 2 or d2.shape[0] <= est.max(initial=0):
+        raise ConfigError("d2 must be an (estimate, output) table covering every estimate")
+    if not real_at_least(cap, -math.inf):
         raise ConfigError(f"the distortion cap must be a finite number, not {cap!r}")
     return est, d2, float(cap)
 
@@ -254,11 +247,6 @@ def _exchangeable(a: np.ndarray, k: int, tol: float = 0.0) -> bool:
     swap = (1, 0) + tuple(range(2, k)) + rest
     cycle = tuple(range(1, k)) + (0,) + rest
     return all(np.max(np.abs(np.transpose(a, p) - a)) <= tol for p in (swap, cycle))
-
-
-def _require_symmetric_estimator(est: np.ndarray, k: int) -> None:
-    if not _exchangeable(est, k):
-        raise ConfigError("estimator must be invariant to colluder order")
 
 
 def _interleaving_table(k: int, q: int) -> np.ndarray:
@@ -391,10 +379,10 @@ def check_distortion_attack(
     """
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.int64))
     y = np.asarray(y, dtype=np.int64)
-    estimator = np.asarray(estimator, dtype=np.int64)
-    _require_symmetric_estimator(estimator, x_rows.shape[0])
-    guess = estimator[tuple(x_rows)]
-    value = float(np.asarray(d2, dtype=float)[guess, y].mean())
+    estimator, d2, cap = _distortion_rule(estimator, d2, cap)
+    if estimator.ndim != x_rows.shape[0]:
+        raise ConfigError("the estimator must take one symbol per colluder")
+    value = float(d2[estimator[tuple(x_rows)], y].mean())
     return value, value <= cap + 1e-12
 
 

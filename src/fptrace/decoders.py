@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -38,7 +37,9 @@ from .errors import (
     ConfigError,
     InapplicableCheckError,
     StaleOutcomeError,
+    index_set,
     int_at_least,
+    real_at_least,
 )
 from .types_core import _count_entropy, _xlogx_table
 # not used here; perfbench's traced run wraps these names on this module
@@ -64,10 +65,6 @@ _BUDGET = 2_000_000
 _BLOCK_CELLS = 1 << 15
 
 
-def _finite_at_least(value, low) -> bool:
-    return isinstance(value, Real) and math.isfinite(value) and value >= low
-
-
 @dataclass(frozen=True)
 class DecodeConfig:
     """Decoder knobs.
@@ -85,15 +82,15 @@ class DecodeConfig:
     tie_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not _finite_at_least(self.delta, 0):
+        if not real_at_least(self.delta, 0):
             raise ConfigError(f"delta must be finite and nonnegative, got {self.delta!r}")
-        if self.rate is not None and not _finite_at_least(self.rate, 0):
+        if self.rate is not None and not real_at_least(self.rate, 0):
             raise ConfigError(f"rate must be finite and nonnegative, got {self.rate!r}")
         if not int_at_least(self.k_max, 0):
             raise ConfigError(f"k_max must be a nonnegative integer, got {self.k_max!r}")
         if not int_at_least(self.budget, 1):
             raise ConfigError(f"budget must be a positive integer, got {self.budget!r}")
-        if not _finite_at_least(self.tie_tol, 0):
+        if not real_at_least(self.tie_tol, 0):
             raise ConfigError(f"tie_tol must be finite and nonnegative, got {self.tie_tol!r}")
         if self.search not in ("exhaustive", "greedy"):
             raise ConfigError(f"unknown search mode {self.search!r}")
@@ -280,11 +277,9 @@ def mpmi_score(
 ) -> float:
     """Penalized joint score oI(x_A; y | s, w) - |A| (rate + delta) of a
     candidate coalition.  The empty coalition scores 0."""
-    coalition = tuple(sorted(set(coalition)))
+    coalition = index_set(coalition, cb.params.num_users, "coalition")
     if not coalition:
         return 0.0
-    if coalition[0] < 0 or coalition[-1] >= cb.params.num_users:
-        raise ConfigError(f"coalition {coalition} has a user index out of range")
     info = float(_Scorer(cb, y).info(cb.rows()[[coalition]])[0])
     return info - len(coalition) * (cfg.rate_for(cb) + cfg.delta)
 

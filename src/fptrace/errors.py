@@ -8,14 +8,17 @@ Data from outside the program (configs, codebook files, pirated copies,
 serialized channels and types) is decoded here and refused, never
 coerced.  Every reader is one constructor call inside `reading`, which
 turns a missing file or key, or a value of the wrong kind or shape, into
-a one-line ConfigError; `read_json` loads a file under it.  `int_at_least`
-is the one integer check behind the ConfigErrors for counts, indices and
-keys, and `int_array` its array form.
+a one-line ConfigError; `read_json` loads a file under it.  The checks:
+`int_at_least` for an integer, with `int_array` and `index_set`;
+`real_at_least` and `float_array`, their twins for a finite real (never a
+bool or a string); and `pmf_rows`, the one probability check: rows sum
+to 1 within 1e-9, entries down to -1e-12 are clipped to 0, none rescaled.
 """
 
 import json
+import math
 from contextlib import contextmanager
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -46,6 +49,57 @@ def int_array(values, what: str, ndim: int | None = None) -> np.ndarray:
         shape = "" if ndim is None else f"{ndim}-D "
         raise ConfigError(f"{what} must be {shape}nonnegative integers")
     return out
+
+
+def index_set(values, size: int, what: str) -> tuple:
+    """``values`` as a sorted tuple of distinct ints, each refused unless an
+    integer in 0..size-1 (a bool or a fraction is not)."""
+    with reading(what):
+        values = tuple(values)
+    if not all(int_at_least(i, 0) and i < size for i in values):
+        raise ConfigError(f"{what} must hold integer indices in 0..{size - 1}: {values!r}")
+    return tuple(sorted({int(i) for i in values}))
+
+
+def real_at_least(value, low) -> bool:
+    """True for a finite real >= low, numpy numbers included.  A bool is
+    refused, as by `int_at_least`, and so is a string."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
+        return False
+    # an int is finite however large, and too large for math.isfinite
+    return value >= low and (isinstance(value, Integral) or math.isfinite(value))
+
+
+def float_array(values, what: str, shape: tuple | None = None) -> np.ndarray:
+    """``values`` as a read-only float64 array, refused unless every entry is
+    a finite number (a string is not, nor is an array of bools).  With
+    ``shape`` it may be given nested or flat, and comes back in that shape."""
+    raw = values
+    if not isinstance(raw, np.ndarray):  # the solvers' arrays skip `reading`, 2 µs a call
+        with reading(what):
+            raw = np.asarray(values)
+    if raw.dtype.kind not in "iuf" or not np.isfinite(raw).all():
+        raise ConfigError(f"{what} must be finite numbers")
+    if shape not in (None, raw.shape) and (raw.ndim != 1 or raw.size != math.prod(shape)):
+        raise ConfigError(f"{what} must have shape {shape}")
+    out = raw.astype(float).reshape(shape or raw.shape)  # a copy: the caller's stays writable
+    out.setflags(write=False)
+    return out
+
+
+def pmf_rows(values, what: str, shape: tuple | None = None) -> np.ndarray:
+    """``values`` as `float_array` reads them, refused unless each row along
+    the last axis is a pmf: it sums to 1 within 1e-9 and has no entry
+    below -1e-12.  Entries in [-1e-12, 0) are clipped to 0; no row is
+    rescaled."""
+    arr = float_array(values, what, shape)
+    low = arr.min(initial=0.0)
+    if arr.ndim == 0 or low < -1e-12 or np.abs(arr.sum(axis=-1) - 1.0).max(initial=0) > 1e-9:
+        raise ConfigError(f"{what} rows must be pmfs")
+    if low < 0:
+        arr = np.clip(arr, 0.0, None)
+        arr.setflags(write=False)
+    return arr
 
 
 @contextmanager

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .. import rng as rngmod
-from ..errors import ConfigError, int_at_least
+from ..errors import ConfigError, index_set, int_at_least
 from .problems import (
     Distortion,
     GameProblem,
@@ -96,16 +96,17 @@ def _subsets(k):
 def _parts(problem, subset, user):
     """The convex parts of one inner game, as (objective, subset, user, fair);
     the game's value is the min over its parts of each part's minimum."""
+    k = problem.coalition_size
     if subset is not None:
-        return [("detect_all_part", tuple(subset), None, False)]
+        return [("detect_all_part", index_set(subset, k, "subset"), None, False)]
     if user is not None or problem.objective == "simple":
-        return [("simple", None, user or 0, True)]
+        return [("simple", None, index_set((0 if user is None else user,), k, "user")[0], True)]
     if problem.objective == "detect_one":
         return [("detect_one", None, None, True)]
     if problem.objective == "detect_all":
         return [
             ("detect_all_part", a, None, False)
-            for a in _subsets(problem.coalition_size)
+            for a in _subsets(k)
         ]
     raise ConfigError(f"unknown objective {problem.objective!r}")
 

@@ -40,7 +40,7 @@ from scipy.optimize import minimize
 
 from .. import collusion
 from .. import rng as rngmod
-from ..errors import ConfigError, int_at_least
+from ..errors import ConfigError, float_array, index_set, int_at_least, real_at_least
 from ..types_core import _LN2, _TINY, _divergence_terms, _safe_log2, multi_info_pmf
 from .capacity import _fd_ascent, _frank_wolfe, _law_from_theta, _softmax, _theta_dim
 from .problems import Distortion, FairMarking, Hull, Marking
@@ -62,14 +62,11 @@ def _resolve_target(problem, subset, user):
         raise ConfigError("give exactly one of subset (joint) or user (marginal)")
     k = problem.coalition_size
     if subset is not None:
-        a = tuple(sorted(set(int(i) for i in subset)))
-        if not a or a[0] < 0 or a[-1] >= k:
+        a = index_set(subset, k, "subset")
+        if not a:
             raise ConfigError("subset must be a nonempty set of colluder indices")
         return a, None
-    m = int(user)
-    if not 0 <= m < k:
-        raise ConfigError("user index out of range")
-    return None, m
+    return None, index_set((user,), k, "user")[0]
 
 
 def _inner_floor(problem, law, subset, user, tol=1e-10):
@@ -451,8 +448,8 @@ def _solve_program(
     rate, law, problem, subset, user, memoryless, restarts, seed, warm, full_output
 ):
     subset, user = _resolve_target(problem, subset, user)
-    if not rate >= 0:  # NaN included
-        raise ConfigError(f"rate must be a nonnegative number, not {rate!r}")
+    if not real_at_least(rate, 0):
+        raise ConfigError(f"rate must be a finite nonnegative number, not {rate!r}")
 
     floor, c_floor = _inner_floor(problem, law, subset, user)
     info = {
@@ -623,7 +620,7 @@ def _sweep(rates, input_law, problem, subset, user, memoryless, restarts, seed):
     """Yield (index, rate, value, info) in rising-rate order; the body of
     ``exponent_sweep``, which the CLI also reads for the per-rate info."""
     solver = memoryless_exponent_variant if memoryless else pseudo_sphere_packing
-    rates = np.asarray(list(rates), dtype=float)
+    rates = float_array(list(rates), "rates")
     prev_val, prev_vec = math.inf, None
     for i in np.argsort(rates):
         val, vec, info = solver(
@@ -656,8 +653,8 @@ def exponent_sweep(
     ``memoryless_exponent_variant``, with the carried minimizer as one
     start after those of a cold call, so no value exceeds the cold one.
     """
-    rates = np.asarray(list(rates), dtype=float)
-    out = np.empty_like(rates)
+    rates = list(rates)
+    out = np.empty(len(rates))
     for i, _, val, _ in _sweep(
         rates, input_law, problem, subset, user, memoryless, restarts, seed
     ):

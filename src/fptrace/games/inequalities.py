@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..collusion import _exchangeable
-from ..errors import ConfigError
+from ..errors import ConfigError, float_array, index_set, pmf_rows
 from ..types_core import entropy_pmf
 
 __all__ = ["FairInequalityReport", "check_fair_inequalities"]
@@ -64,15 +64,14 @@ def check_fair_inequalities(joint, subset_a, subset_b) -> FairInequalityReport:
     ``joint`` carries the K user axes first and Z last; ``subset_a`` must be
     contained in ``subset_b``.  Z may be a flattened compound observation.
     """
-    p = np.asarray(joint, dtype=float)
+    p = float_array(joint, "joint")
     if p.ndim < 2:
         raise ConfigError("joint needs at least one user axis and a Z axis")
     k = p.ndim - 1
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        raise ConfigError("joint must be a pmf")
-    a = tuple(sorted(set(int(i) for i in subset_a)))
-    b = tuple(sorted(set(int(i) for i in subset_b)))
-    if not a or not set(a) <= set(b) or b[-1] >= k or a[0] < 0:
+    p = pmf_rows(p.ravel(), "joint").reshape(p.shape)
+    a = index_set(subset_a, k, "subset_a")
+    b = index_set(subset_b, k, "subset_b")
+    if not a or not set(a) <= set(b):
         raise ConfigError("need nonempty user subsets with A inside B")
     if not _exchangeable(p, k, 1e-10):
         raise ConfigError("joint is not invariant under user permutations")

@@ -12,6 +12,7 @@ All information quantities are in bits.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,8 @@ from ..collusion import (
     _interleaving_table,
     _unmarked_symbol,
 )
-from ..errors import ConfigError, InfeasibleError, int_at_least, reading
+from ..errors import (ConfigError, InfeasibleError, float_array, int_at_least, pmf_rows,
+                      real_at_least, reading)
 from ..types_core import _TINY, MAX_TABLE_CELLS, _safe_log2
 
 __all__ = [
@@ -128,17 +130,9 @@ class Hull(ChannelFamily):
     kind = "hull"
 
     def __init__(self, channels):
-        tables = [np.asarray(getattr(c, "table", c), dtype=float) for c in channels]
-        if not tables:
-            raise ConfigError("hull needs at least one channel")
-        shape = tables[0].shape
-        for t in tables:
-            if t.shape != shape:
-                raise ConfigError("hull channels must share a shape")
-            rows_ok = np.max(np.abs(t.sum(axis=-1) - 1.0)) <= 1e-10
-            if not (rows_ok and np.all(t >= -1e-12)):  # so that a NaN fails
-                raise ConfigError("hull vertices must be channels")
-        self.vertices = [np.clip(t, 0.0, None) for t in tables]
+        self.vertices = [pmf_rows(getattr(c, "table", c), "hull vertex") for c in channels]
+        if not self.vertices or any(v.shape != self.vertices[0].shape for v in self.vertices):
+            raise ConfigError("a hull needs one or more channels of one shape")
 
     @property
     def is_singleton(self):
@@ -312,26 +306,15 @@ class GameProblem:
             if fam.estimator.shape != shape[:-1]:
                 raise ConfigError(f"the estimator must map every cell of {shape[:-1]}")
             fam._cost(self.y_size)  # d2 must cover the outputs
-        host = self.p_host
-        if host is None:
-            host = np.full(self.s_size, 1.0 / self.s_size)
-        host = np.asarray(host, dtype=float)
-        # the pmf checks here are phrased so that a NaN fails them
-        if host.shape != (self.s_size,) or not (
-            abs(host.sum() - 1.0) <= 1e-9 and host.min() >= 0
-        ):
-            raise ConfigError("p_host must be a pmf over the host alphabet")
-        host = host / host.sum()
-        host.setflags(write=False)
-        object.__setattr__(self, "p_host", host)
+        s = self.s_size
+        host = np.full(s, 1.0 / s) if self.p_host is None else self.p_host
+        object.__setattr__(self, "p_host", pmf_rows(host, "p_host", (s,)))
         if (self.d1 is None) != (self.d1_cap is None):
             raise ConfigError("d1 and d1_cap come together")
         if self.d1 is not None:
-            d1 = np.asarray(self.d1, dtype=float)
-            if d1.shape != (self.s_size, self.x_size):
-                raise ConfigError("d1 must be a (host, mark) cost table")
-            d1.setflags(write=False)
-            object.__setattr__(self, "d1", d1)
+            object.__setattr__(self, "d1", float_array(self.d1, "d1", (s, self.x_size)))
+            if not real_at_least(self.d1_cap, -math.inf):
+                raise ConfigError(f"d1_cap must be a finite number, not {self.d1_cap!r}")
             object.__setattr__(self, "d1_cap", float(self.d1_cap))
 
     def uniform_law(self) -> "InputLaw":
@@ -393,38 +376,20 @@ class InputLaw:
     p_s_tilde_given_w: np.ndarray | None = None
 
     def __post_init__(self):
-        pw = np.asarray(self.p_w, dtype=float)
-        px = np.asarray(self.p_x_given_sw, dtype=float)
-        # phrased so that a NaN fails the pmf checks
-        if pw.ndim != 1 or not (abs(pw.sum() - 1.0) <= 1e-9 and pw.min() >= -1e-12):
-            raise ConfigError("p_w must be a pmf")
-        if px.ndim != 3 or px.shape[1] != pw.shape[0]:
-            raise ConfigError("p_x_given_sw must have shape (s, w, x)")
-        if not (np.max(np.abs(px.sum(axis=-1) - 1.0)) <= 1e-9 and px.min() >= -1e-12):
-            raise ConfigError("p_x_given_sw rows must be pmfs")
-        pw = np.clip(pw, 0.0, None)
-        pw = pw / pw.sum()
-        px = np.clip(px, 0.0, None)
-        px = px / px.sum(axis=-1, keepdims=True)
-        pw.setflags(write=False)
-        px.setflags(write=False)
+        pw = pmf_rows(self.p_w, "p_w")
+        px = pmf_rows(self.p_x_given_sw, "p_x_given_sw")
+        if pw.ndim != 1 or px.ndim != 3 or px.shape[1] != pw.size:
+            raise ConfigError("p_w and p_x_given_sw must have shapes (w,) and (s, w, x)")
         object.__setattr__(self, "p_w", pw)
         object.__setattr__(self, "p_x_given_sw", px)
         if self.p_s_tilde_given_w is not None:
-            ps = np.asarray(self.p_s_tilde_given_w, dtype=float)
-            if ps.shape != (pw.shape[0], px.shape[0]):
-                raise ConfigError("p_s_tilde_given_w must have shape (w, s)")
-            if not (np.max(np.abs(ps.sum(axis=-1) - 1.0)) <= 1e-9 and ps.min() >= -1e-12):
-                raise ConfigError("p_s_tilde_given_w rows must be pmfs")
-            ps = np.clip(ps, 0.0, None)
-            ps = ps / ps.sum(axis=-1, keepdims=True)
-            ps.setflags(write=False)
+            ps = pmf_rows(self.p_s_tilde_given_w, "p_s_tilde_given_w", (pw.size, px.shape[0]))
             object.__setattr__(self, "p_s_tilde_given_w", ps)
 
     @classmethod
     def _trusted(cls, p_w, p_x_given_sw, p_s_tilde_given_w=None):
         """A law from arrays that are pmfs by construction (softmax rows),
-        built without the checks and renormalization of ``__post_init__``.
+        built without the checks of ``__post_init__``.
         ``dataclasses.replace(law)`` returns the validated law."""
         law = object.__new__(cls)
         for name, arr in (

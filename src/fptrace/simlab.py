@@ -40,7 +40,7 @@ from .codec import CodeParams, build_codebook, draw_host, draw_timeshare
 from .collusion import ChannelSpec, apply_memoryless, interleave
 from .decoders import DecodeConfig, _Scorer, mpmi_decode
 from .decoders import threshold_decode
-from .errors import ConfigError, InfeasibleError, int_at_least
+from .errors import ConfigError, InfeasibleError, index_set, int_at_least
 from .types_core import _count_entropy, _xlogx_table
 
 __all__ = [
@@ -118,12 +118,10 @@ def _coalition_users(users, num_users: int) -> tuple:
     The trial engines count the innocents as M - |coalition|, so a bool, a
     float, a repeated or an out-of-range user is refused, not coerced.
     """
-    users = tuple(users)
-    if not all(int_at_least(m, 0) and m < num_users for m in users):
-        raise ConfigError(f"coalition users must be integers in 0..{num_users - 1}: {list(users)!r}")
-    if len(set(users)) < len(users):
+    out = index_set(users, num_users, "coalition users")
+    if len(out) < len(users):
         raise ConfigError(f"coalition lists a user twice: {list(users)!r}")
-    return tuple(sorted(int(m) for m in users))
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -502,9 +500,8 @@ def threshold_fp_fast(
         raise ConfigError("the fast engine needs integers k >= 1 colluders and innocents >= 0")
     if not (int_at_least(trials, 1) and int_at_least(seed, 0)):
         raise ConfigError("the fast engine needs integers trials >= 1 and seed >= 0")
-    if rate is None:
-        rate = math.log2(innocents + k) / n
-    bar = rate + delta
+    DecodeConfig(delta, rate=rate)  # checks delta and rate as a decoder does
+    bar = (math.log2(innocents + k) / n if rate is None else rate) + delta
     gen = rngmod.derive(seed, "fastfp", n)
     t0 = time.perf_counter()
     comp = np.array([[n - n // 2, n // 2]])  # one cell
@@ -546,9 +543,8 @@ def threshold_fp_exact(
         raise ConfigError("exact enumeration covers k=2 balanced binary codes, even n >= 2")
     if not int_at_least(innocents, 0):
         raise ConfigError("innocents must be an integer >= 0")
-    if rate is None:
-        rate = math.log2(innocents + k) / n
-    bar = rate + delta
+    DecodeConfig(delta, rate=rate)  # checks delta and rate as a decoder does
+    bar = (math.log2(innocents + k) / n if rate is None else rate) + delta
     half = n // 2
     # overlap of two balanced rows, then binomial fill on disagreements
     a_vals = np.arange(half + 1)

@@ -445,8 +445,9 @@ def quantize_pmf(p: np.ndarray, n: int) -> JointType:
     p = np.asarray(p, dtype=float)
     if n < 1:
         raise ConfigError("quantization denominator must be >= 1")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise ConfigError("quantize_pmf needs a normalized pmf")
+    # phrased so that a NaN fails
+    if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
+        raise ConfigError(f"quantize_pmf needs a normalized target pmf, not {p.tolist()}")
     scaled = p.ravel() * n
     base = np.floor(scaled).astype(np.int64)
     short = n - int(base.sum())

@@ -47,6 +47,8 @@ VALID = {
             "vertices": [[1.0, 0.0, 0.5, 0.5, 0.5, 0.5, 0.0, 1.0],
                          [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]]}),
          "restarts": 1, "grid_resolution": 2},
+        {"problem": dict(FAIR_K2, d1=[[0, 1]], d1_cap=0.3), "restarts": 1,
+         "grid_resolution": 2},
     ],
     "exponent": [
         {"problem": FAIR_K2, "rates": [0.2, 0.3], "restarts": 1},
@@ -243,6 +245,34 @@ NAME_KEYS = [
 
 def _ids(keys):
     return [f"{c}-{i}-{'.'.join(map(str, p))}" for c, i, p in keys]
+
+
+# every real-valued leaf of the valid configs: the floats, and the d1 costs
+# written as integers
+REAL_KEYS = [
+    (command, i, path)
+    for command in sorted(VALID)
+    for i, cfg in enumerate(VALID[command])
+    for path in _paths(cfg)
+    if type(_value(cfg, path)) is float or "d1" in path and type(_value(cfg, path)) is int
+]
+
+
+def _real_mutants(cfg, path):
+    """A numeric string, NaN and both infinities for a real leaf, and a bool
+    for a scalar leaf or a rates entry."""
+    out = [str(_value(cfg, path)), math.nan, math.inf, -math.inf]
+    return out + [True] if isinstance(path[-1], str) or path[-2] == "rates" else out
+
+
+REAL_CASES = [(c, i, p, v) for c, i, p in REAL_KEYS for v in _real_mutants(VALID[c][i], p)]
+
+
+@pytest.mark.parametrize("command,index,path,value", REAL_CASES, ids=[
+    f"{c}-{i}-{'.'.join(map(str, p))}-{v!r}" for c, i, p, v in REAL_CASES])
+def test_real_keys_refuse_strings_non_finite_values_and_bools(dirs, capsys, command, index,
+                                                              path, value):
+    _exits_2(dirs, capsys, command, _replace(VALID[command][index], path, value))
 
 
 @pytest.mark.parametrize("command,index,path", INT_KEYS, ids=_ids(INT_KEYS))

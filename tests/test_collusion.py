@@ -141,6 +141,18 @@ def test_distortion_audit_rejects_asymmetric_estimator():
         )
 
 
+@pytest.mark.parametrize("est,d2,cap", [
+    ([[0, 0.7], [0.7, 1.9]], [[0.0, 1.0], [1.0, 0.0]], 1.0),  # once read as [[0, 0], [0, 1]]
+    ([[0, 1], [1, 1]], [[0.0, math.nan], [1.0, 0.0]], 1.0),
+    ([[0, 1], [1, 1]], [[0.0, 1.0], [1.0, 0.0]], math.inf),
+    ([[0, 1], [1, 1]], [[0.0, 1.0], [1.0, 0.0]], True),
+    ([0, 1], [[0.0, 1.0], [1.0, 0.0]], 1.0),  # one symbol for two colluders
+])
+def test_distortion_audit_checks_its_rule(est, d2, cap):
+    with pytest.raises(ConfigError):
+        check_distortion_attack(np.array([[0, 1], [1, 1]]), np.array([0, 1]), est, d2, cap)
+
+
 def test_distortion_channel_expected_value():
     # channel that always outputs colluder agreement or flips a coin
     ch = ChannelSpec(

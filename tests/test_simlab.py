@@ -266,6 +266,22 @@ def test_fast_engine_rejects_odd_blocklength():
         PointEstimate(24, 0, 0, 0, 0, 0, 0.0)
 
 
+@pytest.mark.parametrize("engine", ["fast", "exact"])
+@pytest.mark.parametrize("field,value", [
+    ("delta", math.nan), ("delta", math.inf), ("delta", True), ("delta", -5.0),
+    ("delta", "0.05"), ("rate", math.inf), ("rate", -0.1),
+])
+def test_fast_engines_refuse_bad_reals(engine, field, value):
+    # a NaN, infinite or True delta once gave fp_count 0, and a delta of
+    # -5.0 an exact rate of 1.0
+    reals = dict({"delta": 0.05}, **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        if engine == "fast":
+            threshold_fp_fast(20, innocents=4, trials=10, **reals)
+        else:
+            threshold_fp_exact(20, 4, **reals)
+
+
 def test_fast_engine_scores_equal_mutual_info():
     # reference through an independent path: the explicit 2x2 joint type
     for n in (24, 60):

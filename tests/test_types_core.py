@@ -362,6 +362,13 @@ def test_quantize_pmf_deterministic_tie_break():
     assert np.array_equal(t.counts, [1, 1, 0])
 
 
+@pytest.mark.parametrize("p", [[math.nan, math.nan], [math.nan, 1.0]])
+def test_quantize_pmf_refuses_what_is_not_a_pmf(p):
+    # [nan, nan] once passed the check and failed later as a negative count
+    with pytest.raises(ConfigError, match="target pmf"):
+        quantize_pmf(np.array(p), 8)
+
+
 # ---------------------------------------------------------------------------
 # query validation
 
