@@ -15,7 +15,6 @@ from .types_core import (  # noqa: F401
     Sequence,
     entropy,
     joint_type,
-    kl_divergence,
     log_type_class_size,
     multi_info,
     mutual_info,
@@ -26,7 +25,6 @@ from .codec import (  # noqa: F401
     Codebook,
     build_codebook,
     read_codebook,
-    tardos_codebook,
     write_codebook,
 )
 from .collusion import (  # noqa: F401
@@ -34,7 +32,6 @@ from .collusion import (  # noqa: F401
     ChannelSpec,
     apply_memoryless,
     interleave,
-    interleaving_channel,
 )
 from .decoders import (  # noqa: F401
     DecodeConfig,

@@ -12,10 +12,6 @@ alone and generation order never matters.  Each book builds its cell plan
 (every cell's positions and sorted mark block) once; a row then costs one
 stream derivation and one shuffle per cell, bit-identical to a fresh
 :func:`sample_type_class` draw on that stream.
-
-The Tardos construction (i.i.d. biased binary columns) is included as the
-classical baseline with a continuous per-position bias in place of the
-type-class time-sharing sequence.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -42,8 +37,6 @@ __all__ = [
     "build_codebook",
     "apply_rp",
     "apply_rm",
-    "tardos_codebook",
-    "check_embedding_distortion",
     "write_codebook",
     "read_codebook",
 ]
@@ -53,8 +46,7 @@ __all__ = [
 class CodeParams:
     """Static description of a fingerprint code.
 
-    Exactly one of ``num_users``/``rate`` pins the other: given M users the
-    rate is log2(M)/n, given a rate the user count is ceil(2^(n*rate)).
+    M = ``num_users`` users give the rate log2(M)/n.
     ``target_x_given_sw[s, w]`` is the mark distribution the rows must hit
     (after per-cell quantization) inside each (host, time-share) cell.
     ``d1``/``distortion_cap`` bound the average embedding distortion between
@@ -107,10 +99,6 @@ class CodeParams:
     @property
     def rate(self) -> float:
         return float(np.log2(self.num_users)) / self.n
-
-    @classmethod
-    def for_rate(cls, n: int, rate: float, **kw) -> "CodeParams":
-        return cls(n=n, num_users=int(np.ceil(2.0 ** (n * rate))), **kw)
 
     def to_dict(self) -> dict:
         return {
@@ -386,56 +374,6 @@ def apply_rm(
     perm = replace(cb, rm_perm=perm, _cache={}).rm_perm  # validated by Codebook
     old = cb.rm_perm if cb.rm_perm is not None else np.arange(n)
     return replace(cb, rm_perm=perm[old], _cache={})
-
-
-# ---------------------------------------------------------------------------
-# Tardos baseline
-
-
-def tardos_codebook(
-    num_users: int,
-    n: int,
-    rng: np.random.Generator,
-    density: str | float | Callable[[np.random.Generator, int], np.ndarray] = "arcsine",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Binary code with i.i.d. per-position biases.
-
-    Position i gets a secret bias w_i from ``density`` ("arcsine" for the
-    classical 1/(pi*sqrt(w(1-w))) law, "uniform", a constant in [0, 1], or a
-    callable); user bits are independent Bernoulli(w_i).  Returns
-    (biases, rows).
-    """
-    if isinstance(density, str):
-        if density == "uniform":
-            w = rng.random(n)
-        elif density == "arcsine":
-            w = np.sin(0.5 * np.pi * rng.random(n)) ** 2
-        else:
-            raise ConfigError(f"unknown bias density {density!r}")
-    elif callable(density):
-        w = np.asarray(density(rng, n), dtype=float)
-        if w.shape != (n,):
-            raise ConfigError("bias callable must return one bias per position")
-    else:
-        val = float(density)
-        if not 0.0 <= val <= 1.0:
-            raise ConfigError("constant bias must lie in [0, 1]")
-        w = np.full(n, val)
-    rows = (rng.random((num_users, n)) < w).astype(np.int64)
-    return w, rows
-
-
-def check_embedding_distortion(
-    s: np.ndarray, x: np.ndarray, d1: np.ndarray, cap: float
-) -> tuple[float, bool]:
-    """Average per-letter embedding cost of a marked copy, and cap check."""
-    s = np.asarray(s, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    if s.shape != x.shape:
-        raise ConfigError("host and marked copy must have equal length")
-    d1 = np.asarray(d1, dtype=float)
-    value = float(d1[s, x].mean())
-    return value, value <= cap + 1e-12
 
 
 # ---------------------------------------------------------------------------

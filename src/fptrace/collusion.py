@@ -1,15 +1,15 @@
 """Collusion attacks and the constraint classes they must respect.
 
 A coalition of K users holds rows x_1..x_K and emits one pirated sequence y.
-Attack channels act per position (memoryless) unless explicitly wrapped; the
-classes of interest are:
+Attack channels act per position (memoryless); the classes of interest
+are:
 
 * marking: wherever all colluders agree, the output must copy them;
 * interleaving: each position copies a uniformly chosen colluder;
 * bounded distortion: the output stays close (under a letter cost d2) to a
   symmetric estimate f(x_1..x_K) of the original mark;
-* fairness: the realized conditional law of y given the colluder symbols is
-  invariant under renaming the colluders.
+* fairness: the channel's law of y given the colluder symbols is invariant
+  under renaming the colluders.
 
 Every attack returns the pirated copy together with a feasibility report
 that is recomputable from (x_K, y) alone.
@@ -21,7 +21,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,17 +31,11 @@ from .types_core import MAX_TABLE_CELLS, JointType, count_table
 __all__ = [
     "ChannelSpec",
     "AttackResult",
-    "interleaving_channel",
     "interleave",
     "apply_memoryless",
     "check_marking",
     "check_distortion_attack",
-    "permutation_average",
-    "wrap_exchangeable",
-    "is_permutation_invariant",
-    "is_first_order_fair",
     "feasibility_report",
-    "input_orbits",
 ]
 
 CHANNEL_CLASSES = ("explicit", "boneh_shaw", "interleaving", "distortion")
@@ -100,14 +93,6 @@ class ChannelSpec:
             object.__setattr__(self, "estimator", est)
             object.__setattr__(self, "d2", d2)
 
-    def expected_distortion(self, input_pmf: np.ndarray) -> float:
-        """E d2(f(X_K), Y) under input_pmf and this channel."""
-        if self.class_tag != "distortion":
-            raise ConfigError("expected_distortion needs a distortion-class channel")
-        p = np.asarray(input_pmf, dtype=float).reshape((self.x_size,) * self.k)
-        cost = _distortion_costs(self.estimator, self.d2, self.y_size)
-        return float(np.sum(self.table * p[..., None] * cost))
-
     def to_json(self) -> str:
         payload = {
             "k": self.k,
@@ -131,11 +116,11 @@ class ChannelSpec:
             shape, kw = d["shape"], {}
             if d["class"] == "distortion":
                 kw = dict(
-                    estimator=np.reshape(d["estimator"], shape[:-1]),
-                    d2=np.reshape(d["d2"], d["d2_shape"]),
+                    estimator=np.reshape(int_array(d["estimator"], "estimator"), shape[:-1]),
+                    d2=float_array(d["d2"], "d2", tuple(d["d2_shape"])),
                     distortion_cap=d["distortion_cap"],
                 )
-            table = np.reshape(d["table"], shape)
+            table = float_array(d["table"], "channel table", tuple(shape))
             return cls(d["k"], d["x_size"], d["y_size"], table, d["class"], **kw)
 
 
@@ -218,20 +203,6 @@ def _unmarked_symbol(table: np.ndarray, tol: float) -> int | None:
     return None
 
 
-@functools.lru_cache(maxsize=None)
-def input_orbits(k: int, x_size: int):
-    """Orbits of X^K under coordinate permutations.
-
-    Returns (orbit-id array of shape (x_size,)*k, representative tuples,
-    orbit sizes).  Representatives are sorted tuples, listed in
-    lexicographic order, so the layout is deterministic.  The table is
-    built once per (k, x_size) and shared: both arrays are read-only and
-    the representatives are a tuple.
-    """
-    ids, reps, sizes, _ = _cell_classes(k, x_size, True)
-    return ids, tuple(map(tuple, reps.tolist())), sizes
-
-
 def _exchangeable(a: np.ndarray, k: int, tol: float = 0.0) -> bool:
     """True iff ``a`` is unchanged, up to ``tol``, by the swap (0 1) and the
     cycle (0 1 ... k-1) of its first k axes; trailing axes stay in place.
@@ -256,12 +227,6 @@ def _interleaving_table(k: int, q: int) -> np.ndarray:
     for m in range(k):  # 1/k per colluder, in colluder order
         table[rows, cells[:, m]] += 1.0 / k
     return table.reshape((q,) * k + (q,))
-
-
-def interleaving_channel(k: int, q: int) -> ChannelSpec:
-    """Uniform-copy channel: each position outputs a random colluder's symbol."""
-    table = _interleaving_table(k, q)
-    return ChannelSpec(k=k, x_size=q, y_size=q, table=table, class_tag="interleaving")
 
 
 @dataclass(frozen=True)
@@ -375,97 +340,18 @@ def check_distortion_attack(
     """Average cost d2(f(x_1..x_K), y) of a realization, with cap verdict.
 
     The estimator must be invariant to colluder order; the same audit then
-    applies no matter how the coalition labels itself.
+    applies no matter how the coalition labels itself.  Every symbol must
+    index its table: x one of the estimator's axes, y a column of ``d2``.
     """
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.int64))
-    y = np.asarray(y, dtype=np.int64)
+    x_rows = np.atleast_2d(int_array(x_rows, "colluder rows"))
+    y = int_array(y, "pirated copy", 1)
     estimator, d2, cap = _distortion_rule(estimator, d2, cap)
     if estimator.ndim != x_rows.shape[0]:
         raise ConfigError("the estimator must take one symbol per colluder")
+    if y.shape != x_rows.shape[1:]:
+        raise ConfigError("pirated copy length mismatch")
+    if x_rows.max(initial=0) >= estimator.shape[0] or y.max(initial=0) >= d2.shape[1]:
+        raise ConfigError("a colluder symbol is past the estimator or an output past d2")
     value = float(d2[estimator[tuple(x_rows)], y].mean())
     return value, value <= cap + 1e-12
 
-
-def permutation_average(ch: ChannelSpec) -> ChannelSpec:
-    """Average the channel over all colluder relabelings.
-
-    Each cell gets the mean row of its orbit under the relabelings: every
-    permutation maps a cell to a member of its orbit, and each member is
-    hit K!/|orbit| times, so the orbit mean equals the mean over all K!
-    relabelings.  The result is permutation-invariant, and averaging an
-    already invariant channel returns it unchanged (up to rounding).
-    """
-    ids, _, sizes, _ = _cell_classes(ch.k, ch.x_size, True)
-    sums = _class_sums(ids, ch.table, len(sizes))
-    return ChannelSpec(
-        k=ch.k,
-        x_size=ch.x_size,
-        y_size=ch.y_size,
-        table=(sums / sizes[:, None])[ids],
-        class_tag=ch.class_tag,
-        estimator=ch.estimator,
-        d2=ch.d2,
-        distortion_cap=ch.distortion_cap,
-    )
-
-
-def is_permutation_invariant(ch: ChannelSpec, tol: float = 1e-12) -> bool:
-    """True iff the table is unchanged by every colluder relabeling.
-
-    Only the two generating relabelings are compared, each to within
-    ``tol``; a longer relabeling then moves the table by at most a small
-    multiple of ``tol`` (its word length in the generators), not by ``tol``.
-    """
-    return _exchangeable(ch.table, ch.k, tol)
-
-
-def wrap_exchangeable(
-    attack: Callable[[np.ndarray, np.random.Generator], AttackResult],
-) -> Callable[[np.ndarray, np.random.Generator], AttackResult]:
-    """Make any attack strongly exchangeable in the positions.
-
-    The wrapper runs the base attack on a uniformly permuted view of the
-    colluder rows and scatters the output back, so per-position pairings are
-    preserved.  Conditioned on the realized joint type, the output is then
-    uniform over the consistent sequences, whatever the base attack did with
-    position order.
-    """
-
-    def wrapped(x_rows: np.ndarray, rng: np.random.Generator) -> AttackResult:
-        x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.int64))
-        n = x_rows.shape[1]
-        pi = rng.permutation(n)
-        base = attack(x_rows[:, pi], rng)
-        y = np.empty(n, dtype=np.int64)
-        y[pi] = base.y
-        return feasibility_report(x_rows, y, y_size=base.axes[-1], x_size=base.axes[0])
-
-    return wrapped
-
-
-def is_first_order_fair(x_rows: np.ndarray, y: np.ndarray, y_size: int | None = None) -> bool:
-    """True iff the realized conditional type of y is colluder-symmetric.
-
-    Cells of the colluder tuple that are permutations of one another must
-    induce identical conditional laws for y; cells with no occurrences are
-    unconstrained.  Equal laws are transitive, so each live cell is compared
-    with the first live cell of its orbit only.  Comparison is exact
-    (integer cross-multiplication).
-    """
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.int64))
-    y = np.asarray(y, dtype=np.int64)
-    k, n = x_rows.shape
-    x_size = int(x_rows.max()) + 1
-    if y_size is None:
-        y_size = int(y.max()) + 1
-    counts = count_table([*x_rows, y], (x_size,) * k + (y_size,))
-    counts = counts.reshape(-1, y_size).astype(object)
-    totals = counts.sum(axis=-1)
-    ids = _cell_classes(k, x_size, True)[0].ravel()
-    first: dict[int, int] = {}
-    for b in np.flatnonzero(totals):
-        a = first.setdefault(ids[b], b)
-        # p(y|a) == p(y|b) exactly: counts[a]*totals[b] == counts[b]*totals[a]
-        if np.any(counts[a] * totals[b] != counts[b] * totals[a]):
-            return False
-    return True

@@ -42,13 +42,23 @@ def int_array(values, what: str, ndim: int | None = None) -> np.ndarray:
     with reading(what):
         raw = np.asarray(values)
     out = None
-    if ndim in (None, raw.ndim) and raw.dtype.kind in "iuf" and np.all(np.isfinite(raw)):
+    if (ndim in (None, raw.ndim) and raw.dtype.kind in "iuf" and np.all(np.isfinite(raw))
+            and not _hides_bool(values)):
         with np.errstate(invalid="ignore"):  # a float past int64 fails below
             out = raw.astype(np.int64)
     if out is None or np.any(out != raw) or np.any(out < 0):
         shape = "" if ndim is None else f"{ndim}-D "
         raise ConfigError(f"{what} must be {shape}nonnegative integers")
     return out
+
+
+def _hides_bool(values) -> bool:
+    """True when ``values``, read by numpy as numbers, held a bool that it
+    read as 1 or 0.  Only a sequence mixes bools into numbers, so an array
+    is not scanned."""
+    if isinstance(values, np.ndarray):
+        return False
+    return not {bool, np.bool_}.isdisjoint(map(type, np.asarray(values, dtype=object).flat))
 
 
 def index_set(values, size: int, what: str) -> tuple:
@@ -72,13 +82,13 @@ def real_at_least(value, low) -> bool:
 
 def float_array(values, what: str, shape: tuple | None = None) -> np.ndarray:
     """``values`` as a read-only float64 array, refused unless every entry is
-    a finite number (a string is not, nor is an array of bools).  With
+    a finite number (a string is not, nor is a bool).  With
     ``shape`` it may be given nested or flat, and comes back in that shape."""
     raw = values
     if not isinstance(raw, np.ndarray):  # the solvers' arrays skip `reading`, 2 µs a call
         with reading(what):
             raw = np.asarray(values)
-    if raw.dtype.kind not in "iuf" or not np.isfinite(raw).all():
+    if raw.dtype.kind not in "iuf" or not np.isfinite(raw).all() or _hides_bool(values):
         raise ConfigError(f"{what} must be finite numbers")
     if shape not in (None, raw.shape) and (raw.ndim != 1 or raw.size != math.prod(shape)):
         raise ConfigError(f"{what} must have shape {shape}")

@@ -1,6 +1,5 @@
 """Max-min information games and exponent programs at small alphabets."""
 
-from ..collusion import input_orbits
 from .capacity import inner_min_channel, solve_capacity, solve_capacity_simple
 from .exponents import (
     exponent_sweep,
@@ -35,7 +34,6 @@ __all__ = [
     "check_fair_inequalities",
     "exponent_sweep",
     "inner_min_channel",
-    "input_orbits",
     "memoryless_exponent_variant",
     "pseudo_sphere_packing",
     "solve_capacity",

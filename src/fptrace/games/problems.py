@@ -28,8 +28,8 @@ from ..collusion import (
     _interleaving_table,
     _unmarked_symbol,
 )
-from ..errors import (ConfigError, InfeasibleError, float_array, int_at_least, pmf_rows,
-                      real_at_least, reading)
+from ..errors import (ConfigError, InfeasibleError, float_array, int_array, int_at_least,
+                      pmf_rows, real_at_least, reading)
 from ..types_core import _TINY, MAX_TABLE_CELLS, _safe_log2
 
 __all__ = [
@@ -258,10 +258,10 @@ def channel_family_from_dict(d: dict) -> ChannelFamily:
         if kind == "marking":
             return Marking()
         if kind == "hull":
-            return Hull([np.reshape(v, d["shape"]) for v in d["vertices"]])
+            return Hull([float_array(v, "hull vertex", tuple(d["shape"])) for v in d["vertices"]])
         if kind == "distortion":
-            est = np.reshape(d["estimator"], d["estimator_shape"])
-            return Distortion(est, np.reshape(d["d2"], d["d2_shape"]), d["cap"])
+            est = np.reshape(int_array(d["estimator"], "estimator"), d["estimator_shape"])
+            return Distortion(est, float_array(d["d2"], "d2", tuple(d["d2_shape"])), d["cap"])
     raise ConfigError(f"unknown channel family {kind!r}")
 
 

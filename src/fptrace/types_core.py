@@ -35,7 +35,6 @@ __all__ = [
     "entropy",
     "mutual_info",
     "multi_info",
-    "kl_divergence",
     "log_type_class_size",
     "quantize_pmf",
     "entropy_pmf",
@@ -287,7 +286,7 @@ def _safe_log2(a):
 
 def _divergence_terms(p, q):
     """Cellwise p log2(p / q) in bits, 0 where p = 0; the clipped logs keep
-    it finite off the support of q (``kl_divergence`` checks that itself)."""
+    it finite off the support of q."""
     return np.where(p > 0, p * (_safe_log2(p) - _safe_log2(q)), 0.0)
 
 
@@ -335,45 +334,7 @@ def multi_info(
 
 
 # ---------------------------------------------------------------------------
-# pmf twins (used by the game solvers) and divergence
-
-
-def _as_pmf(p) -> np.ndarray:
-    if isinstance(p, JointType):
-        return p.pmf()
-    return np.asarray(p, dtype=float)
-
-
-def kl_divergence(p, q, cond: np.ndarray | None = None) -> float:
-    """KL divergence D(p || q) in bits; +inf when support(p) escapes support(q).
-
-    Without ``cond``, p and q are joint pmfs of identical shape.  With
-    ``cond``, p and q are conditional laws whose leading axes match
-    ``cond.shape`` and the result is the cond-weighted average of the
-    per-cell divergences, D(p || q | cond).  JointType inputs are read as
-    their exact pmfs.
-    """
-    p = _as_pmf(p)
-    q = _as_pmf(q)
-    if p.shape != q.shape:
-        raise ConfigError(f"shape mismatch {p.shape} vs {q.shape}")
-    if cond is None:
-        pc = p.reshape(1, -1)
-        qc = q.reshape(1, -1)
-        w = np.ones(1)
-    else:
-        w = np.asarray(cond, dtype=float).ravel()
-        lead = np.asarray(cond).shape
-        if p.shape[: len(lead)] != lead:
-            raise ConfigError("cond shape must prefix the law shape")
-        pc = p.reshape(len(w), -1)
-        qc = q.reshape(len(w), -1)
-    mask = w > 0
-    pm = pc[mask]
-    qm = qc[mask]
-    if np.any((pm > 0) & (qm <= 0)):
-        return math.inf
-    return float(w[mask] @ _divergence_terms(pm, qm).sum(axis=1))
+# pmf twins (used by the game solvers)
 
 
 def entropy_pmf(p: np.ndarray, axes: tuple[int, ...], cond: tuple[int, ...] = ()) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from fptrace.collusion import ChannelSpec, _cell_classes, _interleaving_table, input_orbits
+from fptrace.collusion import ChannelSpec, _cell_classes, _interleaving_table
 from fptrace.errors import ConfigError, InfeasibleError
 from fptrace.games.problems import Distortion, FairMarking, Hull, Marking, _marking_linmin
 
@@ -88,7 +88,7 @@ def ref_distortion_linmin(family, grad, q, fair):
 
 
 def ref_fair_rows(k, x_size):
-    ids = input_orbits(k, x_size)[0]
+    ids = _cell_classes(k, x_size, True)[0]
     pairs, rep_cell = [], {}
     for tup in itertools.product(range(x_size), repeat=k):
         o = ids[tup]
@@ -119,17 +119,6 @@ def test_cell_classes_are_shared_and_read_only(orbits):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr.flat[0] = 0
-
-
-def test_input_orbits_keep_their_public_form():
-    ids, reps, sizes = input_orbits(3, 3)
-    assert input_orbits(3, 3)[0] is ids and input_orbits(3, 3)[1] is reps
-    assert isinstance(reps, tuple) and all(isinstance(r, tuple) for r in reps)
-    assert all(isinstance(s, int) for r in reps for s in r)
-    want_ids, want_reps, want_sizes, _ = ref_classes(3, 3, True)
-    assert np.array_equal(ids, want_ids) and reps == tuple(want_reps)
-    assert np.array_equal(sizes, want_sizes)
-    assert not ids.flags.writeable and not sizes.flags.writeable
 
 
 @pytest.mark.parametrize("k,q", [(k, q) for k in range(1, 6) for q in range(1, 5)])

@@ -101,6 +101,14 @@ def test_gen_non_numeric_p_host_exits_2(tmp_path, capsys):
     assert err.startswith("config error: p_host")
 
 
+def test_gen_bool_in_p_host_exits_2(tmp_path, capsys):
+    # once read as the host law [1.0, 0.0], and gen exited 0
+    cfg = write_json(tmp_path / "c.json", {"params": {
+        "n": 16, "num_users": 4, "s_size": 2, "p_host": [True, 0.0]}})
+    err = expect_one_line(capsys, run("gen", "--config", cfg, "--out", tmp_path))
+    assert err.startswith("config error: p_host")
+
+
 def test_gen_target_law_of_the_wrong_length_exits_2(tmp_path, capsys):
     cfg = write_json(tmp_path / "c.json", {"params": {
         "n": 16, "num_users": 4, "s_size": 1, "x_size": 2, "w_size": 1, "p_host": [1.0],
@@ -260,9 +268,10 @@ REAL_KEYS = [
 
 def _real_mutants(cfg, path):
     """A numeric string, NaN and both infinities for a real leaf, and a bool
-    for a scalar leaf or a rates entry."""
+    for a scalar leaf, a rates entry and the first entry of each table."""
     out = [str(_value(cfg, path)), math.nan, math.inf, -math.inf]
-    return out + [True] if isinstance(path[-1], str) or path[-2] == "rates" else out
+    first = not any(k for k in path if isinstance(k, int))
+    return out + [True] if first or path[-2] == "rates" else out
 
 
 REAL_CASES = [(c, i, p, v) for c, i, p in REAL_KEYS for v in _real_mutants(VALID[c][i], p)]
@@ -339,6 +348,16 @@ def test_bad_artifact_exits_2_with_one_line(tmp_path, capsys, book, case):
     capsys.readouterr()
     expect_one_line(capsys, _decode_with(tmp_path, book, **{name: make(book)}))
     assert not (tmp_path / "decode.json").exists()
+
+
+@pytest.mark.parametrize("name,key", [("pirate.json", "y"), ("codebook_key.json", "host")])
+def test_a_bool_in_an_artifact_table_exits_2(tmp_path, capsys, book, name, key):
+    # y once read the bool as symbol 1; the host reported symbol 1 out of range
+    doc = json.loads(book[name])
+    doc[key][0] = True
+    capsys.readouterr()
+    err = expect_one_line(capsys, _decode_with(tmp_path, book, **{name: json.dumps(doc)}))
+    assert f"{key} must be 1-D nonnegative integers" in err
 
 
 def test_valid_artifacts_decode(tmp_path, capsys, book):

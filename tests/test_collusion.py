@@ -1,4 +1,4 @@
-"""Attack channels, feasibility audits, fairness and exchangeability."""
+"""Attack channels, feasibility audits and colluder exchangeability."""
 
 import itertools
 import json
@@ -12,18 +12,15 @@ from fptrace.collusion import (
     AttackResult,
     ChannelSpec,
     _exchangeable,
+    _interleaving_table,
     apply_memoryless,
     check_distortion_attack,
     check_marking,
     feasibility_report,
     interleave,
-    interleaving_channel,
-    is_first_order_fair,
-    is_permutation_invariant,
-    permutation_average,
-    wrap_exchangeable,
 )
 from fptrace.errors import BudgetExceededError, ConfigError
+from fptrace.games.problems import Distortion
 
 
 def majority_channel(k=3):
@@ -39,11 +36,11 @@ def majority_channel(k=3):
 
 
 def test_interleaving_table_formula():
-    ch = interleaving_channel(2, 2)
+    ch = ChannelSpec(2, 2, 2, _interleaving_table(2, 2), class_tag="interleaving")
     # cell (0,1): half the mass on each symbol
     assert ch.table[0, 1, 0] == 0.5 and ch.table[0, 1, 1] == 0.5
     assert ch.table[0, 0, 0] == 1.0
-    assert is_permutation_invariant(ch)
+    assert _exchangeable(ch.table, 2)
 
 
 def test_class_validation_catches_lies():
@@ -153,13 +150,25 @@ def test_distortion_audit_checks_its_rule(est, d2, cap):
         check_distortion_attack(np.array([[0, 1], [1, 1]]), np.array([0, 1]), est, d2, cap)
 
 
+@pytest.mark.parametrize("x,y", [
+    ([[0, 1], [1, 1]], [0, 5]),  # once a raw IndexError
+    ([[0, 1], [1, 1]], [0, -1]),  # once read the last column of d2: (0.5, True)
+    ([[0, -1], [1, 1]], [0, 1]),  # once read the last estimator cell
+    ([[0, 1], [1, 1]], [0]),  # once broadcast over both positions
+], ids=["y-past-d2", "y-negative", "x-negative", "y-short"])
+def test_distortion_audit_checks_every_symbol(x, y):
+    est, d2 = [[0, 1], [1, 1]], [[0.0, 1.0], [1.0, 0.0]]
+    with pytest.raises(ConfigError):
+        check_distortion_attack(x, y, est, d2, 1.0)
+
+
 def test_distortion_channel_expected_value():
     # channel that always outputs colluder agreement or flips a coin
     ch = ChannelSpec(
         k=2,
         x_size=2,
         y_size=2,
-        table=interleaving_channel(2, 2).table,
+        table=_interleaving_table(2, 2),
         class_tag="distortion",
         estimator=np.array([[0, 1], [1, 1]]),  # symmetric OR estimate
         d2=np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -167,31 +176,12 @@ def test_distortion_channel_expected_value():
     )
     p = np.full((2, 2), 0.25)
     # cells (0,0),(1,1): zero cost; cells (0,1),(1,0): estimate=1, y uniform
-    assert ch.expected_distortion(p) == pytest.approx(0.25)
+    cost = Distortion(ch.estimator, ch.d2, ch.distortion_cap).expected_cost(ch.table, p)
+    assert cost == pytest.approx(0.25)
 
 
 # ---------------------------------------------------------------------------
 # permutation structure
-
-
-def test_permutation_average_is_invariant_and_idempotent():
-    rng = np.random.default_rng(7)
-    raw = rng.dirichlet(np.ones(2), size=(2, 2)).reshape(2, 2, 2)
-    ch = ChannelSpec(k=2, x_size=2, y_size=2, table=raw)
-    avg = permutation_average(ch)
-    assert is_permutation_invariant(avg)
-    again = permutation_average(avg)
-    assert np.allclose(again.table, avg.table, atol=1e-15)
-    # row-averaging preserves stochasticity
-    assert np.allclose(avg.table.sum(axis=-1), 1.0)
-
-
-def test_is_permutation_invariant_detects_asymmetry():
-    table = np.zeros((2, 2, 2))
-    table[..., 0] = 1.0
-    table[0, 1] = [0.0, 1.0]  # (0,1) differs from (1,0)
-    ch = ChannelSpec(k=2, x_size=2, y_size=2, table=table)
-    assert not is_permutation_invariant(ch)
 
 
 def relabelings(table, k):
@@ -200,36 +190,19 @@ def relabelings(table, k):
     return [np.transpose(table, p + rest) for p in itertools.permutations(range(k))]
 
 
-def pairwise_fair(x_rows, y, x_size, y_size):
-    """First-order fairness by comparing every pair of sibling cells."""
-    k = len(x_rows)
-    counts = np.zeros((x_size,) * k + (y_size,), dtype=np.int64)
-    np.add.at(counts, tuple(x_rows) + (y,), 1)
-    totals = counts.sum(axis=-1)
-    cells = itertools.product(range(x_size), repeat=k)
-    for a, b in itertools.combinations(cells, 2):
-        if sorted(a) == sorted(b) and totals[a] and totals[b]:
-            if np.any(counts[a] * totals[b] != counts[b] * totals[a]):
-                return False
-    return True
-
-
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 @pytest.mark.parametrize("x_size", [2, 3])
 def test_symmetry_helpers_match_the_factorial_reference(k, x_size):
     gen = np.random.default_rng(10 * k + x_size)
     raw = gen.dirichlet(np.ones(3), size=(x_size,) * k)
-    ch = ChannelSpec(k=k, x_size=x_size, y_size=3, table=raw)
-    avg = permutation_average(ch)
-    # the K! mean, summed exactly so only the helper's rounding shows
+    # the K! mean, summed exactly so that it is exactly invariant
     stack = np.stack(relabelings(raw, k))
     want = np.apply_along_axis(math.fsum, 0, stack) / math.factorial(k)
-    assert np.max(np.abs(avg.table - want)) <= 1e-15
 
     # the orbit-constant table, then the same table with one cell moved
     checked = {True: 0, False: 0}
     for cell in [None, *itertools.product(range(x_size), repeat=k)]:
-        table = avg.table.copy()
+        table = want.copy()
         if cell is not None:
             table[cell + (0,)] += 1e-6
         for tol in (0.0, 1e-9):
@@ -237,103 +210,7 @@ def test_symmetry_helpers_match_the_factorial_reference(k, x_size):
             assert _exchangeable(table, k, tol) == ref
             checked[ref] += 1
     assert checked[True] and checked[False]
-    assert is_permutation_invariant(avg) and not is_permutation_invariant(ch)
-
-    # fair realizations (y a function of the colluder multiset), one
-    # position flipped, and unstructured copies
-    n = 4 * x_size**k
-    x_rows = gen.integers(0, x_size, size=(k, n))
-    fair_y = np.sort(x_rows, axis=0).sum(axis=0) % 2
-    flipped = fair_y.copy()
-    mixed = np.flatnonzero(np.ptp(x_rows, axis=0) > 0)
-    flipped[mixed[0]] ^= 1
-    verdicts = []
-    for y in (fair_y, flipped, gen.integers(0, 2, size=n)):
-        verdict = is_first_order_fair(x_rows, y, y_size=2)
-        assert verdict == pairwise_fair(x_rows, y, x_size, 2)
-        verdicts.append(verdict)
-    assert verdicts[:2] == [True, False]
-
-
-# ---------------------------------------------------------------------------
-# first-order fairness of realizations
-
-
-def test_first_order_fair_interleaving_realization():
-    # hand-built realization: cells (0,1) and (1,0) each split y evenly
-    x1 = np.array([0, 0, 1, 1, 0, 1, 0, 1])
-    x2 = np.array([0, 1, 0, 1, 1, 0, 1, 0])
-    # cells (0,1) at t=1,4,6 and (1,0) at t=2,5,7 both read y-counts (2,1)
-    y = np.array([0, 0, 0, 1, 1, 1, 0, 0])
-    assert is_first_order_fair(np.stack([x1, x2]), y, y_size=2)
-
-
-def test_first_order_fair_rejects_copy_attack():
-    # y = x1 exactly: cell (0,1) says y=0, cell (1,0) says y=1
-    x1 = np.array([0, 1, 0, 1])
-    x2 = np.array([1, 0, 0, 1])
-    assert not is_first_order_fair(np.stack([x1, x2]), x1.copy(), y_size=2)
-
-
-def test_first_order_fair_ignores_empty_sibling_cells():
-    # only cell (0,1) occurs; its mirror (1,0) never does -> vacuously fair
-    x1 = np.zeros(4, dtype=int)
-    x2 = np.ones(4, dtype=int)
-    y = np.array([0, 1, 0, 1])
-    assert is_first_order_fair(np.stack([x1, x2]), y, y_size=2)
-
-
-# ---------------------------------------------------------------------------
-# exchangeability wrapper
-
-
-class QueuedGen:
-    """Stub generator returning queued permutations, delegating the rest."""
-
-    def __init__(self, perms):
-        self._perms = list(perms)
-        self._inner = np.random.default_rng(0)
-
-    def permutation(self, n):
-        return np.asarray(self._perms.pop(0))
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-def cut_and_paste(x_rows, rng):
-    """First half from colluder 1, second half from colluder 2."""
-    k, n = x_rows.shape
-    y = np.concatenate([x_rows[0][: n // 2], x_rows[1][n // 2 :]])
-    return feasibility_report(x_rows, y, y_size=2, x_size=2)
-
-
-def test_wrap_exchangeable_uniformizes_within_type_class():
-    # exact distribution over all 4! position permutations
-    x = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])
-    wrapped = wrap_exchangeable(cut_and_paste)
-    outcomes = {}
-    for pi in itertools.permutations(range(4)):
-        res = wrapped(x, QueuedGen([pi]))
-        outcomes.setdefault(tuple(res.y), 0)
-        outcomes[tuple(res.y)] += 1
-        # per-position pairing preserved: y always copies some colluder
-        assert np.all((res.y == x[0]) | (res.y == x[1]))
-    # group outcomes by their joint type with x: within a class, uniform
-    by_class = {}
-    for y, hits in outcomes.items():
-        rep = feasibility_report(x, np.array(y), y_size=2, x_size=2)
-        key = rep.realized.counts.tobytes()
-        by_class.setdefault(key, []).append(hits)
-    for hits in by_class.values():
-        assert len(set(hits)) == 1  # equiprobable within the class
-
-
-def test_wrap_exchangeable_keeps_marking():
-    x = np.array([[0, 0, 1, 1, 1, 0], [0, 1, 1, 0, 1, 0]])
-    wrapped = wrap_exchangeable(cut_and_paste)
-    res = wrapped(x, np.random.default_rng(3))
-    assert res.marking_ok
+    assert not _exchangeable(raw, k)
 
 
 def test_feasibility_report_length_check():
@@ -367,7 +244,8 @@ def test_realized_joint_type_is_counted_on_read_under_the_cell_cap():
 
 @pytest.mark.parametrize("field,value", [("k", 2.5), ("x_size", True), ("y_size", 2.0)])
 def test_channel_dimensions_are_integers_not_truncated(field, value):
-    payload = json.loads(interleaving_channel(2, 2).to_json())
+    ch = ChannelSpec(2, 2, 2, _interleaving_table(2, 2), class_tag="interleaving")
+    payload = json.loads(ch.to_json())
     with pytest.raises(ConfigError, match="positive integers"):
         ChannelSpec.from_json(json.dumps(dict(payload, **{field: value})))
 
@@ -392,11 +270,24 @@ def test_channel_reader_refuses_a_negative_estimate():
         ChannelSpec.from_json(_distortion_json([0, -1, -1, 1]))
 
 
+@pytest.mark.parametrize("text", [
+    _distortion_json([0, True, True, 1]),
+    _distortion_json([0, 1, 1, 1], (0, 1, True, 0)),
+    json.dumps(dict(json.loads(_distortion_json([0, 1, 1, 1])), table=[True, 0] + [0.5] * 6)),
+], ids=["estimator", "d2", "table"])
+def test_channel_reader_refuses_a_bool_among_numbers(text):
+    # each once read the bool as 1: numpy reshaped the list before any check
+    with pytest.raises(ConfigError, match="must be"):
+        ChannelSpec.from_json(text)
+
+
 def test_distortion_channel_takes_a_cost_table_wider_than_its_outputs():
     # as a Distortion family does: the costs of outputs past Y are unused
     wide = ChannelSpec.from_json(_distortion_json([0, 1, 1, 1], (0, 1, 5, 1, 0, 5), (2, 3)))
     assert wide.d2.shape == (2, 3)
-    assert wide.expected_distortion(np.full(4, 0.25)) == pytest.approx(0.5)
+    cost = Distortion(wide.estimator, wide.d2, wide.distortion_cap).expected_cost(
+        wide.table, np.full((2, 2), 0.25))
+    assert cost == pytest.approx(0.5)
     narrow = _distortion_json([0, 1, 1, 1], (0, 1), (2, 1))
     with pytest.raises(ConfigError, match="output alphabet"):
         ChannelSpec.from_json(narrow)

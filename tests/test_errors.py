@@ -8,7 +8,8 @@ import pytest
 
 from fptrace.codec import CodeParams, build_codebook
 from fptrace.decoders import DecodeConfig, mpmi_score
-from fptrace.errors import ConfigError, float_array, index_set, pmf_rows, real_at_least
+from fptrace.errors import (ConfigError, float_array, index_set, int_array, pmf_rows,
+                            real_at_least)
 from fptrace.games import (
     FairMarking,
     GameProblem,
@@ -39,6 +40,15 @@ def test_real_at_least_takes_an_integer_too_large_for_a_float():
                                     np.array([True, False]), [[1.0], [0.5, 0.5]]])
 def test_tables_refuse_bools_strings_and_non_finite_entries(check, values):
     with pytest.raises(ConfigError, match="^t"):
+        check(values, "t")
+
+
+@pytest.mark.parametrize("check", [float_array, pmf_rows, int_array])
+@pytest.mark.parametrize("values", [[True, 0.0], [[0.0, 1.0], [0, True]], [1, np.bool_(False)],
+                                    [np.array([True, False]), np.array([0.0, 1.0])]])
+def test_a_bool_among_numbers_is_refused_not_read_as_1_or_0(check, values):
+    # each once passed: numpy reads the list as numbers before any check
+    with pytest.raises(ConfigError, match="^t must be"):
         check(values, "t")
 
 

@@ -27,7 +27,6 @@ from fptrace.games import (
     check_fair_inequalities,
     exponent_sweep,
     inner_min_channel,
-    input_orbits,
     memoryless_exponent_variant,
     pseudo_sphere_packing,
     solve_capacity,
@@ -52,22 +51,7 @@ def law_for(problem, p0):
 
 
 # ---------------------------------------------------------------------------
-# orbits and problem plumbing
-
-
-def test_orbits_partition_the_input_cube():
-    ids, reps, sizes = input_orbits(3, 2)
-    assert ids.shape == (2, 2, 2)
-    assert sizes.sum() == 8
-    for cell in itertools.product(range(2), repeat=3):
-        assert tuple(sorted(cell)) == reps[ids[cell]]
-
-
-def test_orbit_table_is_shared_and_read_only():
-    ids, reps, sizes = input_orbits(3, 2)
-    assert input_orbits(3, 2)[0] is ids
-    assert isinstance(reps, tuple)
-    assert not ids.flags.writeable and not sizes.flags.writeable
+# problem plumbing
 
 
 def test_problem_roundtrip_through_dict():
@@ -744,6 +728,23 @@ def test_family_reader_refuses_a_fractional_estimator():
         channel_family_from_dict(d)  # once read as [[0, 0], [0, 1]]
     assert channel_family_from_dict(dict(d, estimator=[0, 1, 1, 1])).estimator.tolist() == [
         [0, 1], [1, 1]]
+
+
+DISTORTION_FAMILY = {"kind": "distortion", "estimator": [0, 1, 1, 1], "estimator_shape": [2, 2],
+                     "d2": [0, 1, 1, 0], "d2_shape": [2, 2], "cap": 0.5}
+HULL_FAMILY = {"kind": "hull", "shape": [2, 2, 2], "vertices": [[1, 0] * 4]}
+
+
+@pytest.mark.parametrize("family,key,value,what", [
+    (DISTORTION_FAMILY, "estimator", [0, True, True, 1], "estimator"),
+    (DISTORTION_FAMILY, "d2", [0, 1, True, 0], "d2"),
+    (HULL_FAMILY, "vertices", [[True, 0, 0, 1, 0, 1, 0, 1]], "hull vertex"),
+])
+def test_family_readers_refuse_a_bool_among_numbers(family, key, value, what):
+    # each once read the bool as 1: numpy reshaped the list before any check
+    channel_family_from_dict(family)
+    with pytest.raises(ConfigError, match=what):
+        channel_family_from_dict(dict(family, **{key: value}))
 
 
 def test_distortion_family_with_a_wide_cost_table_solves():

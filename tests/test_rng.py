@@ -29,7 +29,7 @@ def test_valid_keys_keep_their_words_and_streams():
 
 
 def test_a_user_past_2_32_has_no_row_aliasing_a_small_user():
-    # CodeParams.for_rate gives books this large whenever n * rate > 32
+    # a rate above 32 / n gives books this large
     params = CodeParams(n=34, num_users=2**33)
     cb = build_codebook(params, np.zeros(34, dtype=np.int64), np.zeros(34, dtype=np.int64), 3)
     assert cb.row(1).shape == (34,)

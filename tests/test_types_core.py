@@ -23,14 +23,13 @@ from fptrace.types_core import (
     entropy,
     entropy_pmf,
     joint_type,
-    kl_divergence,
     log_type_class_size,
     multi_info,
     multi_info_pmf,
     mutual_info,
     quantize_pmf,
 )
-from fptrace.types_core import _count_entropy
+from fptrace.types_core import _count_entropy, _divergence_terms
 
 
 def seq(symbols, size):
@@ -225,44 +224,16 @@ def test_batched_entropy_equals_scalar_calls_bit_for_bit():
 
 
 # ---------------------------------------------------------------------------
-# KL divergence
+# divergence terms
 
 
-def test_kl_frozen_value():
-    d = kl_divergence(np.array([0.5, 0.5]), np.array([0.25, 0.75]))
+def test_divergence_terms_frozen_value_and_zero_where_p_vanishes():
+    d = _divergence_terms(np.array([0.5, 0.5]), np.array([0.25, 0.75])).sum()
     want = 1.0 - 0.5 * math.log2(3.0)  # 0.5 log2(2) + 0.5 log2(2/3)
     assert d == pytest.approx(want, abs=1e-14)
-
-
-def test_kl_support_violation_is_inf():
-    assert kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == math.inf
-
-
-def test_kl_zero_on_equal_and_nonnegative():
-    rng = np.random.default_rng(1)
-    p = rng.dirichlet(np.ones(6))
-    assert kl_divergence(p, p) == pytest.approx(0.0, abs=1e-14)
-    q = rng.dirichlet(np.ones(6))
-    assert kl_divergence(p, q) >= 0.0
-
-
-def test_kl_conditional_weighting():
-    p = np.array([[0.5, 0.5], [0.9, 0.1]])
-    q = np.array([[0.25, 0.75], [0.9, 0.1]])
-    w = np.array([0.3, 0.7])
-    want = 0.3 * kl_divergence(p[0], q[0]) + 0.7 * kl_divergence(p[1], q[1])
-    assert kl_divergence(p, q, cond=w) == pytest.approx(want, abs=1e-14)
-    # zero-weight cells are ignored even if their support would clash
-    q2 = np.array([[0.25, 0.75], [1.0, 0.0]])
-    w2 = np.array([1.0, 0.0])
-    assert math.isfinite(kl_divergence(p, q2, cond=w2))
-
-
-def test_kl_accepts_joint_types():
-    jt = joint_type([seq([0, 1, 1, 1], 2)])
-    uniform = np.array([0.5, 0.5])
-    want = 0.25 * math.log2(0.25 / 0.5) + 0.75 * math.log2(0.75 / 0.5)
-    assert kl_divergence(jt, uniform) == pytest.approx(want, abs=1e-14)
+    # 0 log(0 / q) = 0, also where q vanishes
+    terms = _divergence_terms(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.5, 0.5]))
+    assert terms.tolist() == [0.0, 0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
