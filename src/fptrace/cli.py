@@ -14,7 +14,8 @@ gets the same repair as ``memoryless_exponent_variant``.
 
 All emitted floats carry 9 significant digits and tables use a fixed
 column order, so repeated runs with the same seed produce byte-identical
-files regardless of worker count or machine load.
+CSV tables regardless of worker count or machine load (``report.json``
+also records wall-clock seconds).
 """
 
 import argparse
@@ -31,8 +32,8 @@ from . import rng as rngmod
 from .codec import CodeParams, build_codebook, draw_host, draw_timeshare, read_codebook, write_codebook
 from .collusion import ChannelSpec, apply_memoryless, interleave
 from .decoders import DecodeConfig, guilt_indices, mpmi_decode, threshold_decode
-from .errors import (BudgetExceededError, ConfigError, FptraceError, int_array, int_at_least,
-                     read_json, reading, real_at_least)
+from .errors import (BudgetExceededError, ConfigError, FptraceError, int_at_least, read_json,
+                     reading, real_at_least)
 from .games import (
     GameProblem,
     InputLaw,
@@ -221,7 +222,7 @@ def _cmd_decode(args) -> int:
     if not pirate_path.exists():
         raise ConfigError(f"missing {pirate_path}; run attack first")
     with reading("pirated copy"):
-        y = int_array(read_json(pirate_path, "pirated copy")["y"], "pirated copy y", 1)
+        y = read_json(pirate_path, "pirated copy")["y"]
     dcfg = _decode_config_from(cfg)
     name = cfg.get("decoder", "threshold")
     if name not in ("threshold", "mpmi"):

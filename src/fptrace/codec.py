@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import (ConfigError, InfeasibleError, float_array, int_array, int_at_least, pmf_rows,
-                     read_json, real_at_least, reading)
+                     read_json, real_at_least, reading, symbols)
 from .types_core import JointType, quantize_pmf
 
 __all__ = [
@@ -81,7 +81,7 @@ class CodeParams:
             # strict per count: 16.0 is refused, not read as 16
             if not all(int_at_least(c, 0) for c in wt):
                 raise ConfigError(f"target_w_type must list integer counts: {wt!r}")
-            wt = JointType((w,), np.asarray(wt, dtype=np.int64))
+            wt = JointType((w,), wt)
         if wt.axes != (w,) or wt.n != self.n:
             raise ConfigError("target_w_type must be a type over W with total n")
         object.__setattr__(self, "target_w_type", wt)
@@ -154,9 +154,8 @@ def sample_type_class(
         block = np.repeat(np.arange(comp.size), comp)
         return rng.permutation(block)
     comp = int_array(composition, "conditional composition (cells x symbols)", 2)
-    cond_seq = int_array(cond_seq, "cond_seq", 1)
-    have = np.bincount(cond_seq, minlength=comp.shape[0])
-    if have.size > comp.shape[0] or np.any(comp.sum(axis=1) != have[: comp.shape[0]]):
+    cond_seq = symbols(cond_seq, "cond_seq", comp.shape[0])
+    if np.any(comp.sum(axis=1) != np.bincount(cond_seq, minlength=comp.shape[0])):
         raise ConfigError("cell totals do not match the conditioning sequence")
     return _arrange(_cell_plan(cond_seq, comp), rng)
 
@@ -207,27 +206,24 @@ class Codebook:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        host = np.asarray(self.host, dtype=np.int64)
-        w = np.asarray(self.timeshare, dtype=np.int64)
-        n = self.params.n
-        if host.shape != (n,) or w.shape != (n,):
+        p = self.params
+        if not int_at_least(self.seed, 0):
+            raise ConfigError(f"the seed must be an integer >= 0, not {self.seed!r}")
+        host = symbols(self.host, "host", p.s_size)
+        w = symbols(self.timeshare, "timeshare", p.w_size)
+        if host.shape != (p.n,) or w.shape != (p.n,):
             raise ConfigError("host/timeshare length must equal the blocklength")
-        if host.size and (host.min() < 0 or host.max() >= self.params.s_size):
-            raise ConfigError("host symbols out of range")
-        if w.size and (w.min() < 0 or w.max() >= self.params.w_size):
-            raise ConfigError("timeshare symbols out of range")
-        tw = np.bincount(w, minlength=self.params.w_size)
-        if not np.array_equal(tw, self.params.target_w_type.counts):
+        if not np.array_equal(np.bincount(w, minlength=p.w_size), p.target_w_type.counts):
             raise ConfigError("timeshare sequence is not in the target type class")
         host.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "timeshare", w)
-        for name, size in (("rp_perm", self.params.num_users), ("rm_perm", n)):
+        for name, size in (("rp_perm", p.num_users), ("rm_perm", p.n)):
             perm = getattr(self, name)
             if perm is None:
                 continue
-            perm = np.asarray(perm, dtype=np.int64)
+            perm = symbols(perm, name, size)
             if perm.shape != (size,) or not np.array_equal(np.sort(perm), np.arange(size)):
                 raise ConfigError(f"{name} is not a permutation of {size} indices")
             object.__setattr__(self, name, perm)
@@ -330,7 +326,7 @@ def build_codebook(
     Raises InfeasibleError if the quantized per-cell composition already
     breaks the embedding distortion cap (then no draw could succeed).
     """
-    cb = Codebook(params=params, host=s, timeshare=w, seed=int(seed))
+    cb = Codebook(params=params, host=s, timeshare=w, seed=seed)
     cb._cells()  # force composition + distortion feasibility check
     return cb
 
@@ -427,16 +423,10 @@ def read_codebook(rows_path, header_path, key_path) -> Codebook:
         params = CodeParams.from_dict(header["params"])
         fingerprint = header["seed_fingerprint"]
     with reading("codebook keyfile"):
-        if not int_at_least(key["seed"], 0) or _seed_fingerprint(key["seed"]) != fingerprint:
+        cb = Codebook(params, key["host"], key["timeshare"], key["seed"], key["rp_perm"],
+                      key["rm_perm"])
+        if _seed_fingerprint(cb.seed) != fingerprint:
             raise ConfigError("keyfile does not match codebook header")
-        cb = Codebook(
-            params=params,
-            host=int_array(key["host"], "host", 1),
-            timeshare=int_array(key["timeshare"], "timeshare", 1),
-            seed=key["seed"],
-            rp_perm=None if key["rp_perm"] is None else int_array(key["rp_perm"], "rp_perm", 1),
-            rm_perm=None if key["rm_perm"] is None else int_array(key["rm_perm"], "rm_perm", 1),
-        )
     users = []
     with reading("codebook rows"), open(rows_path) as fh:
         for line in filter(str.strip, fh):

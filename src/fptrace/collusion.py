@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BudgetExceededError, ConfigError, float_array, int_array, int_at_least,
-                     pmf_rows, real_at_least, reading)
+                     pmf_rows, real_at_least, reading, symbols)
 from .types_core import MAX_TABLE_CELLS, JointType, count_table
 
 __all__ = [
@@ -72,6 +72,9 @@ class ChannelSpec:
         if table.shape != want:
             raise ConfigError(f"channel table shape {table.shape}, expected {want}")
         object.__setattr__(self, "table", table)
+        rule = (self.estimator, self.d2, self.distortion_cap)
+        if self.class_tag != "distortion" and any(v is not None for v in rule):
+            raise ConfigError("only a distortion channel carries an estimator, d2 and a cap")
 
         if self.class_tag == "boneh_shaw":
             if self.y_size < self.x_size:
@@ -86,7 +89,7 @@ class ChannelSpec:
             if np.max(np.abs(table - ref)) > 1e-12:
                 raise ConfigError("table is not the uniform-copy channel")
         elif self.class_tag == "distortion":
-            est, d2, _ = _distortion_rule(self.estimator, self.d2, self.distortion_cap)
+            est, d2, _ = _distortion_rule(*rule)
             if est.shape != (self.x_size,) * self.k:
                 raise ConfigError("estimator must map every colluder cell")
             _distortion_costs(est, d2, self.y_size)  # d2 must cover the outputs
@@ -132,8 +135,8 @@ def _distortion_rule(estimator, d2, cap) -> tuple[np.ndarray, np.ndarray, float]
     table with a row per estimate and any number of outputs, and the cap a
     finite number."""
     est = int_array(estimator, "estimator")
-    if not _exchangeable(est, est.ndim):
-        raise ConfigError("estimator must be invariant to colluder order")
+    if est.ndim == 0 or not _exchangeable(est, est.ndim):
+        raise ConfigError("estimator must take one symbol per colluder, in any order")
     d2 = float_array(d2, "d2")
     if d2.ndim != 2 or d2.shape[0] <= est.max(initial=0):
         raise ConfigError("d2 must be an (estimate, output) table covering every estimate")
@@ -255,6 +258,29 @@ class AttackResult:
         return JointType(self.axes, counts, len(self.y))
 
 
+def _rows_and_copy(x_rows, y=None, x_size=None, y_size=None) -> tuple:
+    """(rows, copy) as `errors.symbols` reads them: (K, n) colluder rows with
+    K, n >= 1 and a copy of n symbols, each below its alphabet size when
+    that is given.  Without a copy, the rows alone."""
+    x_rows = symbols(x_rows, "colluder rows", x_size, ndim=2)
+    if x_rows.size == 0:
+        raise ConfigError("colluder rows must hold a colluder and a position")
+    if y is not None:
+        y = symbols(y, "pirated copy", y_size)
+        if y.shape != x_rows.shape[1:]:
+            raise ConfigError("pirated copy length mismatch")
+    return x_rows, y
+
+
+def _report(x_rows, y, x_size, y_size, distortion=(None, None)) -> AttackResult:
+    """The audit of rows and a copy that `_rows_and_copy` has read, with the
+    (cost, verdict) pair of a distortion rule when one applies."""
+    if x_size is None:
+        x_size = int(x_rows.max()) + 1
+    axes = (x_size,) * len(x_rows) + (y_size,)
+    return AttackResult(y, x_rows, axes, _marks_kept(x_rows, y), *distortion)
+
+
 def feasibility_report(
     x_rows: np.ndarray,
     y: np.ndarray,
@@ -265,67 +291,53 @@ def feasibility_report(
     cap: float | None = None,
 ) -> AttackResult:
     """Audit a pirated copy against the marking and distortion rules."""
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.int64))
-    y = np.asarray(y, dtype=np.int64)
-    k, n = x_rows.shape
-    if y.shape != (n,):
-        raise ConfigError("pirated copy length mismatch")
-    if x_size is None:
-        x_size = int(x_rows.max()) + 1 if x_rows.size else 1
-    marking_ok = check_marking(x_rows, y)
-    distortion = None
-    distortion_ok = None
-    if estimator is not None:
-        if d2 is None or cap is None:
-            raise ConfigError("distortion audit needs estimator, d2 and cap together")
-        distortion, distortion_ok = check_distortion_attack(x_rows, y, estimator, d2, cap)
-    axes = (x_size,) * k + (y_size,)
-    return AttackResult(y, x_rows, axes, marking_ok, distortion, distortion_ok)
+    x_rows, y = _rows_and_copy(x_rows, y, x_size, y_size)
+    if estimator is None:
+        return _report(x_rows, y, x_size, y_size)
+    if d2 is None or cap is None:
+        raise ConfigError("distortion audit needs estimator, d2 and cap together")
+    distortion = check_distortion_attack(x_rows, y, estimator, d2, cap)
+    return _report(x_rows, y, x_size, y_size, distortion)
 
 
 def interleave(
     x_rows: np.ndarray, rng: np.random.Generator, x_size: int | None = None
 ) -> AttackResult:
     """Position-wise uniform colluder copy."""
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.int64))
-    k, n = x_rows.shape
-    pick = rng.integers(0, k, size=n)
-    y = x_rows[pick, np.arange(n)]
+    x_rows = _rows_and_copy(x_rows, x_size=x_size)[0]
     if x_size is None:
         x_size = int(x_rows.max()) + 1
-    return feasibility_report(x_rows, y, y_size=x_size, x_size=x_size)
+    k, n = x_rows.shape
+    y = x_rows[rng.integers(0, k, size=n), np.arange(n)]
+    return _report(x_rows, y, x_size, x_size)
 
 
 def apply_memoryless(
     x_rows: np.ndarray, ch: ChannelSpec, rng: np.random.Generator
 ) -> AttackResult:
     """Drive colluder rows through a memoryless channel."""
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.int64))
+    x_rows = _rows_and_copy(x_rows, x_size=ch.x_size)[0]
     k, n = x_rows.shape
     if k != ch.k:
         raise ConfigError(f"channel expects {ch.k} colluders, got {k}")
-    if x_rows.size and x_rows.max() >= ch.x_size:
-        raise ConfigError("colluder symbols exceed the channel input alphabet")
     flat = ch.table.reshape(-1, ch.y_size)
     cells = np.ravel_multi_index(tuple(x_rows), (ch.x_size,) * k)
-    cdf = np.cumsum(flat[cells], axis=1)
+    # the last output takes any u past the others' mass, so y < y_size
+    cdf = np.cumsum(flat[cells], axis=1)[:, :-1]
     u = rng.random(n)
     y = (u[:, None] > cdf).sum(axis=1).astype(np.int64)
-    return feasibility_report(
-        x_rows,
-        y,
-        y_size=ch.y_size,
-        x_size=ch.x_size,
-        estimator=ch.estimator,
-        d2=ch.d2,
-        cap=ch.distortion_cap,
-    )
+    distortion = (None, None)
+    if ch.estimator is not None:
+        distortion = _cost(x_rows, y, ch.estimator, ch.d2, ch.distortion_cap)
+    return _report(x_rows, y, ch.x_size, ch.y_size, distortion)
 
 
 def check_marking(x_rows: np.ndarray, y: np.ndarray) -> bool:
     """True iff y copies the colluders wherever they all agree."""
-    x_rows = np.atleast_2d(np.asarray(x_rows))
-    y = np.asarray(y)
+    return _marks_kept(*_rows_and_copy(x_rows, y))
+
+
+def _marks_kept(x_rows: np.ndarray, y: np.ndarray) -> bool:
     agree = np.all(x_rows == x_rows[0], axis=0)
     return bool(np.all(y[agree] == x_rows[0][agree]))
 
@@ -342,16 +354,15 @@ def check_distortion_attack(
     The estimator must be invariant to colluder order; the same audit then
     applies no matter how the coalition labels itself.  Every symbol must
     index its table: x one of the estimator's axes, y a column of ``d2``.
+    An empty copy has no average and is refused.
     """
-    x_rows = np.atleast_2d(int_array(x_rows, "colluder rows"))
-    y = int_array(y, "pirated copy", 1)
     estimator, d2, cap = _distortion_rule(estimator, d2, cap)
-    if estimator.ndim != x_rows.shape[0]:
+    x_rows, y = _rows_and_copy(x_rows, y, estimator.shape[0], d2.shape[1])
+    if estimator.ndim != len(x_rows):
         raise ConfigError("the estimator must take one symbol per colluder")
-    if y.shape != x_rows.shape[1:]:
-        raise ConfigError("pirated copy length mismatch")
-    if x_rows.max(initial=0) >= estimator.shape[0] or y.max(initial=0) >= d2.shape[1]:
-        raise ConfigError("a colluder symbol is past the estimator or an output past d2")
+    return _cost(x_rows, y, estimator, d2, cap)
+
+
+def _cost(x_rows, y, estimator, d2, cap) -> tuple[float, bool]:
     value = float(d2[estimator[tuple(x_rows)], y].mean())
     return value, value <= cap + 1e-12
-

@@ -40,6 +40,7 @@ from .errors import (
     index_set,
     int_at_least,
     real_at_least,
+    symbols,
 )
 from .types_core import _count_entropy, _xlogx_table
 # not used here; perfbench's traced run wraps these names on this module
@@ -136,11 +137,9 @@ class _Scorer:
 
     def __init__(self, cb: Codebook, y: np.ndarray) -> None:
         p = cb.params
-        y = np.asarray(y, dtype=np.int64)
+        y = symbols(y, "pirated copy y")
         if y.shape != (p.n,):
             raise ConfigError("pirated sequence length must match the blocklength")
-        if y.min() < 0:
-            raise ConfigError("pirated sequence has negative symbols")
         y = np.unique(y, return_inverse=True)[1]
         side = cb.host * p.w_size + cb.effective_w()
         self.n, self.x_size, self.sides = p.n, p.x_size, p.s_size * p.w_size

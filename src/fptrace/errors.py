@@ -9,7 +9,8 @@ serialized channels and types) is decoded here and refused, never
 coerced.  Every reader is one constructor call inside `reading`, which
 turns a missing file or key, or a value of the wrong kind or shape, into
 a one-line ConfigError; `read_json` loads a file under it.  The checks:
-`int_at_least` for an integer, with `int_array` and `index_set`;
+`int_at_least` for an integer, with `int_array`, `index_set` and
+`symbols`, the one check of a symbol sequence over a known alphabet;
 `real_at_least` and `float_array`, their twins for a finite real (never a
 bool or a string); and `pmf_rows`, the one probability check: rows sum
 to 1 within 1e-9, entries down to -1e-12 are clipped to 0, none rescaled.
@@ -36,19 +37,38 @@ def int_at_least(value, low) -> bool:
 
 
 def int_array(values, what: str, ndim: int | None = None) -> np.ndarray:
-    """``values`` as int64, refused unless integral and nonnegative (and
-    ``ndim``-D when given).  Integral floats pass; a bool, a string or a
-    fraction does not."""
-    with reading(what):
-        raw = np.asarray(values)
-    out = None
-    if (ndim in (None, raw.ndim) and raw.dtype.kind in "iuf" and np.all(np.isfinite(raw))
-            and not _hides_bool(values)):
-        with np.errstate(invalid="ignore"):  # a float past int64 fails below
-            out = raw.astype(np.int64)
-    if out is None or np.any(out != raw) or np.any(out < 0):
+    """``values`` as a new int64 array, refused unless integral and
+    nonnegative (and ``ndim``-D when given).  Integral floats pass; a bool,
+    a string or a fraction does not."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        # an integer array, the usual case, takes 2 µs: a uint64 past int64
+        # wraps below 0 and is refused there
+        out = values.astype(np.int64)
+        ok = ndim in (None, out.ndim) and out.min(initial=0) >= 0
+    else:
+        with reading(what):
+            raw = np.asarray(values)
+        ok = (ndim in (None, raw.ndim) and raw.dtype.kind in "iuf" and np.all(np.isfinite(raw))
+              and not _hides_bool(values))
+        if ok:
+            with np.errstate(invalid="ignore"):  # a float past int64 fails below
+                out = raw.astype(np.int64)
+            ok = np.all(out == raw) and out.min(initial=0) >= 0
+    if not ok:
         shape = "" if ndim is None else f"{ndim}-D "
         raise ConfigError(f"{what} must be {shape}nonnegative integers")
+    return out
+
+
+def symbols(values, what: str, size: int | None = None, ndim: int = 1) -> np.ndarray:
+    """``values`` as `int_array` reads them, ``ndim``-D, and refused unless
+    every symbol is below ``size`` when that alphabet size is given (an
+    integer >= 1)."""
+    if size is not None and not int_at_least(size, 1):
+        raise ConfigError(f"the alphabet of {what} must be an integer >= 1, not {size!r}")
+    out = int_array(values, what, ndim)
+    if size is not None and out.max(initial=-1) >= size:
+        raise ConfigError(f"{what} must be symbols in 0..{size - 1}")
     return out
 
 

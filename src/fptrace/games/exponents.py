@@ -40,7 +40,8 @@ from scipy.optimize import minimize
 
 from .. import collusion
 from .. import rng as rngmod
-from ..errors import ConfigError, float_array, index_set, int_at_least, real_at_least
+from ..errors import (ConfigError, InfeasibleError, float_array, index_set, int_at_least,
+                      real_at_least)
 from ..types_core import _LN2, _TINY, _divergence_terms, _safe_log2, multi_info_pmf
 from .capacity import _fd_ascent, _frank_wolfe, _law_from_theta, _softmax, _theta_dim
 from .problems import Distortion, FairMarking, Hull, Marking
@@ -482,7 +483,7 @@ def _solve_program(
             c_r = problem.channel_class.linmin(
                 gen.normal(size=lay.xshape + (lay.y,)), q_x=q_x, fair=False
             )
-        except Exception:
+        except InfeasibleError:
             c_r = c_floor
         mix = gen.uniform(0.3, 1.0)
         c_mixed = mix * c_r + (1.0 - mix) * c_floor

@@ -22,11 +22,9 @@ from ..collusion import (
     ChannelSpec,
     _cell_classes,
     _class_sums,
-    _exchangeable,
     _distortion_costs,
     _distortion_rule,
     _interleaving_table,
-    _unmarked_symbol,
 )
 from ..errors import (ConfigError, InfeasibleError, float_array, int_array, int_at_least,
                       pmf_rows, real_at_least, reading)
@@ -66,9 +64,6 @@ class ChannelFamily:
     def linmin(self, grad, q_x=None, fair=False):
         raise NotImplementedError
 
-    def contains(self, table, q_x=None, tol=1e-8) -> bool:
-        raise NotImplementedError
-
     def to_dict(self) -> dict:
         return {"kind": self.kind}
 
@@ -104,11 +99,6 @@ class _MarkingFamily(ChannelFamily):
 
     def linmin(self, grad, q_x=None, fair=False):
         return _marking_linmin(grad, fair or self.always_fair)
-
-    def contains(self, table, q_x=None, tol=1e-8):
-        if self.always_fair and not _exchangeable(table, table.ndim - 1, tol):
-            return False
-        return _unmarked_symbol(table, tol) is None
 
 
 class FairMarking(_MarkingFamily):
@@ -171,15 +161,6 @@ class Hull(ChannelFamily):
             mix = mix + lam * v
         return mix
 
-    def contains(self, table, q_x=None, tol=1e-8):
-        flat = [v.ravel() for v in self.vertices]
-        n = len(flat)
-        a_eq = np.vstack([np.stack(flat, axis=1), np.ones((1, n))])
-        b_eq = np.concatenate([np.asarray(table, dtype=float).ravel(), [1.0]])
-        res = linprog(np.zeros(n), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, 1.0))
-        con = getattr(res, "con", None)
-        return bool(res.success) and (con is None or float(np.max(np.abs(con))) <= tol)
-
     def to_dict(self):
         return {
             "kind": self.kind,
@@ -229,11 +210,6 @@ class Distortion(ChannelFamily):
         if not res.success:
             raise InfeasibleError("distortion cap admits no channel at this input law")
         return res.x.reshape(n_rows, y_size)[ids]
-
-    def contains(self, table, q_x=None, tol=1e-8):
-        if q_x is None:
-            raise ConfigError("distortion polytope needs the coalition input law")
-        return self.expected_cost(table, q_x) <= self.cap + tol
 
     def expected_cost(self, table, q_x):
         cost = self._cost(table.shape[-1])

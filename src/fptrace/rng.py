@@ -47,7 +47,10 @@ def derive(master_seed: int, *keys: str | int) -> np.random.Generator:
     """Return an independent Generator for (master_seed, *keys).
 
     Same inputs always give the same stream; distinct key tuples give
-    streams that are independent for all practical purposes.
+    streams that are independent for all practical purposes.  The master
+    seed must be an integer >= 0: a fraction or a bool would alias a seed.
     """
+    if not int_at_least(master_seed, 0):
+        raise ConfigError(f"the master seed must be an integer >= 0, not {master_seed!r}")
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=key_words(*keys))
     return np.random.Generator(np.random.PCG64(ss))

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence as PySequence
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .errors import BudgetExceededError, ConfigError, int_array, int_at_least, reading
+from .errors import BudgetExceededError, ConfigError, int_array, int_at_least, reading, symbols
 
 __all__ = [
     "Alphabet",
@@ -56,7 +56,7 @@ class Alphabet:
     size: int
 
     def __post_init__(self) -> None:
-        if self.size < 1:
+        if not int_at_least(self.size, 1):
             raise ConfigError(f"alphabet size must be >= 1, got {self.size}")
 
     def __contains__(self, symbol: int) -> bool:
@@ -74,17 +74,13 @@ class Sequence:
     alphabet: Alphabet
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.symbols, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ConfigError("sequence symbols must be one-dimensional")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.alphabet.size):
-            raise ConfigError("sequence contains symbols outside its alphabet")
+        arr = symbols(self.symbols, "sequence", self.alphabet.size)
         arr.setflags(write=False)
         object.__setattr__(self, "symbols", arr)
 
     @classmethod
     def of(cls, symbols: Iterable[int], size: int) -> "Sequence":
-        return cls(np.asarray(list(symbols), dtype=np.int64), Alphabet(size))
+        return cls(list(symbols), Alphabet(size))
 
     def __len__(self) -> int:
         return self.symbols.size
@@ -105,13 +101,11 @@ class JointType:
     n: int = field(default=0)
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = int_array(self.counts, "joint type counts")
         if counts.shape != tuple(self.axes):
             raise ConfigError(
                 f"count table shape {counts.shape} does not match axes {self.axes}"
             )
-        if counts.size and counts.min() < 0:
-            raise ConfigError("negative count in joint type")
         total = int(counts.sum())
         n = self.n if self.n else total
         if total != n:

@@ -108,6 +108,21 @@ def test_apply_memoryless_matches_table_statistics():
     assert abs(cond[1] - 0.7) < 0.01
 
 
+def test_apply_memoryless_stays_in_the_output_alphabet():
+    # a row may sum to 1 - 5e-10; a draw past its mass once emitted y = y_size
+    table = np.zeros((2, 2, 2))
+    table[0, 0], table[1, 1] = [1.0, 0.0], [0.0, 1.0]
+    table[0, 1] = table[1, 0] = [0.5, 0.5 - 5e-10]
+    ch = ChannelSpec(k=2, x_size=2, y_size=2, table=table, class_tag="boneh_shaw")
+
+    class Late:
+        def random(self, n):
+            return np.full(n, 1.0 - 1e-10)
+
+    res = apply_memoryless(np.array([[0, 1], [1, 0]]), ch, Late())
+    assert res.y.tolist() == [1, 1] and res.realized.counts.sum() == 2
+
+
 def test_check_marking():
     x = np.array([[0, 1, 1], [0, 1, 0]])
     assert check_marking(x, np.array([0, 1, 1]))
@@ -216,6 +231,33 @@ def test_symmetry_helpers_match_the_factorial_reference(k, x_size):
 def test_feasibility_report_length_check():
     with pytest.raises(ConfigError):
         feasibility_report(np.array([[0, 1]]), np.array([0, 1, 0]), y_size=2)
+
+
+@pytest.mark.parametrize("x,y", [([[0, 1], [0, 1]], [0, 5]), ([[0, -1], [0, 1]], [0, 1])],
+                         ids=["y-past-y_size", "x-negative"])
+def test_feasibility_report_refuses_a_symbol_outside_its_alphabet(x, y):
+    # each once built a report whose `realized` raised a raw ValueError
+    with pytest.raises(ConfigError):
+        feasibility_report(x, y, y_size=2).realized
+
+
+@pytest.mark.parametrize("tag", ["explicit", "boneh_shaw", "interleaving"])
+def test_only_a_distortion_channel_carries_a_distortion_rule(tag):
+    # once kept, and audited by apply_memoryless though to_json dropped it
+    with pytest.raises(ConfigError, match="only a distortion channel"):
+        ChannelSpec(2, 2, 2, _interleaving_table(2, 2), class_tag=tag,
+                    estimator=[[0, 1], [1, 1]], d2=[[0.0, 1.0], [1.0, 0.0]], distortion_cap=1.0)
+
+
+def test_check_marking_refuses_a_copy_of_another_length():
+    with pytest.raises(ConfigError, match="length"):  # once a raw IndexError
+        check_marking([[0, 1], [0, 1]], [0])
+
+
+def test_distortion_audit_refuses_an_empty_copy():
+    # once the mean of an empty slice: a RuntimeWarning and (nan, False)
+    with pytest.raises(ConfigError):
+        check_distortion_attack([[], []], [], [[0, 1], [1, 1]], [[0.0, 1.0], [1.0, 0.0]], 1.0)
 
 
 def test_interleave_audit_counts_no_dense_joint_type():

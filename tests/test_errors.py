@@ -1,15 +1,22 @@
-"""The input policy's checks: reals, real tables, pmf rows and index sets,
-and the library calls that take their indices through `index_set`."""
+"""The input policy's checks: reals, real tables, pmf rows, index sets and
+symbol sequences, and the library calls that take their indices through
+`index_set` and their sequences through `symbols`."""
 
 import math
 
 import numpy as np
 import pytest
 
-from fptrace.codec import CodeParams, build_codebook
-from fptrace.decoders import DecodeConfig, mpmi_score
+from fptrace import rng as rngmod
+from fptrace.codec import (Codebook, CodeParams, apply_rm, apply_rp, build_codebook,
+                           sample_type_class)
+from fptrace.collusion import (ChannelSpec, _interleaving_table, apply_memoryless,
+                               check_distortion_attack, check_marking, feasibility_report,
+                               interleave)
+from fptrace.decoders import (DecodeConfig, guilt_indices, mpmi_decode, mpmi_score,
+                              threshold_decode, verify_significance)
 from fptrace.errors import (ConfigError, float_array, index_set, int_array, pmf_rows,
-                            real_at_least)
+                            real_at_least, symbols)
 from fptrace.games import (
     FairMarking,
     GameProblem,
@@ -17,6 +24,7 @@ from fptrace.games import (
     inner_min_channel,
     pseudo_sphere_packing,
 )
+from fptrace.types_core import Alphabet, JointType, Sequence
 
 
 @pytest.mark.parametrize("value", [0, 2, 0.5, np.float64(0.5), np.int64(3), np.float32(1.5)])
@@ -121,3 +129,140 @@ INDEX_PROBES = {
 def test_index_arguments_are_integers_in_range(probe):
     with pytest.raises(ConfigError):
         INDEX_PROBES[probe]()
+
+
+# --- symbol sequences: one rule, in `errors.symbols` -------------------------
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def _read(values, ndim):
+    try:
+        out = int_array(values, "t", ndim)
+    except ConfigError:
+        return None
+    assert out.dtype == np.int64
+    return out
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES)
+@pytest.mark.parametrize("shape", [(0,), (4,), (2, 0), (2, 3)])
+def test_int_array_fast_path_matches_the_general_path(dtype, shape):
+    # an integer ndarray skips the scan; the same values as a list take it
+    info = np.iinfo(dtype)
+    base = np.arange(math.prod(shape), dtype=dtype).reshape(shape)
+    for arr in (base, np.full(shape, info.max, dtype), np.full(shape, info.min, dtype)):
+        for ndim in (None, 1, 2):
+            got, want = _read(arr, ndim), _read(arr.tolist(), ndim)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.shape == want.shape and np.array_equal(got, want)
+                assert not np.shares_memory(got, arr)
+
+
+def test_int_array_refuses_a_uint64_past_int64():
+    for values in (np.array([2**63], np.uint64), np.array([[1], [2**64 - 1]], np.uint64)):
+        with pytest.raises(ConfigError, match="^t must be"):
+            int_array(values, "t")
+
+
+def test_symbols_bound_their_alphabet_and_dimension():
+    assert symbols([0, 2, 1], "s", 3).tolist() == [0, 2, 1]
+    assert symbols(np.zeros((2, 0), np.int8), "s", 1, ndim=2).shape == (2, 0)
+    for bad, size, ndim in (([0, 3], 3, 1), ([[0, 1]], None, 1), ([0, 1], None, 2),
+                            ([0.5], None, 1), ([True], 2, 1), ([-1], 2, 1)):
+        with pytest.raises(ConfigError, match="^s must be"):
+            symbols(bad, "s", size, ndim)
+    for size in (2.5, True, 0):
+        with pytest.raises(ConfigError, match="alphabet of s"):
+            symbols([0], "s", size)
+
+
+P = CodeParams(n=16, num_users=4, s_size=2)
+HOST = np.arange(16) % 2
+W0 = np.zeros(16, int)
+CFG = DecodeConfig(delta=0.05)
+ROWS = np.array([[0, 1], [0, 1]])
+EST, D2 = [[0, 1], [1, 1]], [[0.0, 1.0], [1.0, 0.0]]
+COPY_CHANNEL = ChannelSpec(2, 2, 2, _interleaving_table(2, 2), class_tag="interleaving")
+
+
+def _book():
+    return build_codebook(P, HOST, W0, 1)
+
+
+def _copy(offset=0.0, dtype=None):
+    y = _book().row(0).astype(np.int64) + offset
+    return y if dtype is None else y.astype(dtype)
+
+
+def _outcome():
+    cb = _book()
+    return mpmi_decode(cb, cb.row(0), DecodeConfig(delta=0.5))  # accuses user 0 alone
+
+
+SYMBOL_PROBES = {
+    # each once ran on truncated or wrapped symbols ("ran") or raised as noted
+    "codebook-host-fraction": lambda: Codebook(P, np.full(16, 0.7), W0, 1),  # ran
+    "codebook-host-bool": lambda: Codebook(P, HOST.astype(bool), W0, 1),  # ran
+    "codebook-host-past-s": lambda: Codebook(P, HOST + 1, W0, 1),  # refused
+    "codebook-timeshare-fraction": lambda: Codebook(P, HOST, W0 + 0.2, 1),  # ran
+    "codebook-rp-fraction": lambda: Codebook(P, HOST, W0, 1, rp_perm=[0.2, 1.1, 2.9, 3.0]),  # ran
+    "codebook-rm-bool": lambda: Codebook(  # refused: True read as 1 repeats 1
+        P, HOST, W0, 1, rm_perm=[True] + list(range(1, 16))),
+    "apply-rp-fraction": lambda: apply_rp(_book(), perm=[0.2, 1.1, 2.9, 3.0]),  # ran
+    "apply-rm-negative": lambda: apply_rm(_book(), perm=np.arange(16) - 1),  # refused
+    "threshold-copy-fraction": lambda: threshold_decode(_book(), _copy(0.5), CFG),  # ran
+    "threshold-copy-bool": lambda: threshold_decode(_book(), _copy(dtype=bool), CFG),  # ran
+    "mpmi-copy-fraction": lambda: mpmi_decode(_book(), _copy(0.5), CFG),  # ran
+    "mpmi-score-copy-bool": lambda: mpmi_score(_book(), (0,), _copy(dtype=bool), CFG),  # ran
+    "guilt-copy-fraction": lambda: guilt_indices(_book(), _copy(0.5), _outcome()),  # ran
+    "significance-copy-bool": lambda: verify_significance(  # ran
+        _book(), _copy(dtype=bool), _outcome()),
+    "interleave-rows-fraction": lambda: interleave(ROWS + 0.5, np.random.default_rng(0)),  # ran
+    "interleave-rows-past-x": lambda: interleave(  # ran
+        ROWS + 1, np.random.default_rng(0), x_size=2),
+    "memoryless-rows-fraction": lambda: apply_memoryless(  # ran
+        ROWS + 0.5, COPY_CHANNEL, np.random.default_rng(0)),
+    "memoryless-rows-negative": lambda: apply_memoryless(  # ValueError
+        ROWS - 1, COPY_CHANNEL, np.random.default_rng(0)),
+    "report-copy-past-y": lambda: feasibility_report(  # ValueError on .realized
+        ROWS, [0, 5], y_size=2).realized,
+    "report-rows-negative": lambda: feasibility_report(  # ValueError on .realized
+        [[0, -1], [0, 1]], [0, 1], y_size=2).realized,
+    "report-y-size-fraction": lambda: feasibility_report(  # TypeError on .realized
+        ROWS, [0, 2], y_size=2.5).realized,
+    "interleave-x-size-bool": lambda: interleave(  # ran, with axes (True, True, True)
+        np.zeros((2, 2), int), np.random.default_rng(0), x_size=True),
+    "marking-copy-short": lambda: check_marking(ROWS, [0]),  # IndexError
+    "marking-copy-fraction": lambda: check_marking(ROWS, [0, 1.5]),  # ran
+    "distortion-copy-empty": lambda: check_distortion_attack(  # RuntimeWarning, (nan, False)
+        [[], []], [], EST, D2, 1.0),
+    "sequence-fraction": lambda: Sequence(np.array([0.5, 1.2]), Alphabet(2)),  # ran
+    "sequence-of-bool": lambda: Sequence.of([True, 0], 2),  # ran
+    "sequence-of-past-alphabet": lambda: Sequence.of([0, 2], 2),  # refused
+    "joint-type-fraction": lambda: JointType((2,), [1.5, 2.5]),  # ran
+    "type-class-cond-past-cells": lambda: sample_type_class(  # refused
+        [[1, 1]], np.random.default_rng(0), cond_seq=[0, 1]),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(SYMBOL_PROBES))
+def test_symbol_arguments_are_integers_in_their_alphabet(probe):
+    with pytest.raises(ConfigError):
+        SYMBOL_PROBES[probe]()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rngmod.derive(2.7, "row"),  # once the stream of seed 2
+    lambda: rngmod.derive(True, "row"),  # once the stream of seed 1
+    lambda: rngmod.derive(-1, "row"),  # once a raw ValueError
+    lambda: build_codebook(P, HOST, W0, 2.7),  # once book 2
+    lambda: Codebook(P, HOST, W0, True),  # once book 1
+    lambda: pseudo_sphere_packing(0.1, FAIR.uniform_law(), FAIR, subset=(0, 1), restarts=2,
+                                  seed=0.5),
+], ids=["derive-fraction", "derive-bool", "derive-negative", "build-fraction", "codebook-bool",
+        "exponent-fraction"])
+def test_a_master_seed_is_an_integer_at_least_0(call):
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+        call()

@@ -33,7 +33,7 @@ from fptrace.games import (
     solve_capacity_simple,
     solve_exponent_program,
 )
-from fptrace.games import capacity, problems
+from fptrace.games import capacity, exponents, problems
 from fptrace.games.exponents import _Layout
 from fptrace.games.problems import Payoff, law_tensors, payoff_value_grad
 
@@ -383,6 +383,29 @@ def test_exponent_zero_above_floor_and_positive_below():
     assert pseudo_sphere_packing(0.2501, law, prob, subset=full) == 0.0
     v = pseudo_sphere_packing(0.24, law, prob, subset=full)
     assert 1e-4 < v < 0.01
+
+
+def test_an_error_in_a_random_start_propagates(monkeypatch):
+    # the starts once caught every exception and fell back to the floor
+    # channel; only an infeasible draw may do that
+    prob = fair_problem(k=2)
+
+    class Bug(Exception):
+        pass
+
+    def broken(*args, **kwargs):
+        raise Bug
+
+    real_floor = exponents._inner_floor
+
+    def floor_then_break(*args):
+        out = real_floor(*args)
+        monkeypatch.setattr(prob.channel_class, "linmin", broken)
+        return out
+
+    monkeypatch.setattr(exponents, "_inner_floor", floor_then_break)
+    with pytest.raises(Bug):
+        pseudo_sphere_packing(0.24, prob.uniform_law(), prob, subset=(0, 1), restarts=2)
 
 
 def test_exponent_matches_reduced_grid():

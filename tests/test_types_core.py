@@ -71,6 +71,13 @@ def test_sequence_rejects_out_of_alphabet():
         Sequence.of([0, 3], 3)
 
 
+@pytest.mark.parametrize("size", [2.5, True, 0])
+def test_alphabet_size_is_a_positive_integer(size):
+    # 2.5 once bounded symbols 0..2, then failed in joint_type's table
+    with pytest.raises(ConfigError):
+        Alphabet(size)
+
+
 def test_marginal_orders_axes_as_requested():
     rng = np.random.default_rng(7)
     jt = JointType((2, 3, 2), random_counts(rng, (2, 3, 2), 40))
