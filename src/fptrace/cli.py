@@ -8,6 +8,15 @@ construction, a stale outcome, ...), 3 when a search or allocation budget
 is hit.  These failures print one line on stderr, not a traceback; a
 malformed config value is a configuration problem.
 
+The CLI passes each config value to the library as the JSON gave it, and
+the library call that takes it refuses a bad one.  The CLI checks only its
+own rules: the config is a JSON object with the keys a command needs (a
+``problem``, and the ``attack`` command's ``coalition`` list), the
+artifacts a command reads exist, ``decoder``, ``payoff`` and a named
+attack are known names, and a single-rate ``exponent`` gets no sweep-only
+key.  ``report.csv`` takes its columns in the order of
+``PointEstimate.as_row``.
+
 ``exponent`` with a ``rates`` list runs ``exponent_sweep`` (its private
 per-rate loop, to read each rate's solver info), so a memoryless sweep
 gets the same repair as ``memoryless_exponent_variant``.
@@ -23,7 +32,6 @@ import csv
 import json
 import math
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +40,7 @@ from . import rng as rngmod
 from .codec import CodeParams, build_codebook, draw_host, draw_timeshare, read_codebook, write_codebook
 from .collusion import ChannelSpec, apply_memoryless, interleave
 from .decoders import DecodeConfig, guilt_indices, mpmi_decode, threshold_decode
-from .errors import (BudgetExceededError, ConfigError, FptraceError, int_at_least, read_json,
-                     reading, real_at_least)
+from .errors import BudgetExceededError, ConfigError, FptraceError, read_json, reading
 from .games import (
     GameProblem,
     InputLaw,
@@ -45,24 +52,6 @@ from .games.exponents import _sweep
 from .simlab import ExperimentConfig, _coalition_users, estimate, exponent_fit
 
 __all__ = ["main"]
-
-SIM_COLUMNS = (
-    "n",
-    "trials",
-    "fp_count",
-    "fp_rate",
-    "fp_lo",
-    "fp_hi",
-    "miss_one_count",
-    "miss_one_rate",
-    "miss_one_lo",
-    "miss_one_hi",
-    "miss_all_count",
-    "miss_all_rate",
-    "miss_all_lo",
-    "miss_all_hi",
-    "resamples",
-)
 
 SWEEP_COLUMNS = ("K", "L", "R", "value", "restarts", "gap")
 
@@ -111,31 +100,8 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _read(cfg: dict, key: str, default, cast):
-    """Typed config read: a value that ``cast`` rejects is a ConfigError."""
-    raw = cfg.get(key, default)
-    with reading(f"{key} value {raw!r}"):
-        return cast(raw)
-
-
-def _at_least(check, kind: str, low):
-    """A `_read` cast taking a value for which ``check(value, low)`` holds
-    as it is: anything else is refused, never truncated or converted."""
-
-    def cast(raw):
-        if not check(raw, low):
-            raise ValueError(f"not {kind} >= {low}")
-        return raw
-
-    return cast
-
-
-_int = partial(_at_least, int_at_least, "an integer")
-_real = partial(_at_least, real_at_least, "a finite number")
-
-
-def _seed_of(args, cfg: dict) -> int:
-    return _read({"seed": args.seed} if args.seed is not None else cfg, "seed", 0, _int(0))
+def _seed_of(args, cfg: dict):
+    return cfg.get("seed", 0) if args.seed is None else args.seed
 
 
 def _params_from(cfg: dict) -> CodeParams:
@@ -252,8 +218,6 @@ def _cmd_decode(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    # ExperimentConfig checks the coalition, trials and n_sweep, with no
-    # coercion
     exp = ExperimentConfig(
         params=_params_from(cfg),
         decode=_decode_config_from(cfg),
@@ -262,11 +226,12 @@ def _cmd_simulate(args) -> int:
         trials=cfg.get("trials", 1000),
         seed=_seed_of(args, cfg),
         decoder=cfg.get("decoder", "threshold"),
-        n_sweep=_read(cfg, "n_sweep", (), tuple),
+        n_sweep=cfg.get("n_sweep", ()),
     )
     report = estimate(exp, workers=args.workers)
     csv_path = args.out / "report.csv"
-    _dump_csv(report.as_rows(), SIM_COLUMNS, csv_path)
+    rows = report.as_rows()
+    _dump_csv(rows, tuple(rows[0]), csv_path)
     fits = {}
     for event in ("fp", "miss_one", "miss_all"):
         try:
@@ -277,7 +242,7 @@ def _cmd_simulate(args) -> int:
     payload = {
         "seed": exp.seed,
         "trials": exp.trials,
-        "points": report.as_rows(),
+        "points": rows,
         "exponent_fits": fits,
         "seconds": [p.seconds for p in report.points],
     }
@@ -293,8 +258,8 @@ def _cmd_capacity(args) -> int:
     problem = GameProblem.from_dict(cfg["problem"])
     kw = {
         "seed": _seed_of(args, cfg),
-        "restarts": _read(cfg, "restarts", 20, _int(1)),
-        "grid_resolution": _read(cfg, "grid_resolution", 16, _int(1)),
+        "restarts": cfg.get("restarts", 20),
+        "grid_resolution": cfg.get("grid_resolution", 16),
     }
     simple = "payoff" in cfg
     if simple and cfg["payoff"] != "simple":
@@ -307,35 +272,18 @@ def _cmd_capacity(args) -> int:
     return 0
 
 
-def _law_from(cfg: dict, problem: GameProblem) -> InputLaw:
-    if "input_law" not in cfg:
-        return problem.uniform_law()
-    law = InputLaw.from_dict(cfg["input_law"])
-    want = (problem.s_size, problem.num_timeshare, problem.x_size)
-    if law.p_x_given_sw.shape != want:
-        raise ConfigError(f"input_law.p_x_given_sw must have shape {want}")
-    return law
-
-
 def _cmd_exponent(args) -> int:
     cfg = _load_config(args)
     if "problem" not in cfg:
         raise ConfigError('config needs a "problem" object')
     problem = GameProblem.from_dict(cfg["problem"])
     seed = _seed_of(args, cfg)
-    memoryless = cfg.get("memoryless", False)
-    if not isinstance(memoryless, bool):
-        raise ConfigError(f"memoryless must be true or false, not {memoryless!r}")
-
     if "rates" not in cfg:
         for key in ("memoryless", "input_law", "subset", "user"):
             if key in cfg:
                 raise ConfigError(f"{key} needs a rates sweep; a single rate solves one program")
         result = solve_exponent_program(
-            _read(cfg, "rate", 0.0, _real(0)),
-            problem,
-            seed=seed,
-            restarts=_read(cfg, "restarts", 4, _int(1)),
+            cfg.get("rate", 0.0), problem, seed=seed, restarts=cfg.get("restarts", 4)
         )
         path = args.out / "exponent.json"
         _dump_json(
@@ -350,16 +298,11 @@ def _cmd_exponent(args) -> int:
         print(f"wrote {path} (value={_fmt(result['value'])})")
         return 0
 
-    restarts = _read(cfg, "restarts", 6, _int(1))
-    law = _law_from(cfg, problem)
-    subset, user = None, None
-    if "user" in cfg:
-        user = _read(cfg, "user", None, _int(0))
-    else:
-        subset = _read(
-            cfg, "subset", range(problem.coalition_size), lambda a: tuple(map(_int(0), a))
-        )
-    rates = _read(cfg, "rates", None, lambda r: list(map(_real(0), r)))
+    restarts = cfg.get("restarts", 6)
+    law = InputLaw.from_dict(cfg["input_law"]) if "input_law" in cfg else problem.uniform_law()
+    user, subset = cfg.get("user"), None
+    if "user" not in cfg:
+        subset = cfg.get("subset", range(problem.coalition_size))
     rows = [
         {
             "K": problem.coalition_size,
@@ -370,7 +313,8 @@ def _cmd_exponent(args) -> int:
             "gap": info.get("lowest_info_gap", 0.0) or 0.0,
         }
         for _, rate, val, info in _sweep(
-            rates, law, problem, subset, user, memoryless, restarts, seed
+            cfg["rates"], law, problem, subset, user, cfg.get("memoryless", False), restarts,
+            seed,
         )
     ]
     path = args.out / "exponent_sweep.csv"

@@ -79,7 +79,9 @@ class CodeParams:
             wt = quantize_pmf(np.full(w, 1.0 / w), self.n)
         elif not isinstance(wt, JointType):
             # strict per count: 16.0 is refused, not read as 16
-            if not all(int_at_least(c, 0) for c in wt):
+            if not isinstance(wt, (list, tuple, np.ndarray)) or not all(
+                int_at_least(c, 0) for c in wt
+            ):
                 raise ConfigError(f"target_w_type must list integer counts: {wt!r}")
             wt = JointType((w,), wt)
         if wt.axes != (w,) or wt.n != self.n:

@@ -14,6 +14,11 @@ a one-line ConfigError; `read_json` loads a file under it.  The checks:
 `real_at_least` and `float_array`, their twins for a finite real (never a
 bool or a string); and `pmf_rows`, the one probability check: rows sum
 to 1 within 1e-9, entries down to -1e-12 are clipped to 0, none rescaled.
+
+The library's solvers refuse a bad setting (a restart count, a seed, a
+tolerance, a worker count, an input law of another game) themselves,
+through these checks and before any work, so the CLI passes config values
+through unread.
 """
 
 import json

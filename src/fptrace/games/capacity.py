@@ -2,13 +2,17 @@
 
 The inner minimization over the channel polytope is Frank-Wolfe with exact
 line search; the payoffs are convex in the channel, so the linearization
-gap is a valid optimality certificate.  The input law is fixed within a
-solve, so its tensors and a ``Payoff`` are built once per solve, and the
-line searches evaluate the payoff value only: the gradient is taken once
-per iteration, at the accepted point.  The outer maximization over the
-input law is multistart gradient ascent on a softmax parameterization
-(the payoff is generally nonconcave in the mark law, so local optima are
-collected and the spread is reported rather than hidden).
+gap is a valid optimality certificate.  A solve stops when the gap falls
+below its tolerance, after ``_MAX_ITER`` iterations, or when a line search
+does not lower the value.  The input law is fixed within a solve, so the
+line searches evaluate the value only, of one ``Payoff`` built once per
+solve; the gradient is taken once per iteration, at the accepted point,
+by one ``payoff_value_grad`` call that builds the law's tensors anew.
+
+The outer maximization over the input law is multistart gradient ascent on
+a softmax parameterization (the payoff is generally nonconcave in the mark
+law, so local optima are collected and the spread is reported rather than
+hidden).
 
 The ascent's gradient comes from Danskin's theorem: each forward-difference
 probe evaluates the payoff at the probed law with the worst channel of the
@@ -32,7 +36,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .. import rng as rngmod
-from ..errors import ConfigError, index_set, int_at_least
+from ..errors import ConfigError, index_set, int_at_least, real_at_least
 from .problems import (
     Distortion,
     GameProblem,
@@ -46,9 +50,13 @@ from .problems import (
 __all__ = ["inner_min_channel", "solve_capacity", "solve_capacity_simple"]
 
 _FD_STEP = 1e-4
+# Frank-Wolfe's iteration cap, and the gap below which the ascent's inner
+# solves stop
+_MAX_ITER = 10_000
+_INNER_TOL = 1e-8
 
 
-def _frank_wolfe(problem, law, objective, subset, user, fair, tol, max_iter):
+def _frank_wolfe(problem, law, objective, subset, user, fair, tol):
     family = problem.channel_class
     k = problem.coalition_size
     tensors = law_tensors(problem, law)
@@ -60,9 +68,7 @@ def _frank_wolfe(problem, law, objective, subset, user, fair, tol, max_iter):
 
     c = family.start(k, problem.x_size, problem.y_size, q_x=q_x, fair=fair)
     value, grad = vg(c)
-    gap = math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         vertex = family.linmin(grad, q_x=q_x, fair=fair)
         gap = float(np.sum(grad * (c - vertex)))
         if gap < tol:
@@ -74,15 +80,9 @@ def _frank_wolfe(problem, law, objective, subset, user, fair, tol, max_iter):
             method="bounded",
             options={"xatol": 1e-12},
         )
-        step = float(res.x)
-        cand = c + step * d
-        cand_value = payoff.value(cand)
-        if cand_value >= value:  # line search stalled: fall back to the FW step
-            step = 2.0 / (it + 2.0)
-            cand = c + step * d
-            cand_value = payoff.value(cand)
-            if cand_value >= value:
-                break
+        cand = c + float(res.x) * d
+        if payoff.value(cand) >= value:  # the line search stalled
+            break
         c = cand
         value, grad = vg(c)
     return c, value, {"iterations": it, "gap": gap}
@@ -118,7 +118,6 @@ def inner_min_channel(
     subset=None,
     user=None,
     tol=1e-8,
-    max_iter=10_000,
     full_output=False,
 ):
     """Worst-case channel and payoff value for a fixed input law.
@@ -129,15 +128,17 @@ def inner_min_channel(
     problem is convex, so the min over subsets of exact minima is exact).
     With ``full_output`` the info dict also holds ``parts``: one
     (objective, subset, user, table, gap) per part solved, every
-    detect-all subset included.
+    detect-all subset included.  ``tol`` is the gap at which a part's
+    solve stops, a finite number > 0.
     """
+    problem.check_law(input_law)
+    if not real_at_least(tol, 0) or tol == 0:
+        raise ConfigError(f"tol must be a finite number > 0, not {tol!r}")
     parts = []
     best = None
     iterations = 0
     for objective, a, m, fair in _parts(problem, subset, user):
-        c, v, info = _frank_wolfe(
-            problem, input_law, objective, a, m, fair, tol, max_iter
-        )
+        c, v, info = _frank_wolfe(problem, input_law, objective, a, m, fair, tol)
         iterations += info["iterations"]
         parts.append((objective, a, m, c, info["gap"]))
         if best is None or v < best[1] - 1e-15:
@@ -326,7 +327,6 @@ def solve_capacity(
     seed: int = 0,
     restarts: int = 20,
     grid_resolution: int = 16,
-    inner_tol: float = 1e-8,
 ) -> GameSolution:
     """Best max-min value found over the product-form input laws.
 
@@ -334,13 +334,15 @@ def solve_capacity(
     grid pass in low dimension, and (for L > 1) the lifted solution of the
     (L-1)-slot game, which makes the reported values nondecreasing in L.
     Global optimality is not certified; the spread of local optima is
-    reported in diagnostics ("nonconcave").
+    reported in diagnostics ("nonconcave").  ``restarts`` and
+    ``grid_resolution`` are integers >= 1.
     """
-    if not int_at_least(grid_resolution, 1):
-        raise ConfigError("grid_resolution must be a positive integer")
+    for name, value in (("restarts", restarts), ("grid_resolution", grid_resolution)):
+        if not int_at_least(value, 1):
+            raise ConfigError(f"{name} must be an integer >= 1, not {value!r}")
     starts = [np.zeros(_theta_dim(problem))]
     gen = rngmod.derive(seed, "capacity")
-    for _ in range(max(restarts - 1, 0)):
+    for _ in range(restarts - 1):
         starts.append(gen.normal(0.0, 2.0, _theta_dim(problem)))
 
     grid = _grid_laws(problem, grid_resolution)
@@ -362,7 +364,6 @@ def solve_capacity(
             seed=seed,
             restarts=max(restarts // 2, 4),
             grid_resolution=grid_resolution,
-            inner_tol=inner_tol,
         )
         starts.append(_theta_from_law(problem, _embed_lower(problem, lower)))
 
@@ -370,7 +371,7 @@ def solve_capacity(
 
     def penalized(theta):
         value, parts = _penalized_value(
-            problem, _law_from_theta(problem, theta), inner_tol
+            problem, _law_from_theta(problem, theta), _INNER_TOL
         )
         counts["full_probe_points"] += parts is None
         return value, parts
@@ -396,7 +397,7 @@ def solve_capacity(
 
     law = replace(_law_from_theta(problem, best_theta))
     spec, value, info = inner_min_channel(
-        law, problem, tol=min(inner_tol, 1e-9), full_output=True
+        law, problem, tol=1e-9, full_output=True
     )
     finite = [v for v in local_values if math.isfinite(v)]
     diagnostics = {

@@ -70,14 +70,23 @@ def _resolve_target(problem, subset, user):
     return None, index_set((user,), k, "user")[0]
 
 
-def _inner_floor(problem, law, subset, user, tol=1e-10):
+def _checked_target(problem, law, subset, user, restarts, seed):
+    """`_resolve_target`'s target, once the law is one of ``problem``'s, and
+    ``restarts`` an integer >= 1 and ``seed`` one >= 0.  The seed is checked
+    here, not by `rng.derive`, because a program past its inner floor draws
+    nothing."""
+    problem.check_law(law)
+    if not int_at_least(restarts, 1):
+        raise ConfigError(f"restarts must be an integer >= 1, not {restarts!r}")
+    if not int_at_least(seed, 0):
+        raise ConfigError(f"the master seed must be an integer >= 0, not {seed!r}")
+    return _resolve_target(problem, subset, user)
+
+
+def _inner_floor(problem, law, subset, user):
     """Channel-game value whose crossing makes the exponent exactly zero."""
-    if subset is not None:
-        c, v, _ = _frank_wolfe(
-            problem, law, "detect_all_part", subset, None, False, tol, 10_000
-        )
-    else:
-        c, v, _ = _frank_wolfe(problem, law, "simple", None, user, False, tol, 10_000)
+    objective = "simple" if subset is None else "detect_all_part"
+    c, v, _ = _frank_wolfe(problem, law, objective, subset, user, False, 1e-10)
     return v, c
 
 
@@ -448,7 +457,7 @@ class _Layout:
 def _solve_program(
     rate, law, problem, subset, user, memoryless, restarts, seed, warm, full_output
 ):
-    subset, user = _resolve_target(problem, subset, user)
+    subset, user = _checked_target(problem, law, subset, user, restarts, seed)
     if not real_at_least(rate, 0):
         raise ConfigError(f"rate must be a finite nonnegative number, not {rate!r}")
 
@@ -478,7 +487,7 @@ def _solve_program(
     gen = rngmod.derive(seed, "psp")
     q_x = (lay.omega.reshape((-1,) + (1,) * lay.k) * lay.prodx).sum(axis=0)
     starts = [lay.gather(lay.prodx[..., None] * c_floor[None], c_floor)]
-    for _ in range(max(restarts - 1, 0)):
+    for _ in range(restarts - 1):
         try:
             c_r = problem.channel_class.linmin(
                 gen.normal(size=lay.xshape + (lay.y,)), q_x=q_x, fair=False
@@ -619,9 +628,16 @@ def _transplant_warm(problem, input_law, subset, user, c_vec):
 
 def _sweep(rates, input_law, problem, subset, user, memoryless, restarts, seed):
     """Yield (index, rate, value, info) in rising-rate order; the body of
-    ``exponent_sweep``, which the CLI also reads for the per-rate info."""
+    ``exponent_sweep``, which the CLI also reads for the per-rate info.
+    Every setting is checked before the first rate, so an empty sweep
+    refuses a bad one too."""
+    _checked_target(problem, input_law, subset, user, restarts, seed)
+    if not isinstance(memoryless, bool):
+        raise ConfigError(f"memoryless must be true or false, not {memoryless!r}")
     solver = memoryless_exponent_variant if memoryless else pseudo_sphere_packing
-    rates = float_array(list(rates), "rates")
+    rates = float_array(rates, "rates")
+    if rates.ndim != 1:
+        raise ConfigError("rates must be a list of numbers")
     prev_val, prev_vec = math.inf, None
     for i in np.argsort(rates):
         val, vec, info = solver(
@@ -654,13 +670,9 @@ def exponent_sweep(
     ``memoryless_exponent_variant``, with the carried minimizer as one
     start after those of a cold call, so no value exceeds the cold one.
     """
-    rates = list(rates)
-    out = np.empty(len(rates))
-    for i, _, val, _ in _sweep(
-        rates, input_law, problem, subset, user, memoryless, restarts, seed
-    ):
-        out[i] = val
-    return out
+    sweep = _sweep(rates, input_law, problem, subset, user, memoryless, restarts, seed)
+    out = {i: val for i, _, val, _ in sweep}
+    return np.array([out[i] for i in sorted(out)], dtype=float)
 
 
 def solve_exponent_program(
@@ -682,8 +694,10 @@ def solve_exponent_program(
     last round moved the value by less than 1e-4 bits, and no optimality is
     claimed beyond that.
     """
-    if not int_at_least(restarts, 1):
-        raise ConfigError("the operating-point search needs restarts >= 1")
+    for name, value, low in (("restarts", restarts, 1), ("psp_restarts", psp_restarts, 1),
+                             ("rounds", rounds, 0), ("ascent_steps", ascent_steps, 0)):
+        if not int_at_least(value, low):
+            raise ConfigError(f"{name} must be an integer >= {low}, not {value!r}")
     full = tuple(range(problem.coalition_size))
     l, s = problem.num_timeshare, problem.s_size
 

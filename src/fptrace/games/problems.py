@@ -300,6 +300,13 @@ class GameProblem:
             p_x_given_sw=np.full((self.s_size, l, self.x_size), 1.0 / self.x_size),
         )
 
+    def check_law(self, law: "InputLaw") -> None:
+        """Refuse an input law of another game: its mark law must have shape
+        (s_size, num_timeshare, x_size)."""
+        want = (self.s_size, self.num_timeshare, self.x_size)
+        if law.p_x_given_sw.shape != want:
+            raise ConfigError(f"input_law.p_x_given_sw must have shape {want}")
+
     def wrap_channel(self, table) -> ChannelSpec:
         """Package a solver table as a ChannelSpec validated under the
         family's class tag; a distortion family adds its cost data."""

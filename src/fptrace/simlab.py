@@ -40,7 +40,7 @@ from .codec import CodeParams, build_codebook, draw_host, draw_timeshare
 from .collusion import ChannelSpec, apply_memoryless, interleave
 from .decoders import DecodeConfig, _Scorer, mpmi_decode
 from .decoders import threshold_decode
-from .errors import ConfigError, InfeasibleError, index_set, int_at_least
+from .errors import ConfigError, InfeasibleError, index_set, int_array, int_at_least
 from .types_core import _count_entropy, _xlogx_table
 
 __all__ = [
@@ -93,8 +93,10 @@ class ExperimentConfig:
             raise ConfigError(f"need a positive integer number of trials, not {self.trials!r}")
         if not int_at_least(self.seed, 0):
             raise ConfigError(f"seed must be a nonnegative integer, not {self.seed!r}")
-        if not all(int_at_least(n, 1) for n in self.n_sweep):
+        n_sweep = int_array(self.n_sweep, "n_sweep", 1)
+        if n_sweep.min(initial=1) < 1:
             raise ConfigError(f"n_sweep must list positive integers: {self.n_sweep!r}")
+        object.__setattr__(self, "n_sweep", tuple(n_sweep.tolist()))
         c, m = self.coalition, self.params.num_users
         if isinstance(c, (list, tuple)):
             object.__setattr__(self, "coalition", _coalition_users(c, m))
@@ -159,8 +161,11 @@ def run_trial(cfg: ExperimentConfig, trial_index: int, n: int | None = None) -> 
     bar, not the ones `threshold_decode` would accuse on the book's rows.
     Only a trial whose tables are too wide decodes the rows themselves.
     """
-    params = _trial_params(cfg, int(n if n is not None else cfg.params.n))
-    root = (cfg.seed, "trial", params.n, int(trial_index))
+    n = cfg.params.n if n is None else n
+    if not int_at_least(n, 1):
+        raise ConfigError(f"n must be an integer >= 1, not {n!r}")
+    params = _trial_params(cfg, n)
+    root = (cfg.seed, "trial", params.n, trial_index)
     gen_env = rngmod.derive(*root, "env")
     s = draw_host(params.p_host, params.n, gen_env)
     w = draw_timeshare(params, gen_env)
@@ -333,13 +338,15 @@ def estimate(cfg: ExperimentConfig, workers: int = 1) -> EstimateReport:
     """Run the trial budget at each blocklength and tabulate event rates.
 
     Chunking only partitions the index range; every trial re-derives its
-    own stream, so the report is identical for any ``workers``.
+    own stream, so the report is identical for any ``workers``, an integer
+    >= 1.
     """
-    n_values = tuple(cfg.n_sweep) or (cfg.params.n,)
+    if not int_at_least(workers, 1):
+        raise ConfigError(f"workers must be an integer >= 1, not {workers!r}")
     points = []
-    for n in n_values:
+    for n in cfg.n_sweep or (cfg.params.n,):
         t0 = time.perf_counter()
-        if workers <= 1:
+        if workers == 1:
             parts = [_chunk_counts(cfg, n, 0, cfg.trials)]
         else:
             step = max(64, -(-cfg.trials // (workers * 4)))
@@ -498,8 +505,8 @@ def threshold_fp_fast(
         raise ConfigError("the fast engine assumes a balanced binary composition, even n >= 2")
     if not (int_at_least(k, 1) and int_at_least(innocents, 0)):
         raise ConfigError("the fast engine needs integers k >= 1 colluders and innocents >= 0")
-    if not (int_at_least(trials, 1) and int_at_least(seed, 0)):
-        raise ConfigError("the fast engine needs integers trials >= 1 and seed >= 0")
+    if not int_at_least(trials, 1):
+        raise ConfigError("the fast engine needs an integer trials >= 1")
     DecodeConfig(delta, rate=rate)  # checks delta and rate as a decoder does
     bar = (math.log2(innocents + k) / n if rate is None else rate) + delta
     gen = rngmod.derive(seed, "fastfp", n)

@@ -59,12 +59,6 @@ class Alphabet:
         if not int_at_least(self.size, 1):
             raise ConfigError(f"alphabet size must be >= 1, got {self.size}")
 
-    def __contains__(self, symbol: int) -> bool:
-        return 0 <= symbol < self.size
-
-    def __len__(self) -> int:
-        return self.size
-
 
 @dataclass(frozen=True)
 class Sequence:

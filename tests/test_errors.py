@@ -1,6 +1,7 @@
 """The input policy's checks: reals, real tables, pmf rows, index sets and
-symbol sequences, and the library calls that take their indices through
-`index_set` and their sequences through `symbols`."""
+symbol sequences, the library calls that take their indices through
+`index_set` and their sequences through `symbols`, and the solvers that
+refuse a bad setting before they do any work."""
 
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from fptrace import rng as rngmod
+from fptrace import simlab
 from fptrace.codec import (Codebook, CodeParams, apply_rm, apply_rp, build_codebook,
                            sample_type_class)
 from fptrace.collusion import (ChannelSpec, _interleaving_table, apply_memoryless,
@@ -21,9 +23,13 @@ from fptrace.games import (
     FairMarking,
     GameProblem,
     check_fair_inequalities,
+    exponent_sweep,
     inner_min_channel,
     pseudo_sphere_packing,
+    solve_capacity,
+    solve_exponent_program,
 )
+from fptrace.games import capacity, exponents
 from fptrace.types_core import Alphabet, JointType, Sequence
 
 
@@ -265,4 +271,108 @@ def test_symbol_arguments_are_integers_in_their_alphabet(probe):
         "exponent-fraction"])
 def test_a_master_seed_is_an_integer_at_least_0(call):
     with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+        call()
+
+
+# --- solver settings: each solver refuses a bad one before any work ----------
+
+FAIR_L2 = GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=FairMarking(),
+                      num_timeshare=2)
+LAW = FAIR.uniform_law()  # a one-slot law
+EXP = simlab.ExperimentConfig(params=CodeParams(n=16, num_users=4), decode=CFG, trials=2)
+
+
+def _experiment(**kw):
+    return simlab.ExperimentConfig(params=CodeParams(n=16, num_users=4), decode=CFG, **kw)
+
+
+SETTING_PROBES = {
+    # each once ran ("ran", with the value it returned) or raised as noted;
+    # rate 0.3 is past the inner floor 0.25, where the exponent is 0 at once
+    "inner-law-of-another-game": lambda: inner_min_channel(LAW, FAIR_L2),  # ran, 0.25
+    "inner-tol-nan": lambda: inner_min_channel(LAW, FAIR, tol=math.nan),  # ran
+    "inner-tol-zero": lambda: inner_min_channel(LAW, FAIR, tol=0),  # ran
+    "inner-tol-negative": lambda: inner_min_channel(LAW, FAIR, tol=-1.0),  # ran
+    "inner-tol-string": lambda: inner_min_channel(LAW, FAIR, tol="1e-8"),  # TypeError
+    "capacity-restarts-fraction": lambda: solve_capacity(FAIR, restarts=2.5),  # TypeError
+    "capacity-restarts-bool": lambda: solve_capacity(FAIR, restarts=True),  # ran
+    "capacity-restarts-negative": lambda: solve_capacity(FAIR, restarts=-3),  # ran
+    "capacity-grid-zero": lambda: solve_capacity(FAIR, grid_resolution=0),  # refused
+    "exponent-law-of-another-game": lambda: pseudo_sphere_packing(  # ran, 0.0173
+        0.22, LAW, FAIR_L2, subset=(0, 1), restarts=1),
+    "exponent-restarts-zero": lambda: pseudo_sphere_packing(  # ran with one start
+        0.22, LAW, FAIR, subset=(0, 1), restarts=0),
+    "exponent-restarts-fraction": lambda: pseudo_sphere_packing(  # TypeError
+        0.22, LAW, FAIR, subset=(0, 1), restarts=1.5),
+    "exponent-fast-path-seed-fraction": lambda: pseudo_sphere_packing(  # ran, 0.0
+        0.3, LAW, FAIR, subset=(0, 1), seed=1.5),
+    "exponent-fast-path-seed-negative": lambda: pseudo_sphere_packing(  # ran, 0.0
+        0.3, LAW, FAIR, subset=(0, 1), seed=-1),
+    "exponent-rate-negative": lambda: pseudo_sphere_packing(  # refused
+        -0.1, LAW, FAIR, subset=(0, 1)),
+    "sweep-memoryless-string": lambda: exponent_sweep(  # ran the memoryless program
+        [0.3], LAW, FAIR, subset=(0, 1), memoryless="false"),
+    "sweep-empty-restarts-zero": lambda: exponent_sweep(  # ran, no rate to solve
+        [], LAW, FAIR, subset=(0, 1), restarts=0),
+    "sweep-empty-law-of-another-game": lambda: exponent_sweep(  # ran
+        [], LAW, FAIR_L2, subset=(0, 1)),
+    "sweep-rates-nested": lambda: exponent_sweep([[0.3]], LAW, FAIR, subset=(0, 1)),  # refused
+    "sweep-rates-scalar": lambda: exponent_sweep(0.3, LAW, FAIR, subset=(0, 1)),  # TypeError
+    "program-restarts-zero": lambda: solve_exponent_program(0.3, FAIR, restarts=0),  # refused
+    "program-psp-restarts-zero": lambda: solve_exponent_program(  # ran
+        0.3, FAIR, psp_restarts=0),
+    "program-rounds-fraction": lambda: solve_exponent_program(  # ran: one host symbol
+        0.3, FAIR, rounds=1.5),
+    "program-ascent-steps-negative": lambda: solve_exponent_program(  # ran, no ascent
+        0.3, FAIR, ascent_steps=-1),
+    "program-ascent-steps-fraction": lambda: solve_exponent_program(  # TypeError
+        0.3, FAIR, ascent_steps=0.5),
+    "estimate-workers-zero": lambda: simlab.estimate(EXP, workers=0),  # ran serially
+    "estimate-workers-bool": lambda: simlab.estimate(EXP, workers=True),  # ran serially
+    "estimate-workers-negative": lambda: simlab.estimate(EXP, workers=-1),  # ran serially
+    "trial-n-fraction": lambda: simlab.run_trial(EXP, 0, n=16.5),  # ran at n=16
+    "trial-index-fraction": lambda: simlab.run_trial(EXP, 0.5),  # ran as trial 0
+    "n-sweep-fraction": lambda: _experiment(n_sweep=(16.5,)),  # refused
+    "n-sweep-zero": lambda: _experiment(n_sweep=(0,)),  # refused
+    "n-sweep-scalar": lambda: _experiment(n_sweep=16),  # TypeError
+    "fast-fp-seed-fraction": lambda: simlab.threshold_fp_fast(  # refused
+        16, 4, 0.05, 2, seed=1.5),
+    "params-w-type-int": lambda: CodeParams(n=16, num_users=4, target_w_type=5),  # TypeError
+}
+
+
+class _Solved(Exception):
+    """Raised by a solver stage that a probe reached."""
+
+
+def _solved(*args, **kwargs):
+    raise _Solved
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    for owner, name in ((capacity, "_frank_wolfe"), (exponents, "_frank_wolfe"),
+                        (exponents, "minimize"), (simlab, "build_codebook"),
+                        (simlab, "_crossings")):
+        monkeypatch.setattr(owner, name, _solved)
+
+
+@pytest.mark.parametrize("probe", sorted(SETTING_PROBES))
+def test_solver_settings_are_refused_before_any_work(no_work, probe):
+    with pytest.raises(ConfigError):
+        SETTING_PROBES[probe]()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: inner_min_channel(LAW, FAIR),
+    lambda: solve_capacity(FAIR),
+    lambda: pseudo_sphere_packing(0.3, LAW, FAIR, subset=(0, 1)),
+    lambda: exponent_sweep([0.3], LAW, FAIR, subset=(0, 1), memoryless=True),
+    lambda: solve_exponent_program(0.3, FAIR),
+    lambda: simlab.estimate(EXP),
+    lambda: simlab.threshold_fp_fast(16, 4, 0.05, 2, seed=1),
+])
+def test_good_settings_reach_the_patched_work(no_work, call):
+    # the probes above pass only because their settings are refused
+    with pytest.raises(_Solved):
         call()
