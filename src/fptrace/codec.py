@@ -305,7 +305,10 @@ class Codebook:
     def row_block(self, users, known=None) -> np.ndarray:
         """Rows of ``users`` as a matrix of the smallest type holding a mark:
         int8 up to 127 marks, int16 beyond.  Rows found in ``known`` (a
-        mapping from user to row) are copied, not generated again."""
+        mapping from user to row), or in the matrix once :meth:`rows` has
+        built it, are copied, not generated again."""
+        if "rows" in self._cache:
+            return self._cache["rows"][[self._user(m) for m in users]]
         known = known or {}
         dtype = np.int8 if self.params.x_size <= 127 else np.int16
         out = np.empty((len(users), self.params.n), dtype=dtype)
@@ -433,7 +436,7 @@ def read_codebook(rows_path, header_path, key_path) -> Codebook:
     with reading("codebook rows"), open(rows_path) as fh:
         for line in filter(str.strip, fh):
             rec = json.loads(line)
-            if not np.array_equal(cb.row(rec["m"]), rec["x"]):
+            if not np.array_equal(cb.row(rec["m"]), symbols(rec["x"], "row marks", params.x_size)):
                 raise ConfigError(f"row {rec['m']} does not match the keyed stream")
             users.append(rec["m"])
     if len(users) != params.num_users or len(set(users)) != len(users):

@@ -279,7 +279,7 @@ def mpmi_score(
     coalition = index_set(coalition, cb.params.num_users, "coalition")
     if not coalition:
         return 0.0
-    info = float(_Scorer(cb, y).info(cb.rows()[[coalition]])[0])
+    info = float(_Scorer(cb, y).info(cb.row_block(coalition)[None])[0])
     return info - len(coalition) * (cfg.rate_for(cb) + cfg.delta)
 
 

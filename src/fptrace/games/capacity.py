@@ -8,6 +8,9 @@ does not lower the value.  The input law is fixed within a solve, so the
 line searches evaluate the value only, of one ``Payoff`` built once per
 solve; the gradient is taken once per iteration, at the accepted point,
 by one ``payoff_value_grad`` call that builds the law's tensors anew.
+Each line search is SciPy's bounded Brent method, ported to Python floats
+(`minimize_scalar`), so it takes SciPy's iterates without its per-call
+overhead.
 
 The outer maximization over the input law is multistart gradient ascent on
 a softmax parameterization (the payoff is generally nonconcave in the mark
@@ -25,6 +28,12 @@ close below the inner tolerance.  Moves are accepted on full solves only.
 line-search trials and full probes); ``model_probes`` counts the probes at
 a fixed channel and ``full_probe_points`` the evaluated points that had no
 probe model.
+
+In low dimension three of the starts are the best laws of a coarse grid.
+Frank-Wolfe only lowers its value, so the payoff at a law's start channel
+bounds the law's value from above; the grid pass solves laws in
+decreasing order of that bound and stops when no law left can enter the
+best three, which are then those of a full scoring.
 """
 
 import itertools
@@ -33,7 +42,6 @@ from collections import Counter
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .. import rng as rngmod
 from ..errors import ConfigError, index_set, int_at_least, real_at_least
@@ -54,19 +62,117 @@ _FD_STEP = 1e-4
 # solves stop
 _MAX_ITER = 10_000
 _INNER_TOL = 1e-8
+# SciPy's default evaluation cap for the bounded search
+_BRENT_MAX_EVALS = 500
 
 
-def _frank_wolfe(problem, law, objective, subset, user, fair, tol):
-    family = problem.channel_class
+def minimize_scalar(fun, xatol):
+    """Minimizer of ``fun`` on [0, 1]: SciPy's bounded Brent search
+    (``scipy.optimize.minimize_scalar(fun, bounds=(0, 1), method="bounded",
+    options={"xatol": xatol})``), ported iterate for iterate.
+
+    The constants, comparisons and update order are SciPy's, on Python
+    floats, so the same ``fun`` is evaluated at the same points, in the same
+    order, and the same x is returned; a NaN step stays NaN, as under
+    ``np.sign``.  It skips SciPy's per-call set-up and its numpy calls on
+    scalars.  The name is kept because perfbench's traced run wraps
+    ``capacity.minimize_scalar`` as ``games.capacity.line_search``; ROADMAP
+    item 10 renames it once the benchmark reads library counters.
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 5.)
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = 0.0, 1.0
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = fun(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = fun(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAX_EVALS:
+            break
+    return xf
+
+
+def _sign(v):
+    """``np.sign(v) + (v == 0)`` on a float: -1.0, 1.0 (zero included), or
+    NaN for NaN."""
+    return -1.0 if v < 0 else 1.0 if v >= 0 else v
+
+
+def _fw_start(problem, law, objective, subset, user, fair):
+    """A part's Frank-Wolfe start at law: (payoff, q_x, start channel).
+
+    ``payoff.value(c)`` is the solve's first value, bit for bit: the first
+    gradient call builds the same tensors and runs the same value terms.
+    """
     k = problem.coalition_size
     tensors = law_tensors(problem, law)
     q_x = tensors[0].reshape((-1,) + (problem.x_size,) * k).sum(axis=0)
     payoff = Payoff(problem, tensors, objective, subset=subset, user=user)
+    c = problem.channel_class.start(k, problem.x_size, problem.y_size, q_x=q_x, fair=fair)
+    return payoff, q_x, c
+
+
+def _frank_wolfe(problem, law, objective, subset, user, fair, tol):
+    family = problem.channel_class
+    payoff, q_x, c = _fw_start(problem, law, objective, subset, user, fair)
 
     def vg(c):
         return payoff_value_grad(c, problem, law, objective, subset=subset, user=user)
 
-    c = family.start(k, problem.x_size, problem.y_size, q_x=q_x, fair=fair)
     value, grad = vg(c)
     for it in range(1, _MAX_ITER + 1):
         vertex = family.linmin(grad, q_x=q_x, fair=fair)
@@ -74,14 +180,10 @@ def _frank_wolfe(problem, law, objective, subset, user, fair, tol):
         if gap < tol:
             break
         d = vertex - c
-        res = minimize_scalar(
-            lambda t: payoff.value(c + t * d),
-            bounds=(0.0, 1.0),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        cand = c + float(res.x) * d
-        if payoff.value(cand) >= value:  # the line search stalled
+        cand = c + minimize_scalar(lambda t: payoff.value(c + t * d), xatol=1e-12) * d
+        # only a strictly lower value is taken (a NaN is not), so the
+        # value never rises above the start's
+        if not payoff.value(cand) < value:  # the line search stalled
             break
         c = cand
         value, grad = vg(c)
@@ -97,6 +199,8 @@ def _parts(problem, subset, user):
     """The convex parts of one inner game, as (objective, subset, user, fair);
     the game's value is the min over its parts of each part's minimum."""
     k = problem.coalition_size
+    if subset is not None and user is not None:
+        raise ConfigError("give exactly one of subset (joint) or user (marginal)")
     if subset is not None:
         return [("detect_all_part", index_set(subset, k, "subset"), None, False)]
     if user is not None or problem.objective == "simple":
@@ -129,7 +233,8 @@ def inner_min_channel(
     With ``full_output`` the info dict also holds ``parts``: one
     (objective, subset, user, table, gap) per part solved, every
     detect-all subset included.  ``tol`` is the gap at which a part's
-    solve stops, a finite number > 0.
+    solve stops, a finite number > 0.  ``subset`` (a detect-all part) or
+    ``user`` (a single-user payoff) picks one game; at most one is given.
     """
     problem.check_law(input_law)
     if not real_at_least(tol, 0) or tol == 0:
@@ -312,6 +417,43 @@ def _grid_laws(problem, resolution):
     return laws
 
 
+def _start_bound(problem, law):
+    """An upper bound on ``_penalized_value(problem, law, tol)[0]`` at any
+    tol: the penalized payoff at the start channel of the law's first part.
+
+    That payoff is the part's first Frank-Wolfe value, which later
+    iterates only lower, and the inner solve's value never exceeds its
+    first part's.  It costs one payoff and no solve.
+    """
+    objective, a, m, fair = _parts(problem, None, None)[0]
+    payoff, _, c = _fw_start(problem, law, objective, a, m, fair)
+    return payoff.value(c) - _penalty(problem, law)
+
+
+def _grid_starts(problem, grid):
+    """The three best grid laws as (penalized value, index), best first:
+    ``sorted(..., reverse=True)[:3]`` over every law's (value, index).
+
+    Laws are solved in decreasing order of their start bound, until the
+    next bound falls strictly below the third value found, so no law left
+    unsolved could rank among the three.  A NaN bound, the only way to a
+    NaN value, has no place in that order, and then every law is solved.
+    """
+
+    def scored(i):
+        return _penalized_value(problem, grid[i], 1e-6)[0], i
+
+    bounds = [_start_bound(problem, law) for law in grid]
+    if any(math.isnan(b) for b in bounds):
+        return sorted(map(scored, range(len(grid))), reverse=True)[:3]
+    top = []
+    for i in sorted(range(len(grid)), key=bounds.__getitem__, reverse=True):
+        if len(top) == 3 and bounds[i] < top[2][0]:
+            break
+        top = sorted(top + [scored(i)], reverse=True)[:3]
+    return top
+
+
 def _embed_lower(problem, sol):
     """Lift an (L-1)-slot law into L slots with a vanishing new slot."""
     pw = np.concatenate([sol.input_law.p_w * (1.0 - 1e-9), [1e-9]])
@@ -346,16 +488,8 @@ def solve_capacity(
         starts.append(gen.normal(0.0, 2.0, _theta_dim(problem)))
 
     grid = _grid_laws(problem, grid_resolution)
-    if grid:
-        scored = sorted(
-            (
-                (_penalized_value(problem, law, 1e-6)[0], i)
-                for i, law in enumerate(grid)
-            ),
-            reverse=True,
-        )
-        for _, i in scored[:3]:
-            starts.append(_theta_from_law(problem, grid[i]))
+    for _, i in _grid_starts(problem, grid):
+        starts.append(_theta_from_law(problem, grid[i]))
 
     lower = None
     if problem.num_timeshare > 1:

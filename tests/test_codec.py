@@ -451,6 +451,16 @@ def test_codebook_reader_refuses_a_fractional_user_index(tmp_path):
         read_codebook(*paths)
 
 
+def test_codebook_reader_refuses_a_row_of_bools(tmp_path):
+    paths = _book_files(tmp_path)
+    lines = paths[0].read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["x"] = [bool(v) for v in rec["x"]]  # once equal to the keyed row
+    paths[0].write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+    with pytest.raises(ConfigError, match="row marks must be 1-D nonnegative integers"):
+        read_codebook(*paths)
+
+
 def test_codebook_reader_refuses_a_keyfile_without_seed_or_a_header_not_json(tmp_path):
     paths = _book_files(tmp_path)
     key = json.loads(paths[2].read_text())

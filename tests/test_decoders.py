@@ -327,7 +327,38 @@ def test_each_row_is_generated_once_per_book(monkeypatch):
     assert len(calls) == m
     calls.clear()
     threshold_decode(cb, y, cfg)
+    assert len(calls) == 0  # it copies the rows the joint decode cached
+    threshold_decode(make_codebook(41, n=160, m=m), y, cfg)
     assert len(calls) == m
+
+
+def test_mpmi_score_generates_only_its_coalition_rows(monkeypatch):
+    m = 64
+    cb = make_codebook(43, n=96, m=m)
+    twin = make_codebook(43, n=96, m=m)  # same book, nothing generated yet
+    y = interleave(np.stack([twin.row(5), twin.row(40)]), rngmod.derive(43, "a"), 2).y
+    cfg = DecodeConfig(delta=0.1)
+    coalition = (5, 17, 40)
+    scorer = decoders._Scorer(twin, y)
+    # the route that read the whole row matrix for one coalition
+    want = float(scorer.info(twin.rows()[[coalition]])[0])
+    want -= len(coalition) * (cfg.rate_for(twin) + cfg.delta)
+    real = codec.Codebook.row
+    calls = []
+
+    def counted(self, m):
+        calls.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(codec.Codebook, "row", counted)
+    assert mpmi_score(cb, coalition, y, cfg) == want
+    assert sorted(calls) == list(coalition)
+    calls.clear()
+    cb.rows()  # a decode builds the matrix ...
+    calls.clear()
+    assert mpmi_score(cb, coalition, y, cfg) == want  # ... and scoring reuses it
+    assert mpmi_score(twin, coalition, y, cfg) == want
+    assert calls == []
 
 
 def test_threshold_guilt_streams_rows(monkeypatch):

@@ -166,6 +166,17 @@ def test_int_array_fast_path_matches_the_general_path(dtype, shape):
                 assert not np.shares_memory(got, arr)
 
 
+@pytest.mark.parametrize("values", [[], [0, 3, 1], [-1, 2], [2**63 - 1], [2**63], [-(2**63)],
+                                    [2**70, 1]])
+def test_int_list_fast_path_matches_the_general_path(values):
+    # a flat list of Python ints skips the scan; the same values as a tuple take it
+    for ndim in (None, 0, 1, 2):
+        got, want = _read(values, ndim), _read(tuple(values), ndim)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_int_array_refuses_a_uint64_past_int64():
     for values in (np.array([2**63], np.uint64), np.array([[1], [2**64 - 1]], np.uint64)):
         with pytest.raises(ConfigError, match="^t must be"):
@@ -294,6 +305,8 @@ SETTING_PROBES = {
     "inner-tol-zero": lambda: inner_min_channel(LAW, FAIR, tol=0),  # ran
     "inner-tol-negative": lambda: inner_min_channel(LAW, FAIR, tol=-1.0),  # ran
     "inner-tol-string": lambda: inner_min_channel(LAW, FAIR, tol="1e-8"),  # TypeError
+    "inner-subset-and-user": lambda: inner_min_channel(  # ran the subset game
+        LAW, FAIR, subset=(0,), user=1),
     "capacity-restarts-fraction": lambda: solve_capacity(FAIR, restarts=2.5),  # TypeError
     "capacity-restarts-bool": lambda: solve_capacity(FAIR, restarts=True),  # ran
     "capacity-restarts-negative": lambda: solve_capacity(FAIR, restarts=-3),  # ran

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from grid_oracles import (
     marking_exponent_grid,
@@ -344,19 +345,197 @@ def test_distortion_capacity_probes_with_full_solves():
     assert fair["model_probes"] > 0 and fair["full_probe_points"] == 0
 
 
-def test_capacity_ascent_evaluation_count_and_values():
+def test_capacity_ascent_evaluation_count_and_values(monkeypatch):
+    real = capacity.inner_min_channel
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "inner_min_channel", counted)
     two_slots = solve_capacity(
         fair_problem(k=2, num_timeshare=2), seed=0, restarts=6, grid_resolution=8
     )
     # a third of the 6,574 that forward differences of full solves took
     assert two_slots.diagnostics["value_evaluations"] <= 2191
     assert abs(two_slots.value - 0.25) < 1e-6
+    # the pruned grid pass: 2,311 inner solves when every grid law was solved
+    assert len(solves) == 1601
     three_slots = solve_capacity(
         fair_problem(k=2, num_timeshare=3), seed=0, restarts=6, grid_resolution=8
     )
     assert abs(three_slots.value - 0.25) < 1e-6
+    solves.clear()
     k3 = solve_capacity(fair_problem(k=3), seed=0, restarts=2, grid_resolution=10)
     assert abs(k3.value - 1.0 / 12.0) < 1e-6
+    assert len(solves) == 148  # 150 unpruned
+    # the values the unpruned pass and SciPy's own line search found
+    assert (two_slots.value, k3.value) == (0.25, 0.08333333333333331)
+
+
+def _grid_cases():
+    """(problem, grid resolution): one of each kind of game the grid pass
+    meets."""
+    fair = _interleaving_table(2, 2)
+    tilted = fair.copy()
+    tilted[0, 1] = tilted[1, 0] = [0.8, 0.2]
+    yield fair_problem(k=2), 16
+    yield fair_problem(k=2, num_timeshare=2), 8
+    yield fair_problem(k=3), 10
+    yield GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=Marking()), 16
+    yield GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=Hull([fair, tilted])), 16
+    fam = Distortion(estimator=np.array([[0, 0], [0, 1]]), d2=1.0 - np.eye(2), cap=0.3)
+    yield GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=fam), 8
+    yield fair_problem(k=2, objective="detect_all"), 16
+    yield fair_problem(k=2, objective="simple"), 16
+    yield fair_problem(k=2, s_size=2, p_host=np.array([0.6, 0.4])), 8
+    # P(X=1) capped at 0.3: the bound and the value pay the same penalty
+    yield fair_problem(k=2, d1=np.array([[0.0, 1.0]]), d1_cap=0.3), 16
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_grid_pass_keeps_the_three_best_laws_of_a_full_scoring(monkeypatch, case):
+    problem, resolution = list(_grid_cases())[case]
+    grid = capacity._grid_laws(problem, resolution)
+    real = capacity.payoff_value_grad
+    first = []
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        first.append(out[0])
+        return out
+
+    monkeypatch.setattr(capacity, "payoff_value_grad", recorded)
+    full = []
+    for i, law in enumerate(grid):
+        first.clear()
+        value = capacity._penalized_value(problem, law, 1e-6)[0]
+        bound = capacity._start_bound(problem, law)
+        # Frank-Wolfe's own first value, less the penalty: no tolerance
+        assert bound == first[0] - capacity._penalty(problem, law)
+        assert bound >= value
+        full.append((value, i))
+    assert capacity._grid_starts(problem, grid) == sorted(full, reverse=True)[:3]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_grid_pass_selection_matches_a_full_sort(monkeypatch, seed):
+    # synthetic scores with many ties: each law's bound is its value plus
+    # a slack that is often 0; some values are infinite, and a NaN value
+    # has a NaN bound, as Frank-Wolfe gives it
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(1, 30))
+    values = gen.integers(0, 6, n).astype(float)
+    if seed % 4 == 1:
+        values[gen.integers(0, n)] = -math.inf
+    if seed % 4 == 2:
+        values[gen.integers(0, n)] = math.nan
+    bounds = values + gen.integers(0, 3, n) * gen.integers(0, 2, n)
+    solved = []
+
+    def scored(problem, law, tol):
+        solved.append(law)
+        return values[law], None
+
+    monkeypatch.setattr(capacity, "_start_bound", lambda problem, law: bounds[law])
+    monkeypatch.setattr(capacity, "_penalized_value", scored)
+    full = [(values[i], i) for i in range(n)]
+    got = capacity._grid_starts(None, list(range(n)))
+    # NaN == NaN is false, so compare the values as text
+    assert [(str(v), i) for v, i in got] == [
+        (str(v), i) for v, i in sorted(full, reverse=True)[:3]
+    ]
+    assert len(set(solved)) == len(solved)  # no law is solved twice
+    if np.isnan(values).any():
+        assert len(solved) == n  # a NaN bound has no place in the order
+    else:
+        top = sorted(full, reverse=True)[:3]
+        # the ones left unsolved had a bound strictly below the third value
+        assert all(bounds[i] < top[-1][0] for i in set(range(n)) - set(solved))
+        if len(top) == 3:
+            # and every law bound at or above it was solved
+            assert {i for i in range(n) if bounds[i] >= top[-1][0]} <= set(solved)
+
+
+def test_frank_wolfe_stops_at_a_nan_line_search_value(monkeypatch):
+    # a NaN is not lower than the value, so the solve keeps its start, and
+    # its value stays at or below the start bound
+    problem = fair_problem(k=3)
+    start = capacity._fw_start(problem, problem.uniform_law(), "detect_one", None, None, True)
+    monkeypatch.setattr(Payoff, "value", lambda self, c: math.nan)
+    c, _, info = capacity._frank_wolfe(
+        problem, problem.uniform_law(), "detect_one", None, None, True, 1e-8
+    )
+    assert info["iterations"] == 1 and np.array_equal(c, start[2])
+
+
+# ---------------------------------------------------------------------------
+# the line search: SciPy's bounded Brent, ported
+
+
+PORTED_LINE_SEARCH = capacity.minimize_scalar
+
+
+def _both_line_searches(fun, xatol):
+    """(port's x, SciPy's x, port's points, SciPy's points) on [0, 1]."""
+    ours, theirs = [], []
+    x = PORTED_LINE_SEARCH(lambda t: (ours.append(t), fun(t))[1], xatol=xatol)
+    res = scipy.optimize.minimize_scalar(
+        lambda t: (theirs.append(t), fun(t))[1],
+        bounds=(0.0, 1.0),
+        method="bounded",
+        options={"xatol": xatol},
+    )
+    assert res.nfev == len(theirs)
+    return x, float(res.x), ours, theirs
+
+
+def _assert_same_iterates(fun, xatol):
+    x, want, ours, theirs = _both_line_searches(fun, xatol)
+    # bit for bit: the same points, in the same order, and the same answer
+    assert [float(t).hex() for t in ours] == [float(t).hex() for t in theirs]
+    assert x.hex() == want.hex() and type(x) is float
+
+
+@pytest.mark.parametrize("xatol", [1e-12, 1e-5])
+@pytest.mark.parametrize("fun", [
+    lambda t: (t - 0.3) ** 2,
+    lambda t: (t - 0.7) ** 2 + 0.1 * t,
+    lambda t: (t + 0.5) ** 2,  # minimum below the interval: at 0
+    lambda t: (t - 1.7) ** 2,  # above: at 1
+    lambda t: t * t,
+    lambda t: (t - 1.0) ** 2,
+    lambda t: 1.0,
+    lambda t: math.nan,
+    lambda t: math.nan if t > 0.5 else (t - 0.2) ** 2,
+    lambda t: abs(t - 0.61803),
+    lambda t: -math.cos(7.0 * t),
+    lambda t: max(0.0, abs(t - 0.5) - 0.2),
+    lambda t: abs(math.floor(t * 3) - 1),
+], ids=["inside", "tilted", "at-0", "at-1", "at-0-exactly", "at-1-exactly", "constant",
+        "nan", "nan-above-half", "kink", "several-minima", "flat-bottom", "steps"])
+def test_line_search_takes_scipys_iterates(fun, xatol):
+    _assert_same_iterates(fun, xatol)
+
+
+def test_line_search_takes_scipys_iterates_on_frank_wolfe_segments(monkeypatch):
+    real = capacity.minimize_scalar
+    segments = []
+
+    def checked(fun, **kwargs):
+        segments.append(1)
+        _assert_same_iterates(fun, 1e-12)
+        _assert_same_iterates(fun, 1e-5)
+        return real(fun, **kwargs)
+
+    monkeypatch.setattr(capacity, "minimize_scalar", checked)
+    gen = np.random.default_rng(5)
+    for problem in (fair_problem(k=3), fair_problem(k=2, objective="detect_all"),
+                    GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=Marking())):
+        theta = gen.normal(0.0, 1.0, capacity._theta_dim(problem))
+        inner_min_channel(capacity._law_from_theta(problem, theta), problem)
+    assert len(segments) >= 20
 
 
 def test_unchecked_ascent_law_validates_through_replace():
