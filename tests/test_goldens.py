@@ -40,7 +40,7 @@ from fptrace.games import (
     pseudo_sphere_packing,
     solve_exponent_program,
 )
-from fptrace.games.exponents import _inner_floor
+from fptrace.games.exponents import _inner_floor, _sweep
 from fptrace.simlab import ExperimentConfig, run_trial
 
 FAIR_K2 = {
@@ -59,6 +59,8 @@ GOLDEN = {
     "exponent_layouts": "552eb6dd5756bc655899cbcb84d8cabc0fdb0ea4ac3115702381fe1ebb1ec505",
     "codebook_rows": "cd8e8246035cc8828d7deea4f484c01274467cf5853f3b7199a32f534d450981",
     "trial_miss_events": "a0c2fd2d6f70e3021aab34fb5644d14ccd2b263503775bd00aa7bae232601f27",
+    "memoryless_sweep": "d3c46f836688dedff70d1c7171a12d385c3389ec7bc3c71999dd7805e3483aa6",
+    "user_sweeps": "dc2189989d85e87ed2183c146ebe46c7416d1bf9400fa6f6205b246348245857",
 }
 
 
@@ -155,6 +157,39 @@ def test_exponent_program_layouts_golden():
                 digest.update(np.asarray(vec, dtype=np.float64).tobytes())
             digest.update(json.dumps(info, sort_keys=True).encode())
     assert digest.hexdigest() == GOLDEN["exponent_layouts"]
+
+
+def _sweep_digest(rates, law, problem, subset, user, memoryless):
+    """Hash of every (index, rate, value, info) a two-restart sweep yields."""
+    digest = hashlib.sha256()
+    values = []
+    for i, rate, val, info in _sweep(rates, law, problem, subset, user, memoryless, 2, 0):
+        values.append(val)
+        digest.update(np.array([i, rate, val], dtype=np.float64).tobytes())
+        digest.update(json.dumps(info, sort_keys=True).encode())
+    return values, digest.hexdigest()
+
+
+def test_memoryless_sweep_golden():
+    problem = GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=Marking())
+    values, digest = _sweep_digest(
+        [0.05, 0.1, 0.15], _bernoulli_law(0.7), problem, (0, 1), None, True
+    )
+    assert values == [np.inf, 0.13769843877049814, 0.008928813714097174]
+    assert digest == GOLDEN["memoryless_sweep"]
+
+
+def test_user_sweeps_golden():
+    # one fingerprint's marginal program, constrained then memoryless; the
+    # last rate is past the inner floor
+    problem = GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=FairMarking())
+    digest = hashlib.sha256()
+    for memoryless in (False, True):
+        _, part = _sweep_digest(
+            [0.1, 0.05, 0.15], _bernoulli_law(0.3), problem, None, 0, memoryless
+        )
+        digest.update(part.encode())
+    assert digest.hexdigest() == GOLDEN["user_sweeps"]
 
 
 def _book(seed, n, m, s_size=1, w_size=1, x_size=2, p_host=None, tx=None, host=None):
