@@ -12,14 +12,15 @@ The CLI passes each config value to the library as the JSON gave it, and
 the library call that takes it refuses a bad one.  The CLI checks only its
 own rules: the config is a JSON object with the keys a command needs (a
 ``problem``, and the ``attack`` command's ``coalition`` list), the
-artifacts a command reads exist, ``decoder``, ``payoff`` and a named
-attack are known names, and a single-rate ``exponent`` gets no sweep-only
-key.  ``report.csv`` takes its columns in the order of
-``PointEstimate.as_row``.
+artifacts a command reads exist, ``decoder`` and a named attack are known
+names, ``capacity`` gets no ``payoff`` key (the problem's ``objective``
+picks the game), and a single-rate ``exponent`` gets no sweep-only key.
+``report.csv`` takes its columns in the order of ``PointEstimate.as_row``.
 
 ``exponent`` with a ``rates`` list runs ``exponent_sweep`` (its private
-per-rate loop, to read each rate's solver info), so a memoryless sweep
-gets the same repair as ``memoryless_exponent_variant``.
+per-rate loop, to read each rate's solver info); each rate is one solve
+of the program, so a memoryless sweep gets the same repair as
+``memoryless_exponent_variant``.
 
 All emitted floats carry 9 significant digits and tables use a fixed
 column order, so repeated runs with the same seed produce byte-identical
@@ -45,7 +46,6 @@ from .games import (
     GameProblem,
     InputLaw,
     solve_capacity,
-    solve_capacity_simple,
     solve_exponent_program,
 )
 from .games.exponents import _sweep
@@ -256,16 +256,14 @@ def _cmd_capacity(args) -> int:
     if "problem" not in cfg:
         raise ConfigError('config needs a "problem" object')
     problem = GameProblem.from_dict(cfg["problem"])
-    kw = {
-        "seed": _seed_of(args, cfg),
-        "restarts": cfg.get("restarts", 20),
-        "grid_resolution": cfg.get("grid_resolution", 16),
-    }
-    simple = "payoff" in cfg
-    if simple and cfg["payoff"] != "simple":
-        raise ConfigError(f'payoff must be "simple" or absent, not {cfg["payoff"]!r}')
-    solver = solve_capacity_simple if simple else solve_capacity
-    solution = solver(problem, **kw)
+    if "payoff" in cfg:
+        # refused, not ignored: an ignored "simple" would solve detect-one
+        raise ConfigError("payoff is not a capacity key; "
+                          'set the problem\'s objective to "simple"')
+    solution = solve_capacity(
+        problem, seed=_seed_of(args, cfg), restarts=cfg.get("restarts", 20),
+        grid_resolution=cfg.get("grid_resolution", 16),
+    )
     path = args.out / "capacity.json"
     _dump_json(json.loads(solution.to_json()), path)
     print(f"wrote {path} (value={_fmt(solution.value)})")

@@ -50,7 +50,7 @@ class CodeParams:
     ``target_x_given_sw[s, w]`` is the mark distribution the rows must hit
     (after per-cell quantization) inside each (host, time-share) cell.
     ``d1``/``distortion_cap`` bound the average embedding distortion between
-    host and marked copy; None disables the check.  ``target_w_type`` may be
+    host and marked copy; they come together, and None disables the check.  ``target_w_type`` may be
     a JointType or a list of counts, and each table may be nested or flat.
     """
 
@@ -93,6 +93,8 @@ class CodeParams:
             tx = np.full((s, w, x), 1.0 / x)
         object.__setattr__(self, "target_x_given_sw", pmf_rows(tx, "target_x_given_sw", (s, w, x)))
 
+        if (self.d1 is None) != (self.distortion_cap is None):
+            raise ConfigError("d1 and distortion_cap come together")
         if self.d1 is not None:
             object.__setattr__(self, "d1", float_array(self.d1, "d1", (s, x)))
             if not real_at_least(self.distortion_cap, -math.inf):

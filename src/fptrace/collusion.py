@@ -223,13 +223,18 @@ def _exchangeable(a: np.ndarray, k: int, tol: float = 0.0) -> bool:
     return all(np.max(np.abs(np.transpose(a, p) - a)) <= tol for p in (swap, cycle))
 
 
+@functools.lru_cache(maxsize=None)
 def _interleaving_table(k: int, q: int) -> np.ndarray:
+    """The uniform-copy channel over X^K -> X, read-only and built once
+    per (k, q)."""
     cells = _cell_classes(k, q, False)[1]
     table = np.zeros((len(cells), q))
     rows = np.arange(len(cells))
     for m in range(k):  # 1/k per colluder, in colluder order
         table[rows, cells[:, m]] += 1.0 / k
-    return table.reshape((q,) * k + (q,))
+    table = table.reshape((q,) * k + (q,))
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Max-min information games and exponent programs at small alphabets."""
 
-from .capacity import inner_min_channel, solve_capacity, solve_capacity_simple
+from .capacity import inner_min_channel, solve_capacity
 from .exponents import (
     exponent_sweep,
     memoryless_exponent_variant,
@@ -37,6 +37,5 @@ __all__ = [
     "memoryless_exponent_variant",
     "pseudo_sphere_packing",
     "solve_capacity",
-    "solve_capacity_simple",
     "solve_exponent_program",
 ]

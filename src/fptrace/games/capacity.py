@@ -55,7 +55,7 @@ from .problems import (
     payoff_value_grad,
 )
 
-__all__ = ["inner_min_channel", "solve_capacity", "solve_capacity_simple"]
+__all__ = ["inner_min_channel", "solve_capacity"]
 
 _FD_STEP = 1e-4
 # Frank-Wolfe's iteration cap, and the gap below which the ascent's inner
@@ -561,7 +561,3 @@ def solve_capacity(
         value=value, input_law=law, worst_channel=spec, diagnostics=diagnostics
     )
 
-
-def solve_capacity_simple(problem: GameProblem, **kw) -> GameSolution:
-    """Same game with the single-user payoff I(X_1;Y|S,W)."""
-    return solve_capacity(replace(problem, objective="simple"), **kw)

@@ -54,7 +54,11 @@ __all__ = [
 ]
 
 _FEAS_TOL = 1e-7
-# finite-difference ascent settings of the operating-point search
+# settings of the operating-point search: host-tilt rounds, restarts of
+# each exponent solve, steps of each finite-difference ascent and its rule
+_ROUNDS = 3
+_PSP_RESTARTS = 3
+_ASCENT_STEPS = 30
 _ASCENT = dict(fd=1e-3, step0=0.5, min_step=1e-5, grad_tol=1e-7, gain_tol=1e-10)
 
 
@@ -454,9 +458,16 @@ class _Layout:
         return eq_bad <= _FEAS_TOL and ineq_bad >= -_FEAS_TOL
 
 
-def _solve_program(
-    rate, law, problem, subset, user, memoryless, restarts, seed, warm, full_output
-):
+def _solve_program(rate, law, problem, subset, user, memoryless, restarts, seed, warm=None):
+    """(value, minimizer or None, info) of one program at one rate.
+
+    With ``memoryless`` the constrained program is solved cold too, with
+    the same starts, and its minimizer, transplanted, is kept when it is
+    feasible here and lower: the relaxed constraint set contains every
+    constrained point, re-encoded with its realized conditional as the
+    channel table, so the memoryless value never exceeds the constrained
+    one.
+    """
     subset, user = _checked_target(problem, law, subset, user, restarts, seed)
     if not real_at_least(rate, 0):
         raise ConfigError(f"rate must be a finite nonnegative number, not {rate!r}")
@@ -472,12 +483,31 @@ def _solve_program(
     if untilted and rate >= floor - 1e-12:
         # a product point with the floor channel is feasible and costs zero
         info.update({"fast_path": True, "feasible_starts": 0})
-        return (0.0, None, info) if full_output else 0.0
+        return 0.0, None, info
 
     lay = _Layout(problem, law, subset, user, memoryless)
     info["fast_path"] = False
     info["tied"] = lay.ch_kind != "none" and not memoryless
+    val, vec, info["feasible_starts"], lowest_gap = _multistart(
+        lay, rate, c_floor, restarts, seed, warm
+    )
+    info["lowest_info_gap"] = None if lowest_gap == -math.inf else lowest_gap
+    if memoryless:
+        lay_c = _Layout(problem, law, subset, user, False)
+        _, c_vec, _, _ = _multistart(lay_c, rate, c_floor, restarts, seed)
+        if c_vec is not None:
+            w_vec = _transplant_warm(lay_c, lay, c_vec)
+            if lay.is_feasible(w_vec, rate):
+                w_val = lay.true_value(w_vec)
+                if w_val < val:
+                    val, vec = w_val, w_vec
+    return val, vec, info
 
+
+def _multistart(lay, rate, c_floor, restarts, seed, warm=None):
+    """SLSQP from the product start at the floor channel, ``restarts`` - 1
+    random ones and ``warm``; returns (value, minimizer or None, feasible
+    starts, highest phase-1 information gap)."""
     structure, info_con = lay.constraints(rate)
     constraints = structure + [info_con]
     bounds = [(0.0, 1.0)] * lay.dim
@@ -489,7 +519,7 @@ def _solve_program(
     starts = [lay.gather(lay.prodx[..., None] * c_floor[None], c_floor)]
     for _ in range(restarts - 1):
         try:
-            c_r = problem.channel_class.linmin(
+            c_r = lay.problem.channel_class.linmin(
                 gen.normal(size=lay.xshape + (lay.y,)), q_x=q_x, fair=False
             )
         except InfeasibleError:
@@ -540,23 +570,24 @@ def _solve_program(
             val = lay.true_value(witness)
             if val < best_val:
                 best_val, best_vec = val, witness
-    info["feasible_starts"] = feasible
-    info["lowest_info_gap"] = None if lowest_gap == -math.inf else lowest_gap
-    if best_vec is None:
-        best_val = math.inf
-    return (best_val, best_vec, info) if full_output else best_val
+    return best_val, best_vec, feasible, lowest_gap
+
+
+def _transplant_warm(lay_c, lay_m, c_vec):
+    """A constrained-program vector of layout ``lay_c`` re-encoded in the
+    memoryless layout ``lay_m``."""
+    if lay_c.dim == lay_m.dim and lay_c.ch_kind == lay_m.ch_kind:
+        return np.asarray(c_vec, dtype=float)
+    p_agg = lay_c.joint(c_vec).sum(axis=0)
+    mass = p_agg.sum(axis=-1, keepdims=True)
+    c_real = np.where(
+        mass > _TINY, p_agg / np.maximum(mass, _TINY), 1.0 / lay_c.y
+    )
+    return lay_m.gather(lay_c.scatter_t(c_vec), c_real)
 
 
 def pseudo_sphere_packing(
-    rate,
-    input_law,
-    problem,
-    *,
-    subset=None,
-    user=None,
-    restarts=6,
-    seed=0,
-    warm_start=None,
+    rate, input_law, problem, *, subset=None, user=None, restarts=6, seed=0,
     full_output=False,
 ):
     """Divergence exponent with the induced channel held inside the family.
@@ -566,64 +597,20 @@ def pseudo_sphere_packing(
     the marginal program (plain mutual information of one fingerprint with
     the output).  Returns +inf when the constraint set is empty.
     """
-    return _solve_program(
-        rate, input_law, problem, subset, user, False, restarts, seed, warm_start,
-        full_output,
-    )
+    out = _solve_program(rate, input_law, problem, subset, user, False, restarts, seed)
+    return out if full_output else out[0]
 
 
 def memoryless_exponent_variant(
-    rate,
-    input_law,
-    problem,
-    *,
-    subset=None,
-    user=None,
-    restarts=6,
-    seed=0,
-    warm_start=None,
+    rate, input_law, problem, *, subset=None, user=None, restarts=6, seed=0,
     full_output=False,
 ):
     """Same program with the induced-channel feasibility dropped and the
     divergence reference minimized over the family instead; never exceeds
-    the constrained exponent.
-
-    That holds by construction: the relaxed constraint set contains every
-    constrained point, re-encoded with its realized conditional as the
-    channel table.  So the constrained program is solved cold, with the
-    starts of a direct ``pseudo_sphere_packing`` call, and its minimizer,
-    transplanted, is a witness whenever it is feasible here.
+    the constrained exponent (see ``_solve_program``).
     """
-    val, vec, info = _solve_program(
-        rate, input_law, problem, subset, user, True, restarts, seed, warm_start,
-        True,
-    )
-    _, c_vec, _ = _solve_program(
-        rate, input_law, problem, subset, user, False, restarts, seed, None, True
-    )
-    if c_vec is not None:
-        lay, w_vec = _transplant_warm(problem, input_law, subset, user, c_vec)
-        if lay.is_feasible(w_vec, rate):
-            w_val = lay.true_value(w_vec)
-            if w_val < val:
-                val, vec = w_val, w_vec
-    return (val, vec, info) if full_output else val
-
-
-def _transplant_warm(problem, input_law, subset, user, c_vec):
-    """Re-encode a constrained-program solution in the memoryless layout;
-    returns that layout and the vector."""
-    subset, user = _resolve_target(problem, subset, user)
-    lay_c = _Layout(problem, input_law, subset, user, False)
-    lay_m = _Layout(problem, input_law, subset, user, True)
-    if lay_c.dim == lay_m.dim and lay_c.ch_kind == lay_m.ch_kind:
-        return lay_m, np.asarray(c_vec, dtype=float)
-    p_agg = lay_c.joint(c_vec).sum(axis=0)
-    mass = p_agg.sum(axis=-1, keepdims=True)
-    c_real = np.where(
-        mass > _TINY, p_agg / np.maximum(mass, _TINY), 1.0 / lay_c.y
-    )
-    return lay_m, lay_m.gather(lay_c.scatter_t(c_vec), c_real)
+    out = _solve_program(rate, input_law, problem, subset, user, True, restarts, seed)
+    return out if full_output else out[0]
 
 
 def _sweep(rates, input_law, problem, subset, user, memoryless, restarts, seed):
@@ -634,15 +621,13 @@ def _sweep(rates, input_law, problem, subset, user, memoryless, restarts, seed):
     _checked_target(problem, input_law, subset, user, restarts, seed)
     if not isinstance(memoryless, bool):
         raise ConfigError(f"memoryless must be true or false, not {memoryless!r}")
-    solver = memoryless_exponent_variant if memoryless else pseudo_sphere_packing
     rates = float_array(rates, "rates")
     if rates.ndim != 1:
         raise ConfigError("rates must be a list of numbers")
     prev_val, prev_vec = math.inf, None
     for i in np.argsort(rates):
-        val, vec, info = solver(
-            rates[i], input_law, problem, subset=subset, user=user,
-            restarts=restarts, seed=seed, warm_start=prev_vec, full_output=True,
+        val, vec, info = _solve_program(
+            rates[i], input_law, problem, subset, user, memoryless, restarts, seed, prev_vec
         )
         if val > prev_val:
             val, vec = prev_val, prev_vec
@@ -666,25 +651,15 @@ def exponent_sweep(
     Because the feasible set only grows with the rate, the minimizer found
     at a lower rate stays feasible at any higher one; carrying it forward
     makes the reported sequence honestly nonincreasing.  Each rate is one
-    call of ``pseudo_sphere_packing`` or, with ``memoryless``, of
-    ``memoryless_exponent_variant``, with the carried minimizer as one
-    start after those of a cold call, so no value exceeds the cold one.
+    ``_solve_program`` call with the carried minimizer as one start after
+    those of a cold call, so no value exceeds the cold one.
     """
     sweep = _sweep(rates, input_law, problem, subset, user, memoryless, restarts, seed)
     out = {i: val for i, _, val, _ in sweep}
     return np.array([out[i] for i in sorted(out)], dtype=float)
 
 
-def solve_exponent_program(
-    rate,
-    problem,
-    *,
-    seed=0,
-    restarts=4,
-    rounds=3,
-    psp_restarts=3,
-    ascent_steps=30,
-):
+def solve_exponent_program(rate, problem, *, seed=0, restarts=4):
     """Operating-point search: maximize the full-coalition exponent over the
     input law, with the host tilt minimized in between when a host is
     present.
@@ -694,22 +669,20 @@ def solve_exponent_program(
     last round moved the value by less than 1e-4 bits, and no optimality is
     claimed beyond that.
     """
-    for name, value, low in (("restarts", restarts, 1), ("psp_restarts", psp_restarts, 1),
-                             ("rounds", rounds, 0), ("ascent_steps", ascent_steps, 0)):
-        if not int_at_least(value, low):
-            raise ConfigError(f"{name} must be an integer >= {low}, not {value!r}")
+    if not int_at_least(restarts, 1):
+        raise ConfigError(f"restarts must be an integer >= 1, not {restarts!r}")
     full = tuple(range(problem.coalition_size))
     l, s = problem.num_timeshare, problem.s_size
 
     def value(theta, p_tilde):
         return pseudo_sphere_packing(
             rate, _law_from_theta(problem, theta, p_tilde), problem, subset=full,
-            restarts=psp_restarts, seed=seed,
+            restarts=_PSP_RESTARTS, seed=seed,
         )
 
     def ascend(theta, p_tilde):
         theta, val, _ = _fd_ascent(
-            lambda t: value(t, p_tilde), theta, steps=ascent_steps, **_ASCENT
+            lambda t: value(t, p_tilde), theta, steps=_ASCENT_STEPS, **_ASCENT
         )
         return theta, val
 
@@ -735,7 +708,7 @@ def solve_exponent_program(
     converged = True
     if s > 1:
         converged = False
-        for _ in range(rounds):
+        for _ in range(_ROUNDS):
             # descend over the host tilt at fixed encoder
             tilt, _, _ = _fd_ascent(
                 lambda tv: value(theta, _softmax(tv.reshape(l, s))),

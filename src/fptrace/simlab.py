@@ -41,7 +41,7 @@ from .collusion import ChannelSpec, apply_memoryless, interleave
 from .decoders import DecodeConfig, _Scorer, mpmi_decode
 from .decoders import threshold_decode
 from .errors import ConfigError, InfeasibleError, index_set, int_array, int_at_least
-from .types_core import _count_entropy, _xlogx_table
+from .types_core import _count_entropy, _xlogx_table, quantize_pmf
 
 __all__ = [
     "ExperimentConfig",
@@ -147,8 +147,10 @@ class TrialRecord:
 def _trial_params(cfg: ExperimentConfig, n: int) -> CodeParams:
     if n == cfg.params.n:
         return cfg.params
-    # the time-share composition is pinned to a blocklength; re-quantize it
-    return replace(cfg.params, n=n, target_w_type=None)
+    # the time-share composition is pinned to a blocklength; re-quantize
+    # the book's own law at n
+    wt = quantize_pmf(cfg.params.target_w_type.pmf(), n)
+    return replace(cfg.params, n=n, target_w_type=wt)
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int, n: int | None = None) -> TrialRecord:
@@ -308,12 +310,6 @@ class PointEstimate:
 class EstimateReport:
     config_seed: int
     points: tuple
-
-    def point(self, n: int) -> PointEstimate:
-        for p in self.points:
-            if p.n == n:
-                return p
-        raise KeyError(n)
 
     def exponents(self, event: str = "fp") -> tuple:
         series = [(p.n, p.rate_ceiling(event)) for p in self.points]
@@ -508,7 +504,7 @@ def threshold_fp_fast(
     if not int_at_least(trials, 1):
         raise ConfigError("the fast engine needs an integer trials >= 1")
     DecodeConfig(delta, rate=rate)  # checks delta and rate as a decoder does
-    bar = (math.log2(innocents + k) / n if rate is None else rate) + delta
+    bar = (math.log2(innocents + 2) / n if rate is None else rate) + delta
     gen = rngmod.derive(seed, "fastfp", n)
     t0 = time.perf_counter()
     comp = np.array([[n - n // 2, n // 2]])  # one cell
@@ -534,24 +530,20 @@ def threshold_fp_fast(
 
 
 def threshold_fp_exact(
-    n: int,
-    innocents: int,
-    delta: float,
-    *,
-    k: int = 2,
-    rate: float | None = None,
+    n: int, innocents: int, delta: float, *, rate: float | None = None
 ) -> float:
     """Closed-form companion of :func:`threshold_fp_fast` (no sampling).
 
-    Enumerates the pirate ones-count law exactly for k = 2 and integrates
-    the per-innocent crossing probability of the hypergeometric overlap.
+    Enumerates the pirate ones-count law of two colluders exactly and
+    integrates the per-innocent crossing probability of the hypergeometric
+    overlap.
     """
-    if not (int_at_least(n, 2) and int_at_least(k, 2)) or n % 2 or k != 2:
+    if not int_at_least(n, 2) or n % 2:
         raise ConfigError("exact enumeration covers k=2 balanced binary codes, even n >= 2")
     if not int_at_least(innocents, 0):
         raise ConfigError("innocents must be an integer >= 0")
     DecodeConfig(delta, rate=rate)  # checks delta and rate as a decoder does
-    bar = (math.log2(innocents + k) / n if rate is None else rate) + delta
+    bar = (math.log2(innocents + 2) / n if rate is None else rate) + delta
     half = n // 2
     # overlap of two balanced rows, then binomial fill on disagreements
     a_vals = np.arange(half + 1)

@@ -123,6 +123,21 @@ def test_gen_non_numeric_distortion_cap_exits_2(tmp_path, capsys):
     assert "distortion_cap" in err
 
 
+def test_gen_distortion_cap_without_d1_exits_2(tmp_path, capsys):
+    # once accepted, never enforced, and written into the header
+    cfg = write_json(tmp_path / "c.json", {"params": {
+        "n": 16, "num_users": 4, "distortion_cap": 0.5}})
+    err = expect_one_line(capsys, run("gen", "--config", cfg, "--out", tmp_path))
+    assert err.strip() == "config error: d1 and distortion_cap come together"
+
+
+def test_capacity_refuses_a_payoff_key(tmp_path, capsys):
+    # refused, not ignored: an ignored "simple" would solve detect-one
+    cfg = write_json(tmp_path / "c.json", dict(VALID["capacity"][0], payoff="simple"))
+    err = expect_one_line(capsys, run("capacity", "--config", cfg, "--out", tmp_path))
+    assert err.strip().endswith('set the problem\'s objective to "simple"')
+
+
 def test_capacity_zero_grid_resolution_exits_2(tmp_path, capsys):
     cfg = write_json(tmp_path / "c.json", {"problem": FAIR_K2, "grid_resolution": 0})
     err = expect_one_line(capsys, run("capacity", "--config", cfg, "--out", tmp_path))

@@ -64,6 +64,17 @@ def test_params_validation():
         CodeParams(n=10, num_users=4, d1=np.zeros((1, 2)))  # cap missing
 
 
+@pytest.mark.parametrize("cap", ["abc", 0.5, math.nan])
+def test_params_refuse_a_distortion_cap_without_d1(cap):
+    # the cap was once accepted alone, never checked nor enforced, and
+    # written into the header as given
+    with pytest.raises(ConfigError, match="d1 and distortion_cap come together"):
+        CodeParams(n=8, num_users=4, distortion_cap=cap)
+    d = CodeParams(n=8, num_users=4).to_dict()
+    with pytest.raises(ConfigError, match="d1 and distortion_cap come together"):
+        CodeParams.from_dict(dict(d, distortion_cap=cap))
+
+
 def test_params_dict_roundtrip():
     p = small_params()
     q = CodeParams.from_dict(p.to_dict())

@@ -332,14 +332,6 @@ SETTING_PROBES = {
     "sweep-rates-nested": lambda: exponent_sweep([[0.3]], LAW, FAIR, subset=(0, 1)),  # refused
     "sweep-rates-scalar": lambda: exponent_sweep(0.3, LAW, FAIR, subset=(0, 1)),  # TypeError
     "program-restarts-zero": lambda: solve_exponent_program(0.3, FAIR, restarts=0),  # refused
-    "program-psp-restarts-zero": lambda: solve_exponent_program(  # ran
-        0.3, FAIR, psp_restarts=0),
-    "program-rounds-fraction": lambda: solve_exponent_program(  # ran: one host symbol
-        0.3, FAIR, rounds=1.5),
-    "program-ascent-steps-negative": lambda: solve_exponent_program(  # ran, no ascent
-        0.3, FAIR, ascent_steps=-1),
-    "program-ascent-steps-fraction": lambda: solve_exponent_program(  # TypeError
-        0.3, FAIR, ascent_steps=0.5),
     "estimate-workers-zero": lambda: simlab.estimate(EXP, workers=0),  # ran serially
     "estimate-workers-bool": lambda: simlab.estimate(EXP, workers=True),  # ran serially
     "estimate-workers-negative": lambda: simlab.estimate(EXP, workers=-1),  # ran serially

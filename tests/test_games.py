@@ -31,7 +31,6 @@ from fptrace.games import (
     memoryless_exponent_variant,
     pseudo_sphere_packing,
     solve_capacity,
-    solve_capacity_simple,
     solve_exponent_program,
 )
 from fptrace.games import capacity, exponents, problems
@@ -238,7 +237,7 @@ def test_detect_all_equals_detect_one_under_fairness():
 
 
 def test_single_user_payoff_capacity_not_larger():
-    simple = solve_capacity_simple(fair_problem(k=2), restarts=6)
+    simple = solve_capacity(replace(fair_problem(k=2), objective="simple"), restarts=6)
     assert simple.value <= 0.25 + 1e-6
     assert simple.value > 0.1
 
@@ -674,24 +673,25 @@ def test_host_tilt_keeps_exponent_positive_at_any_rate():
     assert v >= tilt_floor - 1e-6
 
 
-def test_operating_point_search_reports_convergence():
+def test_operating_point_search_reports_convergence(monkeypatch):
+    monkeypatch.setattr(exponents, "_PSP_RESTARTS", 2)
     prob = fair_problem(k=2)
-    out = solve_exponent_program(0.2, prob, restarts=2, psp_restarts=2)
+    out = solve_exponent_program(0.2, prob, restarts=2)
     assert out["converged"] is True
     assert out["value"] >= 0.0
     assert isinstance(out["input_law"], InputLaw)
 
 
-def test_operating_point_search_survives_an_infeasible_host_tilt():
+def test_operating_point_search_survives_an_infeasible_host_tilt(monkeypatch):
     # the untilted uniform law gives +inf here, so the host-tilt descent
     # starts at +inf; it must stop there instead of walking to NaN
     prob = GameProblem(
         coalition_size=2, x_size=2, y_size=2, channel_class=FairMarking(),
         s_size=2, p_host=[0.5, 0.5],
     )
-    out = solve_exponent_program(
-        0.2, prob, restarts=1, psp_restarts=1, rounds=1, ascent_steps=3
-    )
+    for name, value in (("_PSP_RESTARTS", 1), ("_ROUNDS", 1), ("_ASCENT_STEPS", 3)):
+        monkeypatch.setattr(exponents, name, value)
+    out = solve_exponent_program(0.2, prob, restarts=1)
     assert isinstance(out["input_law"], InputLaw)
     assert not any(math.isnan(v) for v in out["history"])
     assert out["value"] == math.inf or out["value"] >= 0.0

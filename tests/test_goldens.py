@@ -40,6 +40,7 @@ from fptrace.games import (
     pseudo_sphere_packing,
     solve_exponent_program,
 )
+from fptrace.games import exponents
 from fptrace.games.exponents import _inner_floor, _sweep
 from fptrace.simlab import ExperimentConfig, run_trial
 
@@ -101,15 +102,15 @@ def test_exponent_sweep_golden(tmp_path):
     assert _sha(data) == GOLDEN["exponent_sweep"]
 
 
-def test_operating_point_search_golden():
+def test_operating_point_search_golden(monkeypatch):
     problem = GameProblem(
         coalition_size=2, x_size=2, y_size=2, channel_class=FairMarking()
     )
+    for name, value in (("_PSP_RESTARTS", 1), ("_ROUNDS", 1), ("_ASCENT_STEPS", 3)):
+        monkeypatch.setattr(exponents, name, value)
     # the uniform start is infeasible at this rate (+inf) and is left at
     # once; the random start is finite and climbs to a non-uniform law
-    out = solve_exponent_program(
-        0.2, problem, restarts=2, psp_restarts=1, rounds=1, ascent_steps=3
-    )
+    out = solve_exponent_program(0.2, problem, restarts=2)
     law = out["input_law"]
     floats = np.concatenate([
         [out["value"]], out["history"], law.p_w, law.p_x_given_sw.ravel()

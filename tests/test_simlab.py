@@ -119,6 +119,15 @@ def test_n_sweep_requantizes_timeshare():
     assert [p.n for p in rep.points] == [20, 40]
 
 
+def test_n_sweep_keeps_a_non_uniform_timeshare_law():
+    # the law was once reset to uniform: [48, 16] at n=64 gave [64, 64] at n=128
+    params = CodeParams(n=64, num_users=8, w_size=2, target_w_type=[48, 16])
+    cfg = small_config(n_sweep=(64, 128, 100), params=params)
+    assert simlab._trial_params(cfg, 64) is params
+    assert simlab._trial_params(cfg, 128).target_w_type.counts.tolist() == [96, 32]
+    assert simlab._trial_params(cfg, 100).target_w_type.counts.tolist() == [75, 25]
+
+
 def test_wilson_interval_matches_known_value():
     # 10 successes in 50 trials, z = 1.96: classic worked example
     lo, hi = wilson_interval(10, 50, z=1.96)
@@ -254,8 +263,6 @@ def test_fast_engine_rejects_odd_blocklength():
     for k in (0, -1):
         with pytest.raises(ConfigError):
             threshold_fp_fast(24, innocents=10, delta=0.05, trials=10, k=k)
-        with pytest.raises(ConfigError):
-            threshold_fp_exact(24, innocents=10, delta=0.05, k=k)
     with pytest.raises(ConfigError):
         threshold_fp_fast(24, innocents=-1, delta=0.05, trials=10)
     with pytest.raises(ConfigError):
@@ -601,8 +608,7 @@ def test_fast_engine_refuses_non_integers(kw):
         threshold_fp_fast(**dict(args, **kw))
 
 
-@pytest.mark.parametrize("kw", [dict(innocents=2.5), dict(innocents=True), dict(k=2.0),
-                                dict(n=16.0)])
+@pytest.mark.parametrize("kw", [dict(innocents=2.5), dict(innocents=True), dict(n=16.0)])
 def test_exact_enumeration_refuses_non_integers(kw):
     with pytest.raises(ConfigError):
         threshold_fp_exact(**dict(dict(n=16, innocents=10, delta=0.05), **kw))
