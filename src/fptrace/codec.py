@@ -50,8 +50,9 @@ class CodeParams:
     ``target_x_given_sw[s, w]`` is the mark distribution the rows must hit
     (after per-cell quantization) inside each (host, time-share) cell.
     ``d1``/``distortion_cap`` bound the average embedding distortion between
-    host and marked copy; they come together, and None disables the check.  ``target_w_type`` may be
-    a JointType or a list of counts, and each table may be nested or flat.
+    host and marked copy; they come together, and None disables the check.
+    ``target_w_type`` may be a JointType or a list of counts, and each table
+    may be nested or flat.
     """
 
     n: int

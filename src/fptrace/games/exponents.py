@@ -62,7 +62,16 @@ _ASCENT_STEPS = 30
 _ASCENT = dict(fd=1e-3, step0=0.5, min_step=1e-5, grad_tol=1e-7, gain_tol=1e-10)
 
 
-def _resolve_target(problem, subset, user):
+def _checked_target(problem, law, subset, user, restarts, seed):
+    """The target as (subset, None) or (None, user), once exactly one is
+    given, the law is one of ``problem``'s, and ``restarts`` is an integer
+    >= 1 and ``seed`` one >= 0.  The seed is checked here, not by
+    `rng.derive`, because a program past its inner floor draws nothing."""
+    problem.check_law(law)
+    if not int_at_least(restarts, 1):
+        raise ConfigError(f"restarts must be an integer >= 1, not {restarts!r}")
+    if not int_at_least(seed, 0):
+        raise ConfigError(f"the master seed must be an integer >= 0, not {seed!r}")
     if (subset is None) == (user is None):
         raise ConfigError("give exactly one of subset (joint) or user (marginal)")
     k = problem.coalition_size
@@ -72,19 +81,6 @@ def _resolve_target(problem, subset, user):
             raise ConfigError("subset must be a nonempty set of colluder indices")
         return a, None
     return None, index_set((user,), k, "user")[0]
-
-
-def _checked_target(problem, law, subset, user, restarts, seed):
-    """`_resolve_target`'s target, once the law is one of ``problem``'s, and
-    ``restarts`` an integer >= 1 and ``seed`` one >= 0.  The seed is checked
-    here, not by `rng.derive`, because a program past its inner floor draws
-    nothing."""
-    problem.check_law(law)
-    if not int_at_least(restarts, 1):
-        raise ConfigError(f"restarts must be an integer >= 1, not {restarts!r}")
-    if not int_at_least(seed, 0):
-        raise ConfigError(f"the master seed must be an integer >= 0, not {seed!r}")
-    return _resolve_target(problem, subset, user)
 
 
 def _inner_floor(problem, law, subset, user):
@@ -459,15 +455,10 @@ class _Layout:
 
 
 def _solve_program(rate, law, problem, subset, user, memoryless, restarts, seed, warm=None):
-    """(value, minimizer or None, info) of one program at one rate.
-
-    With ``memoryless`` the constrained program is solved cold too, with
-    the same starts, and its minimizer, transplanted, is kept when it is
-    feasible here and lower: the relaxed constraint set contains every
-    constrained point, re-encoded with its realized conditional as the
-    channel table, so the memoryless value never exceeds the constrained
-    one.
-    """
+    """(value, minimizer or None, info) of one program at one rate.  With
+    ``memoryless`` the constrained program is solved cold too, and its
+    transplanted minimizer kept when feasible and lower (see
+    ``memoryless_exponent_variant``)."""
     subset, user = _checked_target(problem, law, subset, user, restarts, seed)
     if not real_at_least(rate, 0):
         raise ConfigError(f"rate must be a finite nonnegative number, not {rate!r}")
@@ -607,7 +598,13 @@ def memoryless_exponent_variant(
 ):
     """Same program with the induced-channel feasibility dropped and the
     divergence reference minimized over the family instead; never exceeds
-    the constrained exponent (see ``_solve_program``).
+    the constrained exponent.
+
+    That holds by construction: the relaxed constraint set contains every
+    constrained point, re-encoded with its realized conditional as the
+    channel table.  So the constrained program is solved cold, with the
+    starts of a direct ``pseudo_sphere_packing`` call, and its minimizer,
+    transplanted, is a witness whenever it is feasible here.
     """
     out = _solve_program(rate, input_law, problem, subset, user, True, restarts, seed)
     return out if full_output else out[0]

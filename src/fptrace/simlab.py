@@ -504,7 +504,7 @@ def threshold_fp_fast(
     if not int_at_least(trials, 1):
         raise ConfigError("the fast engine needs an integer trials >= 1")
     DecodeConfig(delta, rate=rate)  # checks delta and rate as a decoder does
-    bar = (math.log2(innocents + 2) / n if rate is None else rate) + delta
+    bar = (math.log2(innocents + k) / n if rate is None else rate) + delta
     gen = rngmod.derive(seed, "fastfp", n)
     t0 = time.perf_counter()
     comp = np.array([[n - n // 2, n // 2]])  # one cell

@@ -124,7 +124,10 @@ def test_cell_classes_are_shared_and_read_only(orbits):
 
 @pytest.mark.parametrize("k,q", [(k, q) for k in range(1, 6) for q in range(1, 5)])
 def test_interleaving_table_is_bit_identical_to_the_loop(k, q):
-    assert np.array_equal(_interleaving_table(k, q), ref_interleaving(k, q))
+    table = _interleaving_table(k, q)
+    assert np.array_equal(table, ref_interleaving(k, q))
+    # built once per (k, q) and shared, so read-only
+    assert _interleaving_table(k, q) is table and not table.flags.writeable
 
 
 def _gradient_cases():

@@ -576,6 +576,16 @@ def test_pirate_ones_follow_the_enumerated_law(k):
     assert np.max(np.abs(z)) < 4.5, z
 
 
+def test_fast_engine_default_rate_counts_every_colluder():
+    # a book of innocents + k users decodes at log2(innocents + k) / n; at
+    # n=24 and k=3 no score falls between that bar and the one of k=2
+    for k in (2, 4):
+        own = threshold_fp_fast(64, innocents=5, delta=0.0, trials=2000, seed=1, k=k)
+        given = threshold_fp_fast(64, innocents=5, delta=0.0, trials=2000, seed=1, k=k,
+                                  rate=math.log2(5 + k) / 64)
+        assert own.fp_count == given.fp_count
+
+
 def test_fast_engine_matches_the_pipeline_at_three_colluders():
     # the trial engine interleaves three real rows of a fresh book; the fast
     # engine draws the copy's ones-count from `_pirate_ones`
