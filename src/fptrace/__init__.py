@@ -9,10 +9,8 @@ and error-exponent games that calibrate them.
 __version__ = "0.1.0"
 
 from .types_core import (  # noqa: F401
-    Alphabet,
     InfoQuery,
     JointType,
-    Sequence,
     entropy,
     joint_type,
     log_type_class_size,

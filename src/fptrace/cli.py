@@ -20,7 +20,13 @@ picks the game), and a single-rate ``exponent`` gets no sweep-only key.
 ``exponent`` with a ``rates`` list runs ``exponent_sweep`` (its private
 per-rate loop, to read each rate's solver info); each rate is one solve
 of the program, so a memoryless sweep gets the same repair as
-``memoryless_exponent_variant``.
+``memoryless_exponent_variant``.  The two programs fit different attacks:
+``"memoryless": true`` gives the exponent of a memoryless attack's miss
+rate, while the default ``pseudo_sphere_packing`` holds the realized
+channel inside the family and so does not bound the miss rate of
+``simulate``'s attacks.  On the balanced binary K=2 code under
+interleaving, user 0, at bar 0.12 they give 0.00886 and 0.0278, and
+``simulate``'s measured miss-rate decay fits 0.0106 +- 0.0005.
 
 All emitted floats carry 9 significant digits and tables use a fixed
 column order, so repeated runs with the same seed produce byte-identical
@@ -49,7 +55,7 @@ from .games import (
     solve_exponent_program,
 )
 from .games.exponents import _sweep
-from .simlab import ExperimentConfig, _coalition_users, estimate, exponent_fit
+from .simlab import ExperimentConfig, _coalition_users, estimate
 
 __all__ = ["main"]
 
@@ -341,9 +347,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ("decode", _cmd_decode, "accuse users from a pirated copy"),
         ("simulate", _cmd_simulate, "Monte Carlo error-rate sweep"),
         ("capacity", _cmd_capacity, "max-min game value"),
-        ("exponent", _cmd_exponent, "divergence exponent program"),
+        ("exponent", _cmd_exponent, "divergence exponent program; a sweep with "
+         '"memoryless": true is the exponent of a memoryless attack\'s miss rate, and the '
+         "default holds the realized channel in the family, so it does not bound that rate"),
     ):
-        p = sub.add_parser(name, parents=[common], help=doc)
+        p = sub.add_parser(name, parents=[common], help=doc, description=doc)
         p.set_defaults(fn=fn)
     return parser
 

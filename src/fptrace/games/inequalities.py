@@ -15,8 +15,6 @@ single-letter corollary bounding I(X_1; Z) by the per-user entropy drop.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..collusion import _exchangeable
 from ..errors import ConfigError, float_array, index_set, pmf_rows
 from ..types_core import entropy_pmf

@@ -420,19 +420,9 @@ class GameSolution:
                 "value": self.value,
                 "input_law": self.input_law.to_dict(),
                 "worst_channel": json.loads(self.worst_channel.to_json()),
-                "diagnostics": {
-                    k: v for k, v in self.diagnostics.items() if _jsonable(v)
-                },
+                "diagnostics": self.diagnostics,
             }
         )
-
-
-def _jsonable(v):
-    try:
-        json.dumps(v)
-        return True
-    except TypeError:
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
@@ -242,9 +242,10 @@ def _threshold_accused(cb, y, cfg: DecodeConfig, coalition, rows, gen) -> tuple:
 
 
 def wilson_interval(count: int, trials: int, z: float = 1.959964) -> tuple:
-    """95% Wilson score interval for a binomial rate."""
-    if trials < 1:
-        raise ConfigError("empty sample")
+    """95% Wilson score interval for a binomial rate: ``count`` successes
+    in ``trials``, integers with 0 <= count <= trials and trials >= 1."""
+    if not (int_at_least(trials, 1) and int_at_least(count, 0) and count <= trials):
+        raise ConfigError(f"need integers 0 <= count <= trials, trials >= 1: {count!r}, {trials!r}")
     p = count / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -477,6 +478,19 @@ def _pirate_ones(gen, n, k, size):
     return gen.hypergeometric(n // 2, n - n // 2, shares).sum(axis=1)
 
 
+def _balanced_bar(n, innocents, delta, rate, k) -> float:
+    """The score bar of the two balanced-binary false-positive engines, after
+    the checks they share: ``rate + delta``, and without a rate, that of a
+    book of ``innocents + k`` users, ``log2(innocents + k) / n + delta``."""
+    if not int_at_least(n, 2) or n % 2:
+        raise ConfigError("the balanced binary engines need an even n >= 2")
+    if not (int_at_least(k, 1) and int_at_least(innocents, 0)):
+        raise ConfigError("the balanced binary engines need integers k >= 1 colluders and "
+                          "innocents >= 0")
+    DecodeConfig(delta, rate=rate)  # checks delta and rate as a decoder does
+    return (math.log2(innocents + k) / n if rate is None else rate) + delta
+
+
 def threshold_fp_fast(
     n: int,
     innocents: int,
@@ -497,14 +511,9 @@ def threshold_fp_fast(
     distribution; validated against the direct pipeline and the
     closed-form enumerator in the tests.
     """
-    if not int_at_least(n, 2) or n % 2:
-        raise ConfigError("the fast engine assumes a balanced binary composition, even n >= 2")
-    if not (int_at_least(k, 1) and int_at_least(innocents, 0)):
-        raise ConfigError("the fast engine needs integers k >= 1 colluders and innocents >= 0")
+    bar = _balanced_bar(n, innocents, delta, rate, k)
     if not int_at_least(trials, 1):
         raise ConfigError("the fast engine needs an integer trials >= 1")
-    DecodeConfig(delta, rate=rate)  # checks delta and rate as a decoder does
-    bar = (math.log2(innocents + k) / n if rate is None else rate) + delta
     gen = rngmod.derive(seed, "fastfp", n)
     t0 = time.perf_counter()
     comp = np.array([[n - n // 2, n // 2]])  # one cell
@@ -538,12 +547,7 @@ def threshold_fp_exact(
     integrates the per-innocent crossing probability of the hypergeometric
     overlap.
     """
-    if not int_at_least(n, 2) or n % 2:
-        raise ConfigError("exact enumeration covers k=2 balanced binary codes, even n >= 2")
-    if not int_at_least(innocents, 0):
-        raise ConfigError("innocents must be an integer >= 0")
-    DecodeConfig(delta, rate=rate)  # checks delta and rate as a decoder does
-    bar = (math.log2(innocents + 2) / n if rate is None else rate) + delta
+    bar = _balanced_bar(n, innocents, delta, rate, 2)
     half = n // 2
     # overlap of two balanced rows, then binomial fill on disagreements
     a_vals = np.arange(half + 1)

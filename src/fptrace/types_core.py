@@ -18,17 +18,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence as PySequence
+from dataclasses import dataclass
+from typing import Sequence as PySequence
 
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .errors import BudgetExceededError, ConfigError, int_array, int_at_least, reading, symbols
+from .errors import BudgetExceededError, ConfigError, int_array, int_at_least, symbols
 
 __all__ = [
-    "Alphabet",
-    "Sequence",
     "JointType",
     "InfoQuery",
     "joint_type",
@@ -50,105 +48,44 @@ MAX_TABLE_CELLS = 20_000_000
 
 
 @dataclass(frozen=True)
-class Alphabet:
-    """Finite alphabet {0, 1, ..., size-1}."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if not int_at_least(self.size, 1):
-            raise ConfigError(f"alphabet size must be >= 1, got {self.size}")
-
-
-@dataclass(frozen=True)
-class Sequence:
-    """Immutable symbol string over a fixed alphabet."""
-
-    symbols: np.ndarray
-    alphabet: Alphabet
-
-    def __post_init__(self) -> None:
-        arr = symbols(self.symbols, "sequence", self.alphabet.size)
-        arr.setflags(write=False)
-        object.__setattr__(self, "symbols", arr)
-
-    @classmethod
-    def of(cls, symbols: Iterable[int], size: int) -> "Sequence":
-        return cls(list(symbols), Alphabet(size))
-
-    def __len__(self) -> int:
-        return self.symbols.size
-
-
-@dataclass(frozen=True)
 class JointType:
     """Exact joint type: integer counts over a product alphabet.
 
     ``counts[u1, ..., uk]`` is the number of positions t at which the k
     underlying sequences read (u1, ..., uk).  ``axes`` holds the alphabet
-    sizes, ``n`` the blocklength.  Instances are immutable; marginalization
-    returns a new JointType over the surviving axes.
+    sizes, ``n`` the blocklength (0 takes the total of the counts), each an
+    integer, never coerced.  Instances are immutable.
     """
 
     axes: tuple[int, ...]
     counts: np.ndarray
-    n: int = field(default=0)
+    n: int = 0
 
     def __post_init__(self) -> None:
         counts = int_array(self.counts, "joint type counts")
-        if counts.shape != tuple(self.axes):
-            raise ConfigError(
-                f"count table shape {counts.shape} does not match axes {self.axes}"
-            )
+        axes = tuple(self.axes)
+        # an axis of 2.0 or True equals the shape's int, so check each
+        if counts.shape != axes or not all(int_at_least(a, 1) for a in axes):
+            raise ConfigError(f"count table shape {counts.shape} does not match axes {axes}")
+        if not int_at_least(self.n, 0):
+            raise ConfigError(f"the blocklength must be an integer >= 0, not {self.n!r}")
         total = int(counts.sum())
-        n = self.n if self.n else total
+        n = self.n or total
         if total != n:
             raise ConfigError(f"counts sum to {total}, expected blocklength {n}")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "axes", tuple(int(a) for a in self.axes))
+        object.__setattr__(self, "axes", counts.shape)
         object.__setattr__(self, "n", n)
-
-    # -- basic queries ----------------------------------------------------
-
-    def prob(self, *idx: int) -> float:
-        """Exact cell probability count/n."""
-        return float(self.counts[idx]) / self.n
 
     def pmf(self) -> np.ndarray:
         return self.counts / self.n
 
-    def marginal(self, keep: PySequence[int]) -> "JointType":
-        """Marginal type over the given axes, in the given order."""
-        keep = tuple(keep)
-        _check_axes(keep, len(self.axes))
-        drop = tuple(i for i in range(len(self.axes)) if i not in keep)
-        reduced = self.counts.sum(axis=drop) if drop else self.counts
-        # summation leaves survivors in ascending order; restore request order
-        survivors = sorted(keep)
-        perm = [survivors.index(a) for a in keep]
-        reduced = np.transpose(reduced, perm)
-        return JointType(tuple(self.axes[a] for a in keep), reduced.copy(), self.n)
-
-    # -- serialization ----------------------------------------------------
-
     def to_json(self) -> str:
         """Serialize as axis sizes plus flat row-major counts."""
-        payload = {
-            "axes": list(self.axes),
-            "n": self.n,
-            "counts": [int(c) for c in self.counts.ravel(order="C")],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "JointType":
-        with reading("joint type"):
-            d = json.loads(text)
-            counts = np.reshape(int_array(d["counts"], "counts", 1), d["axes"])
-            if not int_at_least(d["n"], 0):
-                raise ConfigError(f"the blocklength must be an integer, not {d['n']!r}")
-            return cls(tuple(d["axes"]), counts, d["n"])
+        return json.dumps(
+            {"axes": list(self.axes), "n": self.n, "counts": self.counts.ravel().tolist()}
+        )
 
 
 @dataclass(frozen=True)
@@ -189,26 +126,29 @@ def _check_axes(axes: tuple[int, ...], rank: int) -> None:
 # construction
 
 
-def joint_type(seqs: PySequence[Sequence]) -> JointType:
-    """Joint type of k aligned sequences.
+def joint_type(arrays: PySequence, sizes: PySequence[int]) -> JointType:
+    """Joint type of k aligned symbol arrays, array i over the alphabet
+    0..sizes[i]-1.
 
-    All sequences must share one blocklength.  The count table has one axis
-    per sequence, sized by that sequence's alphabet.
+    Each array is read by `errors.symbols` against its alphabet size, and
+    all must share one nonzero length.  The count table has one axis per
+    array, and at most ``MAX_TABLE_CELLS`` cells.
     """
-    if not seqs:
+    sizes = tuple(sizes)
+    if len(arrays) == 0:
         raise ConfigError("joint_type needs at least one sequence")
-    n = len(seqs[0])
-    sizes = tuple(s.alphabet.size for s in seqs)
-    for s in seqs:
-        if len(s) != n:
-            raise ConfigError("sequences have mismatched lengths")
+    if len(arrays) != len(sizes):
+        raise ConfigError(f"joint_type got {len(arrays)} sequences and {len(sizes)} alphabet sizes")
+    cols = [symbols(a, f"sequence {i}", size) for i, (a, size) in enumerate(zip(arrays, sizes))]
+    n = cols[0].size
+    if any(c.size != n for c in cols):
+        raise ConfigError("sequences have mismatched lengths")
     if n == 0:
         raise ConfigError("cannot take the type of empty sequences")
-    cells = int(np.prod(sizes))
+    cells = math.prod(sizes)
     if cells > MAX_TABLE_CELLS:
         raise BudgetExceededError(f"joint type would need {cells} cells")
-    counts = count_table([s.symbols for s in seqs], sizes)
-    return JointType(sizes, counts, n)
+    return JointType(sizes, count_table(cols, sizes), n)
 
 
 def count_table(arrays: PySequence[np.ndarray], sizes: tuple[int, ...]) -> np.ndarray:
@@ -392,8 +332,8 @@ def quantize_pmf(p: np.ndarray, n: int) -> JointType:
     the L1 distance to p among all types with denominator n.
     """
     p = np.asarray(p, dtype=float)
-    if n < 1:
-        raise ConfigError("quantization denominator must be >= 1")
+    if not int_at_least(n, 1):
+        raise ConfigError(f"the quantization denominator must be an integer >= 1, not {n!r}")
     # phrased so that a NaN fails
     if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
         raise ConfigError(f"quantize_pmf needs a normalized target pmf, not {p.tolist()}")

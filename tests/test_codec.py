@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fptrace.codec import (
     write_codebook,
 )
 from fptrace.errors import ConfigError, InfeasibleError
-from fptrace.types_core import JointType, Sequence, joint_type, quantize_pmf
+from fptrace.types_core import joint_type, quantize_pmf
 
 
 def small_params(n=12, m=5, s_size=2, w_size=2, x_size=2, seed=0):
@@ -269,22 +270,10 @@ def test_apply_rm_preserves_composition_and_type_invariance():
     # of positions, which is what makes the letter permutation transparent
     y = rngmod.derive(1, "y").integers(0, 2, p.n)
     pi = rngmod.derive(2, "pi").permutation(p.n)
-    base = joint_type(
-        [
-            Sequence.of(x, p.x_size),
-            Sequence.of(y, 2),
-            Sequence.of(out.host, p.s_size),
-            Sequence.of(out.effective_w(), p.w_size),
-        ]
-    )
-    permuted = joint_type(
-        [
-            Sequence.of(x[pi], p.x_size),
-            Sequence.of(y[pi], 2),
-            Sequence.of(out.host[pi], p.s_size),
-            Sequence.of(out.effective_w()[pi], p.w_size),
-        ]
-    )
+    arrays = [x, y, out.host, out.effective_w()]
+    sizes = (p.x_size, 2, p.s_size, p.w_size)
+    base = joint_type(arrays, sizes)
+    permuted = joint_type([a[pi] for a in arrays], sizes)
     assert np.array_equal(base.counts, permuted.counts)
 
 
@@ -296,6 +285,45 @@ def test_apply_rm_composes():
     once = apply_rm(apply_rm(cb, perm=p1), perm=p2)
     w_eff = cb.timeshare[np.argsort(p1)][np.argsort(p2)]
     assert np.array_equal(once.effective_w(), w_eff)
+
+
+# ---------------------------------------------------------------------------
+# the secret layers, by exhaustive enumeration: every letter permutation at
+# n <= 6 and every user permutation of a 4-user book
+
+
+@pytest.mark.parametrize("n,w_size", [(6, 2), (6, 3), (5, 3)])
+def test_a_letter_permutation_only_relabels_the_time_share_key(n, w_size):
+    params = replace(small_params(n=n, m=4, w_size=w_size),
+                     target_w_type=quantize_pmf(np.full(w_size, 1 / w_size), n))
+    host = np.arange(n) % params.s_size
+    drawn = draw_timeshare(params, rngmod.derive(5, "w"))
+    counts = params.target_w_type.counts
+    class_size = math.factorial(n) // math.prod(math.factorial(int(c)) for c in counts)
+    for w in (drawn, np.sort(drawn)):
+        cb = build_codebook(params, host, w, 7)
+        hits = {}
+        for pi in itertools.permutations(range(n)):
+            layered = apply_rm(cb, perm=np.array(pi))
+            eff_w = layered.effective_w()
+            plain = build_codebook(params, host, eff_w, 7)
+            # (a) the layered book is the plain book of its effective key
+            assert np.array_equal(layered.host, plain.host)
+            assert np.array_equal(eff_w, plain.effective_w())
+            assert np.array_equal(layered.rows(), plain.rows())
+            key = tuple(eff_w.tolist())
+            hits[key] = hits.get(key, 0) + 1
+        # (b) uniform over the key's type class: every member n!/|class| times
+        assert len(hits) == class_size
+        assert set(hits.values()) == {math.factorial(n) // class_size}
+        assert all(np.array_equal(np.bincount(k, minlength=w_size), counts) for k in hits)
+
+
+def test_a_user_permutation_only_reorders_the_rows():
+    cb = fresh_codebook(seed=29, n=8, m=4)
+    for sigma in itertools.permutations(range(4)):
+        # (c) user m holds prototype row sigma[m]
+        assert np.array_equal(apply_rp(cb, perm=np.array(sigma)).rows(), cb.rows()[list(sigma)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Decoder behavior against a from-scratch coalition enumerator.
 
-The oracle below scores coalitions with multi_info on joint types built
-through the public Sequence/joint_type layer; the production decoder goes
+The oracle below scores coalitions with multi_info on joint types counted
+by the public joint_type from the symbol arrays; the production decoder goes
 through the equivocation shortcut.  Agreement of the two routes on random
 instances is the main correctness evidence.
 """
@@ -32,13 +32,7 @@ from fptrace.errors import (
     InapplicableCheckError,
     StaleOutcomeError,
 )
-from fptrace.types_core import (
-    Sequence,
-    _count_entropy,
-    joint_type,
-    multi_info,
-    quantize_pmf,
-)
+from fptrace.types_core import _count_entropy, joint_type, multi_info, quantize_pmf
 
 
 def make_codebook(seed, n=24, m=5, s_size=1, w_size=2, x_size=2):
@@ -56,17 +50,15 @@ def make_codebook(seed, n=24, m=5, s_size=1, w_size=2, x_size=2):
 
 
 def oracle_score(cb, coalition, y, delta, rate):
-    """Independent scoring route: multi_info over joint_type sequences."""
+    """Independent scoring route: multi_info over the joint_type of the
+    coalition rows, the copy, the host and the time-share key."""
     if not coalition:
         return 0.0
     p = cb.params
     k = len(coalition)
     y_size = max(int(np.max(y)) + 1, p.x_size)
-    seqs = [Sequence.of(cb.row(u), p.x_size) for u in coalition]
-    seqs.append(Sequence.of(y, y_size))
-    seqs.append(Sequence.of(cb.host, p.s_size))
-    seqs.append(Sequence.of(cb.effective_w(), p.w_size))
-    jt = joint_type(seqs)
+    arrays = [cb.row(u) for u in coalition] + [y, cb.host, cb.effective_w()]
+    jt = joint_type(arrays, (p.x_size,) * k + (y_size, p.s_size, p.w_size))
     parts = [(i,) for i in range(k)] + [(k,)]
     info = multi_info(jt, parts, cond=(k + 1, k + 2))
     return info - k * (rate + delta)

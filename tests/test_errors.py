@@ -30,7 +30,7 @@ from fptrace.games import (
     solve_exponent_program,
 )
 from fptrace.games import capacity, exponents
-from fptrace.types_core import Alphabet, JointType, Sequence
+from fptrace.types_core import JointType, joint_type
 
 
 @pytest.mark.parametrize("value", [0, 2, 0.5, np.float64(0.5), np.int64(3), np.float32(1.5)])
@@ -255,9 +255,9 @@ SYMBOL_PROBES = {
     "marking-copy-fraction": lambda: check_marking(ROWS, [0, 1.5]),  # ran
     "distortion-copy-empty": lambda: check_distortion_attack(  # RuntimeWarning, (nan, False)
         [[], []], [], EST, D2, 1.0),
-    "sequence-fraction": lambda: Sequence(np.array([0.5, 1.2]), Alphabet(2)),  # ran
-    "sequence-of-bool": lambda: Sequence.of([True, 0], 2),  # ran
-    "sequence-of-past-alphabet": lambda: Sequence.of([0, 2], 2),  # refused
+    "sequence-fraction": lambda: joint_type([np.array([0.5, 1.2])], (2,)),  # ran
+    "sequence-of-bool": lambda: joint_type([[True, 0]], (2,)),  # ran
+    "sequence-of-past-alphabet": lambda: joint_type([[0, 2]], (2,)),  # refused
     "joint-type-fraction": lambda: JointType((2,), [1.5, 2.5]),  # ran
     "type-class-cond-past-cells": lambda: sample_type_class(  # refused
         [[1, 1]], np.random.default_rng(0), cond_seq=[0, 1]),

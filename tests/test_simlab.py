@@ -137,6 +137,15 @@ def test_wilson_interval_matches_known_value():
     assert wilson_interval(50, 50)[1] == 1.0
 
 
+@pytest.mark.parametrize("count,trials", [
+    (5, 3), (1, 2.5), (-1, 3), (True, 3), (1.0, 3), (0, 0), (0, True),
+])
+def test_wilson_interval_refuses_counts_outside_the_trials(count, trials):
+    # (5, 3) once raised "math domain error", and (1, 2.5) returned an interval
+    with pytest.raises(ConfigError, match="count <= trials"):
+        wilson_interval(count, trials)
+
+
 def test_rule_of_three_ceiling():
     p = PointEstimate(n=10, trials=200, fp_count=0, miss_one_count=4,
                       miss_all_count=4, resamples=0, seconds=0.0)

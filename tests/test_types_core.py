@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fptrace.errors import ConfigError
+from fptrace.errors import BudgetExceededError, ConfigError
 from fptrace.types_core import (
-    Alphabet,
+    MAX_TABLE_CELLS,
     InfoQuery,
     JointType,
-    Sequence,
     entropy,
     entropy_pmf,
     joint_type,
@@ -30,10 +29,6 @@ from fptrace.types_core import (
     quantize_pmf,
 )
 from fptrace.types_core import _count_entropy, _divergence_terms
-
-
-def seq(symbols, size):
-    return Sequence.of(symbols, size)
 
 
 def random_counts(rng, shape, n):
@@ -48,53 +43,60 @@ def random_counts(rng, shape, n):
 
 
 def test_joint_type_counts_exact_cells():
-    x = seq([0, 1, 1, 0, 1], 2)
-    y = seq([2, 2, 0, 1, 2], 3)
-    jt = joint_type([x, y])
+    x = [0, 1, 1, 0, 1]
+    y = np.array([2, 2, 0, 1, 2])
+    jt = joint_type([x, y], (2, 3))
     assert jt.axes == (2, 3)
     assert jt.n == 5
     expected = np.zeros((2, 3), dtype=int)
-    for a, b in zip(x.symbols, y.symbols):
+    for a, b in zip(x, y):
         expected[a, b] += 1
     assert np.array_equal(jt.counts, expected)
     # probabilities are exact integer ratios
-    assert jt.prob(1, 2) == 2 / 5
+    assert jt.pmf()[1, 2] == 2 / 5
 
 
 def test_joint_type_rejects_mismatched_lengths():
-    with pytest.raises(ConfigError):
-        joint_type([seq([0, 1], 2), seq([0], 2)])
+    with pytest.raises(ConfigError, match="mismatched lengths"):
+        joint_type([[0, 1], [0]], (2, 2))
 
 
 def test_sequence_rejects_out_of_alphabet():
-    with pytest.raises(ConfigError):
-        Sequence.of([0, 3], 3)
+    with pytest.raises(ConfigError, match="symbols in 0..2"):
+        joint_type([[0, 3]], (3,))
+
+
+@pytest.mark.parametrize("symbols", [[0.5, 1.0], [[0, 1]]])
+def test_sequence_symbols_are_integers(symbols):
+    # a bool or a fraction in an array is a probe of tests/test_errors.py;
+    # a list of fractions takes another path, and a 2-D array is no sequence
+    with pytest.raises(ConfigError, match="sequence 0"):
+        joint_type([symbols], (2,))
 
 
 @pytest.mark.parametrize("size", [2.5, True, 0])
 def test_alphabet_size_is_a_positive_integer(size):
     # 2.5 once bounded symbols 0..2, then failed in joint_type's table
+    with pytest.raises(ConfigError, match="alphabet"):
+        joint_type([[0, 1]], (size,))
+
+
+@pytest.mark.parametrize("arrays,sizes", [([], ()), ([[0, 1]], (2, 2)), ([[]], (2,))])
+def test_joint_type_needs_a_size_for_each_nonempty_sequence(arrays, sizes):
     with pytest.raises(ConfigError):
-        Alphabet(size)
+        joint_type(arrays, sizes)
 
 
-def test_marginal_orders_axes_as_requested():
-    rng = np.random.default_rng(7)
-    jt = JointType((2, 3, 2), random_counts(rng, (2, 3, 2), 40))
-    m = jt.marginal((2, 1))
-    assert m.axes == (2, 3)
-    ref = jt.counts.sum(axis=0).T  # sum over axis0, then (1,2) -> (2,1)
-    assert np.array_equal(m.counts, ref)
+def test_joint_type_refuses_a_table_past_the_cell_cap():
+    # checked on the sizes alone, before any table is allocated
+    with pytest.raises(BudgetExceededError, match="cells"):
+        joint_type([[0, 1], [1, 0]], (2, MAX_TABLE_CELLS // 2 + 1))
 
 
-def test_json_roundtrip_is_flat_row_major():
+def test_to_json_is_flat_row_major():
     jt = JointType((2, 2), np.array([[3, 1], [0, 2]]))
     payload = json.loads(jt.to_json())
-    assert payload["axes"] == [2, 2]
-    assert payload["counts"] == [3, 1, 0, 2]
-    back = JointType.from_json(jt.to_json())
-    assert back.axes == jt.axes
-    assert np.array_equal(back.counts, jt.counts)
+    assert payload == {"axes": [2, 2], "n": 6, "counts": [3, 1, 0, 2]}
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +105,14 @@ def test_json_roundtrip_is_flat_row_major():
 
 def test_entropy_quarter_three_quarter():
     # H(1/4, 3/4) = 2 - (3/4) log2 3, directly
-    jt = joint_type([seq([0, 1, 1, 1], 2)])
+    jt = joint_type([[0, 1, 1, 1]], (2,))
     want = 2.0 - 0.75 * math.log2(3.0)
     assert entropy(jt, InfoQuery((0,))) == pytest.approx(want, abs=1e-15)
     assert want == pytest.approx(0.8112781244591328, abs=1e-12)
 
 
 def test_entropy_uniform_is_exact_log():
-    jt = joint_type([seq([0, 1, 2, 3], 4)])
+    jt = joint_type([[0, 1, 2, 3]], (4,))
     assert entropy(jt, InfoQuery((0,))) == 2.0
 
 
@@ -258,7 +260,7 @@ def brute_force_class_size(symbols, size):
 
 
 def test_log_type_class_size_log2_six():
-    jt = joint_type([seq([0, 0, 1, 1], 2)])
+    jt = joint_type([[0, 0, 1, 1]], (2,))
     exact, lower, upper = log_type_class_size(jt)
     assert exact == pytest.approx(math.log2(6.0), abs=1e-12)
     assert lower <= exact <= upper
@@ -268,7 +270,7 @@ def test_log_type_class_size_log2_six():
 def test_log_type_class_size_matches_enumeration(n, size):
     rng = np.random.default_rng(n * 31 + size)
     symbols = rng.integers(0, size, n)
-    jt = joint_type([Sequence.of(symbols, size)])
+    jt = joint_type([symbols], (size,))
     exact, _, _ = log_type_class_size(jt)
     assert 2.0**exact == pytest.approx(brute_force_class_size(symbols, size), rel=1e-9)
 
@@ -279,11 +281,11 @@ def test_conditional_class_size_matches_enumeration():
     n, xs, ys = 8, 2, 2
     x = rng.integers(0, xs, n)
     y = rng.integers(0, ys, n)
-    jt = joint_type([Sequence.of(x, xs), Sequence.of(y, ys)])
+    jt = joint_type([x, y], (xs, ys))
     exact, lower, upper = log_type_class_size(jt, cond=(0,))
     hits = 0
     for cand in itertools.product(range(ys), repeat=n):
-        cjt = joint_type([Sequence.of(x, xs), Sequence.of(cand, ys)])
+        cjt = joint_type([x, cand], (xs, ys))
         if np.array_equal(cjt.counts, jt.counts):
             hits += 1
     assert 2.0**exact == pytest.approx(hits, rel=1e-9)
@@ -340,6 +342,13 @@ def test_quantize_pmf_deterministic_tie_break():
     assert np.array_equal(t.counts, [1, 1, 0])
 
 
+@pytest.mark.parametrize("n", [2.5, True, 0, 8.0])
+def test_quantize_pmf_denominator_is_a_positive_integer(n):
+    # 2.5 once raised a raw TypeError, and True gave a type with n=True
+    with pytest.raises(ConfigError, match="denominator"):
+        quantize_pmf(np.array([0.5, 0.5]), n)
+
+
 @pytest.mark.parametrize("p", [[math.nan, math.nan], [math.nan, 1.0]])
 def test_quantize_pmf_refuses_what_is_not_a_pmf(p):
     # [nan, nan] once passed the check and failed later as a negative count
@@ -363,15 +372,18 @@ def test_info_query_validation():
         entropy(jt, InfoQuery((5,)))  # out of range
 
 
-@pytest.mark.parametrize("payload", [
-    '{"axes": [2.7], "n": 3, "counts": [1.9, 2.9]}',  # once axes (2,), counts [1, 2]
-    '{"axes": [2], "n": 3, "counts": [1.9, 1.1]}',
-    '{"axes": [2.0], "n": 3, "counts": [1, 2]}',
-    '{"axes": [-1], "n": 3, "counts": [1, 2]}',
-    '{"axes": [2], "n": 3.0, "counts": [1, 2]}',
-    '{"axes": [2], "counts": [1, 2]}',
-    '[1, 2]',
-])
-def test_joint_type_reader_refuses_what_it_once_truncated(payload):
+@pytest.mark.parametrize("axes,counts,n", [
+    ((2.7,), [1.9, 2.9], 3),
+    ((2,), [1.9, 1.1], 3),
+    ((2.0,), [1, 2], 3),  # once stored as axes (2,)
+    ((-1,), [1, 2], 3),
+    ((True, 2), [[1, 2]], 3),
+    ((2,), [1, 2], 3.0),
+    ((2,), [1, 1], 2.0),  # once stored n=2.0
+    ((1,), [1], True),  # once stored n=True
+    ((2,), [1, 2], 4),
+], ids=["axis-fraction", "count-fraction", "axis-float", "axis-negative", "axis-bool",
+        "n-float", "n-float-matching", "n-bool", "n-not-the-total"])
+def test_joint_type_refuses_what_it_once_truncated(axes, counts, n):
     with pytest.raises(ConfigError):
-        JointType.from_json(payload)
+        JointType(axes, counts, n)
