@@ -5,8 +5,8 @@ and every other FptraceError -> 2, each with a one-line message.  Anything
 else is an ordinary bug and propagates as exit 1.
 
 Data from outside the program (configs, codebook files, pirated copies,
-serialized channels and types) is decoded here and refused, never
-coerced.  Every reader is one constructor call inside `reading`, which
+serialized channels) is decoded here and refused, never coerced.  Every
+reader is one constructor call inside `reading`, which
 turns a missing file or key, or a value of the wrong kind or shape, into
 a one-line ConfigError; `read_json` loads a file under it.  The checks:
 `int_at_least` for an integer, with `int_array`, `index_set` and
