@@ -3,15 +3,13 @@
 A codebook is a secret matrix of user rows, each drawn uniformly from the
 conditional type class pinned down by the realized host sequence s and the
 time-sharing sequence w: within every (s, w) cell the row carries an exact
-prescribed composition of mark symbols.  Two secret randomizers can be
-layered on top: a user-index permutation (who owns which row) and a letter
-permutation (which hides the position structure; it enters scoring as a
-permuted effective time-sharing sequence).  Rows are generated lazily from a
-keyed per-row stream, so a codebook is reproducible from (params, seed)
-alone and generation order never matters.  Each book builds its cell plan
-(every cell's positions and sorted mark block) once; a row then costs one
-stream derivation and one shuffle per cell, bit-identical to a fresh
-:func:`sample_type_class` draw on that stream.
+prescribed composition of mark symbols.  The secret is the seed and w, a
+uniform draw from its type class.  Rows are generated lazily from a keyed
+per-row stream, so a codebook is reproducible from (params, host,
+timeshare, seed) alone and generation order never matters.  Each book
+builds its cell plan (every cell's positions and sorted mark block) once;
+a row then costs one stream derivation and one shuffle per cell,
+bit-identical to a fresh :func:`sample_type_class` draw on that stream.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,8 +33,6 @@ __all__ = [
     "draw_timeshare",
     "sample_type_class",
     "build_codebook",
-    "apply_rp",
-    "apply_rm",
     "write_codebook",
     "read_codebook",
 ]
@@ -194,20 +190,15 @@ def _arrange(plan: tuple, rng: np.random.Generator) -> np.ndarray:
 class Codebook:
     """Realized fingerprint code: host, time-sharing key, lazy user rows.
 
-    Row m is reproduced on demand from the keyed stream (seed, "row", j)
-    with j the prototype index held by user m, so any subset of rows can be
-    regenerated deterministically and in any order.  ``rp_perm[m]`` is that
-    prototype index (identity when no user permutation was applied);
-    ``rm_perm`` is the secret letter permutation, exposed to scoring only
-    through :meth:`effective_w`.
+    Row m is reproduced on demand from the keyed stream (seed, "row", m),
+    so any subset of rows can be regenerated deterministically and in any
+    order.  Scoring pairs the rows with (host, timeshare).
     """
 
     params: CodeParams
     host: np.ndarray
     timeshare: np.ndarray
     seed: int
-    rp_perm: np.ndarray | None = None
-    rm_perm: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -224,28 +215,8 @@ class Codebook:
         w.setflags(write=False)
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "timeshare", w)
-        for name, size in (("rp_perm", p.num_users), ("rm_perm", p.n)):
-            perm = getattr(self, name)
-            if perm is None:
-                continue
-            perm = symbols(perm, name, size)
-            if perm.shape != (size,) or not np.array_equal(np.sort(perm), np.arange(size)):
-                raise ConfigError(f"{name} is not a permutation of {size} indices")
-            object.__setattr__(self, name, perm)
 
     # -- derived geometry ---------------------------------------------------
-
-    def effective_w(self) -> np.ndarray:
-        """Time-sharing sequence as seen by row generation and scoring.
-
-        The letter permutation relocates the prototype's position structure;
-        equivalently the rows are cell-matched to w pulled back through the
-        inverse permutation.  Scoring against (host, effective_w) is exactly
-        scoring the prototype rows against the permuted pirate sequence.
-        """
-        if self.rm_perm is None:
-            return self.timeshare
-        return self.timeshare[np.argsort(self.rm_perm)]
 
     def _cells(self) -> tuple[np.ndarray, tuple]:
         """(per-cell mark compositions, cell plan).
@@ -256,7 +227,7 @@ class Codebook:
         key = "cells"
         if key not in self._cache:
             p = self.params
-            cid = self.host * p.w_size + self.effective_w()
+            cid = self.host * p.w_size + self.timeshare
             have = np.bincount(cid, minlength=p.s_size * p.w_size)
             comp = np.zeros((p.s_size * p.w_size, p.x_size), dtype=np.int64)
             flat_target = p.target_x_given_sw.reshape(-1, p.x_size)
@@ -286,16 +257,13 @@ class Codebook:
         return int(m)
 
     def row(self, m: int) -> np.ndarray:
-        """Codeword of user m (applies the user-index permutation).
+        """Codeword of user m.
 
         The same draw as ``sample_type_class(comp, gen, cond_seq=cid)`` on
         the key stream, with the cell plan built once per book.
         """
-        m = self._user(m)
-        proto = m if self.rp_perm is None else int(self.rp_perm[m])
-        plan = self._cells()[1]
-        gen = rngmod.derive(self.seed, "row", proto)
-        return _arrange(plan, gen)
+        gen = rngmod.derive(self.seed, "row", self._user(m))
+        return _arrange(self._cells()[1], gen)
 
     def rows(self) -> np.ndarray:
         """All user rows as an (M, n) matrix (cached, small integer type)."""
@@ -339,47 +307,6 @@ def build_codebook(
     return cb
 
 
-def apply_rp(
-    cb: Codebook,
-    rng: np.random.Generator | None = None,
-    perm: np.ndarray | None = None,
-) -> Codebook:
-    """Layer a secret user-index permutation over a codebook.
-
-    ``perm`` maps user -> prototype row.  With a generator, a uniform
-    permutation is drawn.  Applying a permutation and then its inverse
-    restores the original assignment.
-    """
-    m = cb.params.num_users
-    if perm is None:
-        if rng is None:
-            raise ConfigError("apply_rp needs a generator or an explicit permutation")
-        perm = rng.permutation(m)
-    perm = replace(cb, rp_perm=perm, _cache={}).rp_perm  # validated by Codebook
-    old = cb.rp_perm if cb.rp_perm is not None else np.arange(m)
-    return replace(cb, rp_perm=old[perm], _cache={})
-
-
-def apply_rm(
-    cb: Codebook,
-    rng: np.random.Generator | None = None,
-    perm: np.ndarray | None = None,
-) -> Codebook:
-    """Layer a secret letter permutation over a codebook.
-
-    The identity permutation leaves the codebook unchanged.  Scoring code
-    must pair rows and pirate output with :meth:`Codebook.effective_w`.
-    """
-    n = cb.params.n
-    if perm is None:
-        if rng is None:
-            raise ConfigError("apply_rm needs a generator or an explicit permutation")
-        perm = rng.permutation(n)
-    perm = replace(cb, rm_perm=perm, _cache={}).rm_perm  # validated by Codebook
-    old = cb.rm_perm if cb.rm_perm is not None else np.arange(n)
-    return replace(cb, rm_perm=perm[old], _cache={})
-
-
 # ---------------------------------------------------------------------------
 # persistence: public row file + header, secret keyfile
 
@@ -392,8 +319,8 @@ def write_codebook(cb: Codebook, rows_path, header_path, key_path) -> None:
     """Write rows as JSONL, public header and secret keyfile as JSON.
 
     The header carries the code parameters and a fingerprint of the seed
-    (for pairing with the right keyfile); the seed itself, the permutations
-    and the host/time-share sequences live only in the keyfile.
+    (for pairing with the right keyfile); the seed itself and the
+    host/time-share sequences live only in the keyfile.
     """
     header = {
         "format": "fptrace-codebook-v1",
@@ -411,8 +338,6 @@ def write_codebook(cb: Codebook, rows_path, header_path, key_path) -> None:
         "seed": int(cb.seed),
         "host": cb.host.tolist(),
         "timeshare": cb.timeshare.tolist(),
-        "rp_perm": None if cb.rp_perm is None else cb.rp_perm.tolist(),
-        "rm_perm": None if cb.rm_perm is None else cb.rm_perm.tolist(),
     }
     with open(key_path, "w") as fh:
         json.dump(key, fh)
@@ -422,7 +347,8 @@ def write_codebook(cb: Codebook, rows_path, header_path, key_path) -> None:
 def read_codebook(rows_path, header_path, key_path) -> Codebook:
     """Rebuild a codebook from its three files, validating consistency:
     the row file must list each user once, with the row of the keyed
-    stream."""
+    stream.  A keyfile field other than the seed, host and timeshare must
+    be null: older books wrote their unused permutation fields so."""
     header = read_json(header_path, "codebook header")
     key = read_json(key_path, "codebook keyfile")
     with reading("codebook header"):
@@ -431,8 +357,11 @@ def read_codebook(rows_path, header_path, key_path) -> Codebook:
         params = CodeParams.from_dict(header["params"])
         fingerprint = header["seed_fingerprint"]
     with reading("codebook keyfile"):
-        cb = Codebook(params, key["host"], key["timeshare"], key["seed"], key["rp_perm"],
-                      key["rm_perm"])
+        cb = Codebook(params, key["host"], key["timeshare"], key["seed"])
+        for name, value in key.items():
+            if value is not None and name not in ("seed", "host", "timeshare"):
+                raise ConfigError(f"codebook keyfile: field {name!r} must be null; "
+                                  "a book is keyed by its seed, host and timeshare alone")
         if _seed_fingerprint(cb.seed) != fingerprint:
             raise ConfigError("keyfile does not match codebook header")
     users = []

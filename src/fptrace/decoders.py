@@ -141,7 +141,7 @@ class _Scorer:
         if y.shape != (p.n,):
             raise ConfigError("pirated sequence length must match the blocklength")
         y = np.unique(y, return_inverse=True)[1]
-        side = cb.host * p.w_size + cb.effective_w()
+        side = cb.host * p.w_size + cb.timeshare
         self.n, self.x_size, self.sides = p.n, p.x_size, p.s_size * p.w_size
         # combined (y, s, w) code; every code built on it is int32
         self.cells = (y * self.sides + side).astype(np.int32)

@@ -270,11 +270,13 @@ class PointEstimate:
     seconds: float
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("need at least one trial")
+        if not (int_at_least(self.n, 1) and int_at_least(self.trials, 1)):
+            raise ConfigError("n and trials must be positive integers")
         for c in (self.fp_count, self.miss_one_count, self.miss_all_count):
-            if not 0 <= c <= self.trials:
-                raise ConfigError("event count outside the trial budget")
+            if not (int_at_least(c, 0) and c <= self.trials):
+                raise ConfigError(f"event count {c!r} is not an integer in 0..trials")
+        if not int_at_least(self.resamples, 0):
+            raise ConfigError(f"resamples must be an integer >= 0, not {self.resamples!r}")
         if self.miss_one_count > self.miss_all_count:
             raise ConfigError("miss-one events are a subset of miss-all events")
 

@@ -238,7 +238,7 @@ def brute_force_mpmi(cb, y, cfg):
     m = p.num_users
     y = np.asarray(y, dtype=np.int64)
     y_size = max(int(y.max()) + 1, p.x_size)
-    s, w = cb.host, cb.effective_w()
+    s, w = cb.host, cb.timeshare
     rows = [cb.row(i) for i in range(m)]
     bar = cfg.rate_for(cb) + cfg.delta
     side = (p.s_size, p.w_size)

@@ -28,6 +28,8 @@ def test_gen_attack_decode_round_trip(workdir):
     assert run("gen", "--config", gen_cfg, "--seed", 5, "--out", workdir) == 0
     for name in ("codebook.jsonl", "codebook_header.json", "codebook_key.json"):
         assert (workdir / name).exists()
+    key = json.loads((workdir / "codebook_key.json").read_text())
+    assert set(key) == {"seed", "host", "timeshare"}
 
     att_cfg = write_json(workdir / "att.json", {"coalition": [2, 7]})
     assert run("attack", "--config", att_cfg, "--seed", 5, "--out", workdir) == 0
@@ -177,16 +179,23 @@ def test_exit_code_2_on_infeasible_codebook(workdir, capsys):
     assert err.startswith("InfeasibleError: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("bad", [[0] * 16, [2, 0, 1]])
-def test_exit_code_2_on_keyfile_with_bad_permutation(workdir, bad):
+@pytest.mark.parametrize("name, bad", [
+    ("rm_perm", [0] * 16), ("rm_perm", [2, 0, 1]), ("rm_perm", list(range(16))),
+    ("rp_perm", [1, 0, 3, 2]), ("rp_perm", list(range(4))),
+])
+def test_exit_code_2_on_keyfile_with_bad_permutation(workdir, capsys, name, bad):
+    # any permutation is refused, the identity too: no book carries one
     gen_cfg = write_json(workdir / "gen.json", {"params": {"n": 16, "num_users": 4}})
     assert run("gen", "--config", gen_cfg, "--seed", 3, "--out", workdir) == 0
     key_path = workdir / "codebook_key.json"
     key = json.loads(key_path.read_text())
-    key["rm_perm"] = bad
+    key[name] = bad
     key_path.write_text(json.dumps(key))
+    capsys.readouterr()
     att_cfg = write_json(workdir / "att.json", {"coalition": [0, 1]})
     assert run("attack", "--config", att_cfg, "--out", workdir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and name in err and err.count("\n") == 1
 
 
 FAIR_K2 = {"coalition_size": 2, "x_size": 2, "y_size": 2,

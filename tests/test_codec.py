@@ -1,9 +1,7 @@
-"""Codebook construction: exact compositions, keyed determinism, randomizers."""
+"""Codebook construction: exact compositions, keyed determinism, persistence."""
 
-import itertools
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +9,6 @@ import pytest
 from fptrace import rng as rngmod
 from fptrace.codec import (
     CodeParams,
-    apply_rm,
-    apply_rp,
     build_codebook,
     draw_host,
     draw_timeshare,
@@ -21,7 +17,7 @@ from fptrace.codec import (
     write_codebook,
 )
 from fptrace.errors import ConfigError, InfeasibleError
-from fptrace.types_core import joint_type, quantize_pmf
+from fptrace.types_core import quantize_pmf
 
 
 def small_params(n=12, m=5, s_size=2, w_size=2, x_size=2, seed=0):
@@ -93,7 +89,7 @@ def test_rows_have_exact_conditional_composition(seed):
     cb = fresh_codebook(seed=seed, n=24, m=6)
     p = cb.params
     comp = cb.cell_compositions()
-    cid = cb.host * p.w_size + cb.effective_w()
+    cid = cb.host * p.w_size + cb.timeshare
     for m in range(p.num_users):
         x = cb.row(m)
         for s in range(p.s_size):
@@ -105,7 +101,7 @@ def test_rows_have_exact_conditional_composition(seed):
 def test_cell_compositions_quantize_per_cell_targets():
     cb = fresh_codebook(seed=9, n=30)
     p = cb.params
-    cid = cb.host * p.w_size + cb.effective_w()
+    cid = cb.host * p.w_size + cb.timeshare
     have = np.bincount(cid, minlength=p.s_size * p.w_size)
     comp = cb.cell_compositions().reshape(-1, p.x_size)
     flat = p.target_x_given_sw.reshape(-1, p.x_size)
@@ -139,14 +135,13 @@ def _loop_draw(comp, gen, cid):
 def test_rows_equal_the_reference_loop_on_their_key_stream(seed):
     cb = fresh_codebook(seed=seed, n=20 + 7 * seed, s_size=1 + seed % 3,
                         w_size=1 + seed // 3, x_size=(2, 3, 5)[seed % 3])
-    cb = apply_rm(apply_rp(cb, rngmod.derive(seed, "rp")), rngmod.derive(seed, "rm"))
     p = cb.params
-    cid = cb.host * p.w_size + cb.effective_w()
+    cid = cb.host * p.w_size + cb.timeshare
     comp = cb.cell_compositions().reshape(-1, p.x_size)
     for m in range(p.num_users):
-        want = _loop_draw(comp, rngmod.derive(cb.seed, "row", int(cb.rp_perm[m])), cid)
+        want = _loop_draw(comp, rngmod.derive(cb.seed, "row", m), cid)
         assert np.array_equal(cb.row(m), want)
-        got = sample_type_class(comp, rngmod.derive(cb.seed, "row", int(cb.rp_perm[m])), cid)
+        got = sample_type_class(comp, rngmod.derive(cb.seed, "row", m), cid)
         assert np.array_equal(got, want)
 
 
@@ -227,106 +222,6 @@ def test_conditional_sampler_validates_cell_totals():
 
 
 # ---------------------------------------------------------------------------
-# randomizers
-
-
-def test_apply_rp_roundtrip_and_row_relabeling():
-    cb = fresh_codebook(seed=5)
-    m = cb.params.num_users
-    perm = np.array([2, 0, 1, 4, 3])
-    shuffled = apply_rp(cb, perm=perm)
-    for u in range(m):
-        assert np.array_equal(shuffled.row(u), cb.row(perm[u]))
-    back = apply_rp(shuffled, perm=np.argsort(perm))
-    assert np.array_equal(back.rows(), cb.rows())
-
-
-def test_apply_rp_draws_uniform_permutation():
-    cb = fresh_codebook(seed=6)
-    out = apply_rp(cb, rng=np.random.default_rng(0))
-    assert sorted(out.rp_perm.tolist()) == list(range(cb.params.num_users))
-
-
-def test_apply_rm_identity_is_noop():
-    cb = fresh_codebook(seed=8)
-    same = apply_rm(cb, perm=np.arange(cb.params.n))
-    assert np.array_equal(same.effective_w(), cb.effective_w())
-    assert np.array_equal(same.rows(), cb.rows())
-
-
-def test_apply_rm_preserves_composition_and_type_invariance():
-    cb = fresh_codebook(seed=11, n=20)
-    p = cb.params
-    gen = rngmod.derive(99, "rm")
-    out = apply_rm(cb, rng=gen)
-    # rows still carry the exact composition against (host, effective_w)
-    cid = out.host * p.w_size + out.effective_w()
-    comp = out.cell_compositions().reshape(-1, p.x_size)
-    x = out.row(0)
-    for c in range(comp.shape[0]):
-        got = np.bincount(x[cid == c], minlength=p.x_size)
-        assert np.array_equal(got, comp[c])
-    # scores built from joint types are invariant under a common relabeling
-    # of positions, which is what makes the letter permutation transparent
-    y = rngmod.derive(1, "y").integers(0, 2, p.n)
-    pi = rngmod.derive(2, "pi").permutation(p.n)
-    arrays = [x, y, out.host, out.effective_w()]
-    sizes = (p.x_size, 2, p.s_size, p.w_size)
-    base = joint_type(arrays, sizes)
-    permuted = joint_type([a[pi] for a in arrays], sizes)
-    assert np.array_equal(base.counts, permuted.counts)
-
-
-def test_apply_rm_composes():
-    cb = fresh_codebook(seed=13)
-    n = cb.params.n
-    p1 = np.random.default_rng(1).permutation(n)
-    p2 = np.random.default_rng(2).permutation(n)
-    once = apply_rm(apply_rm(cb, perm=p1), perm=p2)
-    w_eff = cb.timeshare[np.argsort(p1)][np.argsort(p2)]
-    assert np.array_equal(once.effective_w(), w_eff)
-
-
-# ---------------------------------------------------------------------------
-# the secret layers, by exhaustive enumeration: every letter permutation at
-# n <= 6 and every user permutation of a 4-user book
-
-
-@pytest.mark.parametrize("n,w_size", [(6, 2), (6, 3), (5, 3)])
-def test_a_letter_permutation_only_relabels_the_time_share_key(n, w_size):
-    params = replace(small_params(n=n, m=4, w_size=w_size),
-                     target_w_type=quantize_pmf(np.full(w_size, 1 / w_size), n))
-    host = np.arange(n) % params.s_size
-    drawn = draw_timeshare(params, rngmod.derive(5, "w"))
-    counts = params.target_w_type.counts
-    class_size = math.factorial(n) // math.prod(math.factorial(int(c)) for c in counts)
-    for w in (drawn, np.sort(drawn)):
-        cb = build_codebook(params, host, w, 7)
-        hits = {}
-        for pi in itertools.permutations(range(n)):
-            layered = apply_rm(cb, perm=np.array(pi))
-            eff_w = layered.effective_w()
-            plain = build_codebook(params, host, eff_w, 7)
-            # (a) the layered book is the plain book of its effective key
-            assert np.array_equal(layered.host, plain.host)
-            assert np.array_equal(eff_w, plain.effective_w())
-            assert np.array_equal(layered.rows(), plain.rows())
-            key = tuple(eff_w.tolist())
-            hits[key] = hits.get(key, 0) + 1
-        # (b) uniform over the key's type class: every member n!/|class| times
-        assert len(hits) == class_size
-        assert set(hits.values()) == {math.factorial(n) // class_size}
-        assert all(np.array_equal(np.bincount(k, minlength=w_size), counts) for k in hits)
-
-
-def test_a_user_permutation_only_reorders_the_rows():
-    cb = fresh_codebook(seed=29, n=8, m=4)
-    for sigma in itertools.permutations(range(4)):
-        # (c) user m holds prototype row sigma[m]
-        assert np.array_equal(apply_rp(cb, perm=np.array(sigma)).rows(), cb.rows()[list(sigma)])
-
-
-# ---------------------------------------------------------------------------
 # distortion budget
 
 
@@ -373,17 +268,16 @@ def test_feasible_distortion_passes_and_matches_check():
 
 
 def test_codebook_file_roundtrip(tmp_path):
-    cb = apply_rm(
-        apply_rp(fresh_codebook(seed=21), rng=rngmod.derive(21, "rp")),
-        rng=rngmod.derive(21, "rm"),
-    )
+    cb = fresh_codebook(seed=21)
     rows = tmp_path / "code.jsonl"
     header = tmp_path / "code.json"
     key = tmp_path / "key.json"
     write_codebook(cb, rows, header, key)
     back = read_codebook(rows, header, key)
     assert np.array_equal(back.rows(), cb.rows())
-    assert np.array_equal(back.effective_w(), cb.effective_w())
+    assert np.array_equal(back.host, cb.host)
+    assert np.array_equal(back.timeshare, cb.timeshare)
+    assert back.seed == cb.seed
     # seed never leaks into the public header
     import json as _json
 
@@ -419,24 +313,31 @@ def test_codebook_reader_rejects_wrong_keyfile(tmp_path):
         read_codebook(tmp_path / "a.jsonl", tmp_path / "a.json", tmp_path / "b.key")
 
 
-@pytest.mark.parametrize("name, bad", [("rm_perm", [0] * 12), ("rm_perm", [2, 0, 1])])
+@pytest.mark.parametrize("name, bad", [
+    ("rm_perm", [0] * 12), ("rm_perm", [2, 0, 1]), ("rm_perm", list(range(12))),
+    ("rp_perm", [1, 0, 2, 3, 4]), ("rp_perm", list(range(5))),
+])
 def test_codebook_reader_rejects_bad_permutations(tmp_path, name, bad):
+    """A keyfile naming any permutation, the identity too, is refused."""
     paths = tmp_path / "c.jsonl", tmp_path / "c.json", tmp_path / "c.key"
     write_codebook(fresh_codebook(seed=51), *paths)
     key = json.loads(paths[2].read_text())
     key[name] = bad
     paths[2].write_text(json.dumps(key))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=name) as info:
         read_codebook(*paths)
+    assert "\n" not in str(info.value)
 
 
-def test_randomizers_reject_non_permutations():
-    cb = fresh_codebook(seed=52)
-    for bad in ([0, 0, 1, 2, 3], [0, 1, 2], [-1, 0, 1, 2, 3], [0, 1, 2, 3, 9]):
-        with pytest.raises(ConfigError):
-            apply_rp(cb, perm=bad)
-    with pytest.raises(ConfigError):
-        apply_rm(cb, perm=[0] * cb.params.n)
+@pytest.mark.parametrize("fields", [{"rp_perm": None, "rm_perm": None}, {"rm_perm": None}, {}])
+def test_codebook_reader_accepts_null_or_absent_permutations(tmp_path, fields):
+    """Keyfiles written with null permutation fields still open unchanged."""
+    cb = fresh_codebook(seed=53)
+    paths = tmp_path / "c.jsonl", tmp_path / "c.json", tmp_path / "c.key"
+    write_codebook(cb, *paths)
+    key = json.loads(paths[2].read_text())
+    paths[2].write_text(json.dumps({**key, **fields}))
+    assert np.array_equal(read_codebook(*paths).rows(), cb.rows())
 
 
 def test_draw_host_matches_law():

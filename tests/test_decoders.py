@@ -57,7 +57,7 @@ def oracle_score(cb, coalition, y, delta, rate):
     p = cb.params
     k = len(coalition)
     y_size = max(int(np.max(y)) + 1, p.x_size)
-    arrays = [cb.row(u) for u in coalition] + [y, cb.host, cb.effective_w()]
+    arrays = [cb.row(u) for u in coalition] + [y, cb.host, cb.timeshare]
     jt = joint_type(arrays, (p.x_size,) * k + (y_size, p.s_size, p.w_size))
     parts = [(i,) for i in range(k)] + [(k,)]
     info = multi_info(jt, parts, cond=(k + 1, k + 2))
@@ -415,7 +415,7 @@ def loop_scorer(cb, y):
     cells * X^k + ..., with no block and no offsets."""
     p = cb.params
     y = np.unique(np.asarray(y), return_inverse=True)[1]
-    cells = y * (p.s_size * p.w_size) + cb.host * p.w_size + cb.effective_w()
+    cells = y * (p.s_size * p.w_size) + cb.host * p.w_size + cb.timeshare
     comp = cb.cell_compositions()
     h_side = _count_entropy(comp.sum(axis=2), p.n)
     h_x = _count_entropy(comp, p.n) - h_side
@@ -502,10 +502,6 @@ def batch_instance(name):
     n, deltas = (45, (0.04, 1.0)) if x_size == 3 else (160, (0.04, 0.2, 0.3))
     cb = make_codebook(61 + x_size, n=n, m=7, s_size=2, w_size=2, x_size=x_size)
     gen = rngmod.derive(61, name)
-    if "rp" in name:
-        cb = codec.apply_rp(cb, gen)
-    if "rm" in name:
-        cb = codec.apply_rm(cb, gen)
     y = interleave(np.stack([cb.row(1), cb.row(4)]), gen, x_size=x_size).y.copy()
     if "off" in name:
         y[:2] = x_size + 1  # symbols outside the mark alphabet
@@ -514,8 +510,7 @@ def batch_instance(name):
     return cb, y, deltas, tie_tol
 
 
-BATCH_CASES = ["sw2", "x3", "sw2-rp", "x3-rm", "sw2-rp-rm", "x3-off", "sw2-off-rm",
-               "sw2-tol", "wide-tol", "ties"]
+BATCH_CASES = ["sw2", "x3", "x3-off", "sw2-off", "sw2-tol", "wide-tol", "ties"]
 
 
 @pytest.mark.parametrize("block_cells", [None, 40, 300])
@@ -654,7 +649,7 @@ def test_a_code_at_the_top_of_its_block_is_counted():
     # a block of one candidate; the top code 2**15 - 1 occurs where all six
     # rows carry mark 3 in the top cell
     cb = make_codebook(74, n=64, m=12, s_size=2, w_size=1, x_size=4)
-    rows, side = cb.rows(), cb.host * cb.params.w_size + cb.effective_w()
+    rows, side = cb.rows(), cb.host * cb.params.w_size + cb.timeshare
     hits = (rows == 3).sum(axis=0) * (side == 1)
     j = int(np.argmax(hits))
     assert hits[j] >= 6

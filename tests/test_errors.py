@@ -10,8 +10,7 @@ import pytest
 
 from fptrace import rng as rngmod
 from fptrace import simlab
-from fptrace.codec import (Codebook, CodeParams, apply_rm, apply_rp, build_codebook,
-                           sample_type_class)
+from fptrace.codec import Codebook, CodeParams, build_codebook, sample_type_class
 from fptrace.collusion import (ChannelSpec, _interleaving_table, apply_memoryless,
                                check_distortion_attack, check_marking, feasibility_report,
                                interleave)
@@ -224,11 +223,6 @@ SYMBOL_PROBES = {
     "codebook-host-bool": lambda: Codebook(P, HOST.astype(bool), W0, 1),  # ran
     "codebook-host-past-s": lambda: Codebook(P, HOST + 1, W0, 1),  # refused
     "codebook-timeshare-fraction": lambda: Codebook(P, HOST, W0 + 0.2, 1),  # ran
-    "codebook-rp-fraction": lambda: Codebook(P, HOST, W0, 1, rp_perm=[0.2, 1.1, 2.9, 3.0]),  # ran
-    "codebook-rm-bool": lambda: Codebook(  # refused: True read as 1 repeats 1
-        P, HOST, W0, 1, rm_perm=[True] + list(range(1, 16))),
-    "apply-rp-fraction": lambda: apply_rp(_book(), perm=[0.2, 1.1, 2.9, 3.0]),  # ran
-    "apply-rm-negative": lambda: apply_rm(_book(), perm=np.arange(16) - 1),  # refused
     "threshold-copy-fraction": lambda: threshold_decode(_book(), _copy(0.5), CFG),  # ran
     "threshold-copy-bool": lambda: threshold_decode(_book(), _copy(dtype=bool), CFG),  # ran
     "mpmi-copy-fraction": lambda: mpmi_decode(_book(), _copy(0.5), CFG),  # ran

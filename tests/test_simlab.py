@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from fptrace import simlab
-from fptrace.codec import CodeParams, apply_rm, build_codebook, draw_host, draw_timeshare
+from fptrace.codec import CodeParams, build_codebook, draw_host, draw_timeshare
 from fptrace.collusion import ChannelSpec, interleave
 from fptrace.decoders import DecodeConfig, threshold_decode
 from fptrace.errors import ConfigError
@@ -278,8 +278,14 @@ def test_fast_engine_rejects_odd_blocklength():
         threshold_fp_exact(24, innocents=-1, delta=0.05)
     with pytest.raises(ConfigError):
         threshold_fp_fast(24, innocents=10, delta=0.05, trials=0)
-    with pytest.raises(ConfigError):
-        PointEstimate(24, 0, 0, 0, 0, 0, 0.0)
+    # records that once built and gave a rate: fractional or bool counts
+    # (fp rate 0.6), a bool trial budget (rule-of-three ceiling 1.0), a
+    # negative resample count
+    for record in ((24, 0, 0, 0, 0, 0), (10.5, 2, 1, 0, 1, 0), (10, 2.5, 1, 0, 1, 0),
+                   (10, 4, 1.5, 0, 1, 0), (10, 4, 1, 0.5, 1, 0), (10, 4, 1, 0, True, 0),
+                   (10, True, 0, 0, 0, 0), (10, 4, 1, 0, 1, -3), (10, 4, 1, 0, 1, 0.5)):
+        with pytest.raises(ConfigError):
+            PointEstimate(*record, 0.0)
 
 
 @pytest.mark.parametrize("engine", ["fast", "exact"])
@@ -319,11 +325,9 @@ def test_table_scores_equal_threshold_decode_scores():
         cb = build_codebook(
             params, draw_host(params.p_host, 48, gen), draw_timeshare(params, gen), seed
         )
-        if seed % 2:
-            cb = apply_rm(cb, gen)
         y = gen.integers(0, 4, size=48)
         scores = threshold_decode(cb, y, DecodeConfig(delta=0.1)).scores
-        cell = cb.host * 2 + cb.effective_w()
+        cell = cb.host * 2 + cb.timeshare
         yi = np.unique(y, return_inverse=True)[1]
         y_size = yi.max() + 1
         tables = np.stack([
