@@ -316,9 +316,11 @@ def test_codebook_reader_rejects_wrong_keyfile(tmp_path):
 @pytest.mark.parametrize("name, bad", [
     ("rm_perm", [0] * 12), ("rm_perm", [2, 0, 1]), ("rm_perm", list(range(12))),
     ("rp_perm", [1, 0, 2, 3, 4]), ("rp_perm", list(range(5))),
+    ("rm_perm", []), ("rm_perm", False), ("rp_perm", 0), ("rp_perm", ""),
 ])
 def test_codebook_reader_rejects_bad_permutations(tmp_path, name, bad):
-    """A keyfile naming any permutation, the identity too, is refused."""
+    """A keyfile naming any permutation, the identity too, is refused; so is
+    any other non-null value, a falsy one too."""
     paths = tmp_path / "c.jsonl", tmp_path / "c.json", tmp_path / "c.key"
     write_codebook(fresh_codebook(seed=51), *paths)
     key = json.loads(paths[2].read_text())

@@ -223,6 +223,12 @@ SYMBOL_PROBES = {
     "codebook-host-bool": lambda: Codebook(P, HOST.astype(bool), W0, 1),  # ran
     "codebook-host-past-s": lambda: Codebook(P, HOST + 1, W0, 1),  # refused
     "codebook-timeshare-fraction": lambda: Codebook(P, HOST, W0 + 0.2, 1),  # ran
+    # a keyfile's host and timeshare arrive through the same check
+    "codebook-host-negative": lambda: Codebook(P, HOST - 1, W0, 1),  # refused
+    "codebook-timeshare-bool": lambda: Codebook(P, HOST, W0.astype(bool), 1),  # refused
+    "codebook-timeshare-negative": lambda: Codebook(P, HOST, W0 - 1, 1),  # refused
+    "codebook-timeshare-past-w": lambda: Codebook(P, HOST, W0 + 1, 1),  # refused
+    "codebook-timeshare-string": lambda: Codebook(P, HOST, ["0"] * 16, 1),  # refused
     "threshold-copy-fraction": lambda: threshold_decode(_book(), _copy(0.5), CFG),  # ran
     "threshold-copy-bool": lambda: threshold_decode(_book(), _copy(dtype=bool), CFG),  # ran
     "mpmi-copy-fraction": lambda: mpmi_decode(_book(), _copy(0.5), CFG),  # ran

@@ -278,14 +278,21 @@ def test_fast_engine_rejects_odd_blocklength():
         threshold_fp_exact(24, innocents=-1, delta=0.05)
     with pytest.raises(ConfigError):
         threshold_fp_fast(24, innocents=10, delta=0.05, trials=0)
-    # records that once built and gave a rate: fractional or bool counts
-    # (fp rate 0.6), a bool trial budget (rule-of-three ceiling 1.0), a
-    # negative resample count
-    for record in ((24, 0, 0, 0, 0, 0), (10.5, 2, 1, 0, 1, 0), (10, 2.5, 1, 0, 1, 0),
-                   (10, 4, 1.5, 0, 1, 0), (10, 4, 1, 0.5, 1, 0), (10, 4, 1, 0, True, 0),
-                   (10, True, 0, 0, 0, 0), (10, 4, 1, 0, 1, -3), (10, 4, 1, 0, 1, 0.5)):
-        with pytest.raises(ConfigError):
-            PointEstimate(*record, 0.0)
+    with pytest.raises(ConfigError):
+        PointEstimate(24, 0, 0, 0, 0, 0, 0.0)
+
+
+# records that once built and gave a rate: fractional or bool counts (fp rate
+# 0.6), a bool trial budget (rule-of-three ceiling 1.0), a negative or
+# fractional resample count
+@pytest.mark.parametrize("record", [
+    (10.5, 2, 1, 0, 1, 0), (10, 2.5, 1, 0, 1, 0), (10, 4, 1.5, 0, 1, 0), (10, 4, 1, 0.5, 1, 0),
+    (10, 4, 1, 0, True, 0), (10, True, 0, 0, 0, 0), (10, 4, 1, 0, 1, -3), (10, 4, 1, 0, 1, 0.5),
+], ids=["n-fraction", "trials-fraction", "fp-fraction", "miss-one-fraction", "miss-all-bool",
+        "trials-bool", "resamples-negative", "resamples-fraction"])
+def test_point_estimate_refuses_a_non_integer_record(record):
+    with pytest.raises(ConfigError):
+        PointEstimate(*record, 0.0)
 
 
 @pytest.mark.parametrize("engine", ["fast", "exact"])
