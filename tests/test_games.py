@@ -36,6 +36,7 @@ from fptrace.games import (
 from fptrace.games import capacity, exponents, problems
 from fptrace.games.exponents import _Layout
 from fptrace.games.problems import Payoff, law_tensors, payoff_value_grad
+from fptrace.types_core import entropy_pmf
 
 
 def fair_problem(k=2, y=2, **kw):
@@ -170,6 +171,95 @@ def test_payoff_value_path_equals_payoff_value_grad_exactly():
             assert payoff.value(c) == value
             own_value, own_g = payoff.value_grad(c)
             assert own_value == value and np.array_equal(own_g, g)
+
+
+def _oracle_cases():
+    """(problem, law, label) at S=2, L=2 for K=1..3 and Y=2,3: a random
+    law and one whose mark probability vanishes in some (s, w) cells."""
+    gen = np.random.default_rng(23)
+    for k, y in itertools.product((1, 2, 3), (2, 3)):
+        prob = fair_problem(k=k, y=y, s_size=2, num_timeshare=2, p_host=np.array([0.3, 0.7]))
+        px = gen.dirichlet(np.ones(2), size=(2, 2))
+        yield prob, InputLaw(p_w=gen.dirichlet(np.ones(2)), p_x_given_sw=px), "random"
+        px = px.copy()
+        px[0, 1] = [1.0, 0.0]
+        px[1, 0] = [0.0, 1.0]
+        yield prob, InputLaw(p_w=np.array([0.4, 0.6]), p_x_given_sw=px), "zero mark"
+
+
+def _targets(k):
+    """(objective, subset, user, A, hidden) over every payoff target."""
+    yield "detect_one", None, None, tuple(range(k)), ()
+    for n in range(1, k + 1):
+        for a in itertools.combinations(range(k), n):
+            yield "detect_all_part", a, None, a, ()
+    for m in range(k):
+        yield "simple", None, m, (m,), tuple(i for i in range(k) if i != m)
+
+
+def _joint_pmf(prob, law, c):
+    """P(s, w, x_1..x_K, y) = p_S(s) p_W(w) prod_m p(x_m|s,w) c(y|x), cell
+    by cell."""
+    k = prob.coalition_size
+    joint = np.zeros((prob.s_size, prob.num_timeshare) + c.shape)
+    for s, w, *x in itertools.product(
+        range(prob.s_size), range(prob.num_timeshare), *[range(prob.x_size)] * k
+    ):
+        weight = prob.p_host[s] * law.p_w[w]
+        for xm in x:
+            weight *= law.p_x_given_sw[s, w, xm]
+        joint[(s, w, *x)] = weight * c[tuple(x)]
+    return joint
+
+
+def _oracle_payoff(joint, k, a, hidden):
+    """(1/|A|) I(X_A; Y | S, W, X_B) from four entropies of the joint pmf,
+    with B the users neither in A nor hidden (the hidden ones summed out)."""
+    y = 2 + k
+    a_ax = tuple(2 + i for i in a)
+    cond = (0, 1) + tuple(2 + i for i in range(k) if i not in a and i not in hidden)
+
+    def h(axes):
+        return entropy_pmf(joint, tuple(sorted(axes)))
+
+    info = h(a_ax + cond) + h(cond + (y,)) - h(a_ax + cond + (y,)) - h(cond)
+    return info / len(a)
+
+
+def test_every_payoff_equals_its_entropy_oracle():
+    gen = np.random.default_rng(5)
+    for prob, law, label in _oracle_cases():
+        k = prob.coalition_size
+        shape = (prob.x_size,) * k
+        channels = [
+            gen.dirichlet(np.ones(prob.y_size), size=shape),
+            FairMarking().linmin(gen.normal(size=shape + (prob.y_size,))),
+        ]
+        for c in channels:
+            joint = _joint_pmf(prob, law, c)
+            for objective, subset, user, a, hidden in _targets(k):
+                payoff = Payoff(prob, law_tensors(prob, law), objective, subset, user)
+                want = _oracle_payoff(joint, k, a, hidden)
+                assert abs(payoff.value(c) - want) <= 1e-12, (label, objective, subset, user)
+
+
+def test_payoff_gradient_matches_central_differences():
+    gen = np.random.default_rng(6)
+    h = 1e-6
+    for prob, law, label in _oracle_cases():
+        k = prob.coalition_size
+        shape = (prob.x_size,) * k + (prob.y_size,)
+        # an interior channel: every entry at least 1 / (2 Y)
+        c = 0.5 * gen.dirichlet(np.ones(prob.y_size), size=shape[:-1]) + 0.5 / prob.y_size
+        for objective, subset, user, _, _ in _targets(k):
+            payoff = Payoff(prob, law_tensors(prob, law), objective, subset, user)
+            _, grad = payoff.value_grad(c)
+            for idx in np.ndindex(shape):
+                step = np.zeros(shape)
+                step[idx] = h
+                diff = (payoff.value(c + step) - payoff.value(c - step)) / (2 * h)
+                assert abs(grad[idx] - diff) <= 1e-6 * max(1.0, abs(grad[idx])), (
+                    label, objective, subset, user, idx)
 
 
 def test_frank_wolfe_line_search_never_builds_a_gradient(monkeypatch):
