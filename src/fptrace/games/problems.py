@@ -8,6 +8,10 @@ minimizing a linear functional.  Families can also answer the fair
 (permutation-invariant) restriction of themselves, which is what the
 detect-one game minimizes over.
 
+Every game's payoff is one formula, (1/|A|) I(X_A; Y | S, W, X_B): the
+users A are its targets, B are conditioned on, and the rest are summed out
+(``payoff_value_grad``).
+
 All information quantities are in bits.
 """
 
@@ -26,8 +30,8 @@ from ..collusion import (
     _distortion_rule,
     _interleaving_table,
 )
-from ..errors import (ConfigError, InfeasibleError, float_array, int_array, int_at_least,
-                      pmf_rows, real_at_least, reading)
+from ..errors import (ConfigError, InfeasibleError, float_array, index_set, int_array,
+                      int_at_least, pmf_rows, real_at_least, reading)
 from ..types_core import _TINY, MAX_TABLE_CELLS, _safe_log2
 
 __all__ = [
@@ -43,9 +47,6 @@ __all__ = [
     "payoff_value_grad",
     "channel_family_from_dict",
 ]
-
-_AXES = "cdefgh"  # per-user einsum letters; coalition sizes stay small
-
 
 # ---------------------------------------------------------------------------
 # channel families
@@ -440,90 +441,47 @@ def law_tensors(problem: GameProblem, law: InputLaw):
 
 
 class Payoff:
-    """One payoff at one input law, for evaluation at many channels.
-
-    Everything that depends only on the law is built once, from the
-    ``law_tensors`` output ``tensors``: the product law B, the reshape
-    targets, the clipped (s,w) marginal of detect-one and the scale.  A
-    call then pays only for the channel terms, and ``value`` skips the
-    gradient einsum that ``value_grad`` adds; both share ``_value_terms``.
-    objective, subset and user are as in ``payoff_value_grad``.
-    """
+    """One payoff of ``payoff_value_grad`` at one input law, for evaluation
+    at many channels: B, the targets and the two sums of B are built once,
+    so a call pays only for the channel terms, and ``value`` skips the
+    gradient sum of ``value_grad``.  ``subset`` and ``user`` are read as
+    ``errors.index_set`` reads an index set; detect-one takes neither."""
 
     def __init__(self, problem, tensors, objective, subset=None, user=None):
-        b, p_x = tensors
         k = problem.coalition_size
-        x, y = problem.x_size, problem.y_size
-        sw = b.shape[:2]
-        xs = _AXES[:k]
-        self.b = b
-        self.grad_expr = f"ab{xs},ab{xs}y->{xs}y"
-        self.den_shape = sw + (1,) * k + (y,)
+        hidden = ()
         if objective == "detect_one":
-            self.flat = sw + (-1, y)
-            self.psw = np.maximum(b.reshape(sw + (-1,)).sum(axis=2), _TINY)[..., None]
-            self.scale = 1.0 / k
+            targets = tuple(range(k))
         elif objective == "detect_all_part":
-            a = tuple(sorted(subset))
-            if not a:
+            targets = index_set(subset, k, "subset")
+            if not targets:
                 raise ConfigError("detect_all_part needs a nonempty subset")
-            rest = tuple(i for i in range(k) if i not in a)
-            in_a = "".join(xs[i] for i in a)
-            in_rest = "".join(xs[i] for i in rest)
-            # r(y | s, w, x_rest) = sum_{x_A} prod_{m in A} p(x_m|s,w) c(y|x)
-            self.p_ops = [p_x] * len(a)
-            self.expr = (
-                ",".join([f"ab{ch}" for ch in in_a] + [f"{xs}y"]) + f"->ab{in_rest}y"
-            )
-            shape = list(self.den_shape)
-            for i in rest:
-                shape[2 + i] = x
-            self.rden_shape = tuple(shape)
-            self.scale = 1.0 / len(a)
         elif objective == "simple":
-            m = 0 if user is None else int(user)
-            others = tuple(i for i in range(k) if i != m)
-            in_o = "".join(xs[i] for i in others)
-            self.p_x = p_x
-            self.p_ops = [p_x] * len(others)
-            self.expr = (
-                ",".join([f"ab{ch}" for ch in in_o] + [f"{xs}y"]) + f"->ab{xs[m]}y"
-                if others
-                else None
-            )
-            self.ry_expr = f"ab{xs[m]},ab{xs[m]}y->aby"
-            shape = list(self.den_shape)
-            shape[2 + m] = x
-            self.u_shape = tuple(shape)
-            self.scale = 1.0
+            targets = index_set((0 if user is None else user,), k, "user")
+            hidden = tuple(i for i in range(k) if i not in targets)
         else:
             raise ConfigError(f"unknown payoff {objective!r}")
-        self.objective = objective
+        self.b = tensors[0]
+        self.scale = 1.0 / len(targets)
+        # user m's symbol is axis 2 + m of B and bc
+        self.hidden = tuple(2 + i for i in hidden)
+        self.joint = tuple(sorted(2 + i for i in targets + hidden))
+        self.u_den = self._b_sum(self.hidden) if hidden else None
+        self.r_den = self._b_sum(self.joint)
+
+    def _b_sum(self, axes):  # kept as size-1 axes, floored at _TINY
+        return np.maximum(np.add.reduce(self.b, axis=axes, keepdims=True), _TINY)[..., None]
 
     def _value_terms(self, c):
-        """(payoff in bits, log-ratio table) at channel c.
-
-        The sums call ``np.add.reduce``, the reduction that ``np.sum`` and
-        ``ndarray.sum`` run, on the same axes and operands (so the same
-        bits) but without their argument handling, which at these sizes
-        costs more than the sum.
-        """
+        """(payoff in bits, log-ratio table) at channel c.  ``np.add.reduce``
+        is the reduction ``np.sum`` runs, without its argument handling,
+        which at these sizes costs more than the sum."""
         bc = self.b[..., None] * c
-        if self.objective == "detect_one":
-            rcond = np.add.reduce(bc.reshape(self.flat), axis=2) / self.psw
-            lf = _safe_log2(c)[None, None] - _safe_log2(rcond).reshape(self.den_shape)
-        elif self.objective == "detect_all_part":
-            rden = np.einsum(self.expr, *self.p_ops, c)
-            lf = _safe_log2(c)[None, None] - _safe_log2(rden).reshape(self.rden_shape)
-        else:
-            if self.expr is not None:
-                u = np.einsum(self.expr, *self.p_ops, c)
-            else:
-                u = np.broadcast_to(c, self.b.shape[:2] + c.shape)
-            ry = np.einsum(self.ry_expr, self.p_x, u)
-            lf = _safe_log2(u).reshape(self.u_shape) - _safe_log2(ry).reshape(
-                self.den_shape
-            )
+        u = c
+        if self.hidden:
+            u = np.add.reduce(bc, axis=self.hidden, keepdims=True) / self.u_den
+        r = np.add.reduce(bc, axis=self.joint, keepdims=True) / self.r_den
+        lf = _safe_log2(u) - _safe_log2(r)
         return self.scale * float(np.add.reduce(bc * lf, axis=None)), lf
 
     def value(self, c):
@@ -533,19 +491,21 @@ class Payoff:
     def value_grad(self, c):
         """Payoff in bits at channel c and its gradient in the channel table."""
         value, lf = self._value_terms(c)
-        return value, self.scale * np.einsum(self.grad_expr, self.b, lf)
+        return value, self.scale * np.add.reduce(self.b[..., None] * lf, axis=(0, 1))
 
 
 def payoff_value_grad(c, problem, law, objective, subset=None, user=None):
     """Payoff in bits and its gradient with respect to the channel table.
 
-    objective: "detect_one" -> (1/K) I(X_K;Y|S,W)
-               "detect_all_part" (subset A) -> (1/|A|) I(X_A;Y|S,X_rest,W)
-               "simple" (user m) -> I(X_m;Y|S,W)
-    The gradient pattern is the same for all three: a (s,w)-weighted sum of
-    log ratios between the relevant forward density and its denominator.
-    A solver that evaluates one law at many channels builds a ``Payoff``
-    once instead.
+    Every payoff is (1/|A|) I(X_A; Y | S, W, X_B), the hidden users C
+    summed out: "detect_one" takes A = all users, "detect_all_part"
+    A = ``subset``, and "simple" A = {``user``} (0 by default) with C the
+    other users.  With bc = B c, B the ``law_tensors`` product law over
+    (s, w, x_1..x_K), u = sum_{x_C} bc / sum_{x_C} B (c when C is empty)
+    and r = sum_{x_{A+C}} bc / sum_{x_{A+C}} B, the value is
+    sum bc log2(u/r) / |A| and the gradient sum_{s,w} B log2(u/r) / |A|:
+    the derivatives of u and r cancel.  A solver that evaluates one law
+    at many channels builds a ``Payoff`` once instead.
     """
     payoff = Payoff(problem, law_tensors(problem, law), objective, subset, user)
     return payoff.value_grad(c)

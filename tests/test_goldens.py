@@ -54,12 +54,12 @@ GOLDEN = {
     "simulate": "11a316b0487b6dcba356ac9558aaece9e871cc35c19a4834c61dafa91a212b7a",
     "capacity": "f15c059f3682127a146460be1018e747023c1ff3dc13f3f4dad84faf89b2725b",
     "exponent_sweep": "34c72b69b9943d86d248b14face6891c2b98a6fb902ab210184fec0474a9e6ef",
-    "operating_point": "db4ed99b6789fc13b068521d397893b1632d39029b502e5857c87e192e0cd0e7",
-    "exponent_layouts": "552eb6dd5756bc655899cbcb84d8cabc0fdb0ea4ac3115702381fe1ebb1ec505",
+    "operating_point": "1e365604c207733496370f10be6804585a7c57f793f5a7476bfe3e987a20521b",
+    "exponent_layouts": "f85580223326235c90dde93b9caa14fa0817e9a6d820ae18b23e70d04a432207",
     "codebook_rows": "58c80c0f056e5a359828504c590dff840fa120d4fdcfdff20c91b9e1a7611b1a",
     "trial_miss_events": "a0c2fd2d6f70e3021aab34fb5644d14ccd2b263503775bd00aa7bae232601f27",
     "memoryless_sweep": "d3c46f836688dedff70d1c7171a12d385c3389ec7bc3c71999dd7805e3483aa6",
-    "user_sweeps": "dc2189989d85e87ed2183c146ebe46c7416d1bf9400fa6f6205b246348245857",
+    "user_sweeps": "1b0e0bf15512313354cb325b2857101cf0809ebe5acc13acafcb7fecee699bbd",
 }
 
 
