@@ -195,16 +195,14 @@ def _subsets(k):
         yield from itertools.combinations(range(k), size)
 
 
-def _parts(problem, subset, user):
+def _parts(problem, subset):
     """The convex parts of one inner game, as (objective, subset, user, fair);
     the game's value is the min over its parts of each part's minimum."""
     k = problem.coalition_size
-    if subset is not None and user is not None:
-        raise ConfigError("give exactly one of subset (joint) or user (marginal)")
     if subset is not None:
         return [("detect_all_part", index_set(subset, k, "subset"), None, False)]
-    if user is not None or problem.objective == "simple":
-        return [("simple", None, index_set((0 if user is None else user,), k, "user")[0], True)]
+    if problem.objective == "simple":
+        return [("simple", None, 0, True)]
     if problem.objective == "detect_one":
         return [("detect_one", None, None, True)]
     if problem.objective == "detect_all":
@@ -220,7 +218,6 @@ def inner_min_channel(
     problem,
     *,
     subset=None,
-    user=None,
     tol=1e-8,
     full_output=False,
 ):
@@ -233,8 +230,9 @@ def inner_min_channel(
     With ``full_output`` the info dict also holds ``parts``: one
     (objective, subset, user, table, gap) per part solved, every
     detect-all subset included.  ``tol`` is the gap at which a part's
-    solve stops, a finite number > 0.  ``subset`` (a detect-all part) or
-    ``user`` (a single-user payoff) picks one game; at most one is given.
+    solve stops, a finite number > 0.  ``subset`` picks one detect-all
+    part.  The single-user game needs no user: under a fair channel every
+    user's I(X_m; Y | S, W) is the same, so it solves user 0's.
     """
     problem.check_law(input_law)
     if not real_at_least(tol, 0) or tol == 0:
@@ -242,7 +240,7 @@ def inner_min_channel(
     parts = []
     best = None
     iterations = 0
-    for objective, a, m, fair in _parts(problem, subset, user):
+    for objective, a, m, fair in _parts(problem, subset):
         c, v, info = _frank_wolfe(problem, input_law, objective, a, m, fair, tol)
         iterations += info["iterations"]
         parts.append((objective, a, m, c, info["gap"]))
@@ -425,7 +423,7 @@ def _start_bound(problem, law):
     iterates only lower, and the inner solve's value never exceeds its
     first part's.  It costs one payoff and no solve.
     """
-    objective, a, m, fair = _parts(problem, None, None)[0]
+    objective, a, m, fair = _parts(problem, None)[0]
     payoff, _, c = _fw_start(problem, law, objective, a, m, fair)
     return payoff.value(c) - _penalty(problem, law)
 

@@ -29,6 +29,7 @@ from fptrace.games import (
     solve_exponent_program,
 )
 from fptrace.games import capacity, exponents
+from fptrace.games.problems import payoff_value_grad
 from fptrace.types_core import JointType, joint_type
 
 
@@ -107,6 +108,12 @@ def _mpmi(coalition):
     return mpmi_score(cb, coalition, np.zeros(16, int), DecodeConfig(delta=0.05))
 
 
+def _payoff(objective, **target):
+    """payoff_value_grad at the uniform law and the interleaving channel."""
+    return payoff_value_grad(
+        _interleaving_table(2, 2), FAIR, FAIR.uniform_law(), objective, **target)
+
+
 INDEX_PROBES = {
     # each once solved, scored or raised a raw error as noted
     "exponent-subset-fractions": lambda: pseudo_sphere_packing(  # solved (0, 1)
@@ -117,8 +124,6 @@ INDEX_PROBES = {
         0.1, FAIR.uniform_law(), FAIR, user=True, restarts=1),
     "inequalities-fraction": lambda: check_fair_inequalities(JOINT, (0.5,), (0, 1)),
     "inequalities-bool": lambda: check_fair_inequalities(JOINT, (True,), (0, 1)),
-    "inner-user-fraction": lambda: inner_min_channel(  # solved user 0
-        FAIR.uniform_law(), FAIR, user=0.5),
     "inner-subset-bool": lambda: inner_min_channel(  # solved (1,)
         FAIR.uniform_law(), FAIR, subset=(True,)),
     "inner-subset-fraction": lambda: inner_min_channel(  # TypeError
@@ -127,6 +132,14 @@ INDEX_PROBES = {
         FAIR.uniform_law(), FAIR, subset=(0, 2)),
     "mpmi-bool": lambda: _mpmi((True, 2)),  # scored users 1 and 2
     "mpmi-fraction": lambda: _mpmi((0.5, 1)),  # IndexError
+    "payoff-user-negative": lambda: _payoff("simple", user=-1),  # -0.415 bits
+    "payoff-user-fraction": lambda: _payoff("simple", user=0.5),  # scored user 0
+    "payoff-user-bool": lambda: _payoff("simple", user=True),  # scored user 1
+    "payoff-user-out-of-range": lambda: _payoff("simple", user=2),  # IndexError
+    "payoff-subset-bool": lambda: _payoff("detect_all_part", subset=(True,)),  # scored (1,)
+    "payoff-subset-fraction": lambda: _payoff("detect_all_part", subset=(0.5,)),  # TypeError
+    "payoff-subset-out-of-range": lambda: _payoff(  # IndexError
+        "detect_all_part", subset=(5,)),
 }
 
 
@@ -134,6 +147,13 @@ INDEX_PROBES = {
 def test_index_arguments_are_integers_in_range(probe):
     with pytest.raises(ConfigError):
         INDEX_PROBES[probe]()
+
+
+def test_payoff_reads_a_repeated_subset_index_as_a_set():
+    # (0, 0) once scored 0.656 bits, (0,) 0.311
+    value, grad = _payoff("detect_all_part", subset=(0, 0))
+    want, want_grad = _payoff("detect_all_part", subset=(0,))
+    assert value == want and np.array_equal(grad, want_grad)
 
 
 # --- symbol sequences: one rule, in `errors.symbols` -------------------------
@@ -305,8 +325,6 @@ SETTING_PROBES = {
     "inner-tol-zero": lambda: inner_min_channel(LAW, FAIR, tol=0),  # ran
     "inner-tol-negative": lambda: inner_min_channel(LAW, FAIR, tol=-1.0),  # ran
     "inner-tol-string": lambda: inner_min_channel(LAW, FAIR, tol="1e-8"),  # TypeError
-    "inner-subset-and-user": lambda: inner_min_channel(  # ran the subset game
-        LAW, FAIR, subset=(0,), user=1),
     "capacity-restarts-fraction": lambda: solve_capacity(FAIR, restarts=2.5),  # TypeError
     "capacity-restarts-bool": lambda: solve_capacity(FAIR, restarts=True),  # ran
     "capacity-restarts-negative": lambda: solve_capacity(FAIR, restarts=-3),  # ran
