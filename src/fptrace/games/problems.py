@@ -463,8 +463,7 @@ class Payoff:
             raise ConfigError(f"unknown payoff {objective!r}")
         self.b = tensors[0]
         self.scale = 1.0 / len(targets)
-        # user m's symbol is axis 2 + m of B and bc
-        self.hidden = tuple(2 + i for i in hidden)
+        self.hidden = tuple(2 + i for i in hidden)  # user m's axis of B is 2 + m
         self.joint = tuple(sorted(2 + i for i in targets + hidden))
         self.u_den = self._b_sum(self.hidden) if hidden else None
         self.r_den = self._b_sum(self.joint)
@@ -497,12 +496,13 @@ class Payoff:
 def payoff_value_grad(c, problem, law, objective, subset=None, user=None):
     """Payoff in bits and its gradient with respect to the channel table.
 
-    Every payoff is (1/|A|) I(X_A; Y | S, W, X_B), the hidden users C
-    summed out: "detect_one" takes A = all users, "detect_all_part"
-    A = ``subset``, and "simple" A = {``user``} (0 by default) with C the
-    other users.  With bc = B c, B the ``law_tensors`` product law over
-    (s, w, x_1..x_K), u = sum_{x_C} bc / sum_{x_C} B (c when C is empty)
-    and r = sum_{x_{A+C}} bc / sum_{x_{A+C}} B, the value is
+    Every payoff is (1/|A|) I(X_A; Y | S, W, X_B): the targets A, the
+    hidden users C summed out, and the rest, X_B, conditioned on.
+    "detect_one" takes A = all users, "detect_all_part" A = ``subset``,
+    and "simple" A = {``user``} (0 by default) with C the other users.
+    With bc = B c, B the ``law_tensors`` product law over (s, w, x_1..x_K),
+    u = sum_{x_C} bc / sum_{x_C} B (c when C is empty) and
+    r = sum_{x_{A+C}} bc / sum_{x_{A+C}} B, the value is
     sum bc log2(u/r) / |A| and the gradient sum_{s,w} B log2(u/r) / |A|:
     the derivatives of u and r cancel.  A solver that evaluates one law
     at many channels builds a ``Payoff`` once instead.
