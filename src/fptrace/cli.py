@@ -26,7 +26,10 @@ rate, while the default ``pseudo_sphere_packing`` holds the realized
 channel inside the family and so does not bound the miss rate of
 ``simulate``'s attacks.  On the balanced binary K=2 code under
 interleaving, user 0, at bar 0.12 they give 0.00886 and 0.0278, and
-``simulate``'s measured miss-rate decay fits 0.0106 +- 0.0005.
+``simulate``'s measured miss-rate decay fits 0.0106 +- 0.0005.  The sweep
+CSV's ``gap`` column is the rate less the least information a phase-1
+solve reached (0 when no start ran phase 1); a rate that phase 1 proves
+infeasible stops after its first phase 1.
 
 All emitted floats carry 9 significant digits and tables use a fixed
 column order, so repeated runs with the same seed produce byte-identical
@@ -349,7 +352,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("capacity", _cmd_capacity, "max-min game value"),
         ("exponent", _cmd_exponent, "divergence exponent program; a sweep with "
          '"memoryless": true is the exponent of a memoryless attack\'s miss rate, and the '
-         "default holds the realized channel in the family, so it does not bound that rate"),
+         "default holds the realized channel in the family, so it does not bound that rate; "
+         "the sweep CSV's gap is the rate less the least information phase 1 reached (0 when "
+         "no start ran phase 1), and a rate proved infeasible stops after its first phase 1"),
     ):
         p = sub.add_parser(name, parents=[common], help=doc, description=doc)
         p.set_defaults(fn=fn)

@@ -30,6 +30,22 @@ its partials in the joint and the channel, and ``_Layout._chain`` carries
 them back through those maps.  The memoryless variant always solves the
 constrained program too and keeps its transplanted minimizer when that is
 lower, so it is dominated by construction.
+
+A rate below the least information the constraint set allows has exponent
++inf, and a solve proves that at its first phase-1 point instead of
+running every start.  The relaxation keeps only the pins and v >= 0: the
+ties, the channel blocks and a distortion cap only shrink the feasible
+set, so a bound over the relaxation holds for every layout, memoryless or
+not.  On the pin polytope the information is a fixed sum of per-user
+entropies less a conditional entropy, and a conditional entropy is
+concave in the joint, so the information is convex there and its
+linearization plus the pin multipliers of phase 1 give a weak-duality
+lower bound with no LP (``_Layout.info_lower_bound``).  When that bound
+clears the rate by ``_CERT_MARGIN`` the solve returns +inf with no
+feasible start, and its info's ``info_lower_bound`` holds the bound; the
+key is absent from every other solve.  Where the relaxation loses to the
+dropped constraints (a tied single user, or a memoryless layout whose
+constant rows are not pinned) the bound is weak and the starts all run.
 """
 
 import math
@@ -54,6 +70,12 @@ __all__ = [
 ]
 
 _FEAS_TOL = 1e-7
+# a point counts as feasible when it misses the information cap by up to
+# _FEAS_TOL, so an infeasibility certificate must clear the rate by more
+_CERT_MARGIN = 10 * _FEAS_TOL
+# weight of the strictly positive pin point mixed into the phase-1 point
+# before its information bound is taken (``_Layout.info_lower_bound``)
+_CERT_MIX = 1e-9
 # settings of the operating-point search: host-tilt rounds, restarts of
 # each exponent solve, steps of each finite-difference ascent and its rule
 _ROUNDS = 3
@@ -359,6 +381,33 @@ class _Layout:
         d_mu = (table - float(np.sum(mu * table))) / max(total, _TINY)
         return self.info_scale * self._chain(d_mu)
 
+    def info_lower_bound(self, v, lam):
+        """A lower bound on ``info_value`` over the pin polytope, where it is
+        convex (see the module docstring), from a point ``v`` near it and any
+        pin multipliers ``lam``.  ``v`` is first mixed with weight
+        ``_CERT_MIX`` of a strictly positive pin point (each cell's product
+        law, y uniform over its free slots), so the clipped logs give the
+        true gradient.  With r = grad - pin_jac^T lam, every polytope point
+        v* has I(v*) >= I(v) - <r, v> + <lam, target - pin_jac v> + <r, v*>,
+        and <r, v*> is at least the sum over cells of each cell's least r,
+        as the pins make a cell's slots sum to one (the channel block's r is
+        0).  The best of ``lam``, ``-lam`` and 0 is kept."""
+        free = self.t_mask[self.ids]
+        t_pos = self.prodx[..., None] * (free / free.sum(axis=-1, keepdims=True))
+        v = np.array(v, dtype=float)
+        v[: self.n_t] = (1.0 - _CERT_MIX) * v[: self.n_t] + _CERT_MIX * self.gather(
+            t_pos, self.ch_const
+        )[: self.n_t]
+        value, grad = self.info_value(v), self.info_grad(v)
+        bounds = []
+        for mult in (lam, -lam, np.zeros_like(lam)):
+            r = grad - self.pin_jac.T @ mult
+            least = r[: self.n_t].reshape(self.n_cells, self.t_per_cell).min(axis=1)
+            bounds.append(
+                value - float(r @ v) - float(mult @ self.pins(v)) + float(least.sum())
+            )
+        return max(bounds)
+
     def info_gap(self, v, rate):
         return rate - self.info_value(v)
 
@@ -479,13 +528,15 @@ def _solve_program(rate, law, problem, subset, user, memoryless, restarts, seed,
     lay = _Layout(problem, law, subset, user, memoryless)
     info["fast_path"] = False
     info["tied"] = lay.ch_kind != "none" and not memoryless
-    val, vec, info["feasible_starts"], lowest_gap = _multistart(
+    val, vec, info["feasible_starts"], lowest_gap, bound = _multistart(
         lay, rate, c_floor, restarts, seed, warm
     )
     info["lowest_info_gap"] = None if lowest_gap == -math.inf else lowest_gap
+    if bound is not None:
+        info["info_lower_bound"] = bound
     if memoryless:
         lay_c = _Layout(problem, law, subset, user, False)
-        _, c_vec, _, _ = _multistart(lay_c, rate, c_floor, restarts, seed)
+        _, c_vec, _, _, _ = _multistart(lay_c, rate, c_floor, restarts, seed)
         if c_vec is not None:
             w_vec = _transplant_warm(lay_c, lay, c_vec)
             if lay.is_feasible(w_vec, rate):
@@ -498,7 +549,9 @@ def _solve_program(rate, law, problem, subset, user, memoryless, restarts, seed,
 def _multistart(lay, rate, c_floor, restarts, seed, warm=None):
     """SLSQP from the product start at the floor channel, ``restarts`` - 1
     random ones and ``warm``; returns (value, minimizer or None, feasible
-    starts, highest phase-1 information gap)."""
+    starts, highest phase-1 information gap, certified information bound or
+    None).  The first phase-1 point bounds the information from below; a
+    bound that clears the rate by ``_CERT_MARGIN`` ends the solve at +inf."""
     structure, info_con = lay.constraints(rate)
     constraints = structure + [info_con]
     bounds = [(0.0, 1.0)] * lay.dim
@@ -534,12 +587,13 @@ def _multistart(lay, rate, c_floor, restarts, seed, warm=None):
         # phase 1: drive the empirical information down under the structural
         # constraints alone; away from the zero-cost valley the gradients are
         # healthy, and the reached value certifies (in)feasibility
-        return slsqp(lambda v: lay.info_excess(v, rate), v_init, structure).x
+        return slsqp(lambda v: lay.info_excess(v, rate), v_init, structure)
 
     best_val = math.inf
     best_vec = None
     feasible = 0
     lowest_gap = -math.inf
+    bound = None
     for v0 in starts:
         # product starts sit at the flat global minimum of the cost, which
         # degenerates the SLSQP subproblem; retry off-center, then via a
@@ -547,10 +601,18 @@ def _multistart(lay, rate, c_floor, restarts, seed, warm=None):
         res = attempt(v0)
         ok = lay.is_feasible(res.x, rate)
         if not ok:
-            v1 = seek_low_info(
+            low = seek_low_info(
                 np.clip(v0 + gen.normal(0.0, 1e-3, lay.dim), 0.0, 1.0)
             )
+            v1 = low.x
             lowest_gap = max(lowest_gap, lay.info_gap(v1, rate))
+            if bound is None:
+                # the pins are phase 1's first equality constraints; SciPy
+                # before 1.16 reports no multipliers, and 0 gives a bound too
+                lam = getattr(low, "multipliers", np.zeros(len(lay.pin_target)))
+                bound = lay.info_lower_bound(v1, lam[: len(lay.pin_target)])
+                if bound > rate + _CERT_MARGIN and not feasible:
+                    return math.inf, None, 0, lowest_gap, bound
             res = attempt(v1)
             ok = lay.is_feasible(res.x, rate)
         # SLSQP can walk out of the constraint set from an already feasible
@@ -561,7 +623,7 @@ def _multistart(lay, rate, c_floor, restarts, seed, warm=None):
             val = lay.true_value(witness)
             if val < best_val:
                 best_val, best_vec = val, witness
-    return best_val, best_vec, feasible, lowest_gap
+    return best_val, best_vec, feasible, lowest_gap, None
 
 
 def _transplant_warm(lay_c, lay_m, c_vec):

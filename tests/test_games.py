@@ -1000,6 +1000,145 @@ def test_exponent_matches_bernoulli_lattice(family, p0, rate):
     assert g - v <= slack
 
 
+# ---------------------------------------------------------------------------
+# the infeasibility certificate: a convex bound on the information over the
+# pin polytope ends a solve whose rate it clears
+
+
+_MIN_FULL_INFO = (2.0 - math.log2(3.0)) / 2.0  # FairMarking K=2, X=Y=2, uniform
+
+
+def _counting_minimize(monkeypatch):
+    """Patch the exponent programs' SLSQP with one that counts its calls."""
+    calls = []
+    real = exponents.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exponents, "minimize", counted)
+    return calls
+
+
+def test_certificate_meets_the_oracle_and_ends_infeasible_rates_at_once(monkeypatch):
+    prob = fair_problem(k=2)
+    law = prob.uniform_law()
+    calls = _counting_minimize(monkeypatch)
+    # the benchmark sweep's three infeasible rates
+    for rate in np.linspace(0.19, 0.33, 20)[:3]:
+        calls.clear()
+        val, vec, info = pseudo_sphere_packing(
+            rate, law, prob, subset=(0, 1), full_output=True
+        )
+        assert val == math.inf and vec is None and info["feasible_starts"] == 0
+        assert abs(info["info_lower_bound"] - _MIN_FULL_INFO) <= 1e-6
+        assert len(calls) <= 2
+    for _, rate, val, info in exponents._sweep(
+        np.linspace(0.208, 0.33, 8), law, prob, (0, 1), None, False, 6, 0
+    ):
+        assert "info_lower_bound" not in info and val < math.inf
+
+
+def test_info_lower_bound_holds_for_any_multipliers():
+    # the bound is a weak-duality bound, so any pin multipliers give one:
+    # no point of the pin polytope may have less information than it gives
+    gen = np.random.default_rng(24)
+    host = GameProblem(
+        coalition_size=2, x_size=2, y_size=3, channel_class=FairMarking(),
+        s_size=2, p_host=np.array([0.6, 0.4]),
+    )
+    law = InputLaw(p_w=np.array([1.0]), p_x_given_sw=np.array([[[0.3, 0.7]], [[0.55, 0.45]]]))
+    for problem, law, subset, user in (
+        (host, law, (0, 1), None), (host, law, (0,), None), (host, law, None, 1),
+        (fair_problem(k=3), law_for(None, 0.4), (0, 2), None),
+    ):
+        lay = _Layout(problem, law, subset, user, False)
+        points = []
+        for _ in range(20):
+            c = gen.dirichlet(np.ones(lay.y), size=lay.xshape)
+            points.append(lay.gather(lay.prodx[..., None] * c[None], c))
+        least = min(lay.info_value(v) for v in points)
+        for v in points[:5]:
+            lam = gen.normal(0.0, 1.0, len(lay.pin_target))
+            assert lay.info_lower_bound(v, lam) <= least + 1e-12
+
+
+def _battery_cases():
+    """(problem, law, subset, user, rate), fixed-seed: the rate is a random
+    fraction of the instance's inner floor, so some rates lie below the
+    least information and some above it."""
+    gen = np.random.default_rng(2024)
+
+    def problem(family, k=2, y=2):
+        return GameProblem(coalition_size=k, x_size=2, y_size=y, channel_class=family)
+
+    hull = Hull([gen.dirichlet(np.ones(2), size=(2, 2)) for _ in range(2)])
+    dist = Distortion(np.array([[0, 0], [0, 1]]), np.array([[0.0, 1.0], [1.0, 0.0]]), 0.05)
+    problems = [
+        problem(FairMarking()), problem(FairMarking(), y=3), problem(FairMarking(), k=3),
+        problem(Marking()), problem(hull), problem(dist),
+    ]
+    for prob in problems:
+        law = law_for(None, float(gen.uniform(0.25, 0.75)))
+        k = prob.coalition_size
+        for subset, user in ((tuple(range(k)), None), ((0,), None), (None, 0)):
+            floor, _ = exponents._inner_floor(prob, law, subset, user)
+            yield prob, law, subset, user, max(floor, 0.0) * float(gen.uniform(0.2, 1.0))
+    # the memoryless multistart's miss of ROADMAP item 2: not certifiable
+    yield problem(FairMarking()), law_for(None, 0.3), (0,), None, 0.15
+
+
+def test_certificate_never_changes_a_value(monkeypatch):
+    # each solve runs with the certificate off (an infinite margin) and on;
+    # the values and minimizers must match, and a certified solve's
+    # uncertified twin must have found no feasible start
+    calls = _counting_minimize(monkeypatch)
+    certified = Counter()
+    for problem, law, subset, user, rate in _battery_cases():
+        for solver in (pseudo_sphere_packing, memoryless_exponent_variant):
+            runs = []
+            for margin in (math.inf, exponents._CERT_MARGIN):
+                monkeypatch.setattr(exponents, "_CERT_MARGIN", margin)
+                calls.clear()
+                out = solver(
+                    rate, law, problem, subset=subset, user=user, restarts=2, seed=5,
+                    full_output=True,
+                )
+                runs.append((out, len(calls)))
+            (v_off, x_off, off), n_off = runs[0]
+            (v_on, x_on, on), n_on = runs[1]
+            assert v_on == v_off
+            assert (x_on is None and x_off is None) or np.array_equal(x_on, x_off)
+            assert "info_lower_bound" not in off
+            if "info_lower_bound" in on:
+                certified[solver.__name__] += 1
+                assert v_on == math.inf and off["feasible_starts"] == 0
+                assert on["info_lower_bound"] > rate
+            else:
+                assert on == off
+                # a memoryless call's inner constrained solve may certify
+                assert n_on == n_off or solver is memoryless_exponent_variant
+    assert certified["pseudo_sphere_packing"] >= 1
+    # the item 2 instance, last in the battery, certified in neither mode
+    assert "info_lower_bound" not in on and n_on == n_off
+
+
+def test_untilted_host_law_is_truly_infeasible():
+    # PR 3's host case: with S independent of everything, each host cell is
+    # the K=2 uniform instance, so the least information is the oracle's
+    prob = GameProblem(
+        coalition_size=2, x_size=2, y_size=2, channel_class=FairMarking(),
+        s_size=2, p_host=np.array([0.5, 0.5]),
+    )
+    for rate in (0.05, 0.1, 0.2):
+        val, _, info = pseudo_sphere_packing(
+            rate, prob.uniform_law(), prob, subset=(0, 1), full_output=True
+        )
+        assert val == math.inf and info["info_lower_bound"] > rate
+        assert abs(info["info_lower_bound"] - _MIN_FULL_INFO) <= 1e-6
+
+
 @pytest.mark.parametrize("field,value", [
     ("coalition_size", 2.5), ("x_size", 2.9), ("y_size", "2"), ("s_size", True),
     ("num_timeshare", True), ("num_timeshare", 1.5),
