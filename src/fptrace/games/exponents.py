@@ -586,7 +586,7 @@ def _multistart(lay, rate, c_floor, restarts, seed, warm=None):
     def seek_low_info(v_init):
         # phase 1: drive the empirical information down under the structural
         # constraints alone; away from the zero-cost valley the gradients are
-        # healthy, and the reached value certifies (in)feasibility
+        # healthy, and the reached point seeds a second attempt
         return slsqp(lambda v: lay.info_excess(v, rate), v_init, structure)
 
     best_val = math.inf
@@ -607,8 +607,8 @@ def _multistart(lay, rate, c_floor, restarts, seed, warm=None):
             v1 = low.x
             lowest_gap = max(lowest_gap, lay.info_gap(v1, rate))
             if bound is None:
-                # the pins are phase 1's first equality constraints; SciPy
-                # before 1.16 reports no multipliers, and 0 gives a bound too
+                # the pins are phase 1's first equality constraints; an older
+                # SciPy reports no multipliers, and 0 gives a bound too
                 lam = getattr(low, "multipliers", np.zeros(len(lay.pin_target)))
                 bound = lay.info_lower_bound(v1, lam[: len(lay.pin_target)])
                 if bound > rate + _CERT_MARGIN and not feasible:

@@ -1022,22 +1022,46 @@ def _counting_minimize(monkeypatch):
 
 
 def test_certificate_meets_the_oracle_and_ends_infeasible_rates_at_once(monkeypatch):
+    # the benchmark sweep, with the certificate off (an infinite margin) and
+    # on: equal values, and each infeasible rate ends after two SLSQP calls
     prob = fair_problem(k=2)
     law = prob.uniform_law()
     calls = _counting_minimize(monkeypatch)
-    # the benchmark sweep's three infeasible rates
-    for rate in np.linspace(0.19, 0.33, 20)[:3]:
-        calls.clear()
-        val, vec, info = pseudo_sphere_packing(
-            rate, law, prob, subset=(0, 1), full_output=True
-        )
-        assert val == math.inf and vec is None and info["feasible_starts"] == 0
-        assert abs(info["info_lower_bound"] - _MIN_FULL_INFO) <= 1e-6
-        assert len(calls) <= 2
-    for _, rate, val, info in exponents._sweep(
-        np.linspace(0.208, 0.33, 8), law, prob, (0, 1), None, False, 6, 0
-    ):
-        assert "info_lower_bound" not in info and val < math.inf
+    swept = []
+    for margin in (math.inf, exponents._CERT_MARGIN):
+        monkeypatch.setattr(exponents, "_CERT_MARGIN", margin)
+        rows = []
+        for _, rate, val, info in exponents._sweep(
+            np.linspace(0.19, 0.33, 20), law, prob, (0, 1), None, False, 6, 0
+        ):
+            rows.append((rate, val, info, len(calls)))
+            calls.clear()
+        swept.append(rows)
+    off, on = swept
+    assert [row[1] for row in on] == [row[1] for row in off]
+    for rate, val, info, n_calls in on:
+        if rate < 0.208:
+            assert val == math.inf and info["feasible_starts"] == 0 and n_calls <= 2
+            assert abs(info["info_lower_bound"] - _MIN_FULL_INFO) <= 1e-6
+        else:
+            assert "info_lower_bound" not in info
+    _, _, info = pseudo_sphere_packing(0.208, law, prob, subset=(0, 1), full_output=True)
+    assert "info_lower_bound" not in info and info["feasible_starts"] > 0
+
+
+def _pin_points(lay, gen, count):
+    """Random points of the pin polytope, X = 2: each cell's product law
+    plus e * prod_m (-1)^x_m, which keeps every single-user marginal, with
+    y split at random over each class's free slots."""
+    sign = np.ones(lay.xshape)
+    for m in range(lay.k):
+        sign = sign * np.array([1.0, -1.0]).reshape((1,) * m + (2,) + (1,) * (lay.k - m - 1))
+    room = lay.prodx.reshape(lay.n_cells, -1).min(axis=1).reshape((-1,) + (1,) * lay.k)
+    for _ in range(count):
+        x_law = lay.prodx + gen.uniform(-1.0, 1.0, room.shape) * room * sign
+        split = gen.random(lay.t_mask.shape) * lay.t_mask
+        split /= split.sum(axis=1, keepdims=True)
+        yield lay.gather(x_law[..., None] * split[lay.ids], lay.ch_const)
 
 
 def test_info_lower_bound_holds_for_any_multipliers():
@@ -1049,15 +1073,15 @@ def test_info_lower_bound_holds_for_any_multipliers():
         s_size=2, p_host=np.array([0.6, 0.4]),
     )
     law = InputLaw(p_w=np.array([1.0]), p_x_given_sw=np.array([[[0.3, 0.7]], [[0.55, 0.45]]]))
-    for problem, law, subset, user in (
-        (host, law, (0, 1), None), (host, law, (0,), None), (host, law, None, 1),
-        (fair_problem(k=3), law_for(None, 0.4), (0, 2), None),
+    marking = GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=Marking())
+    for problem, law, subset, user, memoryless in (
+        (host, law, (0, 1), None, False), (host, law, (0,), None, False),
+        (host, law, None, 1, False), (marking, law_for(None, 0.35), (0, 1), None, True),
+        (fair_problem(k=3), law_for(None, 0.4), (0, 2), None, False),
     ):
-        lay = _Layout(problem, law, subset, user, False)
-        points = []
-        for _ in range(20):
-            c = gen.dirichlet(np.ones(lay.y), size=lay.xshape)
-            points.append(lay.gather(lay.prodx[..., None] * c[None], c))
+        lay = _Layout(problem, law, subset, user, memoryless)
+        points = list(_pin_points(lay, gen, 30))
+        assert max(np.max(np.abs(lay.pins(v))) for v in points) < 1e-12
         least = min(lay.info_value(v) for v in points)
         for v in points[:5]:
             lam = gen.normal(0.0, 1.0, len(lay.pin_target))
