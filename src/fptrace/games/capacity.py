@@ -5,12 +5,13 @@ line search; the payoffs are convex in the channel, so the linearization
 gap is a valid optimality certificate.  A solve stops when the gap falls
 below its tolerance, after ``_MAX_ITER`` iterations, or when a line search
 does not lower the value.  The input law is fixed within a solve, so the
-line searches evaluate the value only, of one ``Payoff`` built once per
-solve; the gradient is taken once per iteration, at the accepted point,
-by one ``payoff_value_grad`` call that builds the law's tensors anew.
-Each line search is SciPy's bounded Brent method, ported to Python floats
-(`minimize_scalar`), so it takes SciPy's iterates without its per-call
-overhead.
+line searches use one ``Payoff`` built once per solve; the gradient is
+taken once per iteration, at the accepted point, by one
+``payoff_value_grad`` call that builds the law's tensors anew.  Each line
+search (`minimize_scalar`) is a safeguarded Newton search for the root of
+the payoff's slope along the segment, which is convex there;
+``Payoff.segment`` gives its slope and curvature from the tables the value
+uses.  It keeps SciPy's name, which perfbench's traced run wraps.
 
 The outer maximization over the input law is multistart gradient ascent on
 a softmax parameterization (the payoff is generally nonconcave in the mark
@@ -62,94 +63,48 @@ _FD_STEP = 1e-4
 # solves stop
 _MAX_ITER = 10_000
 _INNER_TOL = 1e-8
-# SciPy's default evaluation cap for the bounded search
-_BRENT_MAX_EVALS = 500
+# a line search stops when its step falls below _SQRT_EPS t + _XATOL / 3,
+# the tolerance of a bounded Brent search at xatol 1e-12
+_SQRT_EPS = math.sqrt(2.2e-16)
+_XATOL = 1e-12
+# well above the 42 halvings of [0, 1] in which bisection alone meets it
+_MAX_SLOPE_EVALS = 100
 
 
-def minimize_scalar(fun, xatol):
-    """Minimizer of ``fun`` on [0, 1]: SciPy's bounded Brent search
-    (``scipy.optimize.minimize_scalar(fun, bounds=(0, 1), method="bounded",
-    options={"xatol": xatol})``), ported iterate for iterate.
+def minimize_scalar(phi, slope0):
+    """Minimizer on [0, 1] of a convex function whose slope and curvature
+    at t are ``phi(t)``, with ``slope0`` < 0 its slope at 0.
 
-    The constants, comparisons and update order are SciPy's, on Python
-    floats, so the same ``fun`` is evaluated at the same points, in the same
-    order, and the same x is returned; a NaN step stays NaN, as under
-    ``np.sign``.  It skips SciPy's per-call set-up and its numpy calls on
-    scalars.  The name is kept because perfbench's traced run wraps
-    ``capacity.minimize_scalar`` as ``games.capacity.line_search``; ROADMAP
-    item 10 renames it once the benchmark reads library counters.
-    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 5.)
+    A slope <= 0 at 1 takes the full step.  Otherwise the first trial is
+    the secant root of the slope between 0 and 1, and every later trial a
+    Newton step from the last point; a step that leaves the bracket
+    [lo, hi] of the slope's sign change, or one taken where the curvature
+    is not > 0, is replaced by bisection.  The search stops when a step is
+    below Brent's tolerance, sqrt(eps) t + xatol / 3 at xatol = 1e-12.  A
+    NaN slope returns lo.  The name is kept because perfbench's traced run
+    wraps ``capacity.minimize_scalar`` as ``games.capacity.line_search``;
+    ROADMAP item 1b renames it once the benchmark reads library counters.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = 0.0, 1.0
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = fun(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic step
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _sign(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + _sign(rat) * max(abs(rat), tol1)
-        fu = fun(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    slope = phi(1.0)[0]
+    if not slope > 0:  # a full step, or a NaN slope
+        return 1.0 if slope <= 0 else 0.0
+    lo, hi, t = 0.0, 1.0, 1.0
+    step = slope0 / (slope0 - slope) - t  # to the secant root
+    for _ in range(_MAX_SLOPE_EVALS):
+        if not lo <= t + step <= hi:  # a NaN step included
+            step = 0.5 * (lo + hi) - t
+        if abs(step) < _SQRT_EPS * t + _XATOL / 3.0:
+            return t + step
+        t += step
+        slope, curv = phi(t)
+        if math.isnan(slope):
+            return lo
+        if slope > 0:
+            hi = t
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _BRENT_MAX_EVALS:
-            break
-    return xf
-
-
-def _sign(v):
-    """``np.sign(v) + (v == 0)`` on a float: -1.0, 1.0 (zero included), or
-    NaN for NaN."""
-    return -1.0 if v < 0 else 1.0 if v >= 0 else v
+            lo = t
+        step = -slope / curv if curv > 0 else math.nan
+    return t
 
 
 def _fw_start(problem, law, objective, subset, user, fair):
@@ -180,7 +135,7 @@ def _frank_wolfe(problem, law, objective, subset, user, fair, tol):
         if gap < tol:
             break
         d = vertex - c
-        cand = c + minimize_scalar(lambda t: payoff.value(c + t * d), xatol=1e-12) * d
+        cand = c + minimize_scalar(payoff.segment(c, d), -gap) * d
         # only a strictly lower value is taken (a NaN is not), so the
         # value never rises above the start's
         if not payoff.value(cand) < value:  # the line search stalled

@@ -471,16 +471,25 @@ class Payoff:
     def _b_sum(self, axes):  # kept as size-1 axes, floored at _TINY
         return np.maximum(np.add.reduce(self.b, axis=axes, keepdims=True), _TINY)[..., None]
 
+    def _sums(self, x):
+        """x summed over the hidden users (x itself when none is hidden) and
+        over the joint axes, kept as size-1 axes.  ``np.add.reduce`` is the
+        reduction ``np.sum`` runs, without its argument handling, which at
+        these sizes costs more than the sum."""
+        x_u = np.add.reduce(x, axis=self.hidden, keepdims=True) if self.hidden else x
+        return x_u, np.add.reduce(x, axis=self.joint, keepdims=True)
+
+    def _levels(self, c, bc):
+        """(BC_u, BC_r, log2(u/r)) at channel c, bc = B c, with (BC_u, BC_r)
+        the ``_sums`` of bc; u = c when no user is hidden."""
+        bc_u, bc_r = self._sums(bc)
+        u = bc_u / self.u_den if self.hidden else c
+        return bc_u, bc_r, _safe_log2(u) - _safe_log2(bc_r / self.r_den)
+
     def _value_terms(self, c):
-        """(payoff in bits, log-ratio table) at channel c.  ``np.add.reduce``
-        is the reduction ``np.sum`` runs, without its argument handling,
-        which at these sizes costs more than the sum."""
+        """(payoff in bits, log-ratio table) at channel c."""
         bc = self.b[..., None] * c
-        u = c
-        if self.hidden:
-            u = np.add.reduce(bc, axis=self.hidden, keepdims=True) / self.u_den
-        r = np.add.reduce(bc, axis=self.joint, keepdims=True) / self.r_den
-        lf = _safe_log2(u) - _safe_log2(r)
+        lf = self._levels(c, bc)[2]
         return self.scale * float(np.add.reduce(bc * lf, axis=None)), lf
 
     def value(self, c):
@@ -491,6 +500,28 @@ class Payoff:
         """Payoff in bits at channel c and its gradient in the channel table."""
         value, lf = self._value_terms(c)
         return value, self.scale * np.add.reduce(self.b[..., None] * lf, axis=(0, 1))
+
+    def segment(self, c, d):
+        """phi(t) -> (slope, curvature) in bits of the payoff along c + t d.
+
+        With bd = B d, the slope is scale sum bd log2(u/r): the derivatives
+        of u and r cancel, as in the gradient.  The curvature is
+        scale / ln 2 (sum BD_u^2 / BC_u - sum BD_r^2 / BC_r), with BD and
+        BC the ``_sums`` of bd and bc, and BC floored at _TINY as the logs
+        are.  bd and its sums are built once per segment.
+        """
+        bd = self.b[..., None] * d
+        bd_u, bd_r = self._sums(bd)
+
+        def phi(t):
+            ct = c + t * d
+            bc_u, bc_r, lf = self._levels(ct, self.b[..., None] * ct)
+            slope = float(np.add.reduce(bd * lf, axis=None))
+            curv = float(np.add.reduce(bd_u * bd_u / np.maximum(bc_u, _TINY), axis=None))
+            curv -= float(np.add.reduce(bd_r * bd_r / np.maximum(bc_r, _TINY), axis=None))
+            return self.scale * slope, self.scale / math.log(2.0) * curv
+
+        return phi
 
 
 def payoff_value_grad(c, problem, law, objective, subset=None, user=None):
