@@ -470,9 +470,9 @@ def test_capacity_ascent_evaluation_count_and_values(monkeypatch):
     solves.clear()
     k3 = solve_capacity(fair_problem(k=3), seed=0, restarts=2, grid_resolution=10)
     assert abs(k3.value - 1.0 / 12.0) < 1e-6
-    assert len(solves) == 148  # 150 unpruned
-    # the values the unpruned pass and SciPy's own line search found
-    assert (two_slots.value, k3.value) == (0.25, 0.08333333333333331)
+    assert len(solves) == 141  # 150 unpruned
+    # the values the Newton line search finds
+    assert (two_slots.value, k3.value) == (0.25, 0.0833333333333333)
 
 
 def _grid_cases():

@@ -54,12 +54,12 @@ GOLDEN = {
     "simulate": "11a316b0487b6dcba356ac9558aaece9e871cc35c19a4834c61dafa91a212b7a",
     "capacity": "f15c059f3682127a146460be1018e747023c1ff3dc13f3f4dad84faf89b2725b",
     "exponent_sweep": "34c72b69b9943d86d248b14face6891c2b98a6fb902ab210184fec0474a9e6ef",
-    "operating_point": "1e365604c207733496370f10be6804585a7c57f793f5a7476bfe3e987a20521b",
-    "exponent_layouts": "f85580223326235c90dde93b9caa14fa0817e9a6d820ae18b23e70d04a432207",
+    "operating_point": "04251b5ec77573d24463f483c77e4206e7f2cc96f68836ac46032eb3b867f367",
+    "exponent_layouts": "b7ca5c442a4ea98d5ca7ecd236419d8f55f7cf0f8ea0f6bf55832b02b722b253",
     "codebook_rows": "58c80c0f056e5a359828504c590dff840fa120d4fdcfdff20c91b9e1a7611b1a",
     "trial_miss_events": "a0c2fd2d6f70e3021aab34fb5644d14ccd2b263503775bd00aa7bae232601f27",
-    "memoryless_sweep": "d3c46f836688dedff70d1c7171a12d385c3389ec7bc3c71999dd7805e3483aa6",
-    "user_sweeps": "1b0e0bf15512313354cb325b2857101cf0809ebe5acc13acafcb7fecee699bbd",
+    "memoryless_sweep": "9852260b43ca1ee4dab82c894579143e8829be53f8fc6c4a12b0e55e6370ca4e",
+    "user_sweeps": "56287e4d1d59d7806684273aca8a901c177f86051077e23c276bbef6c9c0290f",
 }
 
 
@@ -174,7 +174,7 @@ def test_memoryless_sweep_golden():
     values, digest = _sweep_digest(
         [0.05, 0.1, 0.15], _bernoulli_law(0.7), problem, (0, 1), None, True
     )
-    assert values == [np.inf, 0.13769843877049814, 0.008928813714097174]
+    assert values == [np.inf, 0.13769906399705922, 0.008928785569703532]
     assert digest == GOLDEN["memoryless_sweep"]
 
 
