@@ -641,6 +641,52 @@ def test_line_search_returns_lo_at_a_nan_slope():
     assert 0.0 < t == seen[1] < 0.6 < seen[-1] < 1.0
 
 
+def _step_of(t):
+    return -1.0 if t < 0.3 else 0.5 if t < 0.5 else 2.0
+
+
+@pytest.mark.parametrize("xatol", [1e-12, 1e-5])
+@pytest.mark.parametrize("fun", [
+    # (value, slope, curvature) on [0, 1]
+    (lambda t: (t - 0.3) ** 2, lambda t: 2 * (t - 0.3), lambda t: 2.0),
+    (lambda t: (t - 0.7) ** 2 + 0.1 * t, lambda t: 2 * (t - 0.7) + 0.1, lambda t: 2.0),
+    (lambda t: (t + 0.5) ** 2, lambda t: 2 * (t + 0.5), lambda t: 2.0),  # at 0
+    (lambda t: (t - 1.7) ** 2, lambda t: 2 * (t - 1.7), lambda t: 2.0),  # at 1
+    (lambda t: t * t, lambda t: 2 * t, lambda t: 2.0),
+    (lambda t: (t - 1.0) ** 2, lambda t: 2 * (t - 1.0), lambda t: 2.0),
+    (lambda t: 1.0, lambda t: 0.0, lambda t: 0.0),
+    (lambda t: math.nan, lambda t: math.nan, lambda t: math.nan),
+    (lambda t: math.nan if t > 0.5 else (t - 0.2) ** 2,
+     lambda t: math.nan if t > 0.5 else 2 * (t - 0.2),
+     lambda t: math.nan if t > 0.5 else 2.0),
+    (lambda t: abs(t - 0.61803), lambda t: math.copysign(1.0, t - 0.61803), lambda t: 0.0),
+    (lambda t: -math.cos(7.0 * t), lambda t: 7.0 * math.sin(7.0 * t),
+     lambda t: 49.0 * math.cos(7.0 * t)),
+    (lambda t: max(0.0, abs(t - 0.5) - 0.2), lambda t: float((t > 0.7) - (t < 0.3)),
+     lambda t: 0.0),
+    # a convex function whose slope steps: bisection throughout
+    (lambda t: max(-t, 0.5 * t - 0.45, 2.0 * t - 1.2), _step_of, lambda t: 0.0),
+], ids=["inside", "tilted", "at-0", "at-1", "at-0-exactly", "at-1-exactly", "constant",
+        "nan", "nan-above-half", "kink", "several-minima", "flat-bottom", "steps"])
+def test_line_search_takes_scipys_iterates(fun, xatol):
+    """Named for the bounded-Brent port the search replaced, which took
+    SciPy's iterates bit for bit: the search now ends no higher than SciPy's
+    bounded Brent at xatol, up to the largest |slope| times twice the
+    search's own stopping tolerance."""
+    value, slope, curv = fun
+    t = capacity.minimize_scalar(lambda t: (slope(t), curv(t)), slope(0.0))
+    assert type(t) is float and 0.0 <= t <= 1.0
+    if math.isnan(slope(1.0)):  # a NaN slope at 1 returns lo
+        assert t == 0.0
+        return
+    ref = scipy.optimize.minimize_scalar(
+        value, bounds=(0.0, 1.0), method="bounded", options={"xatol": xatol}
+    )
+    lipschitz = max(abs(slope(i / 64)) for i in range(65))
+    tol = 2.0 * (capacity._SQRT_EPS * t + capacity._XATOL / 3.0)
+    assert value(t) <= value(float(ref.x)) + lipschitz * tol
+
+
 def _frank_wolfe_segments():
     """(payoff, c, d, slope at 0) of every Frank-Wolfe line search of inner solves
     at random laws over five families: FairMarking K=3, detect-all, the
