@@ -18,17 +18,21 @@ a softmax parameterization (the payoff is generally nonconcave in the mark
 law, so local optima are collected and the spread is reported rather than
 hidden).
 
-The ascent's gradient comes from Danskin's theorem: each forward-difference
-probe evaluates the payoff at the probed law with the worst channel of the
-accepted point held fixed, so it costs one ``Payoff`` and no inner solve.
-Detect-all holds every subset's channel and takes the min over subsets.
-Two cases probe with full inner solves instead: a Distortion family, whose
-polytope moves with the law, and a point whose Frank-Wolfe gap did not
-close below the inner tolerance.  Moves are accepted on full solves only.
-``value_evaluations`` counts the full solves of the ascent (its starts,
-line-search trials and full probes); ``model_probes`` counts the probes at
-a fixed channel and ``full_probe_points`` the evaluated points that had no
-probe model.
+The ascent's gradient comes from Danskin's theorem: with the worst channel
+of the accepted point held fixed, the payoff's gradient in the law is the
+value's own, one analytic gradient a step and no inner solve
+(``Payoff.value_law_grad``, chained through ``law_tensors``' product law).
+Detect-all takes it at its weakest subset.  The ascent steps along the
+natural gradient g - <p, g> of each softmax block, g = dV/dp, which is the
+gradient in theta divided by p: a mirror-ascent step on the simplex, which
+does not stall where an entry of p is near 0 as the gradient in theta
+does.  Two cases take forward differences of full inner solves in theta
+instead: a Distortion family, whose polytope moves with the law, and a
+point whose Frank-Wolfe gap did not close below the inner tolerance.
+Moves are accepted on full solves only.  ``value_evaluations`` counts the
+full solves of the ascent (its starts, line-search trials and forward
+differences); ``model_gradients`` counts the analytic gradients and
+``full_probe_points`` the evaluated points that had none.
 
 In low dimension three of the starts are the best laws of a coarse grid.
 Frank-Wolfe only lowers its value, so the payoff at a law's start channel
@@ -241,21 +245,25 @@ def _theta_from_law(problem, law):
     return np.concatenate([tw, tx.ravel()])
 
 
+def _penalty_weight(problem):
+    """The embedding-cap penalty per unit of excess: 1e3 in units of the
+    range of ``d1``, so that the cap holds at any cost scale."""
+    return 1e3 / (float(np.ptp(problem.d1)) or 1.0)
+
+
 def _penalty(problem, law):
-    """Soft embedding-cap penalty subtracted from the game value: 1e3 per
-    unit of excess, in units of the range of ``d1``, so that the cap holds
-    at any cost scale."""
+    """Soft embedding-cap penalty subtracted from the game value."""
     if problem.d1_cap is None:
         return 0.0
     excess = law.embedding_cost(problem) - problem.d1_cap
-    return 1e3 * excess / (float(np.ptp(problem.d1)) or 1.0) if excess > 0 else 0.0
+    return _penalty_weight(problem) * excess if excess > 0 else 0.0
 
 
 def _penalized_value(problem, law, inner_tol):
-    """(penalized game value, probe parts) at law.
+    """(penalized game value, gradient parts) at law.
 
     The parts are the inner solve's (objective, subset, user, table, gap)
-    tuples, or None when their tables cannot serve as a probe model: a
+    tuples, or None when their tables cannot give the gradient: a
     Distortion polytope moves with the law, and a part whose Frank-Wolfe
     gap did not close has no certified minimizer.
     """
@@ -268,43 +276,71 @@ def _penalized_value(problem, law, inner_tol):
     return v - _penalty(problem, law), parts
 
 
-def _danskin_probe(problem, parts, theta):
-    """Penalized payoff at theta with each part's channel held fixed.
+def _held_gradient(problem, parts, law):
+    """(dV/dp_w, dV/dp(x|s,w)) at law of the penalized payoff V with each
+    part's channel held fixed, at the part of lowest value.
 
-    Every held table is feasible at any law, so this bounds the game value
-    at theta from above, and it equals the value where the tables were
-    solved; by Danskin's theorem its forward differences there are those of
-    the value itself, without an inner solve.
+    Every held table is feasible at any law, so V bounds the game value
+    from above and touches it where the tables were solved; by Danskin's
+    theorem its gradient there is the value's own.  The payoff's gradient
+    in B is chained through B = p_S p_W prod_m p(x_m|s,w) by summing out
+    the other users' axes against the mark law, so no law entry divides,
+    and the penalty's gradient is subtracted while the cap is exceeded.
     """
-    law = _law_from_theta(problem, theta)
     tensors = law_tensors(problem, law)
-    value = min(
-        Payoff(problem, tensors, objective, a, m).value(c)
-        for objective, a, m, c, _ in parts
+    _, g_b = min(
+        (Payoff(problem, tensors, objective, a, m).value_law_grad(c)
+         for objective, a, m, c, _ in parts),
+        key=lambda vg: vg[0],
     )
-    return value - _penalty(problem, law)
+    px = law.p_x_given_sw
+    held = []  # per user m: g_b summed against every other user's mark law
+    for m in range(problem.coalition_size):
+        t = np.moveaxis(g_b, 2 + m, -1)
+        for _ in range(problem.coalition_size - 1):
+            t = np.einsum("sw...ab,swa->sw...b", t, px)
+        held.append(t)
+    g_w = problem.p_host @ np.sum(held[0] * px, axis=-1)
+    g_x = (problem.p_host[:, None] * law.p_w)[..., None] * sum(held)
+    if _penalty(problem, law) > 0:
+        weight = _penalty_weight(problem)
+        g_w -= weight * np.einsum("s,swx,sx->w", problem.p_host, px, problem.d1)
+        g_x -= weight * np.einsum("s,w,sx->swx", problem.p_host, law.p_w, problem.d1)
+    return g_w, g_x
+
+
+def _natural_gradient(problem, parts, theta):
+    """g - <p, g> for each softmax block p of theta, g = dV/dp from
+    ``_held_gradient``: the gradient in theta divided by p, so it stays
+    finite where an entry of p underflows to 0."""
+    law = _law_from_theta(problem, theta)
+    g_w, g_x = _held_gradient(problem, parts, law)
+    px = law.p_x_given_sw
+    return np.concatenate([
+        g_w - law.p_w @ g_w,
+        (g_x - np.sum(px * g_x, axis=-1, keepdims=True)).ravel(),
+    ])
 
 
 def _fd_ascent(
     f, theta, *, steps, fd, step0, min_step, grad_tol, gain_tol, sign=+1, probe=None
 ):
-    """Finite-difference ascent of f (sign=+1) or descent (sign=-1).
+    """Gradient ascent of f (sign=+1) or descent (sign=-1).
 
-    Each step takes the forward-difference gradient at the current point,
-    one probe at theta + fd e_i per coordinate.  Without ``probe`` each
-    probe is one more evaluation of f.  With ``probe``, f returns
-    (value, anchor) and a probe is ``probe(anchor, theta + fd e_i)``: the
-    value of a model of f that touches f at the point the anchor came from
-    (for the capacity ascent, the payoff at that point's worst channel).
-    A None anchor has no model, and its probes evaluate f.  Then it tries
-    theta + sign s g/|g| for s = s0, s0/4, ... while s > min_step, with s0 =
-    min(step0, 4 x the last step taken), and moves to the first point where
-    sign f beats sign f(theta) by more than gain_tol: moves are taken on
-    true f values only.  It stops after ``steps`` moves, when
-    |g| < grad_tol, or when no trial point gains.  A non-finite start is
-    returned at once, a non-finite probe counts as a zero gradient
-    component, and a non-finite trial point is never taken.  Returns
-    (theta, f(theta), number of f evaluations).
+    Without ``probe`` each step takes the forward-difference gradient at
+    the current point, one more evaluation of f at theta + fd e_i per
+    coordinate.  With ``probe``, f returns (value, anchor), and the step's
+    gradient is ``probe(anchor, theta)``, taken without evaluating f (for
+    the capacity ascent, the natural gradient at the point's worst
+    channel); a None anchor has no gradient, and its step takes forward
+    differences of f.  Then it tries theta + sign s g/|g| for s = s0,
+    s0/4, ... while s > min_step, with s0 = min(step0, 4 x the last step
+    taken), and moves to the first point where sign f beats sign f(theta)
+    by more than gain_tol: moves are taken on true f values only.  It
+    stops after ``steps`` moves, when |g| < grad_tol, or when no trial
+    point gains.  A non-finite start is returned at once, a non-finite
+    gradient component counts as zero, and a non-finite trial point is
+    never taken.  Returns (theta, f(theta), number of f evaluations).
     """
     evaluate = f if probe is not None else (lambda t: (f(t), None))
     theta = np.array(theta, dtype=float)
@@ -314,16 +350,16 @@ def _fd_ascent(
         return theta, cur, evals
     last = step0
     for _ in range(steps):
-        grad = np.empty_like(theta)
-        for i in range(len(theta)):
-            bumped = theta.copy()
-            bumped[i] += fd
-            if anchor is None:
-                value = evaluate(bumped)[0]
-                evals += 1
-            else:
-                value = probe(anchor, bumped)
-            grad[i] = (value - cur) / fd if math.isfinite(value) else 0.0
+        if anchor is None:
+            grad = np.empty_like(theta)
+            for i in range(len(theta)):
+                bumped = theta.copy()
+                bumped[i] += fd
+                grad[i] = (evaluate(bumped)[0] - cur) / fd
+            evals += len(theta)
+        else:
+            grad = np.asarray(probe(anchor, theta), dtype=float)
+        grad[~np.isfinite(grad)] = 0.0
         norm = float(np.linalg.norm(grad))
         if norm < grad_tol:
             break
@@ -416,6 +452,29 @@ def _embed_lower(problem, sol):
     return InputLaw(p_w=pw, p_x_given_sw=px)
 
 
+def _ascend(problem, theta, counts):
+    """One start's ascent of the penalized value, as ``_fd_ascent``
+    returns it.  ``counts`` gains the analytic gradients taken
+    (``model_gradients``) and the evaluated points that had none
+    (``full_probe_points``)."""
+
+    def penalized(theta):
+        value, parts = _penalized_value(
+            problem, _law_from_theta(problem, theta), _INNER_TOL
+        )
+        counts["full_probe_points"] += parts is None
+        return value, parts
+
+    def gradient(parts, theta):
+        counts["model_gradients"] += 1
+        return _natural_gradient(problem, parts, theta)
+
+    return _fd_ascent(
+        penalized, theta, steps=200, fd=_FD_STEP, step0=1.0, min_step=1e-7,
+        grad_tol=1e-9, gain_tol=1e-12, probe=gradient,
+    )
+
+
 def solve_capacity(
     problem: GameProblem,
     *,
@@ -455,27 +514,12 @@ def solve_capacity(
         starts.append(_theta_from_law(problem, _embed_lower(problem, lower)))
 
     counts = Counter()
-
-    def penalized(theta):
-        value, parts = _penalized_value(
-            problem, _law_from_theta(problem, theta), _INNER_TOL
-        )
-        counts["full_probe_points"] += parts is None
-        return value, parts
-
-    def probe(parts, theta):
-        counts["model_probes"] += 1
-        return _danskin_probe(problem, parts, theta)
-
     best_theta = None
     best_value = -math.inf
     local_values = []
     total_evals = 0
     for theta0 in starts:
-        theta, value, evals = _fd_ascent(
-            penalized, theta0, steps=200, fd=_FD_STEP, step0=1.0, min_step=1e-7,
-            grad_tol=1e-9, gain_tol=1e-12, probe=probe,
-        )
+        theta, value, evals = _ascend(problem, theta0, counts)
         total_evals += evals
         local_values.append(value)
         if value > best_value + 1e-12:
@@ -494,7 +538,7 @@ def solve_capacity(
         "inner_iterations": info["iterations"],
         "inner_gap": info["gap"],
         "value_evaluations": total_evals,
-        "model_probes": counts["model_probes"],
+        "model_gradients": counts["model_gradients"],
         "full_probe_points": counts["full_probe_points"],
         "reeval_discrepancy": abs(value - best_value),
     }

@@ -501,6 +501,13 @@ class Payoff:
         value, lf = self._value_terms(c)
         return value, self.scale * np.add.reduce(self.b[..., None] * lf, axis=(0, 1))
 
+    def value_law_grad(self, c):
+        """Payoff in bits at channel c and its gradient in the product law
+        B, scale sum_y c log2(u/r): the derivatives of u and r cancel, as
+        in the channel gradient, because each row of c sums to one."""
+        value, lf = self._value_terms(c)
+        return value, self.scale * np.add.reduce(c * lf, axis=-1)
+
     def segment(self, c, d):
         """phi(t) -> (slope, curvature) in bits of the payoff along c + t d.
 

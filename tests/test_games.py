@@ -401,17 +401,102 @@ def test_danskin_probe_gradient_matches_full_forward_difference(case):
         cur, parts = capacity._penalized_value(problem, law, 1e-8)
         if parts is None:  # an open Frank-Wolfe gap: probed by full solves
             continue
+        # the gradient in theta is p times the natural gradient
+        p = np.concatenate([law.p_w, law.p_x_given_sw.ravel()])
+        model = p * capacity._natural_gradient(problem, parts, theta)
         for i in range(len(theta)):
             bumped = theta.copy()
             bumped[i] += h
-            model = (capacity._danskin_probe(problem, parts, bumped) - cur) / h
             full_law = capacity._law_from_theta(problem, bumped)
             full = (capacity._penalized_value(problem, full_law, 1e-8)[0] - cur) / h
-            assert abs(model - full) <= 1e-3 * max(1.0, abs(full))
+            assert abs(model[i] - full) <= 1e-3 * max(1.0, abs(full))
         points += 1
         if points == 2:
             break
     assert points == 2
+
+
+def _held_value(problem, parts, p_w, p_x):
+    """The penalized payoff at the arrays (p_w, p_x), each part's channel
+    held: the min over parts, as the inner solve takes it."""
+    law = InputLaw._trusted(p_w.copy(), p_x.copy())
+    tensors = law_tensors(problem, law)
+    held = min(Payoff(problem, tensors, o, a, m).value(c) for o, a, m, c, _ in parts)
+    return held - capacity._penalty(problem, law)
+
+
+def _held_gradient_cases():
+    """(problem, theta): laws of every Danskin case, a detect-all game
+    whose weakest part is a single user, and the capped game below and
+    above its cap."""
+    # Y leans on user 0, so I(X_1; Y | X_0) is the least
+    lean = np.zeros((2, 2, 2))
+    for x0, x1 in np.ndindex(2, 2):
+        lean[x0, x1] = [0.9 - 0.7 * x0 - 0.1 * x1, 0.1 + 0.7 * x0 + 0.1 * x1]
+    hull = GameProblem(
+        coalition_size=2, x_size=2, y_size=2,
+        channel_class=Hull([_interleaving_table(2, 2), lean]), objective="detect_all",
+    )
+    for case, problem in enumerate([*_danskin_cases(), hull]):
+        gen = np.random.default_rng(200 + case)
+        for _ in range(3):
+            yield problem, gen.normal(0.0, 1.0, capacity._theta_dim(problem))
+    capped = list(_danskin_cases())[6]
+    for p1 in (0.2, 0.6):  # P(X=1) against the cap 0.3
+        yield capped, np.log([1.0, 1.0 - p1, p1])
+
+
+def test_held_gradient_matches_central_differences_of_the_held_payoff():
+    h = 1e-6
+    weakest = set()
+    sides = set()
+    for problem, theta in _held_gradient_cases():
+        law = capacity._law_from_theta(problem, theta)
+        parts = capacity._penalized_value(problem, law, 1e-8)[1]
+        tensors = law_tensors(problem, law)
+        values = [Payoff(problem, tensors, o, a, m).value(c) for o, a, m, c, _ in parts]
+        weakest.add((problem.objective, int(np.argmin(values)), len(parts)))
+        if problem.d1_cap is not None:
+            sides.add(capacity._penalty(problem, law) > 0)
+        g_w, g_x = capacity._held_gradient(problem, parts, law)
+        for block, grad in ((0, g_w), (1, g_x)):
+            for i in np.ndindex(grad.shape):
+                arrays = [law.p_w.copy(), law.p_x_given_sw.copy()]
+                arrays[block][i] += h
+                up = _held_value(problem, parts, *arrays)
+                arrays[block][i] -= 2.0 * h
+                down = _held_value(problem, parts, *arrays)
+                central = (up - down) / (2.0 * h)
+                assert abs(grad[i] - central) <= 1e-6 * max(1.0, abs(central))
+    # detect-all's weakest part was a single user and the full set, and
+    # the capped game was checked on both sides of its cap
+    assert {("detect_all", 1, 3), ("detect_all", 2, 3)} <= weakest
+    assert sides == {False, True}
+
+
+def test_capacity_ascent_leaves_no_start_in_a_softmax_corner():
+    # three starts used to crawl into p_w = (0.0024, 0.9976) and stop at
+    # the step cap short of 0.25: the gradient in theta carries a factor p
+    diag = solve_capacity(
+        fair_problem(k=2, num_timeshare=2), seed=0, restarts=6, grid_resolution=8
+    ).diagnostics
+    assert len(diag["local_values"]) == diag["restarts"] == 10
+    assert all(abs(v - 0.25) <= 1e-9 for v in diag["local_values"])
+    assert diag["nonconcave"] is False
+
+
+def test_natural_gradient_is_finite_where_a_law_entry_underflows():
+    prob = fair_problem(k=2, num_timeshare=2)
+    theta = np.zeros(capacity._theta_dim(prob))
+    theta[2] = -800.0  # p(x=0 | s=0, w=0) is exactly 0
+    law = capacity._law_from_theta(prob, theta)
+    assert law.p_x_given_sw[0, 0, 0] == 0.0
+    start, parts = capacity._penalized_value(prob, law, capacity._INNER_TOL)
+    assert np.all(np.isfinite(capacity._natural_gradient(prob, parts, theta)))
+    counts = Counter()
+    _, value, _ = capacity._ascend(prob, theta, counts)
+    assert math.isfinite(value) and value > start
+    assert counts["model_gradients"] > 0
 
 
 def test_open_frank_wolfe_gap_has_no_probe_model(monkeypatch):
@@ -440,10 +525,10 @@ def test_distortion_capacity_probes_with_full_solves():
     fam = Distortion(estimator=np.array([[0, 0], [0, 1]]), d2=1.0 - np.eye(2), cap=0.3)
     prob = GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=fam)
     diag = solve_capacity(prob, restarts=1, grid_resolution=2).diagnostics
-    assert diag["model_probes"] == 0
+    assert diag["model_gradients"] == 0
     assert diag["full_probe_points"] == diag["value_evaluations"] > 0
     fair = solve_capacity(fair_problem(k=2), restarts=1, grid_resolution=2).diagnostics
-    assert fair["model_probes"] > 0 and fair["full_probe_points"] == 0
+    assert fair["model_gradients"] > 0 and fair["full_probe_points"] == 0
 
 
 def test_capacity_ascent_evaluation_count_and_values(monkeypatch):
