@@ -52,7 +52,7 @@ FAIR_K2 = {
 
 GOLDEN = {
     "simulate": "11a316b0487b6dcba356ac9558aaece9e871cc35c19a4834c61dafa91a212b7a",
-    "capacity": "f15c059f3682127a146460be1018e747023c1ff3dc13f3f4dad84faf89b2725b",
+    "capacity": "45f3adee24bd3d198dd697a759b95cf710e3dbbb1b799451b86aebf50430456c",
     "exponent_sweep": "34c72b69b9943d86d248b14face6891c2b98a6fb902ab210184fec0474a9e6ef",
     "operating_point": "04251b5ec77573d24463f483c77e4206e7f2cc96f68836ac46032eb3b867f367",
     "exponent_layouts": "b7ca5c442a4ea98d5ca7ecd236419d8f55f7cf0f8ea0f6bf55832b02b722b253",
