@@ -323,17 +323,17 @@ def _natural_gradient(problem, parts, theta):
 
 
 def _fd_ascent(
-    f, theta, *, steps, fd, step0, min_step, grad_tol, gain_tol, sign=+1, probe=None
+    f, theta, *, steps, fd, step0, min_step, grad_tol, gain_tol, sign=+1, gradient=None
 ):
     """Gradient ascent of f (sign=+1) or descent (sign=-1).
 
-    Without ``probe`` each step takes the forward-difference gradient at
-    the current point, one more evaluation of f at theta + fd e_i per
-    coordinate.  With ``probe``, f returns (value, anchor), and the step's
-    gradient is ``probe(anchor, theta)``, taken without evaluating f (for
-    the capacity ascent, the natural gradient at the point's worst
-    channel); a None anchor has no gradient, and its step takes forward
-    differences of f.  Then it tries theta + sign s g/|g| for s = s0,
+    Without ``gradient`` each step takes the forward-difference gradient
+    at the current point, one more evaluation of f at theta + fd e_i per
+    coordinate.  With ``gradient``, f returns (value, anchor), and the
+    step's gradient is ``gradient(anchor, theta)``, taken without
+    evaluating f (for the capacity ascent, the natural gradient at the
+    point's worst channel); a None anchor has no gradient, and its step
+    takes forward differences of f.  Then it tries theta + sign s g/|g| for s = s0,
     s0/4, ... while s > min_step, with s0 = min(step0, 4 x the last step
     taken), and moves to the first point where sign f beats sign f(theta)
     by more than gain_tol: moves are taken on true f values only.  It
@@ -342,7 +342,7 @@ def _fd_ascent(
     gradient component counts as zero, and a non-finite trial point is
     never taken.  Returns (theta, f(theta), number of f evaluations).
     """
-    evaluate = f if probe is not None else (lambda t: (f(t), None))
+    evaluate = f if gradient is not None else (lambda t: (f(t), None))
     theta = np.array(theta, dtype=float)
     cur, anchor = evaluate(theta)
     evals = 1
@@ -358,7 +358,7 @@ def _fd_ascent(
                 grad[i] = (evaluate(bumped)[0] - cur) / fd
             evals += len(theta)
         else:
-            grad = np.asarray(probe(anchor, theta), dtype=float)
+            grad = np.asarray(gradient(anchor, theta), dtype=float)
         grad[~np.isfinite(grad)] = 0.0
         norm = float(np.linalg.norm(grad))
         if norm < grad_tol:
@@ -465,13 +465,13 @@ def _ascend(problem, theta, counts):
         counts["full_probe_points"] += parts is None
         return value, parts
 
-    def gradient(parts, theta):
+    def natural(parts, theta):
         counts["model_gradients"] += 1
         return _natural_gradient(problem, parts, theta)
 
     return _fd_ascent(
         penalized, theta, steps=200, fd=_FD_STEP, step0=1.0, min_step=1e-7,
-        grad_tol=1e-9, gain_tol=1e-12, probe=gradient,
+        grad_tol=1e-9, gain_tol=1e-12, gradient=natural,
     )
 
 
