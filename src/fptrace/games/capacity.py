@@ -358,7 +358,7 @@ def _fd_ascent(
                 grad[i] = (evaluate(bumped)[0] - cur) / fd
             evals += len(theta)
         else:
-            grad = np.asarray(gradient(anchor, theta), dtype=float)
+            grad = gradient(anchor, theta)
         grad[~np.isfinite(grad)] = 0.0
         norm = float(np.linalg.norm(grad))
         if norm < grad_tol:
