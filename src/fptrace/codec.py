@@ -10,11 +10,17 @@ timeshare, seed) alone and generation order never matters.  Each book
 builds its cell plan (every cell's positions and sorted mark block) once;
 a row then costs one stream derivation and one shuffle per cell,
 bit-identical to a fresh :func:`sample_type_class` draw on that stream.
+
+:func:`read_codebook` checks the row file a block of rows at a time
+against the keyed rows.  A book of at most ``_KEEP_MARKS`` marks keeps the
+checked rows as its row matrix, so a book read from files generates each
+row once, as a built one does; a larger book keeps nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -36,6 +42,13 @@ __all__ = [
     "write_codebook",
     "read_codebook",
 ]
+
+# a read book of at most this many marks keeps its checked rows (16 MB of
+# int8); a larger one keeps none, so the threshold path streams its rows
+_KEEP_MARKS = 1 << 24
+
+# marks of the row file read and checked at a time
+_READ_MARKS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -348,7 +361,13 @@ def read_codebook(rows_path, header_path, key_path) -> Codebook:
     """Rebuild a codebook from its three files, validating consistency:
     the row file must list each user once, with the row of the keyed
     stream.  A keyfile field other than the seed, host and timeshare must
-    be null: older books wrote their unused permutation fields so."""
+    be null: older books wrote their unused permutation fields so.
+
+    The row file is checked a block of rows at a time, against the keyed
+    rows of the block's users.  A book of at most ``_KEEP_MARKS`` marks
+    keeps its checked rows as the matrix :meth:`Codebook.rows` returns, so
+    each row is generated once from reading to the last audit; a larger
+    book keeps nothing, and reading it holds O(block n) rows."""
     header = read_json(header_path, "codebook header")
     key = read_json(key_path, "codebook keyfile")
     with reading("codebook header"):
@@ -364,13 +383,32 @@ def read_codebook(rows_path, header_path, key_path) -> Codebook:
                                   "a book is keyed by its seed, host and timeshare alone")
         if _seed_fingerprint(cb.seed) != fingerprint:
             raise ConfigError("keyfile does not match codebook header")
+    if params.num_users * params.n <= _KEEP_MARKS:
+        cb.rows()  # the rows are checked against this matrix, then kept
+    size = max(1, _READ_MARKS // params.n)
     users = []
     with reading("codebook rows"), open(rows_path) as fh:
-        for line in filter(str.strip, fh):
-            rec = json.loads(line)
-            if not np.array_equal(cb.row(rec["m"]), symbols(rec["x"], "row marks", params.x_size)):
-                raise ConfigError(f"row {rec['m']} does not match the keyed stream")
-            users.append(rec["m"])
+        lines = filter(str.strip, fh)
+        while recs := [json.loads(line) for line in itertools.islice(lines, size)]:
+            users += _check_rows(cb, recs)
     if len(users) != params.num_users or len(set(users)) != len(users):
         raise ConfigError(f"the row file must list each of the {params.num_users} users once")
     return cb
+
+
+def _check_rows(cb: Codebook, recs: list) -> list:
+    """The users of a block of row records, once every record holds its
+    user's keyed row.  The block's marks are read and compared at once; a
+    block that fails is checked again record by record, so the first bad
+    record raises the error it would raise alone."""
+    x_size = cb.params.x_size
+    users = [rec["m"] for rec in recs]
+    try:
+        marks = symbols([rec["x"] for rec in recs], "row marks", x_size, ndim=2)
+    except ConfigError:
+        marks = None
+    if marks is None or not np.array_equal(cb.row_block(users), marks):
+        for m, rec in zip(users, recs):
+            if not np.array_equal(cb.row_block([m])[0], symbols(rec["x"], "row marks", x_size)):
+                raise ConfigError(f"row {m} does not match the keyed stream")
+    return users

@@ -14,7 +14,13 @@ so memory stays bounded whatever the number of candidates:
 * joint: search coalitions and maximize the penalized multivariate score
   oI(x_A; y | s, w) - |A| (rate + delta), preferring larger coalitions on
   ties and lexicographically smaller ones within a size.  It and the
-  audits read the codebook's cached row matrix: one generation per row.
+  audits read the codebook's cached row matrix: one generation per row,
+  which a book read from its files already holds (see ``read_codebook``).
+
+A block's codes are a base, cached per (scorer, k) and sized to the
+largest block scored, plus the candidates' k marks combined in the
+narrowest integer type that holds X^k.  Each audit builds one scorer and
+rechecks the outcome through it.
 
 Neither decoder needs the attack channel; the penalty term is what makes
 the scores comparable across coalition sizes.  The guilt indices and the
@@ -151,7 +157,8 @@ class _Scorer:
         self.h_side = _count_entropy(comp.sum(axis=2), p.n)
         # constant composition: every row has the same H(x | s, w)
         self.h_x = _count_entropy(comp, p.n) - self.h_side
-        self.h_y = float(self._h(self.cells)[0])
+        self.h_y = _count_entropy(np.bincount(self.cells), p.n, xlogx=self.xlogx) - self.h_side
+        self._bases: dict[int, np.ndarray] = {}  # k -> cells X^k + table offsets
 
     def y_counts(self) -> np.ndarray:
         """(S W, Y) counts of each relabelled y symbol in each (s, w) cell."""
@@ -163,23 +170,30 @@ class _Scorer:
         """Candidates per block when each candidate codes k rows."""
         return max(1, _BLOCK_CELLS // max(self.n, self.n_cells * self.x_size**k))
 
-    def _h(self, code: np.ndarray) -> np.ndarray:
-        """H(code | s, w) of each row of a (b, n) block of codes that refine
-        the (s, w) cell (one code of shape (n,) is a block of one), from one
-        bincount over the block.
+    def _h(self, sym, k: int) -> np.ndarray:
+        """H(code | s, w) of each code of a block, from one bincount over
+        the block.  ``sym`` holds the codes' k row marks combined base X,
+        (b, n) or (n,) for a block of one, and a code is cells X^k + sym.
 
-        Each row's entropy sums its own table up to its largest code, as a
-        bincount of that row alone would, so a score does not depend on the
-        block it is scored in."""
-        code = np.atleast_2d(code)
-        lens = code.max(axis=1).astype(np.intp) + 1
-        width = int(lens.max())
-        offsets = np.arange(0, len(code) * width, width, dtype=code.dtype)
-        counts = np.bincount((code + offsets[:, None]).ravel(), minlength=offsets.size * width)
-        counts = counts.reshape(-1, width)
-        h = np.empty(len(code))
-        for size in np.unique(lens).tolist():
-            sel = lens == size
+        The base, cells X^k plus each row's table offset, is built once per
+        k and grown to the largest block asked for.  A table ends at its last
+        nonzero count, and each row's entropy sums its table that far, as a
+        bincount of that row alone would, so a score does not depend on
+        the block it is scored in."""
+        sym = np.atleast_2d(sym)
+        width = self.n_cells * self.x_size**k
+        base = self._bases.get(k)
+        if base is None or len(base) < len(sym):
+            offsets = np.arange(0, len(sym) * width, width)
+            base = (self.cells * np.int64(self.x_size**k) + offsets[:, None]).astype(np.int32)
+            self._bases[k] = base
+        code = base[: len(sym)] + sym
+        counts = np.bincount(code.ravel(), minlength=len(sym) * width).reshape(-1, width)
+        lens = width - np.argmax(counts[:, ::-1] > 0, axis=1)
+        h = np.empty(len(sym))
+        sizes = np.unique(lens).tolist()
+        for size in sizes:
+            sel = lens == size if len(sizes) > 1 else slice(None)
             h[sel] = _count_entropy(counts[sel, :size], self.n, -1, self.xlogx)
         return h - self.h_side
 
@@ -195,25 +209,28 @@ class _Scorer:
         """
         k_a = xa.shape[1]
         k_b = 0 if xb is None else xb.shape[-2]
-        if self.n_cells * self.x_size ** (k_a + k_b) > 2**31:
+        k = k_a + k_b
+        if self.n_cells * self.x_size**k > 2**31:
             # one candidate's count table alone would take 16 GB
             raise BudgetExceededError(
-                f"a count table over {k_a + k_b} rows passes 2**31 cells"
+                f"a count table over {k} rows passes 2**31 cells"
             )
-        size = self.block(k_a + k_b)
+        size = self.block(k)
         if len(xa) > size:
             each = xb is not None and xb.ndim == 3
             return np.concatenate([
                 self.info(xa[lo : lo + size], xb[lo : lo + size] if each else xb)
                 for lo in range(0, len(xa), size)
             ])
-        code = self.cells
+        # the marks combine in the narrowest type that holds X^k
+        dtype = np.min_scalar_type(-(self.x_size**k))
+        sym = np.zeros((), dtype)
         for j in range(k_b):
-            code = code * self.x_size + xb[..., j, :]
-        h_b = self._h(code) if k_b else self.h_y
+            sym = sym * self.x_size + xb[..., j, :]
+        h_b = self._h(sym, k_b) if k_b else self.h_y
         for j in range(k_a):
-            code = code * self.x_size + xa[:, j]
-        return np.maximum(k_a * self.h_x + h_b - self._h(code), 0.0)
+            sym = sym * self.x_size + xa[:, j]
+        return np.maximum(k_a * self.h_x + h_b - self._h(sym, k), 0.0)
 
 
 def _blocks(cands, k: int, size: int):
@@ -279,7 +296,12 @@ def mpmi_score(
     coalition = index_set(coalition, cb.params.num_users, "coalition")
     if not coalition:
         return 0.0
-    info = float(_Scorer(cb, y).info(cb.row_block(coalition)[None])[0])
+    return _penalized(cb, _Scorer(cb, y), coalition, cfg)
+
+
+def _penalized(cb: Codebook, scorer: _Scorer, coalition: tuple, cfg: DecodeConfig) -> float:
+    """``mpmi_score`` of a checked nonempty coalition, through ``scorer``."""
+    info = float(scorer.info(cb.row_block(coalition)[None])[0])
     return info - len(coalition) * (cfg.rate_for(cb) + cfg.delta)
 
 
@@ -396,10 +418,12 @@ class GuiltReport:
     per_user: dict
 
 
-def _recheck_joint(cb: Codebook, y: np.ndarray, outcome: DecodeOutcome) -> None:
-    """Re-score a joint outcome's coalition on (cb, y); a mismatch raises."""
+def _recheck_joint(cb: Codebook, scorer: _Scorer, outcome: DecodeOutcome) -> None:
+    """Re-score a joint outcome's coalition through the scorer of its copy;
+    a mismatch raises."""
     cfg = DecodeConfig(delta=outcome.delta, rate=outcome.rate)
-    got = mpmi_score(cb, outcome.accused, y, cfg)
+    coalition = index_set(outcome.accused, cb.params.num_users, "coalition")
+    got = _penalized(cb, scorer, coalition, cfg) if coalition else 0.0
     if abs(got - outcome.score) > 1e-9:
         raise StaleOutcomeError(
             f"recorded score {outcome.score!r} != recomputed {got!r}"
@@ -421,12 +445,13 @@ def guilt_indices(cb: Codebook, y: np.ndarray, outcome: DecodeOutcome) -> GuiltR
     row matrix.
     """
     threshold = outcome.mode == "threshold"
-    if not threshold:
-        _recheck_joint(cb, y, outcome)
-    acc = outcome.accused
-    acc_rows = cb.row_block(acc) if threshold else cb.rows()[list(acc)]
-    rate, bar = outcome.rate, outcome.rate + outcome.delta
     scorer = _Scorer(cb, y)
+    if not threshold:
+        cb.rows()  # the accused rows below are copied from the matrix
+        _recheck_joint(cb, scorer, outcome)
+    acc = outcome.accused
+    acc_rows = cb.row_block(acc)
+    rate, bar = outcome.rate, outcome.rate + outcome.delta
     info = np.empty(cb.params.num_users)
     flagged = []
     # the accused rows are generated once, above, and reused in the stream
@@ -472,23 +497,25 @@ def verify_significance(
     joint evidence: oI(x_A; y x_rest | s, w) >= |A| (rate + delta), up to
     the tie tolerance.  Every disjoint subset A small enough to have been
     searched must not: oI(x_A; y x_acc | s, w) <= |A| (rate + delta).
-    Requires an exhaustive outcome whose size was not clipped at k_max;
-    anything else raises InapplicableCheckError.
+    Requires an exhaustive outcome whose size was not clipped at k_max (one
+    that accuses every user was not: no larger coalition exists); anything
+    else raises InapplicableCheckError.
     """
     if not outcome.exact or not outcome.mode.startswith("mpmi"):
         raise InapplicableCheckError("significance needs an exhaustive joint decode")
-    _recheck_joint(cb, y, outcome)
+    scorer, rows = _Scorer(cb, y), cb.rows()
+    _recheck_joint(cb, scorer, outcome)
     # the per-size score trail records how far the search actually looked
     sizes_seen = [len(c) for c in outcome.scores] or [0]
     k_cap = max(max(sizes_seen), outcome.best_k)
-    if outcome.best_k >= k_cap and outcome.best_k > 0:
+    # a search that reached every user left no larger coalition out
+    if 0 < outcome.best_k >= k_cap and k_cap < cb.params.num_users:
         raise InapplicableCheckError(
             "optimum size reached the search cap; the unrestricted optimum "
             "may be larger, so the outside inequalities are not certifiable"
         )
     acc = outcome.accused
     bar = outcome.rate + outcome.delta
-    scorer, rows = _Scorer(cb, y), cb.rows()
     inside = []
     for a in range(1, len(acc) + 1):
         subs = list(itertools.combinations(acc, a))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fptrace import codec
 from fptrace import rng as rngmod
 from fptrace.codec import (
     CodeParams,
@@ -414,6 +415,63 @@ def test_codebook_reader_refuses_a_keyfile_without_seed_or_a_header_not_json(tmp
     paths[1].write_text("{not json")
     with pytest.raises(ConfigError, match="codebook header"):
         read_codebook(*paths)
+
+
+# ---------------------------------------------------------------------------
+# the row file is checked a block at a time
+
+
+def _flip_first(rec):
+    return dict(rec, x=[1 - rec["x"][0]] + rec["x"][1:])
+
+
+# each fault falls in a later block than the first, blocks being two rows
+ROW_FILE_FAULTS = {
+    "tampered": (lambda recs: recs[:5] + [_flip_first(recs[5])] + recs[6:],
+                 "row 5 does not match the keyed stream"),
+    "short": (lambda recs: recs[:4] + [dict(recs[4], x=recs[4]["x"][:-1])] + recs[5:],
+              "row 4 does not match the keyed stream"),
+    "outside the alphabet": (lambda recs: recs[:6] + [dict(recs[6], x=[2] + recs[6]["x"][1:])],
+                             "row marks must be symbols in 0..1"),
+    "duplicated": (lambda recs: recs + [recs[3]], "the row file must list each of the 7 users once"),
+    "missing": (lambda recs: recs[:3] + recs[4:], "the row file must list each of the 7 users once"),
+}
+
+
+def _two_row_blocks(tmp_path, monkeypatch, keep, seed):
+    """(book, its three files) of 7 users at n = 12, read two rows a block,
+    with the keep bound just at or just below the book's 84 marks."""
+    m, n = 7, 12
+    monkeypatch.setattr(codec, "_READ_MARKS", 2 * n)
+    monkeypatch.setattr(codec, "_KEEP_MARKS", m * n if keep else m * n - 1)
+    cb = fresh_codebook(seed=seed, n=n, m=m)
+    paths = tmp_path / "c.jsonl", tmp_path / "c.json", tmp_path / "c.key"
+    write_codebook(cb, *paths)
+    return cb, paths
+
+
+@pytest.mark.parametrize("keep", [True, False])
+@pytest.mark.parametrize("fault", sorted(ROW_FILE_FAULTS))
+def test_block_reader_refuses_a_bad_row_file(tmp_path, monkeypatch, keep, fault):
+    """Below and above the keep bound, a fault in any block raises the
+    one-line error that a record-by-record check raises."""
+    _, paths = _two_row_blocks(tmp_path, monkeypatch, keep, seed=71)
+    recs = [json.loads(line) for line in paths[0].read_text().splitlines()]
+    corrupt, message = ROW_FILE_FAULTS[fault]
+    paths[0].write_text("".join(json.dumps(rec) + "\n" for rec in corrupt(recs)))
+    with pytest.raises(ConfigError) as info:
+        read_codebook(*paths)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("keep", [True, False])
+def test_block_reader_keeps_the_checked_rows_below_the_bound(tmp_path, monkeypatch, keep):
+    cb, paths = _two_row_blocks(tmp_path, monkeypatch, keep, seed=73)
+    lines = paths[0].read_text().splitlines()
+    paths[0].write_text("\n".join(lines[::-1]) + "\n")  # any order of users
+    back = read_codebook(*paths)
+    assert ("rows" in back._cache) == keep
+    assert np.array_equal(back.rows(), cb.rows())
 
 
 def test_params_take_a_time_share_type_alone_and_flat_or_nested_tables():

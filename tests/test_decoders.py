@@ -259,6 +259,19 @@ def test_significance_rejects_greedy_and_clipped():
             verify_significance(cb, y, clipped)
 
 
+@pytest.mark.parametrize("m,k_max", [(2, 2), (2, 3), (3, 3), (3, 4)])
+def test_significance_certifies_an_optimum_that_accuses_every_user(m, k_max):
+    # a search that reached every user has no larger coalition left out,
+    # so the size cap does not stand in the way of the certificate
+    cb = make_codebook(80, n=64, m=m)
+    y = interleave(np.stack([cb.row(u) for u in range(m)]), rngmod.derive(80, "a"), 2).y
+    out = mpmi_decode(cb, y, DecodeConfig(delta=0.05, k_max=k_max))
+    assert out.accused == tuple(range(m))
+    sig = verify_significance(cb, y, out)
+    assert sig.ok and sig.outside == []
+    assert len(sig.inside) == 2**m - 1
+
+
 def test_outcome_invariants():
     with pytest.raises(ConfigError):
         DecodeOutcome(
@@ -321,6 +334,31 @@ def test_each_row_is_generated_once_per_book(monkeypatch):
     threshold_decode(cb, y, cfg)
     assert len(calls) == 0  # it copies the rows the joint decode cached
     threshold_decode(make_codebook(41, n=160, m=m), y, cfg)
+    assert len(calls) == m
+
+
+def test_a_book_read_from_its_files_generates_each_row_once(tmp_path, monkeypatch):
+    m = 6
+    paths = tmp_path / "c.jsonl", tmp_path / "c.json", tmp_path / "c.key"
+    cb = make_codebook(41, n=160, m=m)
+    codec.write_codebook(cb, *paths)
+    y = interleave(np.stack([cb.row(0), cb.row(4)]), rngmod.derive(41, "a"), 2).y
+    real = codec.Codebook.row
+    calls = []
+
+    def counted(self, m):
+        calls.append(1)
+        return real(self, m)
+
+    monkeypatch.setattr(codec.Codebook, "row", counted)
+    book = codec.read_codebook(*paths)
+    assert len(calls) == m  # the reader keeps the rows it checked
+    out = mpmi_decode(book, y, DecodeConfig(delta=0.15, k_max=3))
+    guilt_indices(book, y, out)
+    assert out.accused == (0, 4)
+    assert verify_significance(book, y, out).ok
+    assert len(calls) == m
+    threshold_decode(book, y, DecodeConfig(delta=0.15))
     assert len(calls) == m
 
 
@@ -387,6 +425,27 @@ def test_threshold_guilt_streams_rows(monkeypatch):
         scores={}, exact=True, mode="mpmi", delta=cfg.delta, rate=out.rate,
     )
     assert guilt_indices(cb, y, joint) == rep
+
+
+def test_a_book_read_above_the_keep_bound_streams_its_rows(tmp_path, monkeypatch):
+    m, n = 256, 1024
+    paths = tmp_path / "c.jsonl", tmp_path / "c.json", tmp_path / "c.key"
+    codec.write_codebook(make_codebook(47, n=n, m=m), *paths)
+    monkeypatch.setattr(codec, "_KEEP_MARKS", m * n - 1)
+    cb = codec.read_codebook(*paths)
+    assert "rows" not in cb._cache
+    y = interleave(np.stack([cb.row(3), cb.row(9)]), rngmod.derive(47, "a"), 2).y
+    tracemalloc.start()
+    try:
+        out = threshold_decode(cb, y, DecodeConfig(delta=0.05))
+        guilt_indices(cb, y, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.accused == (3, 9)
+    # the bound of test_threshold_guilt_streams_rows
+    assert peak < m * n * 8 / 2
+    assert "rows" not in cb._cache
 
 
 def test_decoder_and_audit_scores_are_one_quantity():
@@ -632,6 +691,20 @@ def test_a_score_does_not_depend_on_its_block(block_cells, monkeypatch):
         assert shared.tolist() == [scorer.info(rows[c[None]], rows[[0, 5]])[0] for c in cands]
         each = scorer.info(rows[cands], rows[(cands + 1) % 12][:, :1])
         assert each.tolist() == [scorer.info(rows[c[None]], rows[[(c[0] + 1) % 12]])[0] for c in cands]
+
+
+def test_a_score_equals_its_own_bincount_bit_for_bit():
+    # each table is summed up to its own last code: here 45 of the 84
+    # pairs and triples end below the width of their table, and summing
+    # the zeros past the end too moves the last bit of some scores
+    cb = make_codebook(1, n=56, m=8, s_size=2, w_size=2)
+    y = interleave(np.stack([cb.row(1), cb.row(5)]), rngmod.derive(1, "a"), 2).y
+    scorer, loop, rows = decoders._Scorer(cb, y), loop_scorer(cb, y), cb.rows()
+    for k in (1, 2, 3):
+        cands = np.array(list(itertools.combinations(range(8), k)))
+        assert scorer.info(rows[cands]).tolist() == [loop(rows[c]) for c in cands]
+        shared = [loop(rows[c], rows[[0, 7]]) for c in cands]
+        assert scorer.info(rows[cands], rows[[0, 7]]).tolist() == shared
 
 
 def test_wide_count_tables_equal_the_loop():
