@@ -14,7 +14,9 @@ bit-identical to a fresh :func:`sample_type_class` draw on that stream.
 :func:`read_codebook` checks the row file a block of rows at a time
 against the keyed rows.  A book of at most ``_KEEP_MARKS`` marks keeps the
 checked rows as its row matrix, so a book read from files generates each
-row once, as a built one does; a larger book keeps nothing.
+row once, as a built one does; a larger book keeps nothing.  A block that
+fails is checked again line by line, so a bad file raises the error of its
+first bad line.
 """
 
 from __future__ import annotations
@@ -287,14 +289,14 @@ class Codebook:
         return self._cache["rows"]
 
     def row_block(self, users, known=None) -> np.ndarray:
-        """Rows of ``users`` as a matrix of the smallest type holding a mark:
-        int8 up to 127 marks, int16 beyond.  Rows found in ``known`` (a
-        mapping from user to row), or in the matrix once :meth:`rows` has
-        built it, are copied, not generated again."""
+        """Rows of ``users`` as a matrix of the smallest signed type holding
+        a mark: int8 up to 128 marks, int16 up to 32768, int32 beyond.  Rows
+        found in ``known`` (a mapping from user to row), or in the matrix
+        once :meth:`rows` has built it, are copied, not generated again."""
         if "rows" in self._cache:
             return self._cache["rows"][[self._user(m) for m in users]]
         known = known or {}
-        dtype = np.int8 if self.params.x_size <= 127 else np.int16
+        dtype = np.min_scalar_type(-self.params.x_size)
         out = np.empty((len(users), self.params.n), dtype=dtype)
         for i, m in enumerate(users):
             m = self._user(m)
@@ -389,26 +391,31 @@ def read_codebook(rows_path, header_path, key_path) -> Codebook:
     users = []
     with reading("codebook rows"), open(rows_path) as fh:
         lines = filter(str.strip, fh)
-        while recs := [json.loads(line) for line in itertools.islice(lines, size)]:
-            users += _check_rows(cb, recs)
+        while block := list(itertools.islice(lines, size)):
+            users += _check_rows(cb, block)
     if len(users) != params.num_users or len(set(users)) != len(users):
         raise ConfigError(f"the row file must list each of the {params.num_users} users once")
     return cb
 
 
-def _check_rows(cb: Codebook, recs: list) -> list:
-    """The users of a block of row records, once every record holds its
+def _check_rows(cb: Codebook, lines: list) -> list:
+    """The users of a block of row-file lines, once every line holds its
     user's keyed row.  The block's marks are read and compared at once; a
-    block that fails is checked again record by record, so the first bad
-    record raises the error it would raise alone."""
+    block that fails in any way is checked again line by line, so the
+    first bad line raises the error it would raise alone."""
     x_size = cb.params.x_size
-    users = [rec["m"] for rec in recs]
     try:
-        marks = symbols([rec["x"] for rec in recs], "row marks", x_size, ndim=2)
-    except ConfigError:
-        marks = None
-    if marks is None or not np.array_equal(cb.row_block(users), marks):
-        for m, rec in zip(users, recs):
-            if not np.array_equal(cb.row_block([m])[0], symbols(rec["x"], "row marks", x_size)):
-                raise ConfigError(f"row {m} does not match the keyed stream")
+        recs = [json.loads(line) for line in lines]
+        users = [rec["m"] for rec in recs]
+        marks = np.stack([symbols(rec["x"], "row marks", x_size) for rec in recs])
+        if np.array_equal(cb.row_block(users), marks):
+            return users
+    except (ConfigError, KeyError, TypeError, ValueError, OverflowError):
+        pass  # the faults that ``reading`` turns into a ConfigError
+    users = []
+    for line in lines:
+        rec = json.loads(line)
+        if not np.array_equal(cb.row_block([rec["m"]])[0], symbols(rec["x"], "row marks", x_size)):
+            raise ConfigError(f"row {rec['m']} does not match the keyed stream")
+        users.append(rec["m"])
     return users

@@ -19,7 +19,7 @@ so memory stays bounded whatever the number of candidates:
 
 A block's codes are a base, cached per (scorer, k) and sized to the
 largest block scored, plus the candidates' k marks combined in the
-narrowest integer type that holds X^k.  Each audit builds one scorer and
+narrowest signed type that holds X^k.  Each audit builds one scorer and
 rechecks the outcome through it.
 
 Neither decoder needs the attack channel; the penalty term is what makes
@@ -222,8 +222,10 @@ class _Scorer:
                 self.info(xa[lo : lo + size], xb[lo : lo + size] if each else xb)
                 for lo in range(0, len(xa), size)
             ])
-        # the marks combine in the narrowest type that holds X^k
-        dtype = np.min_scalar_type(-(self.x_size**k))
+        # the marks combine in the narrowest signed type that holds X^k
+        # itself, so it holds the multiplier X too (at k = 1, X = 128 is
+        # past int8, though X - 1 is not)
+        dtype = np.min_scalar_type(-(self.x_size**k) - 1)
         sym = np.zeros((), dtype)
         for j in range(k_b):
             sym = sym * self.x_size + xb[..., j, :]
@@ -293,14 +295,14 @@ def mpmi_score(
 ) -> float:
     """Penalized joint score oI(x_A; y | s, w) - |A| (rate + delta) of a
     candidate coalition.  The empty coalition scores 0."""
-    coalition = index_set(coalition, cb.params.num_users, "coalition")
-    if not coalition:
-        return 0.0
     return _penalized(cb, _Scorer(cb, y), coalition, cfg)
 
 
-def _penalized(cb: Codebook, scorer: _Scorer, coalition: tuple, cfg: DecodeConfig) -> float:
-    """``mpmi_score`` of a checked nonempty coalition, through ``scorer``."""
+def _penalized(cb: Codebook, scorer: _Scorer, coalition, cfg: DecodeConfig) -> float:
+    """``mpmi_score`` of a coalition, through ``scorer``."""
+    coalition = index_set(coalition, cb.params.num_users, "coalition")
+    if not coalition:
+        return 0.0
     info = float(scorer.info(cb.row_block(coalition)[None])[0])
     return info - len(coalition) * (cfg.rate_for(cb) + cfg.delta)
 
@@ -422,8 +424,7 @@ def _recheck_joint(cb: Codebook, scorer: _Scorer, outcome: DecodeOutcome) -> Non
     """Re-score a joint outcome's coalition through the scorer of its copy;
     a mismatch raises."""
     cfg = DecodeConfig(delta=outcome.delta, rate=outcome.rate)
-    coalition = index_set(outcome.accused, cb.params.num_users, "coalition")
-    got = _penalized(cb, scorer, coalition, cfg) if coalition else 0.0
+    got = _penalized(cb, scorer, outcome.accused, cfg)
     if abs(got - outcome.score) > 1e-9:
         raise StaleOutcomeError(
             f"recorded score {outcome.score!r} != recomputed {got!r}"

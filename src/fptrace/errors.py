@@ -21,7 +21,6 @@ through these checks and before any work, so the CLI passes config values
 through unread.
 """
 
-import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -59,14 +58,6 @@ def int_array(values, what: str, ndim: int | None = None) -> np.ndarray:
             ok = ndim in (None, 1) and out.min(initial=0) >= 0
         except OverflowError:  # past int64
             ok = False
-    elif _int_rows(values):
-        # equal-length lists of Python ints, as JSON reads a block of rows:
-        # one type scan stands in for the object-array scan, at half the cost
-        try:
-            out = np.array(values, dtype=np.int64)
-            ok = ndim in (None, 2) and out.min(initial=0) >= 0
-        except OverflowError:  # past int64
-            ok = False
     else:
         with reading(what):
             raw = np.asarray(values)
@@ -92,13 +83,6 @@ def symbols(values, what: str, size: int | None = None, ndim: int = 1) -> np.nda
     if size is not None and out.max(initial=-1) >= size:
         raise ConfigError(f"{what} must be symbols in 0..{size - 1}")
     return out
-
-
-def _int_rows(values) -> bool:
-    """True for a nonempty list of equal-length lists of Python ints."""
-    return (type(values) is list and values != [] and all(type(v) is list for v in values)
-            and len(set(map(len, values))) == 1
-            and set(map(type, itertools.chain.from_iterable(values))) <= {int})
 
 
 def _hides_bool(values) -> bool:

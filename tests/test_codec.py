@@ -435,6 +435,15 @@ ROW_FILE_FAULTS = {
                              "row marks must be symbols in 0..1"),
     "duplicated": (lambda recs: recs + [recs[3]], "the row file must list each of the 7 users once"),
     "missing": (lambda recs: recs[:3] + recs[4:], "the row file must list each of the 7 users once"),
+    # a fault after a tampered row of its block: the tampered row raises
+    "tampered, then a user out of range": (
+        lambda recs: recs[:4] + [_flip_first(recs[4]), dict(recs[5], m=9)] + recs[6:],
+        "row 4 does not match the keyed stream"),
+    "tampered, then not JSON": (lambda recs: recs[:4] + [_flip_first(recs[4]), "{not json"] + recs[6:],
+                                "row 4 does not match the keyed stream"),
+    "tampered, then no marks": (
+        lambda recs: recs[:4] + [_flip_first(recs[4]), {"m": 5}] + recs[6:],
+        "row 4 does not match the keyed stream"),
 }
 
 
@@ -458,10 +467,27 @@ def test_block_reader_refuses_a_bad_row_file(tmp_path, monkeypatch, keep, fault)
     _, paths = _two_row_blocks(tmp_path, monkeypatch, keep, seed=71)
     recs = [json.loads(line) for line in paths[0].read_text().splitlines()]
     corrupt, message = ROW_FILE_FAULTS[fault]
-    paths[0].write_text("".join(json.dumps(rec) + "\n" for rec in corrupt(recs)))
+    lines = (rec if isinstance(rec, str) else json.dumps(rec) for rec in corrupt(recs))
+    paths[0].write_text("".join(line + "\n" for line in lines))
     with pytest.raises(ConfigError) as info:
         read_codebook(*paths)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("keep", [True, False])
+def test_a_book_of_marks_past_int16_reads_back_its_rows(tmp_path, monkeypatch, keep):
+    # marks 0 and 32769 alone: an int16 row matrix would hold -32767
+    tx = np.zeros((1, 1, 32770))
+    tx[..., [0, 32769]] = 0.5
+    params = CodeParams(n=16, num_users=3, s_size=1, w_size=1, x_size=32770, target_x_given_sw=tx)
+    cb = build_codebook(params, np.zeros(16, int), draw_timeshare(params, rngmod.derive(1, "w")), 1)
+    want = np.stack([cb.row(m) for m in range(3)])
+    assert want.max() == 32769
+    assert np.array_equal(cb.row_block(range(3)), want)
+    monkeypatch.setattr(codec, "_KEEP_MARKS", 48 if keep else 47)
+    paths = tmp_path / "c.jsonl", tmp_path / "c.json", tmp_path / "c.key"
+    write_codebook(cb, *paths)
+    assert np.array_equal(read_codebook(*paths).rows(), want)
 
 
 @pytest.mark.parametrize("keep", [True, False])

@@ -707,6 +707,24 @@ def test_a_score_equals_its_own_bincount_bit_for_bit():
         assert scorer.info(rows[cands], rows[[0, 7]]).tolist() == shared
 
 
+@pytest.mark.parametrize("x_size, n", [(128, 64), (32768, 32)])
+def test_an_alphabet_at_the_top_of_a_mark_type_is_scored(x_size, n):
+    # one row's marks reach X - 1, which int8 (int16) holds at X = 128
+    # (32768), but the multiplier X that combines marks does not: the row
+    # scores of threshold_decode, the guilt audit and the joint decode
+    cb = make_codebook(5, n=n, m=4, s_size=1, w_size=1, x_size=x_size)
+    y = interleave(np.stack([cb.row(1), cb.row(2)]), rngmod.derive(5, "a"), x_size).y
+    loop, rows = loop_scorer(cb, y), cb.rows()
+    out = threshold_decode(cb, y, DecodeConfig(delta=8.0))
+    assert out.accused == ()
+    assert out.scores == {m: loop([rows[m]]) for m in range(4)}
+    rep = guilt_indices(cb, y, out)
+    assert [e["index"] for e in rep.per_user.values()] == [loop([x]) - out.rate for x in rows]
+    # a table over two rows of X = 32768 marks passes 2**31 cells
+    cfg = DecodeConfig(delta=0.1, k_max=2 if x_size == 128 else 1)
+    assert mpmi_decode(cb, y, cfg) == loop_decode(cb, y, cfg)
+
+
 def test_wide_count_tables_equal_the_loop():
     # X = 4 marks up to k = 6 rows: blocks fill their codes exactly up to
     # 2**15 at k = 4, and a single candidate's codes pass it at k = 6

@@ -196,18 +196,6 @@ def test_int_list_fast_path_matches_the_general_path(values):
             assert got.shape == want.shape and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("values", [[[0, 1], [2, 3]], [[]], [[-1, 2]], [[2**63 - 1]], [[2**63]],
-                                    [[2**70, 1], [0, 0]], [[True, 1]], [[0, 1], [2]], [[0.0, 1]]])
-def test_int_rows_fast_path_matches_the_general_path(values):
-    # equal-length lists of Python ints skip the scan; the same values as
-    # tuples take it
-    for ndim in (None, 1, 2):
-        got, want = _read(values, ndim), _read(tuple(map(tuple, values)), ndim)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got.shape == want.shape and np.array_equal(got, want)
-
-
 def test_int_array_refuses_a_uint64_past_int64():
     for values in (np.array([2**63], np.uint64), np.array([[1], [2**64 - 1]], np.uint64)):
         with pytest.raises(ConfigError, match="^t must be"):
