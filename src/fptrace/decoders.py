@@ -235,12 +235,29 @@ class _Scorer:
         return np.maximum(k_a * self.h_x + h_b - self._h(sym, k), 0.0)
 
 
-def _blocks(cands, k: int, size: int):
-    """Consecutive (<= size, k) index arrays of the size-k candidates
-    streamed from an iterable of tuples, in its order."""
-    flat = itertools.chain.from_iterable(cands)
-    while (block := np.fromiter(itertools.islice(flat, size * k), np.intp)).size:
-        yield block.reshape(-1, k)
+def _blocks(pool, k: int, size: int):
+    """Consecutive (<= size, k) index arrays of the k-subsets of ``pool``,
+    in ``itertools.combinations`` order, built with numpy from the
+    (k-1)-subsets (the heads): the subsets that extend a head ending at e
+    are the head plus each of e+1 .. n-1, so a run of ranks finds its heads
+    with one searchsorted.  Memory is O(size k) beyond the heads."""
+    pool = np.asarray(pool, dtype=np.intp)
+    n = len(pool)
+    heads = np.array(list(itertools.combinations(range(n), k - 1)), dtype=np.intp)
+    heads = heads.reshape(math.comb(n, k - 1), k - 1)
+    first = heads[:, -1] + 1 if k > 1 else np.zeros(1, dtype=np.intp)
+    ends = np.cumsum(n - first)  # rank just past each head's subsets
+    offset = first - ends + (n - first)  # a subset's last index is offset + rank
+    columns = [pool[heads[:, j]] for j in range(k - 1)]
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, size):
+        rank = np.arange(start, min(start + size, total), dtype=np.intp)
+        row = np.searchsorted(ends, rank, side="right")
+        block = np.empty((len(rank), k), dtype=np.intp)
+        for j, column in enumerate(columns):
+            block[:, j] = column[row]
+        block[:, -1] = pool[offset[row] + rank]
+        yield block
 
 
 def _row_blocks(cb: Codebook, size: int, stream: bool, known=None):
@@ -335,9 +352,9 @@ def mpmi_decode(cb: Codebook, y: np.ndarray, cfg: DecodeConfig) -> DecodeOutcome
     penalty = cfg.rate_for(cb) + cfg.delta
     tol = cfg.tie_tol
 
-    def scored(cands, k):
-        """(block, penalized scores) over size-k candidates, in order."""
-        for block in _blocks(cands, k, scorer.block(k)):
+    def scored(blocks, k):
+        """(block, penalized scores) over blocks of size-k candidates."""
+        for block in blocks:
             yield block, scorer.info(rows[block]) - k * penalty
 
     if cfg.search == "exhaustive":
@@ -345,7 +362,7 @@ def mpmi_decode(cb: Codebook, y: np.ndarray, cfg: DecodeConfig) -> DecodeOutcome
         evaluated = 1
         size_best: dict[int, tuple[tuple[int, ...], float]] = {0: ((), 0.0)}
         for k in range(1, k_hi + 1):
-            for block, scores in scored(itertools.combinations(range(m), k), k):
+            for block, scores in scored(_blocks(range(m), k, scorer.block(k)), k):
                 evaluated += len(block)
                 # the size bar only rises; the overall bar can fall by less
                 # than tol once, when the first size-k candidate ties it
@@ -383,8 +400,12 @@ def mpmi_decode(cb: Codebook, y: np.ndarray, cfg: DecodeConfig) -> DecodeOutcome
     evaluated = 1
     while len(current) < k_hi:
         best_add = None
-        adds = (tuple(sorted(current + (u,))) for u in range(m) if u not in current)
-        for block, scores in scored(adds, len(current) + 1):
+        k = len(current) + 1
+        adds = np.array(
+            [sorted(current + (u,)) for u in range(m) if u not in current], dtype=np.intp
+        )
+        size = scorer.block(k)
+        for block, scores in scored(np.split(adds, range(size, len(adds), size)), k):
             evaluated += len(block)
             low = -math.inf if best_add is None else best_add[1] + tol
             for i in np.flatnonzero(scores > low).tolist():
@@ -529,8 +550,7 @@ def verify_significance(
     if _candidate_count(len(others), room) > _BUDGET:
         raise BudgetExceededError("too many outside subsets to certify")
     for a in range(1, room + 1):
-        subs = itertools.combinations(others, a)
-        for block in _blocks(subs, a, scorer.block(a + len(acc))):
+        for block in _blocks(others, a, scorer.block(a + len(acc))):
             lhs = scorer.info(rows[block], rows[list(acc)]).tolist()
             outside += [
                 (tuple(sub), v, a * bar, v <= a * bar + tol)

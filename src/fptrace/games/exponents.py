@@ -27,9 +27,11 @@ builds the linear maps from the variables to the tilted law, the
 aggregated joint and the channel table once; each nonlinear piece (the
 divergence, the information cap, the ties, a memoryless distortion) gives
 its partials in the joint and the channel, and ``_Layout._chain`` carries
-them back through those maps.  The memoryless variant always solves the
-constrained program too and keeps its transplanted minimizer when that is
-lower, so it is dominated by construction.
+them back through those maps.  The first start runs phase 1 (drive the
+information down under the structural constraints alone) before its
+direct attempt, which then starts from the phase-1 point: the product
+start is the cost's flat minimum, where the SLSQP subproblem degenerates.
+A later start tries directly and falls back to phase 1 from itself.
 
 A rate below the least information the constraint set allows has exponent
 +inf, and a solve proves that at its first phase-1 point instead of
@@ -43,9 +45,33 @@ linearization plus the pin multipliers of phase 1 give a weak-duality
 lower bound with no LP (``_Layout.info_lower_bound``).  When that bound
 clears the rate by ``_CERT_MARGIN`` the solve returns +inf with no
 feasible start, and its info's ``info_lower_bound`` holds the bound; the
-key is absent from every other solve.  Where the relaxation loses to the
-dropped constraints (a tied single user, or a memoryless layout whose
-constant rows are not pinned) the bound is weak and the starts all run.
+key is absent from every other solve.  Under marking a constant class is
+pinned in both modes, so the memoryless marking layouts are certified
+too.  Where the relaxation loses to the dropped constraints (a tied
+single user) the bound is weak and the starts all run.
+
+A feasible value is certified the same way on an untied layout, where the
+program is convex: the cost is a divergence of linear maps of the
+variables (an induced channel is its minimizer over channels), the
+information is convex on the pin polytope, and a constrained distortion
+cap is linear.  So each feasible start's SLSQP multipliers give a
+Lagrangian lower bound on the exponent (``_Layout.value_lower_bound``),
+reported as ``value_lower_bound``, and the multistart stops once its best
+value is within ``_GAP_TOL`` of the best bound.  Tied layouts, and values
+near 0 where the linear bound is loose, run every start.
+
+SLSQP ends within ``_FEAS_TOL`` of the information cap, on either side,
+and a multistart that took the lowest such value would keep the start
+that overshoots the cap most, low by about the cap's multiplier times the
+overshoot.  So a witness that overshoots is moved toward the
+lowest-information phase-1 point until its information meets the rate
+(the information is convex on that segment), and every returned minimizer
+has information at most the rate.
+
+The memoryless variant also solves the constrained program and keeps its
+transplanted minimizer when that is lower, so it is dominated by
+construction, unless its own value is certified: +inf, or within
+``_GAP_TOL`` of a bound over a set that holds every transplanted point.
 """
 
 import math
@@ -73,9 +99,15 @@ _FEAS_TOL = 1e-7
 # a point counts as feasible when it misses the information cap by up to
 # _FEAS_TOL, so an infeasibility certificate must clear the rate by more
 _CERT_MARGIN = 10 * _FEAS_TOL
-# weight of the strictly positive pin point mixed into the phase-1 point
-# before its information bound is taken (``_Layout.info_lower_bound``)
-_CERT_MIX = 1e-9
+# weights of the strictly positive pin point mixed into a point before a
+# bound is taken there (``_Layout._mixed``); each gives a valid bound and the
+# best is kept.  The light ones are tight at an interior optimum; the heavy
+# one holds where the optimum sits on a face with tiny masses, whose log
+# ratios swing with the lighter mixes
+_CERT_MIX = (1e-12, 1e-9, 1e-6)
+# a multistart on an untied layout stops once its best value is within
+# _GAP_TOL of a Lagrangian lower bound (``_Layout.value_lower_bound``)
+_GAP_TOL = 1e-8
 # settings of the operating-point search: host-tilt rounds, restarts of
 # each exponent solve, steps of each finite-difference ascent and its rule
 _ROUNDS = 3
@@ -176,8 +208,9 @@ class _Layout:
         self.tied = not memoryless and (hull or (fair_family and not self.sym))
         self.distortion = family if isinstance(family, Distortion) else None
         self.fixed_channel = family.vertices[0] if hull and family.is_singleton else None
-        # the memoryless program pins its channel table, not the tilted law
-        pinned = marking and not memoryless
+        # under marking a constant class copies its symbol in the tilted law
+        # too: tilted mass on any other output costs +inf in either mode
+        pinned = marking
 
         # tilted law: which (class, y) slots are free
         self.ids, _, self.sizes, const = collusion._cell_classes(k, self.x, self.sym)
@@ -381,32 +414,98 @@ class _Layout:
         d_mu = (table - float(np.sum(mu * table))) / max(total, _TINY)
         return self.info_scale * self._chain(d_mu)
 
+    def _mixed(self, v):
+        """``v`` mixed with each weight of ``_CERT_MIX`` of a strictly
+        positive point of the pins and the channel rows (each cell's product
+        law, y uniform over its free slots; each free channel row uniform),
+        so the clipped logs give the true gradient at each mixed point."""
+        free = self.t_mask[self.ids]
+        t_pos = self.prodx[..., None] * (free / free.sum(axis=-1, keepdims=True))
+        c_pos = self.ch_const + (self.ch_const.sum(axis=-1, keepdims=True) == 0) / self.y
+        pos = self.gather(t_pos, c_pos)
+        v = np.asarray(v, dtype=float)
+        return [(1.0 - w) * v + w * pos for w in _CERT_MIX]
+
+    def _linear_bound(self, v, value, grad, lam):
+        """The least, over the pin polytope, of the linearization at ``v`` of
+        a function convex there, from its ``value`` and ``grad`` at ``v`` and
+        any pin multipliers ``lam``.  With r = grad - pin_jac^T lam, every
+        polytope point v* has value + <grad, v* - v> = value - <r, v> +
+        <lam, target - pin_jac v> + <r, v*>, and <r, v*> is at least the sum
+        of each cell's least r, as the pins make a cell's slots sum to one,
+        plus each channel row's least r, as the norms make a row sum to one.
+        """
+        r = grad - self.pin_jac.T @ lam
+        least = r[: self.n_t].reshape(self.n_cells, self.t_per_cell).min(axis=1).sum()
+        if self.n_ch:
+            rows = r[self.n_t :].reshape(-1, self.y if self.ch_kind == "table" else self.n_ch)
+            least = least + rows.min(axis=1).sum()
+        return value - float(r @ v) - float(lam @ self.pins(v)) + float(least)
+
     def info_lower_bound(self, v, lam):
         """A lower bound on ``info_value`` over the pin polytope, where it is
         convex (see the module docstring), from a point ``v`` near it and any
-        pin multipliers ``lam``.  ``v`` is first mixed with weight
-        ``_CERT_MIX`` of a strictly positive pin point (each cell's product
-        law, y uniform over its free slots), so the clipped logs give the
-        true gradient.  With r = grad - pin_jac^T lam, every polytope point
-        v* has I(v*) >= I(v) - <r, v> + <lam, target - pin_jac v> + <r, v*>,
-        and <r, v*> is at least the sum over cells of each cell's least r,
-        as the pins make a cell's slots sum to one (the channel block's r is
-        0).  The best of ``lam``, ``-lam`` and 0 is kept."""
-        free = self.t_mask[self.ids]
-        t_pos = self.prodx[..., None] * (free / free.sum(axis=-1, keepdims=True))
-        v = np.array(v, dtype=float)
-        v[: self.n_t] = (1.0 - _CERT_MIX) * v[: self.n_t] + _CERT_MIX * self.gather(
-            t_pos, self.ch_const
-        )[: self.n_t]
-        value, grad = self.info_value(v), self.info_grad(v)
+        pin multipliers ``lam``: the best linear bound at the points
+        ``_mixed`` gives, each with ``lam``, ``-lam`` and 0.  The channel
+        block's gradient is 0."""
         bounds = []
-        for mult in (lam, -lam, np.zeros_like(lam)):
-            r = grad - self.pin_jac.T @ mult
-            least = r[: self.n_t].reshape(self.n_cells, self.t_per_cell).min(axis=1)
-            bounds.append(
-                value - float(r @ v) - float(mult @ self.pins(v)) + float(least.sum())
-            )
+        for u in self._mixed(v):
+            value, grad = self.info_value(u), self.info_grad(u)
+            bounds += [
+                self._linear_bound(u, value, grad, mult)
+                for mult in (lam, -lam, np.zeros_like(lam))
+            ]
         return max(bounds)
+
+    def value_lower_bound(self, v, mult, rate):
+        """A lower bound on the cost over the feasible set of an untied
+        layout, from a point ``v`` and SLSQP's multipliers ``mult`` there
+        (the equalities first, pins leading; the information cap last).  The
+        Lagrangian F = f + mu (I - rate) - nu gap, with mu and nu clipped at
+        0, is at most f on the feasible set, and convex on the pin polytope:
+        the cost is a divergence of linear maps (the induced channel is its
+        minimizer over channels), the information is convex there, and a
+        constrained distortion gap is linear.  A memoryless one is
+        bilinear, so its nu is 0.  The best linear bound of F at the points
+        ``_mixed`` gives holds for every feasible point."""
+        mu = max(float(mult[-1]), 0.0)
+        nu = 0.0
+        if self.distortion is not None and not self.memoryless:
+            nu = max(float(mult[-2]), 0.0)
+        lam = mult[: len(self.pin_target)]
+        bounds = []
+        for u in self._mixed(v):
+            value, grad = self.objective(u)
+            value = value + mu * (self.info_value(u) - rate)
+            grad = grad + mu * self.info_grad(u)
+            if nu:
+                value = value - nu * self.distortion_gap(u)
+                grad = grad - nu * self.distortion_grad(u)
+            bounds.append(self._linear_bound(u, value, grad, lam))
+        return float(max(bounds))
+
+    def held_to_cap(self, v, anchor, rate):
+        """``v`` when its information is at most ``rate``; else the point
+        toward ``anchor`` (a phase-1 point under the cap) where it falls to
+        the cap, when that point is still feasible; else None.  Both ends
+        meet the pins and the information is convex between them, so the
+        fraction t = (I(v) - rate) / (I(v) - I(anchor)) lands on the cap but
+        for rounding, which doubling t absorbs."""
+        over = self.info_value(v) - rate
+        if over <= 0.0:
+            return v
+        under = rate - self.info_value(anchor)
+        if under <= 0.0:
+            return None
+        t = over / (over + under)
+        while t < 1.0:
+            w = v + t * (anchor - v)
+            if self.info_value(w) <= rate:
+                break
+            t = 2.0 * t
+        else:
+            w = anchor
+        return w if self.is_feasible(w, rate) else None
 
     def info_gap(self, v, rate):
         return rate - self.info_value(v)
@@ -507,7 +606,9 @@ def _solve_program(rate, law, problem, subset, user, memoryless, restarts, seed,
     """(value, minimizer or None, info) of one program at one rate.  With
     ``memoryless`` the constrained program is solved cold too, and its
     transplanted minimizer kept when feasible and lower (see
-    ``memoryless_exponent_variant``)."""
+    ``memoryless_exponent_variant``), unless the memoryless value is
+    certified: +inf by its information bound, or within ``_GAP_TOL`` of its
+    value bound, over a set that holds every transplanted point."""
     subset, user = _checked_target(problem, law, subset, user, restarts, seed)
     if not real_at_least(rate, 0):
         raise ConfigError(f"rate must be a finite nonnegative number, not {rate!r}")
@@ -528,15 +629,14 @@ def _solve_program(rate, law, problem, subset, user, memoryless, restarts, seed,
     lay = _Layout(problem, law, subset, user, memoryless)
     info["fast_path"] = False
     info["tied"] = lay.ch_kind != "none" and not memoryless
-    val, vec, info["feasible_starts"], lowest_gap, bound = _multistart(
-        lay, rate, c_floor, restarts, seed, warm
+    val, vec, found = _multistart(lay, rate, c_floor, restarts, seed, warm)
+    info.update(found)
+    certified = "info_lower_bound" in found or (
+        val - found.get("value_lower_bound", -math.inf) <= _GAP_TOL
     )
-    info["lowest_info_gap"] = None if lowest_gap == -math.inf else lowest_gap
-    if bound is not None:
-        info["info_lower_bound"] = bound
-    if memoryless:
+    if memoryless and not certified:
         lay_c = _Layout(problem, law, subset, user, False)
-        _, c_vec, _, _, _ = _multistart(lay_c, rate, c_floor, restarts, seed)
+        _, c_vec, _ = _multistart(lay_c, rate, c_floor, restarts, seed)
         if c_vec is not None:
             w_vec = _transplant_warm(lay_c, lay, c_vec)
             if lay.is_feasible(w_vec, rate):
@@ -548,10 +648,19 @@ def _solve_program(rate, law, problem, subset, user, memoryless, restarts, seed,
 
 def _multistart(lay, rate, c_floor, restarts, seed, warm=None):
     """SLSQP from the product start at the floor channel, ``restarts`` - 1
-    random ones and ``warm``; returns (value, minimizer or None, feasible
-    starts, highest phase-1 information gap, certified information bound or
-    None).  The first phase-1 point bounds the information from below; a
-    bound that clears the rate by ``_CERT_MARGIN`` ends the solve at +inf."""
+    random ones and ``warm``; returns (value, minimizer or None, info keys):
+    ``feasible_starts``, ``lowest_info_gap`` (the highest phase-1
+    information gap), and ``info_lower_bound`` or ``value_lower_bound`` when
+    one was taken.
+
+    The first start runs phase 1 before its direct attempt: the phase-1
+    point bounds the information from below, and a bound that clears the
+    rate by ``_CERT_MARGIN`` ends the solve at +inf; otherwise the attempt
+    starts there.  A later start tries directly and falls back to phase 1
+    from itself.  A witness counts once it is held to the cap and its true
+    value is finite.  On an untied layout each feasible start's multipliers
+    bound the value from below, and the starts stop once the best value is
+    within ``_GAP_TOL`` of the best bound."""
     structure, info_con = lay.constraints(rate)
     constraints = structure + [info_con]
     bounds = [(0.0, 1.0)] * lay.dim
@@ -580,50 +689,59 @@ def _multistart(lay, rate, c_floor, restarts, seed, warm=None):
             options={"maxiter": 400, "ftol": 1e-12},
         )
 
-    def attempt(v_init):
-        return slsqp(lay.objective, v_init, constraints)
-
-    def seek_low_info(v_init):
+    def seek_low_info(v0):
         # phase 1: drive the empirical information down under the structural
         # constraints alone; away from the zero-cost valley the gradients are
-        # healthy, and the reached point seeds a second attempt
+        # healthy, and the reached point seeds the direct attempt
+        v_init = np.clip(v0 + gen.normal(0.0, 1e-3, lay.dim), 0.0, 1.0)
         return slsqp(lambda v: lay.info_excess(v, rate), v_init, structure)
 
-    best_val = math.inf
-    best_vec = None
-    feasible = 0
-    lowest_gap = -math.inf
-    bound = None
-    for v0 in starts:
-        # product starts sit at the flat global minimum of the cost, which
-        # degenerates the SLSQP subproblem; retry off-center, then via a
-        # low-information phase-1 point if the direct attempt stalls
-        res = attempt(v0)
-        ok = lay.is_feasible(res.x, rate)
-        if not ok:
-            low = seek_low_info(
-                np.clip(v0 + gen.normal(0.0, 1e-3, lay.dim), 0.0, 1.0)
-            )
-            v1 = low.x
-            lowest_gap = max(lowest_gap, lay.info_gap(v1, rate))
-            if bound is None:
+    found = {"feasible_starts": 0, "lowest_info_gap": None}
+    best_val, best_vec, best_bound = math.inf, None, -math.inf
+    anchor = None  # the lowest-information phase-1 point so far
+    for i, v0 in enumerate(starts):
+        # a product start sits at the flat global minimum of the cost, which
+        # degenerates the SLSQP subproblem, so the first start goes through
+        # phase 1 first and a later one when its direct attempt stalls
+        v_init, res = v0, None
+        if i > 0:
+            res = slsqp(lay.objective, v0, constraints)
+        if res is None or not lay.is_feasible(res.x, rate):
+            low = seek_low_info(v0)
+            v_init = low.x
+            gap = lay.info_gap(v_init, rate)
+            if anchor is None or gap > found["lowest_info_gap"]:
+                anchor, found["lowest_info_gap"] = v_init, gap
+            if i == 0:
                 # the pins are phase 1's first equality constraints; an older
                 # SciPy reports no multipliers, and 0 gives a bound too
                 lam = getattr(low, "multipliers", np.zeros(len(lay.pin_target)))
-                bound = lay.info_lower_bound(v1, lam[: len(lay.pin_target)])
-                if bound > rate + _CERT_MARGIN and not feasible:
-                    return math.inf, None, 0, lowest_gap, bound
-            res = attempt(v1)
-            ok = lay.is_feasible(res.x, rate)
+                bound = lay.info_lower_bound(v_init, lam[: len(lay.pin_target)])
+                if bound > rate + _CERT_MARGIN:
+                    found["info_lower_bound"] = bound
+                    return math.inf, None, found
+            res = slsqp(lay.objective, v_init, constraints)
+        ok = lay.is_feasible(res.x, rate)
         # SLSQP can walk out of the constraint set from an already feasible
-        # start; the start itself is then still a witness
-        witness = res.x if ok else (v0 if lay.is_feasible(v0, rate) else None)
+        # start; that start is then still a witness
+        witness = res.x if ok else next(
+            (u for u in (v_init, v0) if lay.is_feasible(u, rate)), None
+        )
         if witness is not None:
-            feasible += 1
-            val = lay.true_value(witness)
-            if val < best_val:
-                best_val, best_vec = val, witness
-    return best_val, best_vec, feasible, lowest_gap, None
+            witness = lay.held_to_cap(witness, anchor, rate)
+        val = math.inf if witness is None else lay.true_value(witness)
+        if val == math.inf:
+            continue
+        found["feasible_starts"] += 1
+        if val < best_val:
+            best_val, best_vec = val, witness
+        mult = getattr(res, "multipliers", None)
+        if ok and not lay.tied and mult is not None:
+            best_bound = max(best_bound, lay.value_lower_bound(res.x, mult, rate))
+            found["value_lower_bound"] = best_bound
+            if best_val - best_bound <= _GAP_TOL:
+                break
+    return best_val, best_vec, found
 
 
 def _transplant_warm(lay_c, lay_m, c_vec):
@@ -666,7 +784,9 @@ def memoryless_exponent_variant(
     constrained point, re-encoded with its realized conditional as the
     channel table.  So the constrained program is solved cold, with the
     starts of a direct ``pseudo_sphere_packing`` call, and its minimizer,
-    transplanted, is a witness whenever it is feasible here.
+    transplanted, is a witness whenever it is feasible here.  A memoryless
+    value already certified (+inf, or within ``_GAP_TOL`` of its value
+    bound) skips that solve: no transplanted point can beat it by more.
     """
     out = _solve_program(rate, input_law, problem, subset, user, True, restarts, seed)
     return out if full_output else out[0]

@@ -1220,7 +1220,8 @@ def _counting_minimize(monkeypatch):
 
 def test_certificate_meets_the_oracle_and_ends_infeasible_rates_at_once(monkeypatch):
     # the benchmark sweep, with the certificate off (an infinite margin) and
-    # on: equal values, and each infeasible rate ends after two SLSQP calls
+    # on: equal values, and each infeasible rate ends after its phase-1 call;
+    # each feasible rate stops once its value bound closes the gap
     prob = fair_problem(k=2)
     law = prob.uniform_law()
     calls = _counting_minimize(monkeypatch)
@@ -1238,10 +1239,14 @@ def test_certificate_meets_the_oracle_and_ends_infeasible_rates_at_once(monkeypa
     assert [row[1] for row in on] == [row[1] for row in off]
     for rate, val, info, n_calls in on:
         if rate < 0.208:
-            assert val == math.inf and info["feasible_starts"] == 0 and n_calls <= 2
+            assert val == math.inf and info["feasible_starts"] == 0 and n_calls == 1
             assert abs(info["info_lower_bound"] - _MIN_FULL_INFO) <= 1e-6
         else:
             assert "info_lower_bound" not in info
+        if 0 < val < math.inf:
+            assert val - info["value_lower_bound"] <= exponents._GAP_TOL
+    # 47 at the parent: 2 calls at each infeasible rate, 6 or 7 at a feasible one
+    assert sum(row[3] for row in on) == 16
     _, _, info = pseudo_sphere_packing(0.208, law, prob, subset=(0, 1), full_output=True)
     assert "info_lower_bound" not in info and info["feasible_starts"] > 0
 
@@ -1343,6 +1348,92 @@ def test_certificate_never_changes_a_value(monkeypatch):
     assert certified["pseudo_sphere_packing"] >= 1
     # the item 2 instance, last in the battery, certified in neither mode
     assert "info_lower_bound" not in on and n_on == n_off
+
+
+@pytest.mark.parametrize("family, p0, rates", [
+    (Marking(), 0.7, [0.02, 0.05, 0.07, 0.09]),
+    (FairMarking(), 0.5, [0.12, 0.19]),
+])
+def test_memoryless_marking_sweep_certifies_its_infeasible_rates(monkeypatch, family, p0, rates):
+    # the memoryless layout pins a constant class's tilted slots as the
+    # constrained one does, so its certificate fires: one SLSQP call a rate
+    # and no feasible start (the parent ran up to 12 calls, each start's
+    # witness costing +inf, and counted them feasible)
+    prob = GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=family)
+    calls = _counting_minimize(monkeypatch)
+    for _, rate, val, info in exponents._sweep(
+        rates, law_for(prob, p0), prob, (0, 1), None, True, 6, 0
+    ):
+        assert val == math.inf and info["feasible_starts"] == 0
+        assert info["info_lower_bound"] > rate and len(calls) <= 2
+        calls.clear()
+
+
+def test_fragile_memoryless_instance_stays_finite():
+    # ROADMAP item 2: this memoryless solve once missed its feasible point
+    # and gave +inf; only some of its starts are feasible
+    prob = fair_problem(k=2)
+    val = memoryless_exponent_variant(0.15, law_for(prob, 0.3), prob, subset=(0,), restarts=2)
+    assert abs(val - 0.0193097) < 1e-6
+
+
+def _value_bound_cases():
+    """(problem, law, subset, user, rate), fixed-seed: FairMarking at K = 2,
+    3 and Y = 2, 3, Marking, a singleton Hull and a Distortion, each at its
+    full set, its first user's subset and its first user's marginal, at a
+    rate a random fraction of the inner floor that mostly sits above the
+    least information."""
+    gen = np.random.default_rng(14)
+
+    def problem(family, k=2, y=2):
+        return GameProblem(coalition_size=k, x_size=2, y_size=y, channel_class=family)
+
+    single = Hull([gen.dirichlet(np.ones(2), size=(2, 2))])
+    dist = Distortion(np.array([[0, 0], [0, 1]]), np.array([[0.0, 1.0], [1.0, 0.0]]), 0.05)
+    problems = [
+        problem(FairMarking()), problem(FairMarking(), y=3), problem(FairMarking(), k=3),
+        problem(Marking()), problem(single), problem(dist),
+    ]
+    for prob in problems:
+        law = law_for(None, float(gen.uniform(0.3, 0.7)))
+        k = prob.coalition_size
+        for subset, user in ((tuple(range(k)), None), ((0,), None), (None, 0)):
+            floor, _ = exponents._inner_floor(prob, law, subset, user)
+            yield prob, law, subset, user, floor * float(gen.uniform(0.8, 0.98))
+
+
+def test_value_lower_bound_is_sound_and_closes_the_gap(monkeypatch):
+    # every bound a two-start solve reports sits at or below the best of 24
+    # starts run to the end, whose witnesses meet the cap; on the convex
+    # layouts the bound is tight enough to stop the multistart; and every
+    # witness returned meets the information cap
+    bounded = closed = 0
+    for problem, law, subset, user, rate in _value_bound_cases():
+        for memoryless, solver in (
+            (False, pseudo_sphere_packing), (True, memoryless_exponent_variant)
+        ):
+            lay = _Layout(problem, law, subset, user, memoryless)
+            val, vec, info = solver(
+                rate, law, problem, subset=subset, user=user, restarts=2, seed=3,
+                full_output=True,
+            )
+            if vec is not None:
+                assert lay.info_value(vec) <= rate + 1e-12
+            if "value_lower_bound" not in info:
+                assert lay.tied or not 0 < val < math.inf
+                continue
+            with monkeypatch.context() as m:
+                # no bound of either kind may end the reference early
+                m.setattr(exponents, "_GAP_TOL", -math.inf)
+                m.setattr(exponents, "_CERT_MARGIN", math.inf)
+                _, c_floor = exponents._inner_floor(problem, law, subset, user)
+                best, best_vec, _ = exponents._multistart(lay, rate, c_floor, 24, 3)
+            assert lay.info_value(best_vec) <= rate + 1e-12
+            bound = info["value_lower_bound"]
+            assert bound <= best + 1e-12, (problem, subset, user, memoryless, bound, best)
+            bounded += 1
+            closed += val - bound <= exponents._GAP_TOL
+    assert bounded >= 24 and closed >= 10, (bounded, closed)
 
 
 def test_untilted_host_law_is_truly_infeasible():
