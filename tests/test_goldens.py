@@ -53,13 +53,13 @@ FAIR_K2 = {
 GOLDEN = {
     "simulate": "11a316b0487b6dcba356ac9558aaece9e871cc35c19a4834c61dafa91a212b7a",
     "capacity": "45f3adee24bd3d198dd697a759b95cf710e3dbbb1b799451b86aebf50430456c",
-    "exponent_sweep": "34c72b69b9943d86d248b14face6891c2b98a6fb902ab210184fec0474a9e6ef",
-    "operating_point": "04251b5ec77573d24463f483c77e4206e7f2cc96f68836ac46032eb3b867f367",
-    "exponent_layouts": "b7ca5c442a4ea98d5ca7ecd236419d8f55f7cf0f8ea0f6bf55832b02b722b253",
+    "exponent_sweep": "f3fa5418a93e73cdbce9e057385f794b8f5ac5cc1d6fd7c693a256bdce2a320e",
+    "operating_point": "d2899d9da8d4a347f9c0910ed0aa5df59270b4f3dcbbd7f4d0160f08baf8ab1c",
+    "exponent_layouts": "03d1252c63563c2d399ed5a65d7d46491ae8591a7c77d8b428d8c7516d1bac24",
     "codebook_rows": "58c80c0f056e5a359828504c590dff840fa120d4fdcfdff20c91b9e1a7611b1a",
     "trial_miss_events": "a0c2fd2d6f70e3021aab34fb5644d14ccd2b263503775bd00aa7bae232601f27",
-    "memoryless_sweep": "9852260b43ca1ee4dab82c894579143e8829be53f8fc6c4a12b0e55e6370ca4e",
-    "user_sweeps": "56287e4d1d59d7806684273aca8a901c177f86051077e23c276bbef6c9c0290f",
+    "memoryless_sweep": "cd3c0053a3b0008b319c4cea78d0469a02ccc0d075633393d4f2be8f177676c9",
+    "user_sweeps": "f0c86848b271992c177704d99719ba4ebaaa4c5e39fe6b10bb1a36cce92c2bb2",
 }
 
 
@@ -174,7 +174,7 @@ def test_memoryless_sweep_golden():
     values, digest = _sweep_digest(
         [0.05, 0.1, 0.15], _bernoulli_law(0.7), problem, (0, 1), None, True
     )
-    assert values == [np.inf, 0.13769906399705922, 0.008928785569703532]
+    assert values == [np.inf, 0.1376990780377283, 0.00892881371840103]
     assert digest == GOLDEN["memoryless_sweep"]
 
 
