@@ -240,14 +240,16 @@ def _blocks(pool, k: int, size: int):
     in ``itertools.combinations`` order, built with numpy from the
     (k-1)-subsets (the heads): the subsets that extend a head ending at e
     are the head plus each of e+1 .. n-1, so a run of ranks finds its heads
-    with one searchsorted.  Memory is O(size k) beyond the heads."""
+    with one searchsorted.  Memory is O(size k) beyond the heads, which
+    number at most k/(n-k+1) of the subsets."""
     pool = np.asarray(pool, dtype=np.intp)
     n = len(pool)
     heads = np.array(list(itertools.combinations(range(n), k - 1)), dtype=np.intp)
     heads = heads.reshape(math.comb(n, k - 1), k - 1)
-    first = heads[:, -1] + 1 if k > 1 else np.zeros(1, dtype=np.intp)
-    ends = np.cumsum(n - first)  # rank just past each head's subsets
-    offset = first - ends + (n - first)  # a subset's last index is offset + rank
+    counts = n - 1 - heads[:, -1] if k > 1 else np.array([n])
+    # the rank just past each head's subsets; a subset of rank r extends
+    # head h by index r + n - ends[h]
+    ends = np.cumsum(counts)
     columns = [pool[heads[:, j]] for j in range(k - 1)]
     total = int(ends[-1]) if len(ends) else 0
     for start in range(0, total, size):
@@ -256,7 +258,7 @@ def _blocks(pool, k: int, size: int):
         block = np.empty((len(rank), k), dtype=np.intp)
         for j, column in enumerate(columns):
             block[:, j] = column[row]
-        block[:, -1] = pool[offset[row] + rank]
+        block[:, -1] = pool[rank + n - ends[row]]
         yield block
 
 
