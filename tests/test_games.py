@@ -1245,7 +1245,8 @@ def test_certificate_meets_the_oracle_and_ends_infeasible_rates_at_once(monkeypa
             assert "info_lower_bound" not in info
         if 0 < val < math.inf:
             assert val - info["value_lower_bound"] <= exponents._GAP_TOL
-    # 47 at the parent: 2 calls at each infeasible rate, 6 or 7 at a feasible one
+    # 47 when every start ran and phase 1 came second: 2 calls at each
+    # infeasible rate, 6 or 7 at a feasible one
     assert sum(row[3] for row in on) == 16
     _, _, info = pseudo_sphere_packing(0.208, law, prob, subset=(0, 1), full_output=True)
     assert "info_lower_bound" not in info and info["feasible_starts"] > 0
@@ -1357,8 +1358,8 @@ def test_certificate_never_changes_a_value(monkeypatch):
 def test_memoryless_marking_sweep_certifies_its_infeasible_rates(monkeypatch, family, p0, rates):
     # the memoryless layout pins a constant class's tilted slots as the
     # constrained one does, so its certificate fires: one SLSQP call a rate
-    # and no feasible start (the parent ran up to 12 calls, each start's
-    # witness costing +inf, and counted them feasible)
+    # and no feasible start (with those slots free, a rate ran up to 30
+    # calls and counted starts whose witnesses cost +inf as feasible)
     prob = GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=family)
     calls = _counting_minimize(monkeypatch)
     for _, rate, val, info in exponents._sweep(
@@ -1370,8 +1371,8 @@ def test_memoryless_marking_sweep_certifies_its_infeasible_rates(monkeypatch, fa
 
 
 def test_fragile_memoryless_instance_stays_finite():
-    # ROADMAP item 2: this memoryless solve once missed its feasible point
-    # and gave +inf; only some of its starts are feasible
+    # this memoryless solve once missed its feasible point and gave +inf;
+    # only some of its starts are feasible
     prob = fair_problem(k=2)
     val = memoryless_exponent_variant(0.15, law_for(prob, 0.3), prob, subset=(0,), restarts=2)
     assert abs(val - 0.0193097) < 1e-6
