@@ -190,10 +190,12 @@ class _Scorer:
         code = base[: len(sym)] + sym
         counts = np.bincount(code.ravel(), minlength=len(sym) * width).reshape(-1, width)
         lens = width - np.argmax(counts[:, ::-1] > 0, axis=1)
+        size = int(lens.max())
+        if lens.min() == size:  # one length: most blocks
+            return _count_entropy(counts[:, :size], self.n, -1, self.xlogx) - self.h_side
         h = np.empty(len(sym))
-        sizes = np.unique(lens).tolist()
-        for size in sizes:
-            sel = lens == size if len(sizes) > 1 else slice(None)
+        for size in np.unique(lens).tolist():
+            sel = lens == size
             h[sel] = _count_entropy(counts[sel, :size], self.n, -1, self.xlogx)
         return h - self.h_side
 

@@ -628,7 +628,7 @@ def _solve_program(rate, law, problem, subset, user, memoryless, restarts, seed,
 
     lay = _Layout(problem, law, subset, user, memoryless)
     info["fast_path"] = False
-    info["tied"] = lay.ch_kind != "none" and not memoryless
+    info["tied"] = lay.tied
     val, vec, found = _multistart(lay, rate, c_floor, restarts, seed, warm)
     info.update(found)
     certified = "info_lower_bound" in found or (

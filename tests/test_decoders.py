@@ -693,6 +693,20 @@ def test_a_score_does_not_depend_on_its_block(block_cells, monkeypatch):
         assert each.tolist() == [scorer.info(rows[c[None]], rows[[(c[0] + 1) % 12]])[0] for c in cands]
 
 
+def test_only_a_block_of_mixed_table_lengths_sorts_its_lengths(monkeypatch):
+    # a block whose tables all end at one code is summed in one slice; the
+    # lengths are sorted only where they differ, with the same scores
+    cb = make_codebook(60, n=56, m=12, s_size=2, w_size=2)
+    y = interleave(np.stack([cb.row(2), cb.row(7)]), rngmod.derive(60, "a"), 2).y
+    scorer, rows = decoders._Scorer(cb, y), cb.rows()
+    real, sorts = np.unique, []
+    monkeypatch.setattr(decoders.np, "unique", lambda *a, **kw: sorts.append(1) or real(*a, **kw))
+    cands = np.array(list(itertools.combinations(range(12), 3)))
+    alone = [scorer.info(rows[c[None]])[0] for c in cands]
+    assert sorts == []
+    assert scorer.info(rows[cands]).tolist() == alone and sorts
+
+
 def test_a_score_equals_its_own_bincount_bit_for_bit():
     # each table is summed up to its own last code: here 45 of the 84
     # pairs and triples end below the width of their table, and summing

@@ -562,6 +562,135 @@ def test_capacity_ascent_evaluation_count_and_values(monkeypatch):
     assert (two_slots.value, k3.value) == (0.25, 0.0833333333333333)
 
 
+# ---------------------------------------------------------------------------
+# warm starts: each ascent solve of a part starts from its last table
+
+
+def _warm_cases():
+    """(problem, label): every polytope that does not move with the law,
+    under each objective whose parts it can solve."""
+    fair = _interleaving_table(2, 2)
+    tilted = fair.copy()
+    tilted[0, 1] = tilted[1, 0] = [0.8, 0.2]
+    families = [
+        (FairMarking(), 2, "fair K=2"), (FairMarking(), 3, "fair K=3"),
+        (Marking(), 2, "marking"), (Hull([fair, tilted]), 2, "hull"),
+    ]
+    for family, k, label in families:
+        for objective in ("detect_one", "detect_all", "simple"):
+            problem = GameProblem(
+                coalition_size=k, x_size=2, y_size=2, channel_class=family,
+                objective=objective,
+            )
+            yield problem, f"{label} {objective}"
+
+
+def _in_polytope(problem, c, fair):
+    """Whether a part's table is a member of its polytope: a pmf per cell,
+    invariant under permuting users where the part is fair, with the
+    marking pins held, or a mixture of a Hull's vertices."""
+    k = problem.coalition_size
+    if not (np.all(c >= -1e-12) and np.allclose(c.sum(axis=-1), 1.0, atol=1e-12)):
+        return False
+    if fair and not all(
+        np.allclose(c, np.transpose(c, perm + (k,)), atol=1e-12)
+        for perm in itertools.permutations(range(k))
+    ):
+        return False
+    family = problem.channel_class
+    if isinstance(family, Hull):
+        a, b = family.vertices
+        lam = float(np.sum((c - b) * (a - b)) / np.sum((a - b) ** 2))
+        return -1e-12 <= lam <= 1 + 1e-12 and np.allclose(c, b + lam * (a - b), atol=1e-12)
+    return all(abs(c[(x,) * k + (x,)] - 1.0) <= 1e-12 for x in range(problem.x_size))
+
+
+def _part_values(problem, law, parts):
+    tensors = law_tensors(problem, law)
+    return {
+        (o, a, m): (Payoff(problem, tensors, o, a, m).value(c), c, gap)
+        for o, a, m, c, gap in parts
+    }
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_warm_part_matches_its_cold_solve_and_stays_in_its_polytope(case):
+    problem, label = list(_warm_cases())[case]
+    gen = np.random.default_rng(29)
+    fairness = {(o, a, m): fair for o, a, m, fair in capacity._parts(problem, None)}
+    warm = {}
+    for _ in range(6):
+        law = capacity._law_from_theta(problem, gen.normal(0.0, 1.0, capacity._theta_dim(problem)))
+        _, v_warm, info = inner_min_channel(law, problem, full_output=True, _warm=warm)
+        _, v_cold, cold = inner_min_channel(law, problem, full_output=True)
+        assert set(warm) == set(fairness)
+        warm_parts = _part_values(problem, law, info["parts"])
+        cold_parts = _part_values(problem, law, cold["parts"])
+        for key, (vw, c, gw) in warm_parts.items():
+            vc, _, gc = cold_parts[key]
+            # each value is within its own gap of the part's minimum
+            assert vw - gw <= vc + 1e-12 and vc - gc <= vw + 1e-12, (label, key)
+            assert warm[key] is c and _in_polytope(problem, c, fairness[key]), (label, key)
+        assert abs(v_warm - v_cold) <= max(info["gap"], cold["gap"]) + 1e-12, label
+    # a part solved again at its own law starts at its minimizer
+    _, again, info = inner_min_channel(law, problem, full_output=True, _warm=warm)
+    assert info["iterations"] == len(fairness) and again == v_warm
+
+
+def _iteration_log(monkeypatch):
+    """Every ``capacity._frank_wolfe`` call as (tol, warm, iterations)."""
+    real, log = capacity._frank_wolfe, []
+
+    def logged(*args, **kwargs):
+        out = real(*args, **kwargs)
+        start = args[7] if len(args) > 7 else kwargs.get("start")
+        log.append((args[6], start is not None, out[2]["iterations"]))
+        return out
+
+    monkeypatch.setattr(capacity, "_frank_wolfe", logged)
+    return log
+
+
+def test_warm_starts_cut_the_benchmark_frank_wolfe_iterations(monkeypatch):
+    log = _iteration_log(monkeypatch)
+    k3 = solve_capacity(fair_problem(k=3), seed=0, restarts=2, grid_resolution=10)
+    # 1,093 when every solve started at the interleaving channel
+    assert sum(it for _, _, it in log) == 402
+    assert k3.value == 0.0833333333333333
+    # the grid pass (tol 1e-6) and the final solve (tol 1e-9) start cold
+    assert all(not warm for tol, warm, _ in log if tol != capacity._INNER_TOL)
+    assert log[-1][0] == 1e-9 and any(warm for _, warm, _ in log)
+    log.clear()
+    two_slots = solve_capacity(
+        fair_problem(k=2, num_timeshare=2), seed=0, restarts=6, grid_resolution=8
+    )
+    # 1,024 cold: these solves take about two iterations each
+    assert sum(it for _, _, it in log) == 1027
+    assert two_slots.value == 0.25
+
+
+def test_distortion_solve_passes_no_warm_table(monkeypatch):
+    log = _iteration_log(monkeypatch)
+    fam = Distortion(estimator=np.array([[0, 0], [0, 1]]), d2=1.0 - np.eye(2), cap=0.3)
+    prob = GameProblem(coalition_size=2, x_size=2, y_size=2, channel_class=fam)
+    solve_capacity(prob, restarts=1, grid_resolution=2)
+    assert log and not any(warm for _, warm, _ in log)
+
+
+def test_ascend_without_a_warm_dict_starts_every_solve_cold(monkeypatch):
+    log = _iteration_log(monkeypatch)
+    prob = fair_problem(k=2, objective="detect_all")
+    theta = np.array([0.0, 0.3, -0.2])
+    _, cold, cold_evals = capacity._ascend(prob, theta, Counter())
+    assert log and not any(warm for _, warm, _ in log)
+    log.clear()
+    warm = {}
+    _, value, evals = capacity._ascend(prob, theta, Counter(), warm)
+    assert set(warm) == {("detect_all_part", a, None) for a in [(0,), (1,), (0, 1)]}
+    assert sum(w for _, w, _ in log) == len(log) - 3  # all but the first point's parts
+    assert abs(value - cold) <= 1e-8
+
+
 def _grid_cases():
     """(problem, grid resolution): one of each kind of game the grid pass
     meets."""
@@ -1435,6 +1564,24 @@ def test_value_lower_bound_is_sound_and_closes_the_gap(monkeypatch):
             bounded += 1
             closed += val - bound <= exponents._GAP_TOL
     assert bounded >= 24 and closed >= 10, (bounded, closed)
+
+
+def test_singleton_hull_reports_its_layout_tied():
+    # a singleton Hull has no channel variables, yet its constrained layout
+    # ties the induced channel to its one table; the memoryless one does not
+    gen = np.random.default_rng(5)
+    prob = GameProblem(
+        coalition_size=2, x_size=2, y_size=2,
+        channel_class=Hull([gen.dirichlet(np.ones(2), size=(2, 2))]),
+    )
+    law = prob.uniform_law()
+    for memoryless, solver in (
+        (False, pseudo_sphere_packing), (True, memoryless_exponent_variant)
+    ):
+        _, _, info = solver(0.01, law, prob, subset=(0, 1), full_output=True)
+        lay = _Layout(prob, law, (0, 1), None, memoryless)
+        assert not info["fast_path"] and lay.ch_kind == "none"
+        assert info["tied"] is lay.tied is not memoryless
 
 
 def test_untilted_host_law_is_truly_infeasible():
