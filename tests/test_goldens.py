@@ -17,6 +17,7 @@ import itertools
 import json
 
 import numpy as np
+import pytest
 
 from fptrace import rng as rngmod
 from fptrace.cli import main
@@ -53,6 +54,8 @@ FAIR_K2 = {
 GOLDEN = {
     "simulate": "11a316b0487b6dcba356ac9558aaece9e871cc35c19a4834c61dafa91a212b7a",
     "capacity": "45f3adee24bd3d198dd697a759b95cf710e3dbbb1b799451b86aebf50430456c",
+    "capacity_detect_all": "65bccf250035c87562f938c14c63658554cb4ea2c3c8567d08a1dfefd9e02463",
+    "capacity_hull": "e8ec8267c07d896ce45446b3c31f053f3914a51921239b2df216a4c902433c77",
     "exponent_sweep": "f3fa5418a93e73cdbce9e057385f794b8f5ac5cc1d6fd7c693a256bdce2a320e",
     "operating_point": "d2899d9da8d4a347f9c0910ed0aa5df59270b4f3dcbbd7f4d0160f08baf8ab1c",
     "exponent_layouts": "03d1252c63563c2d399ed5a65d7d46491ae8591a7c77d8b428d8c7516d1bac24",
@@ -90,6 +93,36 @@ def test_capacity_artifact_golden(tmp_path):
         "problem": FAIR_K2, "restarts": 3, "grid_resolution": 4, "seed": 0,
     })
     assert _sha((tmp_path / "capacity.json").read_bytes()) == GOLDEN["capacity"]
+
+
+def _lean_hull():
+    """Two vertices, interleaving and a channel whose Y leans on user 0, so
+    that detect-all's weakest part is user 1 alone."""
+    lean = np.zeros((2, 2, 2))
+    for x0, x1 in np.ndindex(2, 2):
+        lean[x0, x1] = [0.9 - 0.7 * x0 - 0.1 * x1, 0.1 + 0.7 * x0 + 0.1 * x1]
+    return {
+        "kind": "hull",
+        "shape": [2, 2, 2],
+        "vertices": [[1.0, 0.0] + [0.5] * 4 + [0.0, 1.0], lean.ravel().tolist()],
+    }
+
+
+def _detect_all_problems():
+    """Games of several parts, where the inner solve picks the weakest."""
+    return {
+        "capacity_detect_all": dict(FAIR_K2, objective="detect_all", num_timeshare=2),
+        "capacity_hull": dict(FAIR_K2, objective="detect_all", channel_class=_lean_hull()),
+    }
+
+
+@pytest.mark.parametrize("name", ["capacity_detect_all", "capacity_hull"])
+def test_capacity_detect_all_artifact_golden(tmp_path, name):
+    _run(tmp_path, "capacity", {
+        "problem": _detect_all_problems()[name], "restarts": 3, "grid_resolution": 4,
+        "seed": 0,
+    })
+    assert _sha((tmp_path / "capacity.json").read_bytes()) == GOLDEN[name]
 
 
 def test_exponent_sweep_golden(tmp_path):
