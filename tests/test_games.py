@@ -398,12 +398,12 @@ def test_danskin_probe_gradient_matches_full_forward_difference(case):
     for _ in range(20):
         theta = gen.normal(0.0, 1.0, capacity._theta_dim(problem))
         law = capacity._law_from_theta(problem, theta)
-        cur, parts = capacity._penalized_value(problem, law, 1e-8)
-        if parts is None:  # an open Frank-Wolfe gap: probed by full solves
+        cur, anchor = capacity._penalized_value(problem, law, 1e-8)
+        if anchor is None:  # an open Frank-Wolfe gap: probed by full solves
             continue
         # the gradient in theta is p times the natural gradient
         p = np.concatenate([law.p_w, law.p_x_given_sw.ravel()])
-        model = p * capacity._natural_gradient(problem, parts, theta)
+        model = p * capacity._natural_gradient(problem, anchor)
         for i in range(len(theta)):
             bumped = theta.copy()
             bumped[i] += h
@@ -416,12 +416,12 @@ def test_danskin_probe_gradient_matches_full_forward_difference(case):
     assert points == 2
 
 
-def _held_value(problem, parts, p_w, p_x):
-    """The penalized payoff at the arrays (p_w, p_x), each part's channel
-    held: the min over parts, as the inner solve takes it."""
+def _held_value(problem, part, p_w, p_x):
+    """The penalized payoff at the arrays (p_w, p_x) of one part, its
+    channel held."""
     law = InputLaw._trusted(p_w.copy(), p_x.copy())
-    tensors = law_tensors(problem, law)
-    held = min(Payoff(problem, tensors, o, a, m).value(c) for o, a, m, c, _ in parts)
+    o, a, m, c, _ = part
+    held = Payoff(problem, law_tensors(problem, law), o, a, m).value(c)
     return held - capacity._penalty(problem, law)
 
 
@@ -452,20 +452,29 @@ def test_held_gradient_matches_central_differences_of_the_held_payoff():
     sides = set()
     for problem, theta in _held_gradient_cases():
         law = capacity._law_from_theta(problem, theta)
-        parts = capacity._penalized_value(problem, law, 1e-8)[1]
+        anchor = capacity._penalized_value(problem, law, 1e-8)[1]
+        assert anchor[0] is law
+        part = anchor[1]
+        # the one weakest part is the part the solve named: the least
+        # value over every part's table, the first on a tie
+        spec, _, info = inner_min_channel(law, problem, tol=1e-8, full_output=True)
         tensors = law_tensors(problem, law)
+        parts = info["parts"]
         values = [Payoff(problem, tensors, o, a, m).value(c) for o, a, m, c, _ in parts]
-        weakest.add((problem.objective, int(np.argmin(values)), len(parts)))
+        least = int(np.argmin(values))
+        assert part[:3] == parts[least][:3] and part[1] == info.get("subset")
+        assert np.array_equal(part[3], spec.table)
+        weakest.add((problem.objective, least, len(parts)))
         if problem.d1_cap is not None:
             sides.add(capacity._penalty(problem, law) > 0)
-        g_w, g_x = capacity._held_gradient(problem, parts, law)
+        g_w, g_x = capacity._held_gradient(problem, anchor)
         for block, grad in ((0, g_w), (1, g_x)):
             for i in np.ndindex(grad.shape):
                 arrays = [law.p_w.copy(), law.p_x_given_sw.copy()]
                 arrays[block][i] += h
-                up = _held_value(problem, parts, *arrays)
+                up = _held_value(problem, part, *arrays)
                 arrays[block][i] -= 2.0 * h
-                down = _held_value(problem, parts, *arrays)
+                down = _held_value(problem, part, *arrays)
                 central = (up - down) / (2.0 * h)
                 assert abs(grad[i] - central) <= 1e-6 * max(1.0, abs(central))
     # detect-all's weakest part was a single user and the full set, and
@@ -491,8 +500,8 @@ def test_natural_gradient_is_finite_where_a_law_entry_underflows():
     theta[2] = -800.0  # p(x=0 | s=0, w=0) is exactly 0
     law = capacity._law_from_theta(prob, theta)
     assert law.p_x_given_sw[0, 0, 0] == 0.0
-    start, parts = capacity._penalized_value(prob, law, capacity._INNER_TOL)
-    assert np.all(np.isfinite(capacity._natural_gradient(prob, parts, theta)))
+    start, anchor = capacity._penalized_value(prob, law, capacity._INNER_TOL)
+    assert np.all(np.isfinite(capacity._natural_gradient(prob, anchor)))
     counts = Counter()
     _, value, _ = capacity._ascend(prob, theta, counts)
     assert math.isfinite(value) and value > start
@@ -715,22 +724,30 @@ def _grid_cases():
 def test_grid_pass_keeps_the_three_best_laws_of_a_full_scoring(monkeypatch, case):
     problem, resolution = list(_grid_cases())[case]
     grid = capacity._grid_laws(problem, resolution)
-    real = capacity.payoff_value_grad
-    first = []
+    real_solve, real_vg = capacity._frank_wolfe, capacity.payoff_value_grad
+    firsts = []  # each part's first Frank-Wolfe value
+
+    def solve(*args, **kwargs):
+        firsts.append(None)
+        return real_solve(*args, **kwargs)
 
     def recorded(*args, **kwargs):
-        out = real(*args, **kwargs)
-        first.append(out[0])
+        out = real_vg(*args, **kwargs)
+        if firsts[-1] is None:
+            firsts[-1] = out[0]
         return out
 
+    monkeypatch.setattr(capacity, "_frank_wolfe", solve)
     monkeypatch.setattr(capacity, "payoff_value_grad", recorded)
     full = []
     for i, law in enumerate(grid):
-        first.clear()
+        firsts.clear()
         value = capacity._penalized_value(problem, law, 1e-6)[0]
         bound = capacity._start_bound(problem, law)
-        # Frank-Wolfe's own first value, less the penalty: no tolerance
-        assert bound == first[0] - capacity._penalty(problem, law)
+        # the least of every part's own first Frank-Wolfe value, less the
+        # penalty: no tolerance
+        assert len(firsts) == len(capacity._parts(problem, None))
+        assert bound == min(firsts) - capacity._penalty(problem, law)
         assert bound >= value
         full.append((value, i))
     assert capacity._grid_starts(problem, grid) == sorted(full, reverse=True)[:3]
