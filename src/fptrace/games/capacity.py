@@ -64,7 +64,7 @@ from dataclasses import replace
 import numpy as np
 
 from .. import rng as rngmod
-from ..errors import ConfigError, index_set, int_at_least, real_at_least
+from ..errors import BudgetExceededError, ConfigError, index_set, int_at_least, real_at_least
 from .problems import (
     Distortion,
     GameProblem,
@@ -88,6 +88,9 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 _XATOL = 1e-12
 # well above the 42 halvings of [0, 1] in which bisection alone meets it
 _MAX_SLOPE_EVALS = 100
+# the most laws a grid pass builds: about 55 MB of laws and 75 us of start
+# bound per law and part, 20 times the 4,913 of the largest default grid
+_MAX_GRID_LAWS = 100_000
 
 
 def minimize_scalar(phi, slope0):
@@ -420,11 +423,18 @@ def _simplex(d, resolution):
 
 def _grid_laws(problem, resolution):
     """Coarse product-simplex grid, only attempted in low dimension; its
-    rows are pmfs by construction, so each law is built trusted."""
+    rows are pmfs by construction, so each law is built trusted.  A grid
+    of more than ``_MAX_GRID_LAWS`` laws is refused before any is built."""
     l, s, x = problem.num_timeshare, problem.s_size, problem.x_size
     free = (l - 1) + s * l * (x - 1)
     if free > 3 or l > 3 or x > 3:
         return []
+    size = math.comb(resolution + l - 1, l - 1) * math.comb(resolution + x - 1, x - 1) ** (s * l)
+    if size > _MAX_GRID_LAWS:
+        raise BudgetExceededError(
+            f"a capacity grid of resolution {resolution} would hold {size} laws, "
+            f"over the cap of {_MAX_GRID_LAWS}"
+        )
     rows = list(_simplex(x, resolution))
     return [
         InputLaw._trusted(np.array(pw), np.array(combo).reshape(s, l, x))
@@ -518,7 +528,8 @@ def solve_capacity(
     (L-1)-slot game, which makes the reported values nondecreasing in L.
     Global optimality is not certified; the spread of local optima is
     reported in diagnostics ("nonconcave").  ``restarts`` and
-    ``grid_resolution`` are integers >= 1.
+    ``grid_resolution`` are integers >= 1; a resolution whose grid would
+    hold more than ``_MAX_GRID_LAWS`` laws raises ``BudgetExceededError``.
     """
     for name, value in (("restarts", restarts), ("grid_resolution", grid_resolution)):
         if not int_at_least(value, 1):

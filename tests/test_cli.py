@@ -1,10 +1,15 @@
 """CLI wiring: artifact round-trips, exit codes, output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fptrace
 from fptrace.cli import main
 
 
@@ -110,6 +115,36 @@ def test_capacity_subcommand(workdir):
     assert sol["value"] == pytest.approx(0.25, abs=1e-3)
     table = np.asarray(sol["worst_channel"]["table"])
     assert table.size == 8
+
+
+# runs the CLI in a child held to a 2 GB address space
+_LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from fptrace.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_oversize_capacity_grid_is_refused_before_it_is_built(workdir):
+    # (10^6 + 1)^3, about 10^18 grid laws: this ran without end
+    cfg = write_json(workdir / "cap.json", {
+        "problem": {"coalition_size": 2, "x_size": 2, "y_size": 2, "s_size": 3,
+                    "channel_class": {"kind": "boneh_shaw_fair"}},
+        "grid_resolution": 10**6,
+    })
+    src = str(Path(fptrace.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, "capacity", "--config", cfg, "--out", str(workdir)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 3, out.stderr
+    assert out.stderr == (
+        "budget exceeded: a capacity grid of resolution 1000000 would hold "
+        "1000003000003000001 laws, over the cap of 100000\n"
+    )
+    assert not (workdir / "capacity.json").exists()
 
 
 def test_exponent_sweep_subcommand(workdir):

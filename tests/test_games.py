@@ -15,7 +15,7 @@ from grid_oracles import (
     min_fair_marking_payoff,
     reduced_exponent_grid,
 )
-from fptrace.errors import ConfigError
+from fptrace.errors import BudgetExceededError, ConfigError
 from fptrace.collusion import _interleaving_table
 from fptrace.games import (
     Distortion,
@@ -483,6 +483,25 @@ def test_held_gradient_matches_central_differences_of_the_held_payoff():
     assert sides == {False, True}
 
 
+def test_held_gradient_builds_one_payoff_on_a_seven_part_game(monkeypatch):
+    # K=3 detect-all has seven parts; the gradient is the weakest one's
+    problem = fair_problem(k=3, objective="detect_all")
+    law = capacity._law_from_theta(problem, np.array([0.0, 0.4, -0.3]))
+    anchor = capacity._penalized_value(problem, law, 1e-8)[1]
+    built = []
+
+    class Counted(Payoff):
+        def __init__(self, *args, **kwargs):
+            built.append(args[2:])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "Payoff", Counted)
+    assert len(capacity._parts(problem, None)) == 7
+    for _ in range(2):
+        capacity._held_gradient(problem, anchor)
+    assert built == [anchor[1][:3]] * 2
+
+
 def test_capacity_ascent_leaves_no_start_in_a_softmax_corner():
     # three starts used to crawl into p_w = (0.0024, 0.9976) and stop at
     # the step cap short of 0.25: the gradient in theta carries a factor p
@@ -790,6 +809,57 @@ def test_grid_pass_selection_matches_a_full_sort(monkeypatch, seed):
         if len(top) == 3:
             # and every law bound at or above it was solved
             assert {i for i in range(n) if bounds[i] >= top[-1][0]} <= set(solved)
+
+
+def test_grid_laws_are_their_validated_copies_in_order():
+    for l, s, x in itertools.product((1, 2, 3), (1, 2, 3), (2, 3)):
+        problem = GameProblem(
+            coalition_size=2, x_size=x, y_size=x, channel_class=FairMarking(),
+            s_size=s, num_timeshare=l,
+        )
+        low = (l - 1) + s * l * (x - 1) <= 3  # the grid is only built in low dimension
+        for resolution in range(1, 17):
+            grid = capacity._grid_laws(problem, resolution)
+            rows = math.comb(resolution + x - 1, x - 1)
+            count = math.comb(resolution + l - 1, l - 1) * rows ** (s * l)
+            assert len(grid) == (count if low else 0)
+            keys = []
+            for law in grid:
+                valid = replace(law)
+                for got, want in ((law.p_w, valid.p_w), (law.p_x_given_sw, valid.p_x_given_sw)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert np.array_equal(got, want)
+                head = np.concatenate([law.p_w[:-1], law.p_x_given_sw[..., :-1].ravel()])
+                keys.append(tuple(np.rint(head * resolution).astype(int)))
+            # each law once, in lexicographic order of its ticks, p_w's first
+            assert keys == sorted(set(keys))
+    # unclipped, the last entry of the row (0.8, 0.2, .) would be -5.6e-17
+    assert 1.0 - 4 / 5 - 1 / 5 < 0.0
+    row = [0.8, 0.2, 0.0]
+    x3 = GameProblem(coalition_size=2, x_size=3, y_size=3, channel_class=FairMarking())
+    assert any(law.p_x_given_sw.ravel().tolist() == row for law in capacity._grid_laws(x3, 5))
+
+
+def test_oversize_grid_is_refused_before_it_is_built():
+    problem = fair_problem(k=2, s_size=3)
+    assert len(capacity._grid_laws(problem, 16)) == 17**3  # the largest default grid
+    with pytest.raises(BudgetExceededError, match="would hold 103823 laws"):
+        capacity._grid_laws(problem, 46)
+
+
+def test_detect_all_grid_pass_prunes_with_every_part_bounded(monkeypatch):
+    problem = fair_problem(k=2, num_timeshare=2, objective="detect_all")
+    grid = capacity._grid_laws(problem, 8)
+    real, solved = capacity._penalized_value, []
+
+    def counted(problem, law, tol, warm=None):
+        solved.append(law)
+        return real(problem, law, tol, warm)
+
+    monkeypatch.setattr(capacity, "_penalized_value", counted)
+    capacity._grid_starts(problem, grid)
+    # 341 when only the first part's start payoff bounded a law
+    assert (len(solved), len(grid)) == (25, 729)
 
 
 def test_frank_wolfe_stops_at_a_nan_line_search_value(monkeypatch):
@@ -1581,6 +1651,38 @@ def test_value_lower_bound_is_sound_and_closes_the_gap(monkeypatch):
             bounded += 1
             closed += val - bound <= exponents._GAP_TOL
     assert bounded >= 24 and closed >= 10, (bounded, closed)
+
+
+def test_floor_moved_by_1e_16_moves_a_certified_value_by_no_more_than_its_gap(monkeypatch):
+    # the benchmark sweep's game; its rates in 0.21-0.25 all report a bound
+    problem = fair_problem(k=2)
+    law = problem.uniform_law()
+    rates = np.linspace(0.19, 0.33, 20)
+    real = exponents._inner_floor
+
+    def sweep():
+        solves = exponents._sweep(rates, law, problem, (0, 1), None, False, 6, 0)
+        return {
+            rate: (val, info.get("value_lower_bound"))
+            for _, rate, val, info in solves
+            if 0.21 < rate < 0.25
+        }
+
+    def moved(*args):
+        floor, c = real(*args)
+        c = c.copy()
+        c[0, 1] += [1e-16, -1e-16]  # within one row, which still sums to 1
+        assert np.all(c.sum(axis=-1) == 1.0) and not np.array_equal(c, real(*args)[1])
+        return floor, c
+
+    before = sweep()
+    monkeypatch.setattr(exponents, "_inner_floor", moved)
+    after = sweep()
+    assert len(before) == 6
+    for rate, (v0, b0) in before.items():
+        v1, b1 = after[rate]
+        assert b0 is not None and b1 is not None, rate
+        assert abs(v1 - v0) <= max(v0 - b0, v1 - b1), rate
 
 
 def test_singleton_hull_reports_its_layout_tied():
