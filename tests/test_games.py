@@ -483,6 +483,27 @@ def test_held_gradient_matches_central_differences_of_the_held_payoff():
     assert sides == {False, True}
 
 
+def test_inner_solve_takes_the_least_part_and_the_first_on_an_exact_tie(monkeypatch):
+    # parts (0,), (1,), (0, 1), each given a scripted value; one ulp below
+    # 0.25 is 2.8e-17 lower, well inside the 1e-15 an earlier part once kept
+    problem = fair_problem(k=2, objective="detect_all")
+    below = float(np.nextafter(0.25, 0.0))
+    real = capacity._frank_wolfe
+    for values, weakest in (
+        ({(0,): 0.25, (1,): below, (0, 1): 0.3}, 1),
+        ({(0,): 0.3, (1,): 0.3, (0, 1): below}, 2),
+        ({(0,): 0.25, (1,): 0.25, (0, 1): 0.25}, 0),
+    ):
+        def scripted(problem, law, objective, subset, *args, values=values):
+            c, _, info = real(problem, law, objective, subset, *args)
+            return c, values[subset], info
+
+        monkeypatch.setattr(capacity, "_frank_wolfe", scripted)
+        _, value, info = inner_min_channel(problem.uniform_law(), problem, full_output=True)
+        assert info["weakest"] == weakest and value == min(values.values())
+        assert info["subset"] == info["parts"][weakest][1]
+
+
 def test_held_gradient_builds_one_payoff_on_a_seven_part_game(monkeypatch):
     # K=3 detect-all has seven parts; the gradient is the weakest one's
     problem = fair_problem(k=3, objective="detect_all")
@@ -811,6 +832,17 @@ def test_grid_pass_selection_matches_a_full_sort(monkeypatch, seed):
             assert {i for i in range(n) if bounds[i] >= top[-1][0]} <= set(solved)
 
 
+def _reference_simplex(d, resolution):
+    """The grid's simplex as it was written per entry count (1, 2 or 3),
+    with validated laws: the reference the one enumeration is held to."""
+    ticks = [i / resolution for i in range(resolution + 1)]
+    if d == 1:
+        return [(1.0,)]
+    if d == 2:
+        return [(t, 1.0 - t) for t in ticks]
+    return [(a, b, 1.0 - a - b) for a in ticks for b in ticks if a + b <= 1.0 + 1e-12]
+
+
 def test_grid_laws_are_their_validated_copies_in_order():
     for l, s, x in itertools.product((1, 2, 3), (1, 2, 3), (2, 3)):
         problem = GameProblem(
@@ -823,16 +855,17 @@ def test_grid_laws_are_their_validated_copies_in_order():
             rows = math.comb(resolution + x - 1, x - 1)
             count = math.comb(resolution + l - 1, l - 1) * rows ** (s * l)
             assert len(grid) == (count if low else 0)
-            keys = []
-            for law in grid:
-                valid = replace(law)
-                for got, want in ((law.p_w, valid.p_w), (law.p_x_given_sw, valid.p_x_given_sw)):
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert np.array_equal(got, want)
-                head = np.concatenate([law.p_w[:-1], law.p_x_given_sw[..., :-1].ravel()])
-                keys.append(tuple(np.rint(head * resolution).astype(int)))
-            # each law once, in lexicographic order of its ticks, p_w's first
-            assert keys == sorted(set(keys))
+            reference = [
+                InputLaw(p_w=np.asarray(pw), p_x_given_sw=np.asarray(combo).reshape(s, l, x))
+                for pw in _reference_simplex(l, resolution)
+                for combo in itertools.product(_reference_simplex(x, resolution), repeat=s * l)
+            ] if low else []
+            for law, old in zip(grid, reference, strict=True):
+                for valid in (replace(law), old):
+                    pairs = ((law.p_w, valid.p_w), (law.p_x_given_sw, valid.p_x_given_sw))
+                    for got, want in pairs:
+                        assert got.dtype == want.dtype and got.shape == want.shape
+                        assert np.array_equal(got, want)
     # unclipped, the last entry of the row (0.8, 0.2, .) would be -5.6e-17
     assert 1.0 - 4 / 5 - 1 / 5 < 0.0
     row = [0.8, 0.2, 0.0]
@@ -840,7 +873,7 @@ def test_grid_laws_are_their_validated_copies_in_order():
     assert any(law.p_x_given_sw.ravel().tolist() == row for law in capacity._grid_laws(x3, 5))
 
 
-def test_oversize_grid_is_refused_before_it_is_built():
+def test_grid_laws_refuse_the_first_resolution_past_the_cap():
     problem = fair_problem(k=2, s_size=3)
     assert len(capacity._grid_laws(problem, 16)) == 17**3  # the largest default grid
     with pytest.raises(BudgetExceededError, match="would hold 103823 laws"):
@@ -1669,10 +1702,10 @@ def test_floor_moved_by_1e_16_moves_a_certified_value_by_no_more_than_its_gap(mo
         }
 
     def moved(*args):
-        floor, c = real(*args)
-        c = c.copy()
+        floor, c0 = real(*args)
+        c = c0.copy()
         c[0, 1] += [1e-16, -1e-16]  # within one row, which still sums to 1
-        assert np.all(c.sum(axis=-1) == 1.0) and not np.array_equal(c, real(*args)[1])
+        assert np.all(c.sum(axis=-1) == 1.0) and not np.array_equal(c, c0)
         return floor, c
 
     before = sweep()
